@@ -3,9 +3,17 @@
 The search grows codes one basis word at a time, in weight order
 (weak-6, strict-8, weak-10, strict-16).  A word may extend a code only if
 every word of the enlarged span stays admissible for a quartic, which
-mechanizes the whole weight-addition case analysis.  Duplicates are
-rejected by canonical form at each level, so each equivalence class is
-visited once.
+mechanizes the whole weight-addition case analysis.
+
+Duplicates are cut in two steps.  Before a code is extended, its
+candidate words are reduced to one per orbit under the permutations of
+identical support columns; the orbit of a word is read off a key (its
+parity bit and its popcount inside each class of identical columns), so
+no permutation is ever applied.  After extension, the enlarged codes are
+deduplicated by canonical form at each level, so each equivalence class
+is visited once.  All canonical forms of one ``classify_quartic_codes``
+call share a single completion memo, which is dropped when the call
+returns.
 
 Two dimension lower bounds (due to Beauville) cut the weight-admissible
 list down to the codes that actually occur: dim of the full code is at
@@ -23,11 +31,8 @@ from dataclasses import dataclass
 from .codes import (
     EvenSetCode,
     EvenSetWord,
-    apply_node_permutation,
-    canonical_form,
+    _canonical_form,
     code_to_dict,
-    column_transpositions,
-    griesmer_ok,
     weight_enumerator,
 )
 from .errors import DomainError
@@ -105,51 +110,28 @@ def _span_words(basis: tuple[int, ...]) -> list[int]:
     return words
 
 
-def _min_weight(words: list[int], mu: int) -> int:
-    mask = (1 << mu) - 1
-    return min((w & mask).bit_count() for w in words if w)
+def _orbit_representatives(
+    candidates: list[int], basis: tuple[int, ...], mu: int
+) -> list[int]:
+    """The first candidate of each orbit under permutations of the support
+    columns that are identical across ``basis``.
 
-
-def _passes_griesmer(basis: tuple[int, ...], mu: int, words: list[int]) -> bool:
-    # sound pruning only: every honestly constructed linear code satisfies
-    # the bound, so this never rejects a real candidate
-    k = len(basis)
-    if k == 0:
-        return True
-    if not griesmer_ok(mu, k, _min_weight(words, mu)):
-        return False
-    strict = [w for w in words if w and not (w >> mu) & 1]
-    if strict:
-        k_strict = len(bit_rref(strict))
-        if not griesmer_ok(mu, k_strict, _min_weight(strict, mu)):
-            return False
-    return True
-
-
-def _orbit_representatives(candidates: list[int], perms: list[tuple[int, ...]], mu: int) -> list[int]:
-    """One candidate per orbit under the supplied permutations."""
-    if not perms:
-        return candidates
-    seen: set[int] = set()
-    reps = []
+    Those permutations form a product of symmetric groups, one per class of
+    identical columns, so an orbit is fixed by the parity bit and the
+    popcount of the word inside each class.
+    """
+    classes: dict[tuple[int, ...], int] = {}
+    for c in range(mu):
+        column = tuple((g >> c) & 1 for g in basis)
+        classes[column] = classes.get(column, 0) | 1 << c
+    masks = [*classes.values(), 1 << mu]
+    reps: dict[tuple[int, ...], int] = {}
     for w in candidates:
-        if w in seen:
-            continue
-        orbit = {w}
-        frontier = [w]
-        while frontier:
-            x = frontier.pop()
-            for p in perms:
-                y = apply_node_permutation(x, p, mu)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        reps.append(w)
-    return reps
+        reps.setdefault(tuple((w & m).bit_count() for m in masks), w)
+    return list(reps.values())
 
 
-def _enumerate_admissible(mu: int, griesmer_prune: bool) -> list[tuple[int, ...]]:
+def _enumerate_admissible(mu: int, memo: dict) -> list[tuple[int, ...]]:
     """All codes with every nonzero word admissible, one basis per
     permutation class, found by isomorph-rejected basis extension."""
     admissible = admissible_words_ext(mu)
@@ -161,12 +143,8 @@ def _enumerate_admissible(mu: int, griesmer_prune: bool) -> list[tuple[int, ...]
     for weight, weak in _WORD_CLASSES:
         if weight > mu:
             continue
-        w = (1 << weight) - 1 | ((1 << mu) if weak else 0)
-        basis = (w,)
-        if griesmer_prune and not _passes_griesmer(basis, mu, _span_words(basis)):
-            continue
-        code = _as_code(mu, basis)
-        level[canonical_form(code)] = basis
+        basis = ((1 << weight) - 1 | ((1 << mu) if weak else 0),)
+        level[_canonical_form(_as_code(mu, basis), memo)] = basis
 
     while level:
         found.extend(level.values())
@@ -180,20 +158,13 @@ def _enumerate_admissible(mu: int, griesmer_prune: bool) -> list[tuple[int, ...]
                 candidates = [w for w in candidates if (w ^ s) in admissible_set]
                 if not candidates:
                     break
-            if not candidates:
-                continue
-            perms = column_transpositions(_as_code(mu, basis))
-            for w in _orbit_representatives(candidates, perms, mu):
+            for w in _orbit_representatives(candidates, basis, mu):
                 new_basis = basis + (w,)
                 new_words = frozenset(_span_words(new_basis))
                 if new_words in seen_word_sets:
                     continue
                 seen_word_sets.add(new_words)
-                if griesmer_prune and not _passes_griesmer(
-                    new_basis, mu, list(new_words)
-                ):
-                    continue
-                enc = canonical_form(_as_code(mu, new_basis))
+                enc = _canonical_form(_as_code(mu, new_basis), memo)
                 if enc not in next_level:
                     next_level[enc] = new_basis
         level = next_level
@@ -232,20 +203,18 @@ def _greedy_profile(code: EvenSetCode) -> str:
     return f"[{mu},{k},{{{','.join(parts)}}}]"
 
 
-def _entry(mu: int, basis: tuple[int, ...]) -> TableEntry:
+def _entry(mu: int, basis: tuple[int, ...], memo: dict) -> TableEntry:
     code = _as_code(mu, basis)
     return TableEntry(
         code=code,
         dim=code.dim,
         profile=_greedy_profile(code),
         enumerator=weight_enumerator(code),
-        canonical=canonical_form(code),
+        canonical=_canonical_form(code, memo),
     )
 
 
-def classify_quartic_codes(
-    mu: int, *, audit: bool = False, griesmer_prune: bool = True
-) -> ClassificationTable:
+def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTable:
     """All nonzero even-set codes a mu-nodal quartic can carry, up to node
     permutation.
 
@@ -255,10 +224,11 @@ def classify_quartic_codes(
     """
     if not 1 <= mu <= MU_MAX:
         raise DomainError(f"mu must lie in 1..{MU_MAX}, got {mu}")
+    memo: dict = {}  # canonical-form completions, shared by this run's codes
     passing = []
     excluded = []
-    for basis in _enumerate_admissible(mu, griesmer_prune):
-        entry = _entry(mu, basis)
+    for basis in _enumerate_admissible(mu, memo):
+        entry = _entry(mu, basis, memo)
         strict_dim = entry.code.strict_dim()
         if entry.dim >= max(1, mu - 10) and strict_dim >= mu - 11:
             passing.append(entry)

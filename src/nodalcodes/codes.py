@@ -193,11 +193,11 @@ def weight_enumerator(code: EvenSetCode) -> dict[tuple[int, str], int]:
 # The search processes one column at a time.  A state is summarized by the
 # multiset of remaining column fingerprints (entries over the current
 # reduced rows), which determines the optimal completion, so completions
-# are memoized globally across codes.  Only columns achieving the minimal
-# next value can start an optimal completion, which keeps the tie tree
-# narrow even for very symmetric codes.
-
-_search_memo: dict[tuple, tuple] = {}
+# are memoized in a dict keyed by that summary.  The dict belongs to the
+# caller: each public entry point starts a fresh one, and the classifier
+# shares one across all the codes of a single run.  Only columns achieving
+# the minimal next value can start an optimal completion, which keeps the
+# tie tree narrow even for very symmetric codes.
 
 
 def _freeze_free(rows: list[int], npiv: int) -> list[int]:
@@ -234,11 +234,13 @@ def _column_step(rows: list[int], npiv: int, k: int, col: int):
     return 1 << (k - 1 - npiv), _freeze_free(new, npiv + 1), npiv + 1
 
 
-def _min_completion(rows: list[int], npiv: int, remaining: list[int], k: int) -> tuple:
+def _min_completion(
+    rows: list[int], npiv: int, remaining: list[int], k: int, memo: dict
+) -> tuple:
     if not remaining:
         return ()
     key = (k, npiv, tuple(sorted(_fingerprint(rows, k, c) for c in remaining)))
-    hit = _search_memo.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     group_reps: dict[int, int] = {}
@@ -257,16 +259,17 @@ def _min_completion(rows: list[int], npiv: int, remaining: list[int], k: int) ->
         if val != min_val:
             continue
         _, rows2, npiv2 = _column_step(rows, npiv, k, rep)
-        tail = _min_completion(rows2, npiv2, [c for c in remaining if c != rep], k)
+        tail = _min_completion(
+            rows2, npiv2, [c for c in remaining if c != rep], k, memo
+        )
         full = (min_val,) + tail
         if best is None or full < best:
             best = full
-    _search_memo[key] = best
+    memo[key] = best
     return best
 
 
-def canonical_encoding(code: EvenSetCode) -> tuple[int, ...]:
-    """Canonical column-minimized RREF encoding as a tuple of integers."""
+def _canonical_encoding(code: EvenSetCode, memo: dict) -> tuple[int, ...]:
     mu = code.mu
     if mu > _MU_CAP_CANONICAL:
         raise ResourceError(f"canonical form is capped at mu = {_MU_CAP_CANONICAL}")
@@ -275,53 +278,32 @@ def canonical_encoding(code: EvenSetCode) -> tuple[int, ...]:
     if k == 0:
         return (mu, 0)
     parity_val, rows, npiv = _column_step(_freeze_free(basis, 0), 0, k, mu)
-    tail = _min_completion(rows, npiv, list(range(mu)), k)
+    tail = _min_completion(rows, npiv, list(range(mu)), k, memo)
     return (mu, k, parity_val) + tail
+
+
+def _canonical_form(code: EvenSetCode, memo: dict) -> bytes:
+    enc = _canonical_encoding(code, memo)
+    return struct.pack(f">{len(enc)}I", *enc)
+
+
+def canonical_encoding(code: EvenSetCode) -> tuple[int, ...]:
+    """Canonical column-minimized RREF encoding as a tuple of integers."""
+    return _canonical_encoding(code, {})
 
 
 def canonical_form(code: EvenSetCode) -> bytes:
     """Permutation-invariant fingerprint; equal bytes iff codes are
     equivalent up to a permutation of node positions."""
-    enc = canonical_encoding(code)
-    return struct.pack(f">{len(enc)}I", *enc)
+    return _canonical_form(code, {})
 
 
 def is_isomorphic(a: EvenSetCode, b: EvenSetCode) -> bool:
     """Whether some node relabeling carries one code onto the other."""
     if a.mu != b.mu:
         raise DataError(f"length mismatch: {a.mu} != {b.mu}")
-    return canonical_form(a) == canonical_form(b)
-
-
-def apply_node_permutation(word_ext: int, perm: tuple[int, ...], mu: int) -> int:
-    """Permute support bits of an extended word; the parity bit stays."""
-    out = word_ext & (1 << mu)
-    rest = word_ext & ((1 << mu) - 1)
-    while rest:
-        low = rest & -rest
-        out |= 1 << perm[low.bit_length() - 1]
-        rest ^= low
-    return out
-
-
-def column_transpositions(code: EvenSetCode) -> list[tuple[int, ...]]:
-    """Automorphisms swapping node positions that look identical to every
-    codeword; a cheap (possibly partial) generating set used for orbit
-    pruning during classification."""
-    mu = code.mu
-    basis = code.basis_ext()
-    k = len(basis)
-    groups: dict[int, list[int]] = {}
-    for c in range(mu):
-        groups.setdefault(_fingerprint(basis, k, c), []).append(c)
-    identity = tuple(range(mu))
-    perms = []
-    for cols in groups.values():
-        for c in cols[1:]:
-            p = list(identity)
-            p[cols[0]], p[c] = p[c], p[cols[0]]
-            perms.append(tuple(p))
-    return perms
+    memo: dict = {}
+    return _canonical_form(a, memo) == _canonical_form(b, memo)
 
 
 # --- code file format ---------------------------------------------------------

@@ -1,0 +1,73 @@
+"""Explicit node permutations, kept for tests only.
+
+The library never applies a permutation: canonical forms minimize over
+column orders, and the classifier reduces candidates by an orbit key.  The
+tests still permute codes to check invariance, and the explicit orbit
+search below is the oracle for the classifier's orbit key.
+"""
+
+from __future__ import annotations
+
+from nodalcodes.codes import EvenSetCode, EvenSetWord
+
+
+def apply_node_permutation(word_ext: int, perm: tuple[int, ...], mu: int) -> int:
+    """Permute support bits of an extended word; the parity bit stays."""
+    out = word_ext & (1 << mu)
+    rest = word_ext & ((1 << mu) - 1)
+    while rest:
+        low = rest & -rest
+        out |= 1 << perm[low.bit_length() - 1]
+        rest ^= low
+    return out
+
+
+def permuted_code(code: EvenSetCode, perm: tuple[int, ...]) -> EvenSetCode:
+    mu = code.mu
+    return EvenSetCode.from_words(
+        mu,
+        [
+            EvenSetWord.from_ext(mu, apply_node_permutation(g.to_ext(), perm, mu))
+            for g in code.generators
+        ],
+    )
+
+
+def column_transpositions(code: EvenSetCode) -> list[tuple[int, ...]]:
+    """Transpositions of support columns identical in every codeword."""
+    mu, basis = code.mu, code.basis_ext()
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for c in range(mu):
+        column = tuple((g >> c) & 1 for g in basis)
+        groups.setdefault(column, []).append(c)
+    perms = []
+    for cols in groups.values():
+        for c in cols[1:]:
+            p = list(range(mu))
+            p[cols[0]], p[c] = p[c], p[cols[0]]
+            perms.append(tuple(p))
+    return perms
+
+
+def searched_orbit_representatives(
+    candidates: list[int], perms: list[tuple[int, ...]], mu: int
+) -> list[int]:
+    """The first candidate of each orbit, found by closing every new
+    candidate's orbit under ``perms`` one permutation at a time."""
+    seen: set[int] = set()
+    reps = []
+    for w in candidates:
+        if w in seen:
+            continue
+        orbit = {w}
+        frontier = [w]
+        while frontier:
+            x = frontier.pop()
+            for p in perms:
+                y = apply_node_permutation(x, p, mu)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        reps.append(w)
+    return reps

@@ -2,14 +2,16 @@
 
 import pytest
 
+from nodalcodes import classify as classify_mod
 from nodalcodes.classify import (
     ClassificationTable,
     admissible_words_ext,
     classify_quartic_codes,
     render_table,
 )
-from nodalcodes.codes import STRICT, WEAK, canonical_form, quartic_admissible
+from nodalcodes.codes import STRICT, WEAK, canonical_form, griesmer_ok, quartic_admissible
 from nodalcodes.errors import DomainError
+from permutation_oracle import column_transpositions, searched_orbit_representatives
 
 # the complete table: per mu the set of (dim, profile) rows
 EXPECTED = {
@@ -112,16 +114,46 @@ def test_mu14_weight_six_count(classification_tables):
     assert entry.enumerator[(10, WEAK)] == 2
 
 
-def test_griesmer_pruning_changes_nothing(classification_tables):
-    for mu in (8, 11, 12, 13, 14, 16):
-        with_prune = classification_tables[mu]
-        without = classify_quartic_codes(mu, griesmer_prune=False)
-        assert {(e.dim, e.profile) for e in without.entries} == {
-            (e.dim, e.profile) for e in with_prune.entries
-        }
-        assert [e.canonical for e in without.entries] == [
-            e.canonical for e in with_prune.entries
-        ]
+def _min_weight(words):
+    return min(w.weight for w in words)
+
+
+def test_every_searched_code_satisfies_griesmer():
+    # every code the search meets, kept or excluded by the dimension
+    # bounds, is a genuine linear code, so it and its strictly even
+    # subcode obey the Griesmer bound
+    for mu in range(6, 17):
+        table = classify_quartic_codes(mu, audit=True)
+        for entry in table.entries + table.excluded:
+            words = list(entry.code.words())
+            assert griesmer_ok(mu, entry.dim, _min_weight(words))
+            strict = [w for w in words if w.parity == STRICT]
+            if strict:
+                k_strict = entry.code.strict_dim()
+                assert len(strict) == 2**k_strict - 1
+                assert griesmer_ok(mu, k_strict, _min_weight(strict))
+
+
+def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
+    # every basis the search extends at mu <= 13: the orbit-key reduction
+    # keeps exactly the candidates an explicit orbit search under the
+    # transpositions of identical columns keeps
+    calls = []
+    reduce = classify_mod._orbit_representatives
+
+    def recording(candidates, basis, mu):
+        reps = reduce(candidates, basis, mu)
+        calls.append((candidates, basis, mu, reps))
+        return reps
+
+    monkeypatch.setattr(classify_mod, "_orbit_representatives", recording)
+    for mu in range(6, 14):
+        classify_quartic_codes(mu)
+    assert {mu for *_, mu, _ in calls} == set(range(6, 14))
+    assert any(len(reps) < len(candidates) for candidates, *_, reps in calls)
+    for candidates, basis, mu, reps in calls:
+        perms = column_transpositions(classify_mod._as_code(mu, basis))
+        assert reps == searched_orbit_representatives(candidates, perms, mu)
 
 
 def test_audit_reports_dimension_excluded_codes():

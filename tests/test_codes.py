@@ -1,5 +1,6 @@
 """Even-set word algebra, admissibility, enumerators, canonical forms."""
 
+import itertools
 import json
 import random
 
@@ -12,7 +13,7 @@ from nodalcodes.codes import (
     WEAK,
     EvenSetCode,
     EvenSetWord,
-    apply_node_permutation,
+    canonical_encoding,
     canonical_form,
     code_from_dict,
     code_to_dict,
@@ -23,6 +24,7 @@ from nodalcodes.codes import (
     word_sum,
 )
 from nodalcodes.errors import DataError, DomainError, ResourceError
+from permutation_oracle import permuted_code
 
 
 def _word(mu, parity, indices):
@@ -179,16 +181,6 @@ def _random_code(rng, mu=None, max_dim=4):
     return EvenSetCode.from_words(mu, words)
 
 
-def _permuted(code, perm):
-    return EvenSetCode.from_words(
-        code.mu,
-        [
-            EvenSetWord.from_ext(code.mu, apply_node_permutation(g.to_ext(), perm, code.mu))
-            for g in code.generators
-        ],
-    )
-
-
 class TestCanonicalForm:
     def test_invariance_500_random_trials(self):
         rng = random.Random(1234)
@@ -196,7 +188,7 @@ class TestCanonicalForm:
             code = _random_code(rng)
             perm = list(range(code.mu))
             rng.shuffle(perm)
-            assert canonical_form(code) == canonical_form(_permuted(code, tuple(perm)))
+            assert canonical_form(code) == canonical_form(permuted_code(code, tuple(perm)))
 
     def test_distinguishes_two_twelve_node_codes(self):
         a = _code(12, CODE_12_2_8_8)
@@ -254,7 +246,45 @@ def test_canonical_invariance_property(data):
         words.append(EvenSetWord(mu, weak, support))
     code = EvenSetCode.from_words(mu, words)
     perm = tuple(data.draw(st.permutations(range(mu))))
-    assert canonical_form(code) == canonical_form(_permuted(code, perm))
+    assert canonical_form(code) == canonical_form(permuted_code(code, perm))
+
+
+
+def _rref_column_encoding(code, order):
+    # plain Gauss-Jordan on the generator matrix with columns (parity,
+    # *order); each column of the RREF read top row first as an integer
+    mu, k = code.mu, code.dim
+    cols = [mu, *order]
+    rows = [[(g >> c) & 1 for c in cols] for g in code.basis_ext()]
+    npiv = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(npiv, k) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[npiv], rows[pivot] = rows[pivot], rows[npiv]
+        for i in range(k):
+            if i != npiv and rows[i][j]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[npiv])]
+        npiv += 1
+    return tuple(int("".join(str(r[j]) for r in rows), 2) for j in range(len(cols)))
+
+
+def test_canonical_encoding_matches_brute_force_over_all_column_orders():
+    rng = random.Random(2718)
+    codes = [EvenSetCode.from_words(6, [])]
+    while len(codes) < 100:
+        mu = rng.randint(2, 6)
+        codes.append(_random_code(rng, mu=mu, max_dim=mu))
+    for code in codes:
+        if code.dim == 0:
+            expected = (code.mu, 0)
+        else:
+            best = min(
+                _rref_column_encoding(code, order)
+                for order in itertools.permutations(range(code.mu))
+            )
+            expected = (code.mu, code.dim, *best)
+        assert canonical_encoding(code) == expected, code
 
 
 class TestCodeFiles:
