@@ -11,7 +11,6 @@ Usage: python scripts/scan_seed_survey.py [--prime 101] [--seeds 20] [--uniform]
 """
 
 import argparse
-import os
 import time
 
 from nodalcodes.symmetroid import (
@@ -29,19 +28,18 @@ def main() -> None:
     parser.add_argument("--uniform", action="store_true")
     args = parser.parse_args()
 
-    threads = max(1, int(os.environ.get("NODALCODES_THREADS", "1")))
     generator = random_symmetric_matrix if args.uniform else random_symmetroid_matrix
 
     ok = degenerate = 0
     for seed in range(args.seeds):
         t0 = time.monotonic()
         matrix = generator(args.prime, seed)
-        result = scan_nodes_fp(matrix, threads=threads)
+        result = scan_nodes_fp(matrix)
         dt = time.monotonic() - t0
         line = f"seed {seed:3d}: {len(result.points):4d} point(s) [{dt:.1f}s]"
         if result.degenerate:
             degenerate += 1
-            line += "  DEGENERATE (positive-dimensional locus suspected)"
+            line += "  DEGENERATE (more than 10 points: positive-dimensional locus)"
         elif len(result.points) == 10:
             cert = no_quadric_certificate(result.points, result.prime)
             line += f"  quadric-evaluation rank {cert.rank}"

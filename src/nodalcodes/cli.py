@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -39,14 +38,6 @@ def _emit(args, payload: dict, human: str) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("NODALCODES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cmd_defect(args) -> int:
@@ -182,16 +173,14 @@ def _cmd_symmetroid_scan(args) -> int:
             matrix = symmetroid_mod.random_symmetroid_matrix(args.prime, args.seed)
     else:
         raise InputError("need --matrix FILE or --seed N")
-    result = symmetroid_mod.scan_nodes_fp(
-        matrix, degenerate_threshold=args.threshold, threads=_thread_count()
-    )
+    result = symmetroid_mod.scan_nodes_fp(matrix)
     payload = {"matrix": matrix.to_dict(), "scan": result.to_dict()}
     lines = [
         f"prime {result.prime}: {len(result.points)} rank<=2 point(s)"
-        + (" [degenerate: positive-dimensional locus suspected]" if result.degenerate else "")
+        + (" [degenerate: positive-dimensional locus]" if result.degenerate else "")
     ]
     certified_ok = True
-    if not result.degenerate and len(result.points) == 10:
+    if len(result.points) == 10:
         cert = symmetroid_mod.no_quadric_certificate(result.points, result.prime)
         payload["certificate"] = cert.to_dict()
         certified_ok = cert.certified
@@ -278,9 +267,6 @@ def build_parser() -> _Parser:
     p.add_argument("--uniform", action="store_true",
                    help="with --seed: uniform random coefficients instead of the "
                         "six-point web construction")
-    p.add_argument("--threshold", type=int,
-                   default=symmetroid_mod.DEFAULT_DEGENERATE_THRESHOLD,
-                   help="point count above which the locus is flagged degenerate")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_symmetroid_scan)
 

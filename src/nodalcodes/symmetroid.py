@@ -1,28 +1,31 @@
 """Finite-field search for the rank-2 locus of symmetric matrices of linear forms.
 
-A symmetric 4x4 matrix of linear forms in x, y, z, w cuts out a quartic
-symmetroid (its determinant); the locus in P^3 where the matrix drops to
-rank <= 2 is the symmetroid's distinguished even set of ten nodes.  Over
-F_p the whole of P^3 can be enumerated, the rank condition checked via
-the sixteen 3x3 minors, and quadric interpolation through the resulting
-points tested exactly.  The outcome is finite-field evidence, labeled as
-such: nothing here claims a characteristic-0 proof.
+A symmetric 4x4 matrix of linear forms M(x) = x M_x + y M_y + z M_z + w M_w
+cuts out a quartic symmetroid (its determinant); the locus in P^3 where the
+matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
+nodes.  Over F_p that locus is found by kernel incidence (see
+:func:`scan_nodes_fp`), at a cost of about p^2 evaluations instead of the p^3
+points of P^3, and quadric interpolation through the ten points is tested
+exactly.  More than ten points prove a positive-dimensional locus, by the
+Harris-Tu degree bound (:data:`MAX_FINITE_LOCUS`).  The outcome is
+finite-field evidence, labeled as such: nothing here claims a
+characteristic-0 proof.
 
 Uniformly random coefficient matrices are the wrong distribution for this
 experiment: Frobenius permutes the ten geometric rank-2 points, so almost
 none of them are F_p-rational for a random matrix.  The seeded generator
 therefore builds the matrix from the web of quadrics through six random
-rational points; its ten rank-2 members are the C(6,3)/2 = 10 splittings
-of the six points into two plane-spanning triples, all rational by
-construction.  A uniform generator is kept for comparison experiments.
+rational points, no four coplanar; its ten rank-2 members are the
+C(6,3)/2 = 10 splittings of the six points into two plane-spanning
+triples, all rational by construction.  A uniform generator is kept for
+comparison experiments.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -32,7 +35,12 @@ from .forms import HomogeneousForm, parse_form
 from .linalg import ExactMatrix, nullspace_basis, rank_and_rref
 
 _PRIME_CAP = 1024
-DEFAULT_DEGENERATE_THRESHOLD = 50
+
+# Rank <= 2 symmetric 4x4 matrices form a variety of degree 10 (Harris-Tu,
+# Topology 23, 1984), so a finite rank <= 2 locus of M(x) has at most 10
+# points (a single one when M_x..M_w are dependent: the locus is then a cone
+# over their kernel).  More than 10 points prove a positive-dimensional locus.
+MAX_FINITE_LOCUS = 10
 
 # upper-triangle positions of a symmetric 4x4 matrix, row-major
 UPPER_TRIANGLE = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -120,6 +128,10 @@ def matrix_from_dict(data: dict) -> SymmetricLinearMatrix:
         entries = data["upper_triangle"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"matrix file is missing {exc}") from exc
+    if isinstance(prime, bool) or not isinstance(prime, int):
+        raise DataError(f"matrix prime must be an integer, got {prime!r}")
+    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+        raise DataError("upper_triangle must be a list of strings")
     if len(entries) != 10:
         raise DataError(f"expected 10 upper-triangle entries, got {len(entries)}")
     return SymmetricLinearMatrix.from_strings(prime, entries)
@@ -141,7 +153,6 @@ class ScanResult:
     prime: int
     points: tuple[tuple[int, int, int, int], ...]
     degenerate: bool
-    threshold: int
 
     def to_dict(self) -> dict:
         return {
@@ -149,7 +160,7 @@ class ScanResult:
             "count": len(self.points),
             "points": [list(pt) for pt in self.points],
             "degenerate": self.degenerate,
-            "degenerate_threshold": self.threshold,
+            "degenerate_threshold": MAX_FINITE_LOCUS,
             "evidence": "finite-field scan; probabilistic evidence only",
         }
 
@@ -172,110 +183,99 @@ def minors_vanish_at(matrix: SymmetricLinearMatrix, point) -> bool:
     return True
 
 
-def _minor_masks(entry, p, mask):
-    """Refine a boolean mask to points where every 3x3 minor vanishes."""
-    alive = np.nonzero(mask)[0]
-    local = {k: v[alive] for k, v in entry.items()}
-    ok = np.ones(alive.shape[0], dtype=bool)
-    for rows in combinations(range(4), 3):
-        for cols in combinations(range(4), 3):
-            if not ok.any():
-                return np.zeros_like(mask)
-            r1, r2, r3 = rows
-            c1, c2, c3 = cols
-            a, b, c = local[(r1, c1)], local[(r1, c2)], local[(r1, c3)]
-            d, e, f = local[(r2, c1)], local[(r2, c2)], local[(r2, c3)]
-            g, h, i = local[(r3, c1)], local[(r3, c2)], local[(r3, c3)]
-            det = (
-                a * ((e * i - f * h) % p)
-                - b * ((d * i - f * g) % p)
-                + c * ((d * h - e * g) % p)
-            ) % p
-            ok &= det == 0
-            if ok.sum() * 20 < ok.shape[0]:
-                # few survivors: compress before the remaining minors
-                keep = np.nonzero(ok)[0]
-                alive = alive[keep]
-                local = {k: v[keep] for k, v in local.items()}
-                ok = np.ones(alive.shape[0], dtype=bool)
-    out = np.zeros_like(mask)
-    out[alive[ok]] = True
-    return out
+def _minor(a, rows, cols, p):
+    """A 3x3 minor mod p of matrices given entrywise as arrays ``a[i][j]``; entries
+    may be unreduced below 4p^2, which keeps products in int64 for p <= _PRIME_CAP."""
+    (r1, r2, r3), (c1, c2, c3) = rows, cols
+    return (
+        a[r1][c1] * ((a[r2][c2] * a[r3][c3] - a[r2][c3] * a[r3][c2]) % p)
+        - a[r1][c2] * ((a[r2][c1] * a[r3][c3] - a[r2][c3] * a[r3][c1]) % p)
+        + a[r1][c3] * ((a[r2][c1] * a[r3][c2] - a[r2][c2] * a[r3][c1]) % p)
+    ) % p
 
 
-def _block_coords(p: int, block):
-    """Materialize one descriptor from :func:`_point_blocks` as coordinate arrays."""
-    r = np.arange(p, dtype=np.int64)
-    kind = block[0]
-    if kind == "tail":
-        # representatives with leading zeros: (0:0:0:1), (0:0:1:c), (0:1:b:c)
-        b, c = np.meshgrid(r, r, indexing="ij")
-        x = np.concatenate([np.zeros(1 + p + p * p, dtype=np.int64)])
-        y = np.concatenate([np.zeros(1 + p, dtype=np.int64), np.ones(p * p, dtype=np.int64)])
-        z = np.concatenate([np.zeros(1, dtype=np.int64), np.ones(p, dtype=np.int64), b.ravel()])
-        w = np.concatenate([np.ones(1, dtype=np.int64), r.copy(), c.ravel()])
-        return x, y, z, w
-    start, stop = block[1], block[2]
-    a, b, c = np.meshgrid(np.arange(start, stop, dtype=np.int64), r, r, indexing="ij")
-    return np.ones(a.size, dtype=np.int64), a.ravel(), b.ravel(), c.ravel()
+def _det4(a, p):
+    """Determinants mod p of 4x4 matrices given entrywise, by the first row."""
+    cofactors = (_minor(a, (1, 2, 3), [c for c in range(4) if c != k], p) for k in range(4))
+    return sum((-1) ** k * a[0][k] * m for k, m in enumerate(cofactors)) % p
 
 
-def _scan_block(matrix: SymmetricLinearMatrix, block) -> list[tuple[int, int, int, int]]:
-    p = matrix.prime
-    x, y, z, w = _block_coords(p, block)
-    entry = {}
-    for (i, j), row in zip(UPPER_TRIANGLE, matrix.coefficients):
-        v = (row[0] * x + row[1] * y + row[2] * z + row[3] * w) % p
-        entry[(i, j)] = v
-        entry[(j, i)] = v
-    mask = _minor_masks(entry, p, np.ones(x.shape[0], dtype=bool))
-    return [
-        (int(x[s]), int(y[s]), int(z[s]), int(w[s])) for s in np.nonzero(mask)[0]
-    ]
+def _rank_at_most_2(a, p):
+    """Indices of the points where every 3x3 minor of the (4, 4, n) array ``a`` vanishes."""
+    alive = np.arange(a.shape[2])
+    for rows, cols in product(combinations(range(4), 3), repeat=2):
+        keep = np.flatnonzero(_minor(a, rows, cols, p) == 0)
+        if keep.size < alive.size:
+            alive, a = alive[keep], a[:, :, keep]
+        if not alive.size:
+            break
+    return alive
 
 
-def _point_blocks(p: int, chunk_points: int = 1 << 18):
-    """Descriptors covering P^3(F_p) by normalized representatives
-    (first nonzero coordinate 1); kept small so chunks materialize lazily."""
-    blocks = [("tail",)]
-    rows_per_chunk = max(1, chunk_points // (p * p))
-    for start in range(0, p, rows_per_chunk):
-        blocks.append(("main", start, min(start + rows_per_chunk, p)))
-    return blocks
+def _span_points(basis, p: int, chunk: int = 1 << 18):
+    """The projective points of span(basis) as (4, n) arrays mod p, in chunks:
+    sum_l c_l basis[l] for each coefficient vector c whose first nonzero entry is 1."""
+    basis = np.asarray(basis, dtype=np.int64)
+    for lead in range(len(basis)):
+        total = p ** (len(basis) - 1 - lead)
+        for start in range(0, total, chunk):
+            digits = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            points = np.repeat(basis[lead][:, None], digits.size, axis=1)
+            for vec in basis[lead + 1:]:
+                digits, digit = np.divmod(digits, p)
+                points += vec[:, None] * digit
+            yield points % p
 
 
-def scan_nodes_fp(
-    matrix: SymmetricLinearMatrix,
-    *,
-    degenerate_threshold: int = DEFAULT_DEGENERATE_THRESHOLD,
-    threads: int = 1,
-) -> ScanResult:
-    """All points of P^3(F_p) where the matrix has rank <= 2.
+def _normalize(points, p: int) -> list[tuple[int, int, int, int]]:
+    """The columns of a (4, n) array, scaled so the first nonzero coordinate is 1."""
+    inverse = np.array([pow(a, -1, p) if a else 0 for a in range(p)], dtype=np.int64)
+    lead = points[(points != 0).argmax(axis=0), np.arange(points.shape[1])]
+    return [tuple(map(int, pt)) for pt in (points * inverse[lead] % p).T]
 
-    The locus of a generic symmetroid is ten points; any count above
-    ``degenerate_threshold`` flags a suspected positive-dimensional locus.
-    The enumeration is exhaustive over normalized representatives and is
-    chunked; with ``threads > 1`` chunks run in a thread pool, and the
-    final point list is sorted lexicographically either way.
+
+def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
+    """All points of P^3(F_p) where the matrix has rank <= 2, sorted.
+
+    Kernel incidence: M(x) v = A(v) x with A(v) = [M_x v | M_y v | M_z v |
+    M_w v].  The kernel of M(x) at a point x of rank <= 2 is at least a
+    line, which meets the plane v_z = 0 in some v with det A(v) = 0 and
+    x in ker A(v).  So det A is evaluated on the p^2 + p + 1 points of that
+    plane, the points of each distinct kernel ker A(v) where it vanishes are
+    enumerated, and those where all sixteen 3x3 minors vanish are kept.
+    When det A vanishes on the whole plane every point of P^3 is a candidate.
+
+    ``degenerate`` means more than :data:`MAX_FINITE_LOCUS` points, which
+    proves a positive-dimensional locus.
     """
     p = matrix.prime
     if p > _PRIME_CAP:
         raise ResourceError(
-            f"scan enumerates p^3 + p^2 + p + 1 points; prime capped at {_PRIME_CAP}"
+            "some matrices make the scan enumerate all p^3 + p^2 + p + 1 points; "
+            f"prime capped at {_PRIME_CAP}"
         )
-    blocks = _point_blocks(p)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda blk: _scan_block(matrix, blk), blocks))
+    forms = np.zeros((4, 4, 4), dtype=np.int64)  # forms[i, j]: entry (i, j) as a form in x
+    for (i, j), row in zip(UPPER_TRIANGLE, matrix.coefficients):
+        forms[i, j] = forms[j, i] = row
+    a_forms = forms.transpose(0, 2, 1)  # a_forms[i, k]: entry (i, k) of A(v) as a form in v
+
+    plane = np.eye(4, dtype=np.int64)[[0, 1, 3]]
+    singular = [v[:, _det4(a_forms @ v, p) == 0] for v in _span_points(plane, p)]
+    singular = np.concatenate(singular, axis=1)
+    if singular.shape[1] == p * p + p + 1:
+        # det A vanishes on the whole plane: p^2 + p + 1 exact kernels would
+        # cost more than enumerating every point of P^3
+        bases = [np.eye(4, dtype=np.int64)]
     else:
-        results = [_scan_block(matrix, blk) for blk in blocks]
-    points = sorted(pt for chunk in results for pt in chunk)
-    return ScanResult(
-        prime=p,
-        points=tuple(points),
-        degenerate=len(points) > degenerate_threshold,
-        threshold=degenerate_threshold,
-    )
+        field = PrimeField(p)
+        bases = {tuple(nullspace_basis(ExactMatrix.from_rows(field, (a_forms @ v).tolist())))
+                 for v in singular.T}
+    found = [np.zeros((4, 0), dtype=np.int64)]
+    for basis in bases:
+        for x in _span_points(basis, p):
+            found.append(x[:, _rank_at_most_2(forms @ x, p)])
+    points = sorted(set(_normalize(np.concatenate(found, axis=1), p)))
+    return ScanResult(prime=p, points=tuple(points), degenerate=len(points) > MAX_FINITE_LOCUS)
 
 
 @dataclass(frozen=True)
@@ -323,6 +323,12 @@ def no_quadric_certificate(points, p: int) -> QuadricCertificate:
 # --- seeded generators --------------------------------------------------------
 
 
+def _seeded_rng(p: int, seed: int) -> np.random.Generator:
+    if not is_prime(p) or p == 2 or seed < 0:
+        raise DomainError(f"need an odd prime and a non-negative seed, got p = {p}, seed {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_symmetric_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
     """Uniformly random linear forms in the upper triangle.
 
@@ -331,25 +337,29 @@ def random_symmetric_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
     few of them; use :func:`random_symmetroid_matrix` when the full ten-point
     locus should be visible over F_p.
     """
-    rng = np.random.default_rng(seed)
-    coeffs = rng.integers(0, p, size=(10, 4))
+    coeffs = _seeded_rng(p, seed).integers(0, p, size=(10, 4))
     return SymmetricLinearMatrix(p, tuple(tuple(int(c) for c in row) for row in coeffs))
 
 
 def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
     """Seeded random symmetroid whose ten rank-2 points are all F_p-rational.
 
-    Draws six random points of P^3(F_p) whose quadric conditions are
-    independent and takes the four-dimensional web of quadrics through
-    them, written as a symmetric matrix pencil.  The rank-2 members of the
-    web are the quadrics splitting into two planes of three points each,
-    one for each of the ten 3+3 partitions, so the scan finds them all.
+    Draws six random points of P^3(F_p), no four coplanar (those give a
+    positive-dimensional locus), whose quadric conditions are independent,
+    and takes the four-dimensional web of quadrics through them, written as
+    a symmetric matrix pencil.  The rank-2 members of the web are the
+    quadrics splitting into two planes of three points each, one for each
+    of the ten 3+3 partitions, so the scan finds them all.
     """
     field = PrimeField(p)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(p, seed)
+    if p == 3:
+        raise DomainError("P^3(F_3) has no six points with no four coplanar (at most five)")
     while True:
         pts = [tuple(int(c) for c in rng.integers(0, p, size=4)) for _ in range(6)]
         if any(all(c % p == 0 for c in pt) for pt in pts):
+            continue
+        if any(_det4(quad, p) == 0 for quad in combinations(pts, 4)):
             continue
         rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in pts]
         eval_matrix = ExactMatrix.from_rows(field, rows)

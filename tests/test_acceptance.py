@@ -99,18 +99,14 @@ def test_criterion_4_hilbert_series():
 
 
 def test_criterion_5_symmetroid_evidence(scan_survey):
-    non_degenerate = 0
+    assert len(scan_survey) == 20
     for seed, matrix, result in scan_survey:
-        if result.degenerate:
-            continue
-        non_degenerate += 1
         assert len(result.points) == 10, f"seed {seed}: {len(result.points)} points"
         cert = no_quadric_certificate(result.points, result.prime)
         assert cert.rank == 10 and cert.certified, f"seed {seed}"
-    assert non_degenerate >= 15, f"only {non_degenerate}/20 seeds non-degenerate"
     print(
-        f"\n[acceptance] 5 symmetroid scans (20 seeds at p=101, "
-        f"{non_degenerate} non-degenerate, all 10-point and certified): PASS"
+        "\n[acceptance] 5 symmetroid scans (20 seeds at p=101, "
+        "all 10-point and certified): PASS"
     )
 
 

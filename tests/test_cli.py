@@ -181,6 +181,32 @@ def test_symmetroid_scan_requires_input(capsys):
     assert code == 2
 
 
+def _scan_matrix_file(tmp_path, capsys, payload):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(payload))
+    return run(capsys, "symmetroid-scan", "--matrix", str(path))
+
+
+def test_symmetroid_scan_non_string_entry(tmp_path, capsys):
+    code, _, err = _scan_matrix_file(tmp_path, capsys, {"prime": 7, "upper_triangle": [1] * 10})
+    assert code == 2 and "Traceback" not in err and err.startswith("error:")
+
+
+def test_symmetroid_scan_non_list_entries(tmp_path, capsys):
+    code, _, err = _scan_matrix_file(tmp_path, capsys, {"prime": 7, "upper_triangle": 5})
+    assert code == 2 and "Traceback" not in err and err.startswith("error:")
+
+
+def test_symmetroid_scan_non_integer_prime(tmp_path, capsys):
+    code, _, err = _scan_matrix_file(tmp_path, capsys, {"prime": "7", "upper_triangle": ["x"] * 10})
+    assert code == 2 and "Traceback" not in err and err.startswith("error:")
+
+
+def test_symmetroid_scan_negative_seed(capsys):
+    code, _, err = run(capsys, "symmetroid-scan", "--seed", "-1")
+    assert code == 2 and "Traceback" not in err and err.startswith("error:")
+
+
 def test_hilbert_check(capsys):
     code, out, _ = run(capsys, "hilbert-check", "--json")
     assert code == 0

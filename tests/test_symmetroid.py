@@ -7,7 +7,10 @@ import random
 import pytest
 
 from nodalcodes.errors import DataError, DomainError, ResourceError
+from nodalcodes.fields import PrimeField
+from nodalcodes.linalg import ExactMatrix, nullspace_basis
 from nodalcodes.symmetroid import (
+    QUADRIC_MONOMIALS,
     SymmetricLinearMatrix,
     load_matrix_file,
     matrix_from_dict,
@@ -21,6 +24,13 @@ from nodalcodes.symmetroid import (
 # upper-triangle entry order: (0,0),(0,1),(0,2),(0,3),(1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
 X_IDENTITY = ["x", "0", "0", "0", "x", "0", "0", "x", "0", "x"]
 DIAG_XYZW = ["x", "0", "0", "0", "y", "0", "0", "z", "0", "w"]
+# last row and column zero: (0:0:0:1) is a common kernel vector of M_x..M_w
+COMMON_KERNEL = ["x", "y", "z", "0", "w", "x+y", "0", "z+w", "0", "0"]
+# x * u u^T for u = (1, 2, 3, 4): rank <= 1 everywhere
+RANK_ONE_PENCIL = ["x", "2*x", "3*x", "4*x", "4*x", "6*x", "8*x", "9*x", "12*x", "16*x"]
+ZERO = ["0"] * 10
+# four points in the plane w = 0 and two off it
+COPLANAR_SIX = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1), (1, 2, 3, 4)]
 
 
 def _enumerate_p3(p):
@@ -32,6 +42,18 @@ def _enumerate_p3(p):
         inv = pow(first, -1, p)
         seen.add(tuple(c * inv % p for c in pt))
     return seen
+
+
+def _web_through(p, points):
+    """The web of quadrics through six points, as a symmetric linear matrix."""
+    rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in points]
+    web = nullspace_basis(ExactMatrix.from_rows(PrimeField(p), rows))
+    assert len(web) == 4
+    half = pow(2, -1, p)
+    return SymmetricLinearMatrix(p, tuple(
+        tuple(q[k] * (1 if i == j else half) for q in web)
+        for k, (i, j) in enumerate(QUADRIC_MONOMIALS)
+    ))
 
 
 def _naive_rank_mod_p(m, p):
@@ -59,7 +81,7 @@ class TestScan:
         m = SymmetricLinearMatrix.from_strings(p, X_IDENTITY)
         result = scan_nodes_fp(m)
         assert len(result.points) == p * p + p + 1
-        assert result.degenerate  # 57 > 50 with the default threshold
+        assert result.degenerate  # 57 > 10
         assert all(pt[0] == 0 for pt in result.points)
 
     def test_diagonal_matrix_coordinate_lines(self):
@@ -67,9 +89,9 @@ class TestScan:
         # four points, 6(p-1) + 4 points at p = 5
         p = 5
         m = SymmetricLinearMatrix.from_strings(p, DIAG_XYZW)
-        result = scan_nodes_fp(m, degenerate_threshold=20)
+        result = scan_nodes_fp(m)
         assert len(result.points) == 6 * (p - 1) + 4 == (p + 1) * 6 - 8
-        assert result.degenerate  # positive-dimensional, low threshold makes it visible
+        assert result.degenerate  # 28 > 10
         # independent enumeration oracle over all of P^3(F_5)
         expected = {
             pt for pt in _enumerate_p3(p)
@@ -100,18 +122,45 @@ class TestScan:
                 assert normalized in point_set
 
     def test_twenty_seed_survey(self, scan_survey):
-        non_degenerate = [s for s in scan_survey if not s[2].degenerate]
-        assert len(non_degenerate) >= 15
-        for seed, matrix, result in non_degenerate:
+        assert len(scan_survey) == 20
+        for seed, matrix, result in scan_survey:
             assert len(result.points) == 10, f"seed {seed}"
             cert = no_quadric_certificate(result.points, result.prime)
             assert cert.rank == 10 and cert.certified, f"seed {seed}"
 
-    def test_threads_match_single_thread(self):
-        m = random_symmetroid_matrix(31, 3)
-        a = scan_nodes_fp(m, threads=1)
-        b = scan_nodes_fp(m, threads=4)
-        assert a == b
+    def test_coplanar_web_locus_is_degenerate(self):
+        # four coplanar points put a line of plane pairs in the web: p + 1
+        # points on it and six isolated splittings, p + 7 = 20 > 10 at p = 13
+        p = 13
+        result = scan_nodes_fp(_web_through(p, COPLANAR_SIX))
+        assert len(result.points) == p + 7
+        assert result.degenerate
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_matches_brute_force_enumeration(self, p):
+        # kinds on both sides of the whole-plane fallback: det A(v) vanishes
+        # on all of v_z = 0 for X_IDENTITY, DIAG_XYZW, COMMON_KERNEL, ZERO
+        # and RANK_ONE_PENCIL, and not for webs or uniform matrices
+        matrices = [random_symmetric_matrix(p, seed) for seed in range(3)]
+        matrices += [SymmetricLinearMatrix.from_strings(p, forms) for forms in
+                     (X_IDENTITY, DIAG_XYZW, COMMON_KERNEL, ZERO, RANK_ONE_PENCIL)]
+        if p > 3:  # P^3(F_3) has no six points with no four coplanar
+            matrices += [random_symmetroid_matrix(p, seed) for seed in range(2)]
+            matrices.append(_web_through(p, COPLANAR_SIX))
+        for m in matrices:
+            self._check_against_enumeration(m)
+
+    def test_matches_brute_force_enumeration_p31(self):
+        self._check_against_enumeration(random_symmetroid_matrix(31, 0))
+        self._check_against_enumeration(SymmetricLinearMatrix.from_strings(31, X_IDENTITY))
+
+    @staticmethod
+    def _check_against_enumeration(m):
+        p = m.prime
+        expected = {pt for pt in _enumerate_p3(p) if _naive_rank_mod_p(m.evaluate(pt), p) <= 2}
+        result = scan_nodes_fp(m)
+        assert result.points == tuple(sorted(expected)), m.coefficients
+        assert result.degenerate == (len(expected) > 10)
 
     def test_points_sorted_and_distinct(self, scan_survey):
         _, _, result = scan_survey[1]
@@ -179,21 +228,20 @@ class TestGenerators:
         assert counts and all(c <= 10 for c in counts)
 
     def test_small_prime_still_works(self):
-        # special position of the six points is common at small fields, so
-        # pick a seed whose locus is honestly zero-dimensional
-        m = random_symmetroid_matrix(13, 2)
-        result = scan_nodes_fp(m)
-        assert len(result.points) == 10
-        assert no_quadric_certificate(result.points, 13).certified
+        # at p = 13 random six-point sets often hold four coplanar points;
+        # the generator rejects them, so every seed gives ten points
+        for seed in range(20):
+            result = scan_nodes_fp(random_symmetroid_matrix(13, seed))
+            assert len(result.points) == 10, f"seed {seed}"
+            assert no_quadric_certificate(result.points, 13).certified, f"seed {seed}"
 
-    def test_small_prime_curve_can_evade_default_threshold(self):
-        # at p=13 a one-dimensional locus may have ~p+1 points, below the
-        # default threshold of 50; the threshold knob exists for that
-        m = random_symmetroid_matrix(13, 0)
-        result = scan_nodes_fp(m)
-        assert len(result.points) == 20
-        assert not result.degenerate
-        assert scan_nodes_fp(m, degenerate_threshold=15).degenerate
+    def test_generator_domain(self):
+        with pytest.raises(DomainError):
+            random_symmetroid_matrix(3, 0)  # no six points, no four coplanar
+        with pytest.raises(DomainError):
+            random_symmetroid_matrix(101, -1)
+        with pytest.raises(DomainError):
+            random_symmetric_matrix(0, 1)
 
 
 class TestMatrixFiles:
