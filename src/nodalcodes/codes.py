@@ -320,6 +320,8 @@ def code_from_dict(data: dict) -> EvenSetCode:
         raise DataError(f"code file is missing {exc}") from exc
     if not isinstance(mu, int) or mu < 0:
         raise DataError("mu must be a non-negative integer")
+    if not isinstance(gens, list):
+        raise DataError("generators must be a list of {parity, support} entries")
     words = []
     for g in gens:
         try:

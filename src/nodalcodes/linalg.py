@@ -1,8 +1,13 @@
 """Exact matrix rank, reduced row echelon form, and kernels.
 
-Dense Gaussian elimination over Q or F_p, plus a packed-bit F2 path for
-generator matrices of binary codes.  Everything is pure: operations never
-mutate their inputs and return fresh matrices.
+:func:`exact_rank` works on plain Python integers: echelon elimination mod
+p over F_p, and over Q fraction-free Bareiss elimination over Z after each
+row's denominators are cleared.  :func:`rank_and_rref` and
+:func:`nullspace_basis` run Gauss-Jordan through the field interface over
+Q or F_p.  :func:`modular_rank` reduces a rational matrix mod a prime, a
+lower bound for its rank.  A packed-bit F2 path serves generator matrices
+of binary codes.  Everything is pure: operations never mutate their inputs
+and return fresh matrices.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DataError, DomainError, ResourceError, RetryWithNewPrime
@@ -121,6 +127,63 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
     return basis
 
 
+def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of rows of residues in [0, p) by echelon elimination mod p.
+
+    Each pivot drops its row and column, so rows shrink as the rank grows;
+    rows are replaced one at a time, and the loop ends when no row or no
+    column is left.
+    """
+    rows = list(rows)
+    rank = 0
+    while rows and rows[0]:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot_row = rows.pop(i)
+        inv = pow(pivot_row[0], -1, p)
+        pivot_row = [b * inv % p for b in pivot_row[1:]]
+        for j, row in enumerate(rows):
+            f = row[0]
+            rows[j] = [(a - f * b) % p for a, b in zip(row[1:], pivot_row)] if f else row[1:]
+        rank += 1
+    return rank
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free elimination over Z (Bareiss, Math. Comp. 22, 1968).
+
+    Returns the rank and the last pivot.  After k pivots every remaining
+    entry is the (k+1) x (k+1) minor on the pivot rows and columns plus its
+    own row and column, so the division by the previous pivot is exact and
+    the last pivot is, up to sign, the determinant of the pivot minor.
+    Columns with no nonzero entry left are skipped.
+    """
+    rows = list(rows)
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot, *tail = rows.pop(i)
+        for j, row in enumerate(rows):
+            f = row[0]
+            rows[j] = [(pivot * a - f * b) // prev for a, b in zip(row[1:], tail)]
+        rank, prev = rank + 1, pivot
+    return rank, prev
+
+
+def _integer_rows(entries: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Scale each rational row by its denominators' lcm; the rank is unchanged."""
+    rows = []
+    for row in entries:
+        scale = lcm(*(a.denominator for a in row))
+        rows.append([a.numerator * (scale // a.denominator) for a in row])
+    return rows
+
+
 def modular_rank(m: ExactMatrix, p: int) -> int:
     """Rank of a rational matrix reduced mod p.
 
@@ -131,26 +194,18 @@ def modular_rank(m: ExactMatrix, p: int) -> int:
         raise DomainError("modular_rank expects a matrix over the rationals")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    fp = PrimeField(p) if p != 2 else None
     reduced_rows = []
     for row in m.entries:
         rr = []
         for a in row:
-            a = Fraction(a)
             if a.denominator % p == 0:
                 raise RetryWithNewPrime(p)
             rr.append(a.numerator * pow(a.denominator, -1, p) % p)
         reduced_rows.append(rr)
-    if fp is None:
-        return bit_rank(BitMatrix.from_dense(m.ncols, reduced_rows))
-    return rank_and_rref(ExactMatrix.from_rows(fp, reduced_rows))[0]
+    return _rank_mod_p(reduced_rows, p)
 
 
-_ADVISORY_RNG = random.Random("modular-rank-advisory")
-
-
-def random_30bit_prime(rng: random.Random | None = None) -> int:
-    rng = rng or _ADVISORY_RNG
+def random_30bit_prime(rng: random.Random) -> int:
     while True:
         candidate = rng.getrandbits(30) | (1 << 29) | 1
         if is_prime(candidate):
@@ -158,23 +213,14 @@ def random_30bit_prime(rng: random.Random | None = None) -> int:
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank with a modular advisory pre-check for rational matrices.
+    """Exact rank on plain integers.
 
-    The rank is decided by exact elimination; the single-prime modular
-    pass only serves as a cheap cross-check and is retried or dropped if
-    the prime divides a denominator.
+    Over F_p: echelon elimination mod p.  Over Q: clear each row's
+    denominators, then fraction-free Bareiss elimination over Z.
     """
-    rank = rank_and_rref(m)[0]
-    if isinstance(m.field, RationalField) and m.entries:
-        try:
-            advisory = modular_rank(m, random_30bit_prime())
-        except RetryWithNewPrime:
-            advisory = None
-        if advisory is not None and advisory > rank:
-            raise AssertionError(
-                f"modular rank {advisory} exceeds exact rank {rank}; elimination is broken"
-            )
-    return rank
+    if isinstance(m.field, PrimeField):
+        return _rank_mod_p(m.entries, m.field.p)
+    return _bareiss(_integer_rows(m.entries))[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, ResourceError
 from .fields import Field, PrimeField, QQ, Scalar
 from .forms import (
     HomogeneousForm,
@@ -28,6 +28,11 @@ from .forms import (
 from .linalg import ExactMatrix, exact_rank
 
 Point = tuple[Scalar, Scalar, Scalar, Scalar]
+
+# Largest monomial count C(d+3,3) a vanishing dimension is computed for:
+# form degree 20 (1771 monomials) passes, 21 (2024) does not.  Surfaces of
+# degree 6 and 8 need form degrees 5 and 8 (56 and 165 monomials).
+MONOMIAL_CAP = 2000
 
 
 def normalize_point(field: Field, coords: Sequence[Scalar]) -> Point:
@@ -117,22 +122,30 @@ def evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
     basis = monomial_basis(d)
     rows = []
     for pt in cfg.points:
-        row = []
-        for mono in basis:
-            v = f.one
-            for coord, e in zip(pt, mono):
-                for _ in range(e):
-                    v = f.mul(v, coord)
-            row.append(v)
-        rows.append(row)
+        powers = []
+        for coord in pt:
+            table = [f.one]
+            for _ in range(d):
+                table.append(f.mul(table[-1], coord))
+            powers.append(table)
+        px, py, pz, pw = powers
+        rows.append([f.mul(f.mul(px[i], py[j]), f.mul(pz[k], pw[l])) for i, j, k, l in basis])
     return ExactMatrix.from_rows(f, rows)
 
 
 def vanishing_dimension(cfg: NodeConfiguration, d: int) -> int:
-    """Dimension of the space of degree-d forms vanishing at every node."""
+    """Dimension of the space of degree-d forms vanishing at every node.
+
+    Raises :class:`ResourceError` when there are more than
+    :data:`MONOMIAL_CAP` degree-d monomials.
+    """
     if d < 0:
         raise DomainError(f"degree must be non-negative, got {d}")
     total = comb(d + 3, 3)
+    if total > MONOMIAL_CAP:
+        raise ResourceError(
+            f"degree-{d} forms have {total} monomials; capped at {MONOMIAL_CAP} (form degree <= 20)"
+        )
     if cfg.mu == 0:
         return total
     return total - exact_rank(evaluation_matrix(cfg, d))
@@ -218,15 +231,19 @@ def config_from_dict(data: dict) -> NodeConfiguration:
         raise DataError(f"node file is missing {exc}") from exc
     if not isinstance(degree, int):
         raise DataError("degree must be an integer")
+    if not isinstance(nodes, list):
+        raise DataError("nodes must be a list of 4-coordinate lists")
     field = _field_from_json(data.get("field", "rational"))
     points = []
     for raw in nodes:
-        if len(raw) != 4:
-            raise DataError(f"node {raw!r} does not have 4 coordinates")
+        if not isinstance(raw, list) or len(raw) != 4:
+            raise DataError(f"node {raw!r} is not a list of 4 coordinates")
         points.append(tuple(field.parse(str(c)) for c in raw))
-    surface = None
-    if data.get("surface") is not None:
-        surface = parse_form(data["surface"], field)
+    surface = data.get("surface")
+    if surface is not None:
+        if not isinstance(surface, str):
+            raise DataError("surface must be a polynomial string")
+        surface = parse_form(surface, field)
     return NodeConfiguration(degree, field, tuple(points), surface)
 
 

@@ -326,6 +326,8 @@ def no_quadric_certificate(points, p: int) -> QuadricCertificate:
 def _seeded_rng(p: int, seed: int) -> np.random.Generator:
     if not is_prime(p) or p == 2 or seed < 0:
         raise DomainError(f"need an odd prime and a non-negative seed, got p = {p}, seed {seed}")
+    if p > _PRIME_CAP:
+        raise ResourceError(f"the scan caps the prime at {_PRIME_CAP}, got {p}")
     return np.random.default_rng(seed)
 
 

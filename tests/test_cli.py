@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nodalcodes.cli import main
 from nodalcodes.codes import code_from_dict
 from nodalcodes.nodes import config_from_dict
@@ -204,6 +206,28 @@ def test_symmetroid_scan_non_integer_prime(tmp_path, capsys):
 
 def test_symmetroid_scan_negative_seed(capsys):
     code, _, err = run(capsys, "symmetroid-scan", "--seed", "-1")
+    assert code == 2 and "Traceback" not in err and err.startswith("error:")
+
+
+def test_symmetroid_scan_seed_prime_above_cap(capsys):
+    huge = str(2**127 - 1)
+    for extra in ((), ("--uniform",)):
+        code, _, err = run(capsys, "symmetroid-scan", "--seed", "0", "--prime", huge, *extra)
+        assert code == 2 and "Traceback" not in err and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["vanishing-dim", "--nodes"], {"degree": 4, "nodes": 7}),
+    (["vanishing-dim", "--nodes"], {"degree": 4, "nodes": [7]}),
+    (["verify-nodes", "--nodes"], {"degree": 4, "nodes": [["1", "0", "0", "0"]], "surface": 5}),
+    (["code", "canonical"], {"mu": 16, "generators": 5}),
+    (["defect", "--nodes"], {"degree": 40000, "nodes": [["1", "0", "0", "0"]]}),
+], ids=["nodes-not-list", "node-not-list", "surface-not-string", "generators-not-list",
+        "form-degree-above-cap"])
+def test_malformed_files_exit_2(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, *argv, str(path))
     assert code == 2 and "Traceback" not in err and err.startswith("error:")
 
 

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalcodes.errors import DataError, ResourceError, RetryWithNewPrime
-from nodalcodes.fields import PrimeField, QQ
+from nodalcodes.fields import PrimeField, QQ, is_prime
 from nodalcodes.linalg import (
     BitMatrix,
     ExactMatrix,
+    _bareiss,
     bit_rank,
+    exact_rank,
     modular_rank,
     nullspace_basis,
     random_30bit_prime,
@@ -179,6 +181,110 @@ def test_modular_rank_never_exceeds_rational(m, prime_index):
         assert modular_rank(m, p) <= exact
     except RetryWithNewPrime:
         pass
+
+
+# primes from 3 to 2^127 - 1, so products of residues exceed 64 bits
+_PRIMES = (3, 5, 7, 101, 65537, 1073741827, 2**61 - 1, 2**127 - 1)
+
+
+@st.composite
+def _matrices_with_repeats(draw, field):
+    """Matrices over ``field``, possibly empty, with zero rows and scaled
+    copies of earlier rows mixed in."""
+    if field == QQ:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+    else:
+        entry = st.integers(0, field.p - 1)
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat")))
+        if kind == "zero":
+            rows.append([field.zero] * ncols)
+        elif kind == "repeat" and rows:
+            scale = draw(entry)
+            rows.append([field.mul(scale, a) for a in draw(st.sampled_from(rows))])
+        else:
+            rows.append([draw(st.one_of(st.just(field.zero), entry)) for _ in range(ncols)])
+    return ExactMatrix.from_rows(field, rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_matrices_with_repeats(QQ))
+def test_exact_rank_matches_gauss_jordan_over_q(m):
+    assert exact_rank(m) == rank_and_rref(m)[0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(_PRIMES).flatmap(lambda p: _matrices_with_repeats(PrimeField(p))))
+def test_exact_rank_matches_gauss_jordan_over_fp(m):
+    assert exact_rank(m) == rank_and_rref(m)[0]
+
+
+def test_exact_rank_empty_shapes():
+    # a matrix with no rows cannot record a width, so 0 x n is the empty tuple
+    for field in (QQ, PrimeField(7)):
+        assert exact_rank(ExactMatrix(field, ())) == 0
+        assert exact_rank(ExactMatrix.from_rows(field, [[], [], []])) == 0
+        assert exact_rank(ExactMatrix.zero(field, 4, 6)) == 0
+
+
+def test_exact_rank_zero_and_duplicated_rows():
+    q_rows = [[Fraction(1, 2), 3, 0, 5], [0, 0, 0, 0], [Fraction(1, 2), 3, 0, 5],
+              [0, Fraction(-2, 3), 0, 1], [1, 6, 0, 10]]
+    fp_rows = [[6, 3, 0, 5], [0, 0, 0, 0], [6, 3, 0, 5], [0, 3, 0, 1], [1, 6, 0, 10]]
+    for m in (ExactMatrix.from_rows(QQ, q_rows), ExactMatrix.from_rows(PrimeField(11), fp_rows)):
+        assert exact_rank(m) == rank_and_rref(m)[0] == 2
+
+
+def test_exact_rank_skips_pivotless_columns():
+    # column 1 and 2 have no pivot once column 0 is eliminated; column 3 does
+    m = ExactMatrix.from_rows(QQ, [[1, 2, 3, 4], [2, 4, 6, 9], [Fraction(1, 3), Fraction(2, 3), 1, 2]])
+    assert exact_rank(m) == 2
+
+
+def test_exact_rank_prime_above_two_to_the_64():
+    p = 2**127 - 1
+    assert is_prime(p) and p > 2**64
+    rng = random.Random(3)
+    base = [[rng.randrange(p) for _ in range(7)] for _ in range(4)]
+    # two rows are combinations of the others with coefficients near p
+    extra = [[(c1 * a + c2 * b) % p for a, b in zip(base[0], base[1])]
+             for c1, c2 in ((p - 1, p - 2), (rng.randrange(p), rng.randrange(p)))]
+    m = ExactMatrix.from_rows(PrimeField(p), base + extra)
+    assert exact_rank(m) == rank_and_rref(m)[0] == 4
+
+
+def _fraction_det(rows):
+    """Determinant by Fraction Gaussian elimination, independent of Bareiss."""
+    mat = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            factor = mat[i][c] / mat[c][c]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_bareiss_last_pivot_is_the_determinant(rows):
+    rank, pivot = _bareiss(rows)
+    m = ExactMatrix.from_rows(QQ, rows)
+    assert rank == rank_and_rref(m)[0]
+    if rank == len(rows):
+        det = _fraction_det([[Fraction(a) for a in row] for row in rows])
+        assert abs(pivot) == abs(det)
 
 
 def _naive_mod2_rank(rows, cols):

@@ -7,10 +7,11 @@ from math import comb
 
 import pytest
 
-from nodalcodes.errors import DataError, DomainError
+from nodalcodes.errors import DataError, DomainError, ResourceError
 from nodalcodes.fields import PrimeField, QQ
 from nodalcodes.forms import parse_form
 from nodalcodes.nodes import (
+    MONOMIAL_CAP,
     NodeConfiguration,
     config_from_dict,
     config_to_dict,
@@ -125,6 +126,57 @@ class TestVanishingDimension:
             assert vanishing_dimension(cfg, d) == len(monos) - _plain_rank(rows)
 
 
+    def test_monomial_cap(self):
+        cfg = _config([(1, 2, 3, 4)])
+        assert comb(20 + 3, 3) <= MONOMIAL_CAP < comb(21 + 3, 3)
+        assert vanishing_dimension(cfg, 20) == comb(23, 3) - 1
+        with pytest.raises(ResourceError):
+            vanishing_dimension(cfg, 21)
+        with pytest.raises(ResourceError):
+            defect_from_nodes(NodeConfiguration(40000, QQ, cfg.points))
+
+
+def _quadric_grid(field, d, rng):
+    """(d+2)^2 points (su : sv : tu : tv) on xw = yz, a grid in P^1 x P^1.
+
+    Degree-d forms restrict onto the bidegree-(d,d) forms, which a grid with
+    at least d+1 values per factor separates, so the rank is (d+1)^2."""
+    ss = rng.sample(range(-6, 7), d + 2)
+    us = rng.sample(range(-6, 7), d + 2)
+    return [tuple(field.from_int(c) for c in (s * u, s, u, 1)) for s in ss for u in us]
+
+
+def _twisted_cubic(field, n, rng):
+    """n points (s^3 : s^2 t : s t^2 : t^3) of the twisted cubic.
+
+    Degree-d forms restrict onto binary forms of degree 3d, which n >= 3d+1
+    distinct points separate, so the rank is 3d+1."""
+    return [tuple(field.from_int(c) for c in (s**3, s**2, s, 1)) for s in rng.sample(range(-40, 41), n)]
+
+
+class TestDeficientRanks:
+    """Rank-deficient configurations reach their closed-form ranks."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+    @pytest.mark.parametrize("degree", [6, 8])
+    def test_quadric_grid(self, degree, field):
+        d = 3 * degree // 2 - 4
+        cfg = NodeConfiguration(degree, field, tuple(_quadric_grid(field, d, random.Random(degree))))
+        report = defect_from_nodes(cfg)
+        assert report.dim_m == comb(d + 3, 3) - (d + 1) ** 2
+        assert report.defect == cfg.mu - (d + 1) ** 2
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+    @pytest.mark.parametrize("degree", [6, 8])
+    def test_twisted_cubic(self, degree, field):
+        d = 3 * degree // 2 - 4
+        pts = _twisted_cubic(field, 3 * d + 5, random.Random(degree))
+        cfg = NodeConfiguration(degree, field, tuple(pts))
+        report = defect_from_nodes(cfg)
+        assert report.dim_m == comb(d + 3, 3) - (3 * d + 1)
+        assert report.defect == cfg.mu - (3 * d + 1)
+
+
 def _plain_rank(rows):
     mat = [list(r) for r in rows]
     rank, ncols = 0, len(mat[0])
@@ -232,6 +284,16 @@ class TestNodeFiles:
     def test_missing_keys(self):
         with pytest.raises(DataError):
             config_from_dict({"nodes": []})
+
+    @pytest.mark.parametrize("data", [
+        {"degree": 4, "nodes": 7},
+        {"degree": 4, "nodes": [5]},
+        {"degree": 4, "nodes": ["1000"]},
+        {"degree": 4, "nodes": [["1", "0", "0", "0"]], "surface": 5},
+    ], ids=["nodes-not-list", "node-int", "node-string", "surface-int"])
+    def test_schema_errors(self, data):
+        with pytest.raises(DataError):
+            config_from_dict(data)
 
     def test_zero_point_rejected(self):
         with pytest.raises(DataError):

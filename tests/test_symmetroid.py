@@ -243,6 +243,14 @@ class TestGenerators:
         with pytest.raises(DomainError):
             random_symmetric_matrix(0, 1)
 
+    @pytest.mark.parametrize("p", [1031, 2**127 - 1])
+    def test_generator_prime_cap(self, p):
+        # refused before drawing: numpy cannot draw residues of p >= 2^63
+        with pytest.raises(ResourceError):
+            random_symmetric_matrix(p, 0)
+        with pytest.raises(ResourceError):
+            random_symmetroid_matrix(p, 0)
+
 
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
