@@ -5,6 +5,15 @@ The search grows codes one basis word at a time, in weight order
 every word of the enlarged span stays admissible for a quartic, which
 mechanizes the whole weight-addition case analysis.
 
+Candidate lists are inherited.  Each basis carries the words that may
+extend it; a child ``basis + (w,)`` keeps those parent candidates ``c``
+for which ``c ^ w ^ s`` is admissible for every ``s`` in the parent's
+span.  Nothing else needs checking: the parent's list already meets the
+conditions from the span itself, and the words of ``w + span`` drop out
+on their own, since 0 is not admissible.  A child's list is therefore a
+subsequence of its parent's, in the order of ``admissible_words_ext``, and
+equals a filter of all admissible words from scratch.
+
 Duplicates are cut in two steps.  Before a code is extended, its
 candidate words are reduced to one per orbit under the permutations of
 identical support columns; the orbit of a word is read off a key (its
@@ -90,16 +99,13 @@ class ClassificationTable:
 def admissible_words_ext(mu: int) -> list[int]:
     """Every nonzero word a quartic allows: weak of weight 6 or 10,
     strict of weight 8 or 16."""
+    bits = [1 << i for i in range(mu)]
     words = []
     for weight, weak in _WORD_CLASSES:
         if weight > mu:
             continue
         parity_bit = 1 << mu if weak else 0
-        for combo in itertools.combinations(range(mu), weight):
-            support = 0
-            for i in combo:
-                support |= 1 << i
-            words.append(support | parity_bit)
+        words += [sum(combo) | parity_bit for combo in itertools.combinations(bits, weight)]
     return words
 
 
@@ -127,8 +133,22 @@ def _orbit_representatives(
     masks = [*classes.values(), 1 << mu]
     reps: dict[tuple[int, ...], int] = {}
     for w in candidates:
-        reps.setdefault(tuple((w & m).bit_count() for m in masks), w)
+        reps.setdefault(tuple([(w & m).bit_count() for m in masks]), w)
     return list(reps.values())
+
+
+def _child_candidates(
+    candidates: list[int], span: list[int], w: int, admissible_set: set[int]
+) -> list[int]:
+    """The candidate words of ``basis + (w,)``, given the candidates and the
+    span of ``basis``: those ``c`` with ``c ^ w ^ s`` admissible for every
+    ``s`` in the span, in the parent's order."""
+    for s in span:
+        t = w ^ s
+        candidates = [c for c in candidates if c ^ t in admissible_set]
+        if not candidates:
+            break
+    return candidates
 
 
 def _enumerate_admissible(mu: int, memo: dict) -> list[tuple[int, ...]]:
@@ -139,34 +159,34 @@ def _enumerate_admissible(mu: int, memo: dict) -> list[tuple[int, ...]]:
     seen_word_sets: set[frozenset[int]] = set()
     found: list[tuple[int, ...]] = []
 
-    level: dict[bytes, tuple[int, ...]] = {}
+    # canonical form -> (basis, its candidate words)
+    level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
     for weight, weak in _WORD_CLASSES:
         if weight > mu:
             continue
-        basis = ((1 << weight) - 1 | ((1 << mu) if weak else 0),)
-        level[_canonical_form(_as_code(mu, basis), memo)] = basis
+        w = (1 << weight) - 1 | ((1 << mu) if weak else 0)
+        level[_canonical_form(_as_code(mu, (w,)), memo)] = (
+            (w,),
+            _child_candidates(admissible, [0], w, admissible_set),
+        )
 
     while level:
-        found.extend(level.values())
-        next_level: dict[bytes, tuple[int, ...]] = {}
-        for basis in level.values():
-            words = _span_words(basis)
-            word_set = set(words)
-            nonzero = [w for w in words if w]
-            candidates = [w for w in admissible if w not in word_set]
-            for s in nonzero:
-                candidates = [w for w in candidates if (w ^ s) in admissible_set]
-                if not candidates:
-                    break
+        found.extend(basis for basis, _ in level.values())
+        next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
+        for basis, candidates in level.values():
+            span = _span_words(basis)
             for w in _orbit_representatives(candidates, basis, mu):
-                new_basis = basis + (w,)
-                new_words = frozenset(_span_words(new_basis))
+                new_words = frozenset(span + [s ^ w for s in span])
                 if new_words in seen_word_sets:
                     continue
                 seen_word_sets.add(new_words)
+                new_basis = basis + (w,)
                 enc = _canonical_form(_as_code(mu, new_basis), memo)
                 if enc not in next_level:
-                    next_level[enc] = new_basis
+                    next_level[enc] = (
+                        new_basis,
+                        _child_candidates(candidates, span, w, admissible_set),
+                    )
         level = next_level
     return found
 

@@ -198,7 +198,7 @@ def _cmd_symmetroid_scan(args) -> int:
 
 def _cmd_hilbert_check(args) -> int:
     coeffs = series_mod.symmetroid_hilbert_series(max(args.order, 5))
-    ok = series_mod.symmetroid_hilbert_check()
+    ok = coeffs[:6] == series_mod.SYMMETROID_LEADING_COEFFICIENTS
     payload = {
         "coefficients": coeffs,
         "expected_leading": series_mod.SYMMETROID_LEADING_COEFFICIENTS,
@@ -271,7 +271,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_symmetroid_scan)
 
     p = sub.add_parser("hilbert-check", help="series expansion check for the ten-node symmetroid")
-    p.add_argument("--order", type=int, default=5)
+    p.add_argument("--order", type=int, default=5,
+                   help=f"last power of t to print (at most {series_mod.ORDER_CAP})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hilbert_check)
 

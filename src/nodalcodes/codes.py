@@ -193,11 +193,13 @@ def weight_enumerator(code: EvenSetCode) -> dict[tuple[int, str], int]:
 # The search processes one column at a time.  A state is summarized by the
 # multiset of remaining column fingerprints (entries over the current
 # reduced rows), which determines the optimal completion, so completions
-# are memoized in a dict keyed by that summary.  The dict belongs to the
-# caller: each public entry point starts a fresh one, and the classifier
-# shares one across all the codes of a single run.  Only columns achieving
-# the minimal next value can start an optimal completion, which keeps the
-# tie tree narrow even for very symmetric codes.
+# are memoized in a dict keyed by that summary.  The fingerprints are
+# computed once per state, in one row-major pass over the remaining
+# columns, and serve both the memo key and the grouping of equal columns.
+# The dict belongs to the caller: each public entry point starts a fresh
+# one, and the classifier shares one across all the codes of a single run.
+# Only columns achieving the minimal next value can start an optimal
+# completion, which keeps the tie tree narrow even for very symmetric codes.
 
 
 def _freeze_free(rows: list[int], npiv: int) -> list[int]:
@@ -205,12 +207,12 @@ def _freeze_free(rows: list[int], npiv: int) -> list[int]:
     return rows[:npiv] + bit_rref(rows[npiv:])
 
 
-def _fingerprint(rows: list[int], k: int, col: int) -> int:
-    fp = 0
-    for i, r in enumerate(rows):
-        if (r >> col) & 1:
-            fp |= 1 << (k - 1 - i)
-    return fp
+def _fingerprints(rows: list[int], columns: list[int]) -> list[int]:
+    # column c read top-down as an integer, first row most significant
+    fps = [0] * len(columns)
+    for r in rows:
+        fps = [fp << 1 | (r >> c) & 1 for fp, c in zip(fps, columns)]
+    return fps
 
 
 def _column_step(rows: list[int], npiv: int, k: int, col: int):
@@ -239,15 +241,14 @@ def _min_completion(
 ) -> tuple:
     if not remaining:
         return ()
-    key = (k, npiv, tuple(sorted(_fingerprint(rows, k, c) for c in remaining)))
+    fps = _fingerprints(rows, remaining)
+    key = (k, npiv, tuple(sorted(fps)))
     hit = memo.get(key)
     if hit is not None:
         return hit
     group_reps: dict[int, int] = {}
-    for c in remaining:
-        fp = _fingerprint(rows, k, c)
-        if fp not in group_reps:
-            group_reps[fp] = c
+    for fp, c in zip(fps, remaining):
+        group_reps.setdefault(fp, c)
     free_mask = (1 << (k - npiv)) - 1
     candidates = []
     for fp, rep in group_reps.items():

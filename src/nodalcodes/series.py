@@ -10,9 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DataError, DomainError, NonIntegralCoefficientError, PoleAtOriginError
+from .errors import (
+    DataError,
+    DomainError,
+    NonIntegralCoefficientError,
+    PoleAtOriginError,
+    ResourceError,
+)
 
 IntPoly = list[int]
+
+# expansions stop at this order: 10^4 terms take ~0.02 s, 10^6 already
+# ~1.2 s, and long division allocates its whole remainder up front
+ORDER_CAP = 10_000
 
 # t^3 (6t^2 - 15t + 10) / (t - 1)^4, the Hilbert series of the coordinates
 # of ten symmetroid nodes cut from the rank<=2 locus of symmetric 4x4
@@ -29,6 +39,13 @@ def _trimmed(p: IntPoly) -> IntPoly:
     return out
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise DomainError(f"order must be non-negative, got {order}")
+    if order > ORDER_CAP:
+        raise ResourceError(f"series order {order} exceeds the cap of {ORDER_CAP}")
+
+
 def _normalized(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     num, den = _trimmed(num), _trimmed(den)
     if not den:
@@ -43,8 +60,7 @@ def _normalized(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 def expand_rational_series(num: IntPoly, den: IntPoly, order: int) -> list[int]:
     """First ``order + 1`` Maclaurin coefficients of num/den, exact integers."""
-    if order < 0:
-        raise DomainError(f"order must be non-negative, got {order}")
+    _check_order(order)
     num, den = _normalized(num, den)
     coeffs: list[int] = []
     for k in range(order + 1):
@@ -63,8 +79,7 @@ def expand_rational_series(num: IntPoly, den: IntPoly, order: int) -> list[int]:
 def long_division_series(num: IntPoly, den: IntPoly, order: int) -> list[int]:
     """Same series by naive long division; independent cross-check of
     :func:`expand_rational_series`."""
-    if order < 0:
-        raise DomainError(f"order must be non-negative, got {order}")
+    _check_order(order)
     num, den = _normalized(num, den)
     remainder = list(num) + [0] * (order + len(den) + 1 - len(num))
     coeffs = []

@@ -19,6 +19,12 @@ def classification_tables():
 
 
 @pytest.fixture(scope="session")
+def audited_classification_tables():
+    """The same run with ``audit=True``: dimension-excluded codes included."""
+    return {mu: classify_quartic_codes(mu, audit=True) for mu in range(6, 17)}
+
+
+@pytest.fixture(scope="session")
 def scan_survey():
     """(seed, matrix, scan result) for twenty seeded symmetroid matrices."""
     survey = []

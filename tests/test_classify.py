@@ -1,5 +1,7 @@
 """Golden classification of quartic even-set codes, mu = 6..16."""
 
+import hashlib
+
 import pytest
 
 from nodalcodes import classify as classify_mod
@@ -118,12 +120,11 @@ def _min_weight(words):
     return min(w.weight for w in words)
 
 
-def test_every_searched_code_satisfies_griesmer():
+def test_every_searched_code_satisfies_griesmer(audited_classification_tables):
     # every code the search meets, kept or excluded by the dimension
     # bounds, is a genuine linear code, so it and its strictly even
     # subcode obey the Griesmer bound
-    for mu in range(6, 17):
-        table = classify_quartic_codes(mu, audit=True)
+    for mu, table in audited_classification_tables.items():
         for entry in table.entries + table.excluded:
             words = list(entry.code.words())
             assert griesmer_ok(mu, entry.dim, _min_weight(words))
@@ -154,6 +155,61 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
     for candidates, basis, mu, reps in calls:
         perms = column_transpositions(classify_mod._as_code(mu, basis))
         assert reps == searched_orbit_representatives(candidates, perms, mu)
+
+
+def _scratch_candidates(basis, mu, admissible):
+    # every admissible word outside the span whose sum with each nonzero
+    # span word is admissible, filtered from the full list
+    allowed = set(admissible)
+    span = {0}
+    for g in basis:
+        span |= {s ^ g for s in span}
+    candidates = [c for c in admissible if c not in span]
+    for s in span - {0}:
+        candidates = [c for c in candidates if c ^ s in allowed]
+    return candidates
+
+
+def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
+    # each basis inherits its candidate words from its parent; the list it
+    # hands to the orbit reduction equals the full filter, order included.
+    # Checked inside the hook, so a wrong list fails before the search
+    # grows from it.
+    admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
+    calls = []
+    reduce = classify_mod._orbit_representatives
+
+    def checking(candidates, basis, mu):
+        assert candidates == _scratch_candidates(basis, mu, admissible[mu]), (mu, basis)
+        calls.append((basis, mu))
+        return reduce(candidates, basis, mu)
+
+    monkeypatch.setattr(classify_mod, "_orbit_representatives", checking)
+    for mu in range(6, 17):
+        classify_quartic_codes(mu)
+    assert {mu for _, mu in calls} == set(range(6, 17))
+    assert max(len(basis) for basis, _ in calls) == 6
+
+
+# SHA-256 over the profile, dimension, canonical bytes, basis and weight
+# enumerator of every entry and exclusion for mu = 6..16; a change to the
+# search that picks another representative or alters an answer changes it
+CLASSIFICATION_DIGEST = "29ac5ac8158f44ecc873b2eee7cd638888447c6c92c4f9a8a2c2530644b30c17"
+
+
+def test_classification_output_is_pinned(audited_classification_tables):
+    h = hashlib.sha256()
+    for mu, table in sorted(audited_classification_tables.items()):
+        for kind, entries in (("entry", table.entries), ("excluded", table.excluded)):
+            for e in entries:
+                enum = ",".join(
+                    f"{w}{par[0]}:{c}" for (w, par), c in sorted(e.enumerator.items())
+                )
+                h.update(
+                    f"{mu}|{kind}|{e.profile}|{e.dim}|{e.canonical.hex()}|"
+                    f"{e.code.basis_ext()}|{enum}\n".encode()
+                )
+    assert h.hexdigest() == CLASSIFICATION_DIGEST
 
 
 def test_audit_reports_dimension_excluded_codes():

@@ -1,8 +1,14 @@
 """CLI surface: subcommands, exit codes, JSON payloads, format round-trips."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalcodes.cli import main
 from nodalcodes.codes import code_from_dict
@@ -261,3 +267,146 @@ def test_node_file_json_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "vanishing-dim", "--nodes", str(path), "--degree", "1", "--json")
     assert code == 0
     assert json.loads(out)["dimension"] == 2
+
+
+def test_hilbert_check_order_above_cap_exits_2(capsys):
+    from nodalcodes.series import ORDER_CAP
+
+    code, out, err = run(capsys, "hilbert-check", "--order", str(ORDER_CAP + 1))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    code, out, _ = run(capsys, "hilbert-check", "--order", str(ORDER_CAP), "--json")
+    assert code == 0 and len(json.loads(out)["coefficients"]) == ORDER_CAP + 1
+
+
+def test_hilbert_check_short_order_still_checks_five_terms(capsys):
+    code, out, _ = run(capsys, "hilbert-check", "--order", "-3", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["match"] is True
+    assert payload["coefficients"] == [0, 0, 0, 10, 25, 46]
+
+
+# --- fuzzing: random subcommands, flags and small input files ----------------
+
+_FILE = "file"  # marks an argv slot holding the contents of an input file
+
+
+def _mostly(good, noise):
+    # three draws in four from the well-formed strategy
+    return st.sampled_from((good, good, good, noise)).flatmap(lambda s: s)
+
+
+_JSON_LEAF = st.none() | st.booleans() | st.integers(-20, 20) | st.text(max_size=4)
+_JSON_ANY = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+_INT_ARG = _mostly(
+    (st.integers(-3, 12) | st.sampled_from([17, 10**6])).map(str), st.text(max_size=3)
+)
+_PRIME_ARG = st.sampled_from(["2", "3", "5", "7", "11", "13", "0", "1", "4", "-7", "x"])
+_FORMS = _mostly(
+    st.sampled_from([
+        "x^2 + y^2 + z^2", "x*y - z*w", "x^4 + y^4 + z^4 + w^4", "x + 2*y - w", "3*z",
+        "x*y*z*w - w^4", "x^2*y^2 - 2*x*y*z*w + w^4", "0",
+    ]),
+    st.sampled_from(["x^2 + y", "x^^2", "1/0*x", "", "q"]) | st.text(max_size=6),
+)
+_COORD = st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "-3/4"])
+_BAD_COORD = st.sampled_from(["1/0", "x", ""]) | _JSON_LEAF
+_FIELD = _mostly(
+    st.sampled_from(["rational", {"prime": 7}, {"prime": 13}]),
+    st.sampled_from([{"prime": 4}, {"prime": 1}, {"prime": "7"}, {"prime": True},
+                     "bogus", 5]),
+)
+_NODE_FILE = st.fixed_dictionaries(
+    {
+        "degree": _mostly(st.sampled_from([2, 4, 6]), st.integers(-2, 9) | _JSON_LEAF),
+        "nodes": _mostly(
+            st.lists(st.lists(_COORD, min_size=4, max_size=4), max_size=6),
+            st.lists(st.lists(_COORD | _BAD_COORD, max_size=5), max_size=3) | _JSON_ANY,
+        ),
+    },
+    optional={"field": _FIELD, "surface": _mostly(_FORMS, _JSON_LEAF)},
+)
+_CODE_FILE = st.fixed_dictionaries({
+    "mu": _mostly(st.integers(6, 14), st.integers(-1, 5) | _JSON_LEAF),
+    "generators": _mostly(
+        st.lists(
+            st.fixed_dictionaries({
+                "parity": _mostly(st.sampled_from(["weak", "strict"]),
+                                  st.just("odd") | _JSON_LEAF),
+                "support": _mostly(st.lists(st.integers(0, 13), max_size=10),
+                                   st.lists(st.integers(-1, 14), max_size=3) | _JSON_ANY),
+            }),
+            max_size=4,
+        ),
+        _JSON_ANY,
+    ),
+})
+_MATRIX_FILE = st.fixed_dictionaries({
+    "prime": _mostly(st.sampled_from([5, 7, 11, 13]),
+                     st.sampled_from([2, 3, 4, 1, 0, -5]) | _JSON_LEAF),
+    "upper_triangle": _mostly(st.lists(_FORMS, min_size=10, max_size=10),
+                              st.lists(_FORMS, max_size=11) | _JSON_ANY),
+})
+
+
+def _file(structured):
+    # None stands for a path that does not exist
+    return st.tuples(st.just(_FILE), _mostly(
+        structured, st.none() | _JSON_ANY.map(json.dumps) | st.text(max_size=8)
+    ))
+
+
+_JSON_FILE = {name: _file(s.map(json.dumps))
+              for name, s in (("nodes", _NODE_FILE), ("code", _CODE_FILE),
+                              ("matrix", _MATRIX_FILE))}
+_COMMANDS = {
+    "defect": {"--degree": _INT_ARG, "--nodes": _JSON_FILE["nodes"], "--mu": _INT_ARG,
+               "--dim-m": _INT_ARG},
+    "vanishing-dim": {"--nodes": _JSON_FILE["nodes"], "--degree": _INT_ARG},
+    "verify-nodes": {"--nodes": _JSON_FILE["nodes"], "--surface": _file(_FORMS)},
+    "bounds": {"--degree": _INT_ARG, "--mu": _INT_ARG, "--paper-closed-form": None},
+    "classify-quartic": {"--mu": _INT_ARG, "--audit": None},
+    "symmetroid-scan": {"--matrix": _JSON_FILE["matrix"], "--seed": _INT_ARG,
+                        "--prime": _PRIME_ARG, "--uniform": None},
+    "hilbert-check": {"--order": _INT_ARG},
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from([*_COMMANDS, "code", "no-such-command"]))
+    argv = [command]
+    if command == "code":
+        argv.append(draw(st.sampled_from(["info", "canonical", "isomorphic", "bogus"])))
+        argv += draw(st.lists(_JSON_FILE["code"], min_size=1, max_size=3))
+    for flag, value in {**_COMMANDS.get(command, {}), "--json": None}.items():
+        if draw(st.sampled_from((True, True, True, False))):  # three calls in four
+            argv.append(flag)
+            if value is not None:
+                argv.append(draw(value))
+    return argv
+
+
+@settings(deadline=None, max_examples=200)
+@given(_cli_calls())
+def test_cli_fuzz_exits_cleanly(call):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for i, arg in enumerate(call):
+            if isinstance(arg, tuple):
+                path = os.path.join(tmp, f"input{i}.json")
+                if arg[1] is not None:
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(arg[1])
+                arg = path
+            argv.append(arg)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

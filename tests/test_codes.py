@@ -13,6 +13,7 @@ from nodalcodes.codes import (
     WEAK,
     EvenSetCode,
     EvenSetWord,
+    _fingerprints,
     canonical_encoding,
     canonical_form,
     code_from_dict,
@@ -247,6 +248,26 @@ def test_canonical_invariance_property(data):
     code = EvenSetCode.from_words(mu, words)
     perm = tuple(data.draw(st.permutations(range(mu))))
     assert canonical_form(code) == canonical_form(permuted_code(code, perm))
+
+
+def _fingerprint_by_column(rows, k, col):
+    # one column at a time: row i sets bit k-1-i, so row 0 is the top bit
+    fp = 0
+    for i, r in enumerate(rows):
+        if (r >> col) & 1:
+            fp |= 1 << (k - 1 - i)
+    return fp
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_fingerprints_match_the_per_column_loop(data):
+    width = data.draw(st.integers(1, 17))
+    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=7))
+    columns = data.draw(st.lists(st.integers(0, width - 1), max_size=width))
+    assert _fingerprints(rows, columns) == [
+        _fingerprint_by_column(rows, len(rows), c) for c in columns
+    ]
 
 
 

@@ -10,8 +10,10 @@ from nodalcodes.errors import (
     DomainError,
     NonIntegralCoefficientError,
     PoleAtOriginError,
+    ResourceError,
 )
 from nodalcodes.series import (
+    ORDER_CAP,
     SYMMETROID_DENOMINATOR,
     SYMMETROID_LEADING_COEFFICIENTS,
     SYMMETROID_NUMERATOR,
@@ -103,6 +105,16 @@ def test_non_integral_coefficient():
 def test_negative_order():
     with pytest.raises(DomainError):
         expand_rational_series([1], [1], -1)
+
+
+def test_order_cap():
+    # checked before any work: long division would allocate the remainder
+    for expand in (expand_rational_series, long_division_series):
+        assert len(expand([1], [1, -1], ORDER_CAP)) == ORDER_CAP + 1
+        with pytest.raises(ResourceError):
+            expand([1], [1, -1], ORDER_CAP + 1)
+        with pytest.raises(ResourceError):
+            expand([1], [1, -1], 10**12)
 
 
 def test_rational_series_carrier():
