@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import DataError, HomogeneityError, ParseError
 from .fields import Field, QQ, Scalar
-from .linalg import ExactMatrix, rank_and_rref
+from .linalg import ExactMatrix, exact_rank
 
 VARIABLES = ("x", "y", "z", "w")
 
@@ -207,8 +207,7 @@ def hessian_rank_at(form: HomogeneousForm, point: Sequence[Scalar]) -> int:
     for i in range(4):
         second = gradient(partials[i])
         rows.append([evaluate_at(second[j], point) for j in range(4)])
-    matrix = ExactMatrix.from_rows(form.field, rows)
-    return rank_and_rref(matrix)[0]
+    return exact_rank(ExactMatrix.from_rows(form.field, rows))
 
 
 # --- parsing ---------------------------------------------------------------

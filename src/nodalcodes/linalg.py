@@ -1,8 +1,12 @@
 """Exact matrix rank, reduced row echelon form, and kernels.
 
-:func:`exact_rank` works on plain Python integers: echelon elimination mod
-p over F_p, and over Q fraction-free Bareiss elimination over Z after each
-row's denominators are cleared.  :func:`rank_and_rref` and
+:func:`exact_rank` works on plain Python integers.  Over F_p it runs
+echelon elimination on rows packed into one int each, in slots wide
+enough that the unreduced updates never carry from one column into the
+next.  Over Q it clears each row's denominators and takes the rank mod
+the fixed prime 2^61 - 1: that rank is a lower bound, and when it is
+min(rows, cols) it is the answer; otherwise fraction-free Bareiss
+elimination over Z decides.  :func:`rank_and_rref` and
 :func:`nullspace_basis` run Gauss-Jordan through the field interface over
 Q or F_p.  :func:`modular_rank` reduces a rational matrix mod a prime, a
 lower bound for its rank.  A packed-bit F2 path serves generator matrices
@@ -22,6 +26,9 @@ from .errors import DataError, DomainError, ResourceError, RetryWithNewPrime
 from .fields import Field, PrimeField, RationalField, Scalar, is_prime
 
 _BIT_COLS_CAP = 4096
+
+# the one prime of the certified rank over Q (a Mersenne prime)
+_Q_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -127,27 +134,46 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
     return basis
 
 
+def _pack(values, w: int) -> int:
+    """One int holding ``values`` in w-bit slots, the first in the lowest."""
+    u = 0
+    for a in reversed(values):
+        u = (u << w) | a
+    return u
+
+
 def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank of rows of residues in [0, p) by echelon elimination mod p.
 
-    Each pivot drops its row and column, so rows shrink as the rank grows;
-    rows are replaced one at a time, and the loop ends when no row or no
-    column is left.
+    Each row is packed into one Python int, column j in the w-bit slot at
+    bit j*w, and the current column is always the lowest slot.  The pivot
+    row is unpacked once and normalised by -1/lead mod p, so every other
+    row with lead f is updated by the single big-int step
+    ``(u >> w) + f * prow``.  Slots are never reduced: one starts below p
+    and gains at most (p-1)^2 per pivot, so with
+    ``w = (p + min(m, n)*(p-1)^2).bit_length()`` no slot carries into the
+    next, and only ``(u & mask) % p`` is ever read.
     """
-    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        return 0
+    w = (p + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    packed = [_pack(row, w) for row in rows]
     rank = 0
-    while rows and rows[0]:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
+    for cols in range(ncols, 0, -1):
+        leads = [(u & mask) % p for u in packed]
+        i = next((i for i, f in enumerate(leads) if f), None)
         if i is None:
-            rows = [row[1:] for row in rows]
+            packed = [u >> w for u in packed]
             continue
-        pivot_row = rows.pop(i)
-        inv = pow(pivot_row[0], -1, p)
-        pivot_row = [b * inv % p for b in pivot_row[1:]]
-        for j, row in enumerate(rows):
-            f = row[0]
-            rows[j] = [(a - f * b) % p for a, b in zip(row[1:], pivot_row)] if f else row[1:]
+        scale = p - pow(leads.pop(i), -1, p)
+        tail = packed.pop(i) >> w
+        prow = _pack([((tail >> s) & mask) * scale % p for s in range(0, (cols - 1) * w, w)], w)
+        packed = [(u >> w) + f * prow if f else u >> w for u, f in zip(packed, leads)]
         rank += 1
+        if not packed:
+            break
     return rank
 
 
@@ -215,12 +241,21 @@ def random_30bit_prime(rng: random.Random) -> int:
 def exact_rank(m: ExactMatrix) -> int:
     """Exact rank on plain integers.
 
-    Over F_p: echelon elimination mod p.  Over Q: clear each row's
-    denominators, then fraction-free Bareiss elimination over Z.
+    Over F_p: packed-row elimination mod p.  Over Q: clear each row's
+    denominators, then take the rank of the integer rows mod
+    :data:`_Q_PRIME`.  A minor that is nonzero mod a prime is nonzero over
+    Z, so that rank is a lower bound for the rational one, and no
+    denominator can vanish mod the prime because none is left.  When it
+    reaches min(rows, cols) it is the rank; otherwise fraction-free
+    Bareiss elimination over Z decides it.
     """
     if isinstance(m.field, PrimeField):
         return _rank_mod_p(m.entries, m.field.p)
-    return _bareiss(_integer_rows(m.entries))[0]
+    rows = _integer_rows(m.entries)
+    rank = _rank_mod_p([[a % _Q_PRIME for a in row] for row in rows], _Q_PRIME)
+    if rank == min(m.nrows, m.ncols):
+        return rank
+    return _bareiss(rows)[0]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import DataError, DomainError, ResourceError
@@ -117,20 +118,28 @@ def monomial_basis(d: int) -> list[Monomial]:
 
 
 def evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
-    """mu x C(d+3,3) matrix of degree-d monomials evaluated at the nodes."""
+    """mu x C(d+3,3) matrix of degree-d monomials evaluated at the nodes.
+
+    Entries are computed on plain ints.  Over F_p they are products of
+    powers mod p.  Over Q each point is scaled by the lcm L of its
+    denominators, so an entry is a product of integer powers over L^d.
+    """
     f = cfg.field
     basis = monomial_basis(d)
     rows = []
-    for pt in cfg.points:
-        powers = []
-        for coord in pt:
-            table = [f.one]
-            for _ in range(d):
-                table.append(f.mul(table[-1], coord))
-            powers.append(table)
-        px, py, pz, pw = powers
-        rows.append([f.mul(f.mul(px[i], py[j]), f.mul(pz[k], pw[l])) for i, j, k, l in basis])
-    return ExactMatrix.from_rows(f, rows)
+    if isinstance(f, PrimeField):
+        p = f.p
+        for pt in cfg.points:
+            px, py, pz, pw = ([pow(c, e, p) for e in range(d + 1)] for c in pt)
+            rows.append(tuple(px[i] * py[j] * pz[k] * pw[l] % p for i, j, k, l in basis))
+    else:
+        for pt in cfg.points:
+            scale = lcm(*(c.denominator for c in pt))
+            ints = [c.numerator * (scale // c.denominator) for c in pt]
+            px, py, pz, pw = ([n**e for e in range(d + 1)] for n in ints)
+            den = scale**d
+            rows.append(tuple(Fraction(px[i] * py[j] * pz[k] * pw[l], den) for i, j, k, l in basis))
+    return ExactMatrix(f, tuple(rows))
 
 
 def vanishing_dimension(cfg: NodeConfiguration, d: int) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DataError, DomainError, ResourceError
 from .fields import PrimeField, is_prime
 from .forms import HomogeneousForm, parse_form
-from .linalg import ExactMatrix, nullspace_basis, rank_and_rref
+from .linalg import ExactMatrix, exact_rank, nullspace_basis
 
 _PRIME_CAP = 1024
 
@@ -316,7 +316,7 @@ def no_quadric_certificate(points, p: int) -> QuadricCertificate:
     rows = []
     for pt in pts:
         rows.append([pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS])
-    rank = rank_and_rref(ExactMatrix.from_rows(field, rows))[0]
+    rank = exact_rank(ExactMatrix.from_rows(field, rows))
     return QuadricCertificate(prime=p, rank=rank, certified=rank == 10)
 
 
@@ -364,10 +364,9 @@ def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
         if any(_det4(quad, p) == 0 for quad in combinations(pts, 4)):
             continue
         rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in pts]
-        eval_matrix = ExactMatrix.from_rows(field, rows)
-        if rank_and_rref(eval_matrix)[0] != 6:
+        web_basis = nullspace_basis(ExactMatrix.from_rows(field, rows))
+        if len(web_basis) != 4:  # the 6 quadric conditions are dependent
             continue
-        web_basis = nullspace_basis(eval_matrix)  # 4 quadrics through the 6 points
         inv2 = pow(2, -1, p)
         symmetric = []
         for q in web_basis:

@@ -1,0 +1,55 @@
+"""Row-list reference paths of the rank pipeline, kept for tests only.
+
+The library packs each row mod p into one int and builds evaluation
+matrices on plain ints.  The elimination below works on lists of residues
+and the builder below goes through the field interface; the tests check
+the fast paths against them.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from nodalcodes.linalg import ExactMatrix
+from nodalcodes.nodes import NodeConfiguration, monomial_basis
+
+
+def row_list_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of rows of residues in [0, p) by echelon elimination mod p.
+
+    Each pivot drops its row and column, so rows shrink as the rank grows;
+    rows are replaced one at a time, and the loop ends when no row or no
+    column is left.
+    """
+    rows = list(rows)
+    rank = 0
+    while rows and rows[0]:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot_row = rows.pop(i)
+        inv = pow(pivot_row[0], -1, p)
+        pivot_row = [b * inv % p for b in pivot_row[1:]]
+        for j, row in enumerate(rows):
+            f = row[0]
+            rows[j] = [(a - f * b) % p for a, b in zip(row[1:], pivot_row)] if f else row[1:]
+        rank += 1
+    return rank
+
+
+def field_evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
+    """Degree-d monomials at the nodes, every product through the field."""
+    f = cfg.field
+    basis = monomial_basis(d)
+    rows = []
+    for pt in cfg.points:
+        powers = []
+        for coord in pt:
+            table = [f.one]
+            for _ in range(d):
+                table.append(f.mul(table[-1], coord))
+            powers.append(table)
+        px, py, pz, pw = powers
+        rows.append([f.mul(f.mul(px[i], py[j]), f.mul(pz[k], pw[l])) for i, j, k, l in basis])
+    return ExactMatrix.from_rows(f, rows)

@@ -2,18 +2,21 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalcodes import linalg
 from nodalcodes.errors import DataError, ResourceError, RetryWithNewPrime
 from nodalcodes.fields import PrimeField, QQ, is_prime
 from nodalcodes.linalg import (
     BitMatrix,
     ExactMatrix,
     _bareiss,
+    _rank_mod_p,
     bit_rank,
     exact_rank,
     modular_rank,
@@ -21,6 +24,8 @@ from nodalcodes.linalg import (
     random_30bit_prime,
     rank_and_rref,
 )
+from nodalcodes.nodes import NodeConfiguration, evaluation_matrix, normalize_point
+from rank_oracle import row_list_rank_mod_p
 
 
 def _minor_rank_oracle(rows, size):
@@ -254,6 +259,100 @@ def test_exact_rank_prime_above_two_to_the_64():
              for c1, c2 in ((p - 1, p - 2), (rng.randrange(p), rng.randrange(p)))]
     m = ExactMatrix.from_rows(PrimeField(p), base + extra)
     assert exact_rank(m) == rank_and_rref(m)[0] == 4
+
+
+_PACKED_PRIMES = (3, 5, 10007, 2**61 - 1, 2**127 - 1)
+
+
+@st.composite
+def _residue_rows(draw):
+    """Residue rows mod a drawn prime: shapes 0..9 x 0..9 or tall m >> n,
+    with zero rows and all-zero (pivotless) columns mixed in."""
+    p = draw(st.sampled_from(_PACKED_PRIMES))
+    nrows, ncols = draw(st.one_of(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        st.tuples(st.integers(20, 60), st.integers(1, 3)),
+    ))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    rows = []
+    for _ in range(nrows):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append([0] * ncols)
+        else:
+            rows.append([0 if c in zero_cols else draw(entry) for c in range(ncols)])
+    return p, rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(_residue_rows())
+def test_packed_rank_mod_p_matches_row_list_elimination(case):
+    p, rows = case
+    assert _rank_mod_p(rows, p) == row_list_rank_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("p", [3, 2**61 - 1])
+def test_packed_rank_mod_p_worst_case_slot_growth(p):
+    n = 40
+    # every entry p - 1: rank 1
+    assert _rank_mod_p([[p - 1] * n for _ in range(n)], p) == 1
+    # a staircase of pivot rows (p-1 on the diagonal and in the last column)
+    # and a last row of p - 1: each of the 39 pivots adds (p-1)^2 to the
+    # last row's last slot, the most any slot can gain.  Its start value
+    # makes the true residue 0, so the rank is 39, and a slot one bit too
+    # narrow wraps the sum and reports 40.
+    rows = [[p - 1 if c in (r, n - 1) else 0 for c in range(n)] for r in range(n - 1)]
+    rows.append([p - 1] * (n - 1) + [-(n - 1) % p])
+    assert row_list_rank_mod_p(rows, p) == n - 1
+    assert _rank_mod_p(rows, p) == n - 1
+
+
+def _distinct_points(field, draw, n):
+    """n pairwise distinct projective points from ``draw()``."""
+    points = {}
+    while len(points) < n:
+        pt = draw()
+        if any(pt):
+            points.setdefault(normalize_point(field, pt), pt)
+    return tuple(points.values())
+
+
+def test_full_rank_q_matrix_is_decided_by_one_prime(monkeypatch):
+    # 168 random integer points and the 165 degree-8 monomials: the rank mod
+    # 2^61 - 1 reaches min(m, n), so Bareiss never runs
+    rng = random.Random(168)
+    points = _distinct_points(QQ, lambda: tuple(rng.randint(-9, 9) for _ in range(4)), 168)
+    m = evaluation_matrix(NodeConfiguration(8, QQ, points), 8)
+
+    def no_bareiss(rows):
+        raise AssertionError("the certified rank should not fall through to Bareiss")
+
+    monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
+    start = time.perf_counter()
+    assert exact_rank(m) == 165
+    # Bareiss alone took over 10 s on matrices like this one
+    assert time.perf_counter() - start < 3
+
+
+@pytest.mark.parametrize("rows", [
+    [[linalg._Q_PRIME, 0], [0, 1]],
+    # integer rows (1, 2) and (1, 2 + 2P): the only 2x2 minor is 2P
+    [[Fraction(1, 2), 1], [1, 2 + 2 * linalg._Q_PRIME]],
+], ids=["P-diagonal", "minor-2P"])
+def test_rank_mod_the_q_prime_falls_through_to_bareiss(monkeypatch, rows):
+    calls = []
+    bareiss = linalg._bareiss
+
+    def counting_bareiss(int_rows):
+        calls.append(int_rows)
+        return bareiss(int_rows)
+
+    monkeypatch.setattr(linalg, "_bareiss", counting_bareiss)
+    m = ExactMatrix.from_rows(QQ, rows)
+    p_rows = [[a % linalg._Q_PRIME for a in row] for row in linalg._integer_rows(m.entries)]
+    assert _rank_mod_p(p_rows, linalg._Q_PRIME) == 1
+    assert exact_rank(m) == rank_and_rref(m)[0] == 2
+    assert len(calls) == 1
 
 
 def _fraction_det(rows):

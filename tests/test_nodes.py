@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalcodes.errors import DataError, DomainError, ResourceError
 from nodalcodes.fields import PrimeField, QQ
@@ -25,6 +27,7 @@ from nodalcodes.nodes import (
     verify_configuration,
     verify_node,
 )
+from rank_oracle import field_evaluation_matrix
 
 
 class TestVerifyNode:
@@ -134,6 +137,39 @@ class TestVanishingDimension:
             vanishing_dimension(cfg, 21)
         with pytest.raises(ResourceError):
             defect_from_nodes(NodeConfiguration(40000, QQ, cfg.points))
+
+
+_FIELDS = (QQ, PrimeField(3), PrimeField(10007), PrimeField(2**61 - 1))
+
+
+@st.composite
+def _configurations(draw):
+    """Distinct points over Q (fractional, negative and zero-leading
+    coordinates) or F_p, and a form degree 0..8."""
+    field = draw(st.sampled_from(_FIELDS))
+    if field == QQ:
+        coord = st.one_of(
+            st.just(Fraction(0)),
+            st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9)),
+        )
+    else:
+        coord = st.one_of(st.just(0), st.integers(0, field.p - 1))
+    points = {}
+    for _ in range(draw(st.integers(0, 8))):
+        pt = tuple(draw(coord) for _ in range(4))
+        if any(pt):
+            points.setdefault(normalize_point(field, pt), pt)
+    return NodeConfiguration(4, field, tuple(points.values())), draw(st.integers(0, 8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_configurations())
+def test_evaluation_matrix_matches_the_field_interface_builder(case):
+    cfg, d = case
+    m = evaluation_matrix(cfg, d)
+    assert m == field_evaluation_matrix(cfg, d)
+    scalar = Fraction if cfg.field == QQ else int
+    assert all(type(a) is scalar for row in m.entries for a in row)
 
 
 def _quadric_grid(field, d, rng):
