@@ -33,11 +33,10 @@ from .errors import (
     ParseError,
     PoleAtOriginError,
     ResourceError,
-    RetryWithNewPrime,
 )
 from .fields import PrimeField, QQ, RationalField
 from .forms import HomogeneousForm, evaluate_at, gradient, hessian_rank_at, parse_form
-from .linalg import BitMatrix, ExactMatrix, bit_rank, modular_rank, nullspace_basis, rank_and_rref
+from .linalg import ExactMatrix, nullspace_basis
 from .nodes import (
     DefectReport,
     NodeConfiguration,
@@ -50,7 +49,6 @@ from .nodes import (
 from .series import (
     RationalSeries,
     expand_rational_series,
-    long_division_series,
     symmetroid_hilbert_check,
 )
 from .symmetroid import (

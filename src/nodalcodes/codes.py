@@ -158,12 +158,6 @@ class EvenSetCode:
             if ext:
                 yield EvenSetWord.from_ext(self.mu, ext)
 
-    def contains(self, w: EvenSetWord) -> bool:
-        if w.mu != self.mu:
-            raise DataError(f"length mismatch: {w.mu} != {self.mu}")
-        residual = bit_rref(self.basis_ext() + [w.to_ext()])
-        return len(residual) == self.dim
-
     def strict_dim(self) -> int:
         """Dimension of the strictly even subcode (index at most 2)."""
         if any(g.weak for g in self.generators):
@@ -286,11 +280,6 @@ def _canonical_encoding(code: EvenSetCode, memo: dict) -> tuple[int, ...]:
 def _canonical_form(code: EvenSetCode, memo: dict) -> bytes:
     enc = _canonical_encoding(code, memo)
     return struct.pack(f">{len(enc)}I", *enc)
-
-
-def canonical_encoding(code: EvenSetCode) -> tuple[int, ...]:
-    """Canonical column-minimized RREF encoding as a tuple of integers."""
-    return _canonical_encoding(code, {})
 
 
 def canonical_form(code: EvenSetCode) -> bytes:

@@ -30,18 +30,6 @@ class InconsistencyError(InputError):
     """Inputs violate a relation that holds for all genuine configurations."""
 
 
-class RetryWithNewPrime(NodalcodesError):
-    """A modular computation hit a denominator divisible by the chosen prime.
-
-    Callers should retry with a different prime; the rational-arithmetic
-    path is unaffected.
-    """
-
-    def __init__(self, prime: int):
-        super().__init__(f"denominator divisible by prime {prime}; retry with a new prime")
-        self.prime = prime
-
-
 class ParseError(DataError):
     """Syntax error in a polynomial string; carries the offending position."""
 

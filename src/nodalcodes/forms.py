@@ -19,11 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .errors import DataError, HomogeneityError, ParseError
+from .errors import DataError, HomogeneityError, ParseError, ResourceError
 from .fields import Field, QQ, Scalar
 from .linalg import ExactMatrix, exact_rank
 
 VARIABLES = ("x", "y", "z", "w")
+
+# parsed forms stop at this degree: verify-nodes on a degree-1000 surface
+# over Q with 7-digit coordinates takes ~5 ms, at degree 10^5 already ~27 s
+DEGREE_CAP = 1000
 
 Monomial = tuple[int, int, int, int]
 
@@ -168,12 +172,13 @@ def evaluate_at(form: HomogeneousForm, point: Sequence[Scalar]) -> Scalar:
     if len(point) != 4:
         raise DataError(f"expected 4 coordinates, got {len(point)}")
     coords = [f.validate(c) for c in point]
+    p = f.characteristic or None
     total = f.zero
     for m, c in form.terms.items():
         v = c
         for coord, e in zip(coords, m):
-            for _ in range(e):
-                v = f.mul(v, coord)
+            if e:
+                v = f.mul(v, pow(coord, e, p))
         total = f.add(total, v)
     return total
 
@@ -237,7 +242,12 @@ class _Tokenizer:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ResourceError(
+                f"integer of {self.pos - start} digits at position {start} is too long"
+            ) from None
 
     def take_char(self) -> str:
         self._skip_ws()
@@ -250,8 +260,9 @@ def parse_form(text: str, field: Field = QQ) -> HomogeneousForm:
     """Parse a homogeneous polynomial; canonical sparse form.
 
     Raises :class:`HomogeneityError` (with the two offending degrees) for
-    mixed-degree input and :class:`ParseError` (with position) for
-    anything outside the grammar, including unknown identifiers.
+    mixed-degree input, :class:`ParseError` (with position) for anything
+    outside the grammar, including unknown identifiers, and
+    :class:`ResourceError` for a term of degree above :data:`DEGREE_CAP`.
     """
     tok = _Tokenizer(text)
     terms: dict[Monomial, Scalar] = {}
@@ -260,6 +271,10 @@ def parse_form(text: str, field: Field = QQ) -> HomogeneousForm:
     def add_term(sign: int, coeff: Scalar, exps: list[int], term_pos: int):
         nonlocal degree
         d = sum(exps)
+        if d > DEGREE_CAP:
+            raise ResourceError(
+                f"term of degree {d} at position {term_pos}; forms are capped at degree {DEGREE_CAP}"
+            )
         if degree is None:
             degree = d
         elif d != degree:

@@ -1,4 +1,4 @@
-"""Exact matrix rank, reduced row echelon form, and kernels.
+"""Exact matrix rank, kernels, and F2 row reduction.
 
 :func:`exact_rank` works on plain Python integers.  Over F_p it runs
 echelon elimination on rows packed into one int each, in slots wide
@@ -6,26 +6,21 @@ enough that the unreduced updates never carry from one column into the
 next.  Over Q it clears each row's denominators and takes the rank mod
 the fixed prime 2^61 - 1: that rank is a lower bound, and when it is
 min(rows, cols) it is the answer; otherwise fraction-free Bareiss
-elimination over Z decides.  :func:`rank_and_rref` and
-:func:`nullspace_basis` run Gauss-Jordan through the field interface over
-Q or F_p.  :func:`modular_rank` reduces a rational matrix mod a prime, a
-lower bound for its rank.  A packed-bit F2 path serves generator matrices
-of binary codes.  Everything is pure: operations never mutate their inputs
-and return fresh matrices.
+elimination over Z decides.  :func:`nullspace_basis` runs Gauss-Jordan
+through the field interface over Q or F_p.  :func:`bit_rref` reduces
+generator matrices of binary codes, one int per row.  Everything is pure:
+operations never mutate their inputs.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DataError, DomainError, ResourceError, RetryWithNewPrime
-from .fields import Field, PrimeField, RationalField, Scalar, is_prime
-
-_BIT_COLS_CAP = 4096
+from .errors import DataError
+from .fields import Field, PrimeField, Scalar
 
 # the one prime of the certified rank over Q (a Mersenne prime)
 _Q_PRIME = 2**61 - 1
@@ -51,20 +46,6 @@ class ExactMatrix:
             validated.append(vr)
         return cls(field, tuple(validated))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        return cls(
-            field,
-            tuple(
-                tuple(field.one if i == j else field.zero for j in range(n))
-                for i in range(n)
-            ),
-        )
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "ExactMatrix":
-        return cls(field, tuple(tuple(field.zero for _ in range(cols)) for _ in range(rows)))
-
     @property
     def nrows(self) -> int:
         return len(self.entries)
@@ -72,9 +53,6 @@ class ExactMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
@@ -110,12 +88,6 @@ def _eliminate(m: ExactMatrix) -> tuple[list[list], list[int]]:
         pivots.append(c)
         r += 1
     return rows, pivots
-
-
-def rank_and_rref(m: ExactMatrix) -> tuple[int, ExactMatrix]:
-    """Rank and the unique reduced row echelon form of ``m``."""
-    rows, pivots = _eliminate(m)
-    return len(pivots), ExactMatrix(m.field, tuple(tuple(r) for r in rows))
 
 
 def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
@@ -210,34 +182,6 @@ def _integer_rows(entries: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     return rows
 
 
-def modular_rank(m: ExactMatrix, p: int) -> int:
-    """Rank of a rational matrix reduced mod p.
-
-    Always a lower bound for the rational rank.  Raises
-    :class:`RetryWithNewPrime` when an entry denominator is divisible by p.
-    """
-    if not isinstance(m.field, RationalField):
-        raise DomainError("modular_rank expects a matrix over the rationals")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    reduced_rows = []
-    for row in m.entries:
-        rr = []
-        for a in row:
-            if a.denominator % p == 0:
-                raise RetryWithNewPrime(p)
-            rr.append(a.numerator * pow(a.denominator, -1, p) % p)
-        reduced_rows.append(rr)
-    return _rank_mod_p(reduced_rows, p)
-
-
-def random_30bit_prime(rng: random.Random) -> int:
-    while True:
-        candidate = rng.getrandbits(30) | (1 << 29) | 1
-        if is_prime(candidate):
-            return candidate
-
-
 def exact_rank(m: ExactMatrix) -> int:
     """Exact rank on plain integers.
 
@@ -258,41 +202,6 @@ def exact_rank(m: ExactMatrix) -> int:
     return _bareiss(rows)[0]
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Matrix over F2 with rows packed into Python ints (bit i = column i)."""
-
-    cols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.cols > _BIT_COLS_CAP:
-            raise ResourceError(f"BitMatrix is capped at {_BIT_COLS_CAP} columns")
-        if self.cols < 0:
-            raise DataError("negative column count")
-        mask = (1 << self.cols) - 1
-        for r in self.rows:
-            if r < 0 or r & ~mask:
-                raise DataError("row has bits outside the declared column range")
-
-    @classmethod
-    def from_dense(cls, cols: int, rows: Iterable[Sequence[int]]) -> "BitMatrix":
-        packed = []
-        for row in rows:
-            if len(row) != cols:
-                raise DataError("row length must equal the column count exactly")
-            word = 0
-            for i, b in enumerate(row):
-                if b % 2:
-                    word |= 1 << i
-            packed.append(word)
-        return cls(cols, tuple(packed))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
 def bit_rref(rows: Iterable[int]) -> list[int]:
     """Fully reduced F2 basis of the span, sorted by leading bit descending."""
     basis: dict[int, int] = {}
@@ -309,7 +218,3 @@ def bit_rref(rows: Iterable[int]) -> list[int]:
                 basis[lead] = cur
                 break
     return sorted(basis.values(), reverse=True)
-
-
-def bit_rank(m: BitMatrix) -> int:
-    return len(bit_rref(m.rows))

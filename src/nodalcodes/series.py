@@ -21,7 +21,7 @@ from .errors import (
 IntPoly = list[int]
 
 # expansions stop at this order: 10^4 terms take ~0.02 s, 10^6 already
-# ~1.2 s, and long division allocates its whole remainder up front
+# ~1.2 s
 ORDER_CAP = 10_000
 
 # t^3 (6t^2 - 15t + 10) / (t - 1)^4, the Hilbert series of the coordinates
@@ -73,25 +73,6 @@ def expand_rational_series(num: IntPoly, den: IntPoly, order: int) -> list[int]:
                 f"coefficient of t^{k} is {acc}/{den[0]}, not an integer"
             )
         coeffs.append(q)
-    return coeffs
-
-
-def long_division_series(num: IntPoly, den: IntPoly, order: int) -> list[int]:
-    """Same series by naive long division; independent cross-check of
-    :func:`expand_rational_series`."""
-    _check_order(order)
-    num, den = _normalized(num, den)
-    remainder = list(num) + [0] * (order + len(den) + 1 - len(num))
-    coeffs = []
-    for k in range(order + 1):
-        q, r = divmod(remainder[k], den[0])
-        if r != 0:
-            raise NonIntegralCoefficientError(
-                f"coefficient of t^{k} is {remainder[k]}/{den[0]}, not an integer"
-            )
-        coeffs.append(q)
-        for i, d in enumerate(den):
-            remainder[k + i] -= q * d
     return coeffs
 
 

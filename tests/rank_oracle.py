@@ -1,17 +1,23 @@
-"""Row-list reference paths of the rank pipeline, kept for tests only.
+"""Reference paths of the rank pipeline, kept for tests only.
 
-The library packs each row mod p into one int and builds evaluation
-matrices on plain ints.  The elimination below works on lists of residues
-and the builder below goes through the field interface; the tests check
-the fast paths against them.
+The library packs each row mod p into one int, runs Bareiss over Z, and
+builds evaluation matrices on plain ints.  Gauss-Jordan through the field
+interface, the elimination on lists of residues and the builder below are
+the slow paths the tests check the fast ones against.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from nodalcodes.linalg import ExactMatrix
+from nodalcodes.linalg import ExactMatrix, _eliminate
 from nodalcodes.nodes import NodeConfiguration, monomial_basis
+
+
+def rank_and_rref(m: ExactMatrix) -> tuple[int, ExactMatrix]:
+    """Rank and the unique reduced row echelon form of ``m``, by Gauss-Jordan."""
+    rows, pivots = _eliminate(m)
+    return len(pivots), ExactMatrix(m.field, tuple(tuple(r) for r in rows))
 
 
 def row_list_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

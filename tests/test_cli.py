@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from nodalcodes.cli import main
 from nodalcodes.codes import code_from_dict
+from nodalcodes.forms import DEGREE_CAP
 from nodalcodes.nodes import config_from_dict
 
 
@@ -134,6 +136,24 @@ def test_verify_nodes_surface_flag(tmp_path, capsys):
     code, _, _ = run(capsys, "verify-nodes", "--nodes", str(nodes),
                      "--surface", str(surface))
     assert code == 0
+
+
+@pytest.mark.parametrize("degree, expected", [(100_000_000, 2), (DEGREE_CAP, 3)],
+                         ids=["degree-1e8", "at-cap"])
+def test_verify_nodes_high_degree_surface_is_fast(tmp_path, capsys, degree, expected):
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({
+        "degree": degree, "field": "rational",
+        "surface": f"x^{degree} + 3*y^{degree} - 5/7*z^{degree} + x^{degree - 2}*y*w",
+        "nodes": [["123457/99991", "65537", "1000003", "7/11"], ["1", "2", "3", "4"]],
+    }))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify-nodes", "--nodes", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == expected
+    if expected == 2:
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert str(DEGREE_CAP) in err
 
 
 def test_code_info_and_isomorphic(tmp_path, capsys):

@@ -13,8 +13,8 @@ from nodalcodes.codes import (
     WEAK,
     EvenSetCode,
     EvenSetWord,
+    _canonical_encoding,
     _fingerprints,
-    canonical_encoding,
     canonical_form,
     code_from_dict,
     code_to_dict,
@@ -305,7 +305,7 @@ def test_canonical_encoding_matches_brute_force_over_all_column_orders():
                 for order in itertools.permutations(range(code.mu))
             )
             expected = (code.mu, code.dim, *best)
-        assert canonical_encoding(code) == expected, code
+        assert _canonical_encoding(code, {}) == expected, code
 
 
 class TestCodeFiles:

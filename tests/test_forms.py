@@ -1,15 +1,17 @@
 """Polynomial parsing, printing, evaluation, differentiation, Hessian ranks."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalcodes.errors import HomogeneityError, ParseError
+from nodalcodes.errors import HomogeneityError, ParseError, ResourceError
 from nodalcodes.fields import PrimeField, QQ
 from nodalcodes.forms import (
+    DEGREE_CAP,
     HomogeneousForm,
     evaluate_at,
     gradient,
@@ -76,19 +78,52 @@ class TestParse:
             assert parse_form(str(f)) == f
             assert str(parse_form(str(f))) == str(f)
 
+    def test_degree_cap(self):
+        assert parse_form(f"x^{DEGREE_CAP - 1}*w").degree == DEGREE_CAP
+        for text in (f"x^{DEGREE_CAP + 1}", f"x^{DEGREE_CAP}*y", "x^100000000",
+                     f"y^4 + x^{DEGREE_CAP // 2 + 1}*z^{DEGREE_CAP // 2}"):
+            with pytest.raises(ResourceError, match=f"capped at degree {DEGREE_CAP}"):
+                parse_form(text)
+
+    def test_integer_longer_than_int_conversion_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer strings of any length")
+        digits = limit + 1
+        for text in ("x^" + "9" * digits, "9" * digits + "*x", "1/" + "7" * digits + "*x"):
+            with pytest.raises(ResourceError, match=f"{digits} digits"):
+                parse_form(text)
+
     def test_print_order_is_canonical(self):
         f = parse_form("w^4 + x^2*y^2 - 2*x*y*z*w")
         assert str(f) == "x^2*y^2 - 2*x*y*z*w + w^4"
 
 
-def _random_form(rng, degree, nterms=5):
+def _random_form(rng, degree, nterms=5, field=QQ):
     terms = {}
     for _ in range(nterms):
         e = [0, 0, 0, 0]
         for _ in range(degree):
             e[rng.randrange(4)] += 1
-        terms[tuple(e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    return HomogeneousForm.from_terms(degree, QQ, terms)
+        if field == QQ:
+            terms[tuple(e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        else:
+            terms[tuple(e)] = rng.randrange(field.p)
+    return HomogeneousForm.from_terms(degree, field, terms)
+
+
+def _evaluate_by_repeated_multiplication(form, point):
+    """One field multiplication per unit of exponent, no ``pow``."""
+    f = form.field
+    coords = [f.validate(c) for c in point]
+    total = f.zero
+    for m, c in form.terms.items():
+        v = c
+        for coord, e in zip(coords, m):
+            for _ in range(e):
+                v = f.mul(v, coord)
+        total = f.add(total, v)
+    return total
 
 
 class TestEvaluate:
@@ -111,6 +146,18 @@ class TestEvaluate:
                 Fraction(0),
             )
             assert evaluate_at(f, pt) == oracle
+
+    def test_pow_matches_repeated_multiplication(self):
+        rng = random.Random(1000)
+        for field in (QQ, PrimeField(3), PrimeField(101), PrimeField(2**61 - 1)):
+            for _ in range(40):
+                f = _random_form(rng, rng.randint(0, 12), nterms=rng.randint(1, 6), field=field)
+                if field == QQ:
+                    pt = tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(4))
+                else:
+                    # unreduced coordinates, zero included
+                    pt = tuple(rng.randint(-3 * field.p, 3 * field.p) for _ in range(4))
+                assert evaluate_at(f, pt) == _evaluate_by_repeated_multiplication(f, pt)
 
     def test_wrong_coordinate_count(self):
         from nodalcodes.errors import DataError
@@ -172,7 +219,8 @@ class TestHessian:
         f = parse_form("x^2*w + y^2*w + z^2*w + x^3")
         assert hessian_rank_at(f, (0, 0, 0, 1)) == 3
         # direct 4x4 oracle: second partials computed by hand
-        from nodalcodes.linalg import ExactMatrix, rank_and_rref
+        from nodalcodes.linalg import ExactMatrix
+        from rank_oracle import rank_and_rref
 
         hand = ExactMatrix.from_rows(
             QQ, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]

@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, rref, kernels, modular reduction, F2 path."""
+"""Exact linear algebra: rank, kernels, the rank mod p bound, F2 rows."""
 
 import itertools
 import random
@@ -10,22 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalcodes import linalg
-from nodalcodes.errors import DataError, ResourceError, RetryWithNewPrime
+from nodalcodes.errors import DataError
 from nodalcodes.fields import PrimeField, QQ, is_prime
 from nodalcodes.linalg import (
-    BitMatrix,
     ExactMatrix,
     _bareiss,
+    _integer_rows,
     _rank_mod_p,
-    bit_rank,
+    bit_rref,
     exact_rank,
-    modular_rank,
     nullspace_basis,
-    random_30bit_prime,
-    rank_and_rref,
 )
 from nodalcodes.nodes import NodeConfiguration, evaluation_matrix, normalize_point
-from rank_oracle import row_list_rank_mod_p
+from rank_oracle import rank_and_rref, row_list_rank_mod_p
+
+
+def _identity(field, n):
+    return ExactMatrix.from_rows(field, [[field.one if i == j else field.zero for j in range(n)]
+                                         for i in range(n)])
+
+
+def _zero(field, nrows, ncols):
+    return ExactMatrix.from_rows(field, [[field.zero] * ncols for _ in range(nrows)])
+
+
+def _modular_rank(m, p):
+    """Rank mod p of the integer rows that :func:`exact_rank` takes over Q."""
+    return _rank_mod_p([[a % p for a in row] for row in _integer_rows(m.entries)], p)
 
 
 def _minor_rank_oracle(rows, size):
@@ -54,14 +65,14 @@ def _minor_rank_oracle(rows, size):
 
 
 def test_identity_rank_and_rref():
-    m = ExactMatrix.identity(QQ, 3)
+    m = _identity(QQ, 3)
     rank, rref = rank_and_rref(m)
     assert rank == 3
     assert rref == m
 
 
 def test_zero_matrix_rank():
-    m = ExactMatrix.zero(QQ, 4, 7)
+    m = _zero(QQ, 4, 7)
     assert rank_and_rref(m)[0] == 0
 
 
@@ -87,11 +98,11 @@ def test_rank_matches_minor_oracle_small():
 
 
 def test_nullspace_identity_empty():
-    assert nullspace_basis(ExactMatrix.identity(QQ, 4)) == []
+    assert nullspace_basis(_identity(QQ, 4)) == []
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace_basis(ExactMatrix.zero(QQ, 2, 5))
+    basis = nullspace_basis(_zero(QQ, 2, 5))
     assert len(basis) == 5
 
 
@@ -116,34 +127,23 @@ def test_nullspace_ones_row_over_f7():
 
 
 def test_modular_rank_identity():
-    m = ExactMatrix.identity(QQ, 5)
+    m = _identity(QQ, 5)
     for p in (3, 101, 1000003):
-        assert modular_rank(m, p) == 5
+        assert _modular_rank(m, p) == 5
 
 
 def test_modular_rank_column_with_prime_entry():
     p = 13
     m = ExactMatrix.from_rows(QQ, [[1], [p]])
-    assert modular_rank(m, p) == 1
+    assert _modular_rank(m, p) == 1
     assert rank_and_rref(m)[0] == 1
 
 
-def test_modular_rank_matches_rational_rank_random():
-    rng = random.Random(99)
-    for _ in range(20):
-        rows = [[Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(10)]
-                for _ in range(10)]
-        m = ExactMatrix.from_rows(QQ, rows)
-        exact = rank_and_rref(m)[0]
-        for _ in range(3):
-            p = random_30bit_prime(rng)
-            assert modular_rank(m, p) == exact
-
-
 def test_modular_rank_denominator_hit():
-    m = ExactMatrix.from_rows(QQ, [[Fraction(1, 5)]])
-    with pytest.raises(RetryWithNewPrime):
-        modular_rank(m, 5)
+    # the integer rows carry no denominator, so none can vanish mod p
+    m = ExactMatrix.from_rows(QQ, [[Fraction(1, 5), Fraction(2, 25)], [Fraction(1, 5), 0]])
+    assert _integer_rows(m.entries) == [[5, 2], [1, 0]]
+    assert _modular_rank(m, 5) == rank_and_rref(m)[0] == 2
 
 
 def test_mixed_field_entries_rejected():
@@ -174,18 +174,6 @@ def test_rref_idempotent(m):
     rank2, rref2 = rank_and_rref(rref)
     assert rank2 == rank
     assert rref2 == rref
-
-
-@settings(deadline=None, max_examples=40)
-@given(_rational_matrices(), st.integers(0, 10))
-def test_modular_rank_never_exceeds_rational(m, prime_index):
-    primes = [3, 5, 7, 11, 13, 101, 257, 1009, 65537, 999983, 1073741827]
-    p = primes[prime_index]
-    exact = rank_and_rref(m)[0]
-    try:
-        assert modular_rank(m, p) <= exact
-    except RetryWithNewPrime:
-        pass
 
 
 # primes from 3 to 2^127 - 1, so products of residues exceed 64 bits
@@ -227,12 +215,20 @@ def test_exact_rank_matches_gauss_jordan_over_fp(m):
     assert exact_rank(m) == rank_and_rref(m)[0]
 
 
+@settings(deadline=None, max_examples=200)
+@given(_matrices_with_repeats(QQ), st.sampled_from((3, 5, 7, 2**61 - 1)))
+def test_modular_rank_never_exceeds_rational(m, p):
+    # the lower bound the certified rank over Q relies on; at p = 3, 5, 7
+    # the rank mod p often drops below the rank over Z
+    assert _modular_rank(m, p) <= _bareiss(_integer_rows(m.entries))[0]
+
+
 def test_exact_rank_empty_shapes():
     # a matrix with no rows cannot record a width, so 0 x n is the empty tuple
     for field in (QQ, PrimeField(7)):
         assert exact_rank(ExactMatrix(field, ())) == 0
         assert exact_rank(ExactMatrix.from_rows(field, [[], [], []])) == 0
-        assert exact_rank(ExactMatrix.zero(field, 4, 6)) == 0
+        assert exact_rank(_zero(field, 4, 6)) == 0
 
 
 def test_exact_rank_zero_and_duplicated_rows():
@@ -408,14 +404,5 @@ def test_bit_rank_against_naive_oracle():
         nrows = rng.randint(1, 16)
         ncols = rng.randint(1, 17)
         dense = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
-        bm = BitMatrix.from_dense(ncols, dense)
-        assert bit_rank(bm) == _naive_mod2_rank(dense, ncols)
-
-
-def test_bitmatrix_caps_and_validation():
-    with pytest.raises(ResourceError):
-        BitMatrix(5000, ())
-    with pytest.raises(DataError):
-        BitMatrix(3, (0b1000,))
-    with pytest.raises(DataError):
-        BitMatrix.from_dense(3, [[1, 0]])
+        rows = [sum(b << i for i, b in enumerate(row)) for row in dense]
+        assert len(bit_rref(rows)) == _naive_mod2_rank(dense, ncols)

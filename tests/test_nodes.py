@@ -267,7 +267,7 @@ class TestDefect:
             except DataError:
                 continue
             # generic-rank gate: the evaluation matrix must have full rank 10
-            from nodalcodes.linalg import rank_and_rref
+            from rank_oracle import rank_and_rref
 
             if rank_and_rref(evaluation_matrix(cfg, 2))[0] == 10:
                 break

@@ -19,10 +19,10 @@ from nodalcodes.series import (
     SYMMETROID_NUMERATOR,
     RationalSeries,
     expand_rational_series,
-    long_division_series,
     symmetroid_hilbert_check,
     symmetroid_hilbert_series,
 )
+from series_oracle import long_division_series
 
 
 def test_geometric_series():

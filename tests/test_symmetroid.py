@@ -20,6 +20,7 @@ from nodalcodes.symmetroid import (
     random_symmetroid_matrix,
     scan_nodes_fp,
 )
+from rank_oracle import row_list_rank_mod_p
 
 # upper-triangle entry order: (0,0),(0,1),(0,2),(0,3),(1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
 X_IDENTITY = ["x", "0", "0", "0", "x", "0", "0", "x", "0", "x"]
@@ -56,24 +57,6 @@ def _web_through(p, points):
     ))
 
 
-def _naive_rank_mod_p(m, p):
-    mat = [[v % p for v in row] for row in m]
-    rank = 0
-    for c in range(4):
-        pivot = next((i for i in range(rank, 4) if mat[i][c] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for i in range(4):
-            if i != rank and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 class TestScan:
     def test_x_identity_is_a_degenerate_plane(self):
         # rank drops below 3 only on the plane x = 0, which has p^2+p+1 points
@@ -95,7 +78,7 @@ class TestScan:
         # independent enumeration oracle over all of P^3(F_5)
         expected = {
             pt for pt in _enumerate_p3(p)
-            if _naive_rank_mod_p([[pt[0], 0, 0, 0], [0, pt[1], 0, 0],
+            if row_list_rank_mod_p([[pt[0], 0, 0, 0], [0, pt[1], 0, 0],
                                   [0, 0, pt[2], 0], [0, 0, 0, pt[3]]], p) <= 2
         }
         assert set(result.points) == expected
@@ -157,7 +140,7 @@ class TestScan:
     @staticmethod
     def _check_against_enumeration(m):
         p = m.prime
-        expected = {pt for pt in _enumerate_p3(p) if _naive_rank_mod_p(m.evaluate(pt), p) <= 2}
+        expected = {pt for pt in _enumerate_p3(p) if row_list_rank_mod_p(m.evaluate(pt), p) <= 2}
         result = scan_nodes_fp(m)
         assert result.points == tuple(sorted(expected)), m.coefficients
         assert result.degenerate == (len(expected) > 10)
