@@ -21,8 +21,9 @@ parity bit and its popcount inside each class of identical columns), so
 no permutation is ever applied.  After extension, the enlarged codes are
 deduplicated by canonical form at each level, so each equivalence class
 is visited once.  All canonical forms of one ``classify_quartic_codes``
-call share a single completion memo, which is dropped when the call
-returns.
+call share a single completion memo, keyed by the pivot count and the
+sorted values of the remaining columns (the unpivoted rows are never
+re-reduced), and dropped when the call returns.
 
 Two dimension lower bounds (due to Beauville) cut the weight-admissible
 list down to the codes that actually occur: dim of the full code is at

@@ -184,82 +184,56 @@ def weight_enumerator(code: EvenSetCode) -> dict[tuple[int, str], int]:
 # each column read as a k-bit integer (first pivot row = most significant
 # bit).  The canonical encoding is the minimum over all column orders.
 #
-# The search processes one column at a time.  A state is summarized by the
-# multiset of remaining column fingerprints (entries over the current
-# reduced rows), which determines the optimal completion, so completions
-# are memoized in a dict keyed by that summary.  The fingerprints are
-# computed once per state, in one row-major pass over the remaining
-# columns, and serve both the memo key and the grouping of equal columns.
-# The dict belongs to the caller: each public entry point starts a fresh
-# one, and the classifier shares one across all the codes of a single run.
-# Only columns achieving the minimal next value can start an optimal
-# completion, which keeps the tie tree narrow even for very symmetric codes.
+# The search processes one column at a time.  Its state is the pivot count
+# and the sorted values of the remaining support columns over the current
+# rows; the low k - npiv bits of a value are its entries in the rows not
+# yet pivoted.  A zero column comes first.  Otherwise a column with one of
+# those bits set becomes the next pivot, 1 << (k - 1 - npiv), which is below
+# every other nonzero value, and once all k rows are pivots the remaining
+# columns follow in sorted order.  The RREF under a fixed column order is
+# unique, so the optimal completion depends only on the multiset of
+# remaining column values, never on the basis of the unpivoted rows: those
+# rows are not re-reduced, and the state itself is the memo key.  The dict
+# belongs to the caller: each public entry point starts a fresh one, and
+# the classifier shares one across all the codes of a single run.  A search
+# that needs more than _MEMO_CAP states (a large code with many distinct
+# columns or a big automorphism group) stops with a ResourceError.
+
+_MEMO_CAP = 100_000
 
 
-def _freeze_free(rows: list[int], npiv: int) -> list[int]:
-    # canonical basis for the not-yet-pivoted rows, so equal states collide
-    return rows[:npiv] + bit_rref(rows[npiv:])
+def _pivot(cols: Iterable[int], f: int, t: int) -> tuple[int, ...]:
+    # pivot on a column of value f at bit t: move f's highest free bit h to
+    # bit t (a row swap), clear f's other bits from the rows (XOR f ^ 1 << h
+    # into every column with bit t), then drop the pivot column and re-sort
+    h = (f & ((2 << t) - 1)).bit_length() - 1
+    bit, x = 1 << t, f ^ (1 << h)
+    if h != t:
+        swap = (1 << h) | bit
+        cols = [c ^ swap if (c >> h ^ c >> t) & 1 else c for c in cols]
+    out = [c ^ x if c & bit else c for c in cols]
+    out.remove(bit)
+    out.sort()
+    return tuple(out)
 
 
-def _fingerprints(rows: list[int], columns: list[int]) -> list[int]:
-    # column c read top-down as an integer, first row most significant
-    fps = [0] * len(columns)
-    for r in rows:
-        fps = [fp << 1 | (r >> c) & 1 for fp, c in zip(fps, columns)]
-    return fps
-
-
-def _column_step(rows: list[int], npiv: int, k: int, col: int):
-    piv_idx = None
-    for i in range(npiv, k):
-        if (rows[i] >> col) & 1:
-            piv_idx = i
-            break
-    if piv_idx is None:
-        val = 0
-        for i in range(npiv):
-            if (rows[i] >> col) & 1:
-                val |= 1 << (k - 1 - i)
-        return val, rows, npiv
-    new = list(rows)
-    new[piv_idx], new[npiv] = new[npiv], new[piv_idx]
-    piv = new[npiv]
-    for i in range(k):
-        if i != npiv and (new[i] >> col) & 1:
-            new[i] ^= piv
-    return 1 << (k - 1 - npiv), _freeze_free(new, npiv + 1), npiv + 1
-
-
-def _min_completion(
-    rows: list[int], npiv: int, remaining: list[int], k: int, memo: dict
-) -> tuple:
-    if not remaining:
-        return ()
-    fps = _fingerprints(rows, remaining)
-    key = (k, npiv, tuple(sorted(fps)))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    group_reps: dict[int, int] = {}
-    for fp, c in zip(fps, remaining):
-        group_reps.setdefault(fp, c)
-    free_mask = (1 << (k - npiv)) - 1
-    candidates = []
-    for fp, rep in group_reps.items():
-        val = (1 << (k - 1 - npiv)) if fp & free_mask else fp
-        candidates.append((val, rep))
-    min_val = min(v for v, _ in candidates)
-    best = None
-    for val, rep in candidates:
-        if val != min_val:
-            continue
-        _, rows2, npiv2 = _column_step(rows, npiv, k, rep)
-        tail = _min_completion(
-            rows2, npiv2, [c for c in remaining if c != rep], k, memo
-        )
-        full = (min_val,) + tail
-        if best is None or full < best:
-            best = full
+def _min_completion(cols: tuple[int, ...], npiv: int, k: int, memo: dict) -> tuple:
+    if npiv == k:  # every row is a pivot row, so every column keeps its value
+        return cols
+    if cols[0] == 0:
+        return (0,) + _min_completion(cols[1:], npiv, k, memo)
+    key = (k, npiv, cols)
+    best = memo.get(key)
+    if best is not None:
+        return best
+    if len(memo) >= _MEMO_CAP:
+        raise ResourceError(f"canonical-form search exceeded its cap of {_MEMO_CAP} states")
+    t = k - 1 - npiv
+    free = (2 << t) - 1
+    best = (1 << t,) + min(
+        _min_completion(_pivot(cols, f, t), npiv + 1, k, memo)
+        for f in {c for c in cols if c & free}
+    )
     memo[key] = best
     return best
 
@@ -272,9 +246,14 @@ def _canonical_encoding(code: EvenSetCode, memo: dict) -> tuple[int, ...]:
     k = len(basis)
     if k == 0:
         return (mu, 0)
-    parity_val, rows, npiv = _column_step(_freeze_free(basis, 0), 0, k, mu)
-    tail = _min_completion(rows, npiv, list(range(mu)), k, memo)
-    return (mu, k, parity_val) + tail
+    cols = [0] * (mu + 1)  # the support columns, then the parity column
+    for g in basis:
+        cols = [c << 1 | (g >> j) & 1 for j, c in enumerate(cols)]
+    parity = cols[mu]
+    if parity:
+        tail = _min_completion(_pivot(cols, parity, k - 1), 1, k, memo)
+        return (mu, k, 1 << (k - 1)) + tail
+    return (mu, k, 0) + _min_completion(tuple(sorted(cols[:mu])), 0, k, memo)
 
 
 def _canonical_form(code: EvenSetCode, memo: dict) -> bytes:

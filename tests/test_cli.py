@@ -192,6 +192,31 @@ def test_code_info_and_isomorphic(tmp_path, capsys):
     assert out1 == out2
 
 
+def _quadratic_residue_code(tmp_path):
+    # the 23 cyclic shifts of {0} and the squares mod 23, all strict; every
+    # shift has weight 12, so the overall parity node 23 stays empty
+    support = {0} | {i * i % 23 for i in range(1, 23)}
+    gens = [
+        {"parity": "strict", "support": sorted((x + s) % 23 for x in support)}
+        for s in range(23)
+    ]
+    path = tmp_path / "qr24.json"
+    path.write_text(json.dumps({"mu": 24, "generators": gens}))
+    assert code_from_dict(json.loads(path.read_text())).dim == 11
+    return str(path)
+
+
+@pytest.mark.parametrize("sub", ["canonical", "isomorphic"])
+def test_canonical_search_over_its_state_cap_exits_2(tmp_path, capsys, sub):
+    path = _quadratic_residue_code(tmp_path)
+    argv = ["code", sub, path] + ([path] if sub == "isomorphic" else [])
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 15
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_symmetroid_scan_seeded(capsys):
     code, out, _ = run(capsys, "symmetroid-scan", "--seed", "1", "--prime", "31", "--json")
     payload = json.loads(out)

@@ -14,7 +14,6 @@ from nodalcodes.codes import (
     EvenSetCode,
     EvenSetWord,
     _canonical_encoding,
-    _fingerprints,
     canonical_form,
     code_from_dict,
     code_to_dict,
@@ -25,6 +24,7 @@ from nodalcodes.codes import (
     word_sum,
 )
 from nodalcodes.errors import DataError, DomainError, ResourceError
+import canonical_oracle
 from permutation_oracle import permuted_code
 
 
@@ -250,25 +250,41 @@ def test_canonical_invariance_property(data):
     assert canonical_form(code) == canonical_form(permuted_code(code, perm))
 
 
-def _fingerprint_by_column(rows, k, col):
-    # one column at a time: row i sets bit k-1-i, so row 0 is the top bit
-    fp = 0
-    for i, r in enumerate(rows):
-        if (r >> col) & 1:
-            fp |= 1 << (k - 1 - i)
-    return fp
+@st.composite
+def _codes_with_repeated_columns(draw):
+    # columns drawn from a small palette plus zero, so zero and repeated
+    # columns are common; parity is a random linear functional of the support
+    mu = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 5))
+    palette = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=8))
+    columns = draw(st.lists(st.sampled_from([0, *palette]), min_size=mu, max_size=mu))
+    parity_mask = draw(st.integers(0, (1 << mu) - 1))
+    words = []
+    for i in range(k):
+        support = sum(1 << j for j, c in enumerate(columns) if c >> i & 1)
+        words.append(EvenSetWord(mu, bool((support & parity_mask).bit_count() & 1), support))
+    return EvenSetCode.from_words(mu, words)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.data())
-def test_fingerprints_match_the_per_column_loop(data):
-    width = data.draw(st.integers(1, 17))
-    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=7))
-    columns = data.draw(st.lists(st.integers(0, width - 1), max_size=width))
-    assert _fingerprints(rows, columns) == [
-        _fingerprint_by_column(rows, len(rows), c) for c in columns
-    ]
+@settings(deadline=None, max_examples=300)
+@given(_codes_with_repeated_columns())
+def test_canonical_encoding_matches_the_row_based_search(code):
+    assert _canonical_encoding(code, {}) == canonical_oracle.canonical_encoding(code)
 
+
+def test_shared_memo_gives_the_fresh_memo_encodings():
+    rng = random.Random(99)
+    codes = []
+    while len(codes) < 60:
+        code = _random_code(rng, mu=10, max_dim=4)
+        if code.dim == 4:
+            perm = list(range(10))
+            rng.shuffle(perm)
+            codes += [code, permuted_code(code, tuple(perm))]
+    memo: dict = {}
+    for code in codes:
+        assert _canonical_encoding(code, memo) == _canonical_encoding(code, {})
+    assert memo
 
 
 def _rref_column_encoding(code, order):
