@@ -43,6 +43,7 @@ from .codes import (
     EvenSetWord,
     _canonical_form,
     code_to_dict,
+    span_words,
     weight_enumerator,
 )
 from .errors import DomainError
@@ -110,13 +111,6 @@ def admissible_words_ext(mu: int) -> list[int]:
     return words
 
 
-def _span_words(basis: tuple[int, ...]) -> list[int]:
-    words = [0]
-    for g in basis:
-        words += [w ^ g for w in words]
-    return words
-
-
 def _orbit_representatives(
     candidates: list[int], basis: tuple[int, ...], mu: int
 ) -> list[int]:
@@ -152,13 +146,15 @@ def _child_candidates(
     return candidates
 
 
-def _enumerate_admissible(mu: int, memo: dict) -> list[tuple[int, ...]]:
-    """All codes with every nonzero word admissible, one basis per
-    permutation class, found by isomorph-rejected basis extension."""
+def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
+    """All codes with every nonzero word admissible, one (canonical form,
+    basis) pair per permutation class, found by isomorph-rejected basis
+    extension."""
     admissible = admissible_words_ext(mu)
     admissible_set = set(admissible)
+    memo: dict = {}  # canonical-form completions, shared by this run's codes
     seen_word_sets: set[frozenset[int]] = set()
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[bytes, tuple[int, ...]]] = []
 
     # canonical form -> (basis, its candidate words)
     level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
@@ -172,10 +168,10 @@ def _enumerate_admissible(mu: int, memo: dict) -> list[tuple[int, ...]]:
         )
 
     while level:
-        found.extend(basis for basis, _ in level.values())
+        found.extend((enc, basis) for enc, (basis, _) in level.items())
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, candidates in level.values():
-            span = _span_words(basis)
+            span = span_words(basis)
             for w in _orbit_representatives(candidates, basis, mu):
                 new_words = frozenset(span + [s ^ w for s in span])
                 if new_words in seen_word_sets:
@@ -224,14 +220,14 @@ def _greedy_profile(code: EvenSetCode) -> str:
     return f"[{mu},{k},{{{','.join(parts)}}}]"
 
 
-def _entry(mu: int, basis: tuple[int, ...], memo: dict) -> TableEntry:
+def _entry(mu: int, canonical: bytes, basis: tuple[int, ...]) -> TableEntry:
     code = _as_code(mu, basis)
     return TableEntry(
         code=code,
         dim=code.dim,
         profile=_greedy_profile(code),
         enumerator=weight_enumerator(code),
-        canonical=_canonical_form(code, memo),
+        canonical=canonical,
     )
 
 
@@ -245,11 +241,10 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
     """
     if not 1 <= mu <= MU_MAX:
         raise DomainError(f"mu must lie in 1..{MU_MAX}, got {mu}")
-    memo: dict = {}  # canonical-form completions, shared by this run's codes
     passing = []
     excluded = []
-    for basis in _enumerate_admissible(mu, memo):
-        entry = _entry(mu, basis, memo)
+    for canonical, basis in _enumerate_admissible(mu):
+        entry = _entry(mu, canonical, basis)
         strict_dim = entry.code.strict_dim()
         if entry.dim >= max(1, mu - 10) and strict_dim >= mu - 11:
             passing.append(entry)

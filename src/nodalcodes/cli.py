@@ -92,13 +92,13 @@ def _cmd_verify_nodes(args) -> int:
         "degree": cfg.degree,
         "mu": cfg.mu,
         "nodes": [
-            {"point": [cfg.field.to_str(c) for c in pt], "is_node": ok}
+            {"point": [str(c) for c in pt], "is_node": ok}
             for pt, ok in zip(cfg.points, verdicts)
         ],
         "all_nodes": all(verdicts),
     }
     lines = [
-        f"{'ok ' if ok else 'FAIL'} ({', '.join(cfg.field.to_str(c) for c in pt)})"
+        f"{'ok ' if ok else 'FAIL'} ({', '.join(map(str, pt))})"
         for pt, ok in zip(cfg.points, verdicts)
     ]
     _emit(args, payload, "\n".join(lines))
@@ -130,8 +130,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_code(args) -> int:
+    pair = args.action == "isomorphic"
+    if len(args.files) != (2 if pair else 1):
+        wanted = "two code files" if pair else "one code file"
+        raise InputError(f"code {args.action} needs exactly {wanted}")
+    codes = [load_code_file(path) for path in args.files]
     if args.action == "info":
-        code = load_code_file(args.files[0])
+        code = codes[0]
         enum = weight_enumerator(code)
         payload = {
             "code": code_to_dict(code),
@@ -149,16 +154,10 @@ def _cmd_code(args) -> int:
         _emit(args, payload, human)
         return EXIT_OK
     if args.action == "canonical":
-        code = load_code_file(args.files[0])
-        digest = canonical_form(code).hex()
+        digest = canonical_form(codes[0]).hex()
         _emit(args, {"canonical": digest}, digest)
         return EXIT_OK
-    # isomorphic
-    if len(args.files) != 2:
-        raise InputError("code isomorphic needs exactly two code files")
-    a = load_code_file(args.files[0])
-    b = load_code_file(args.files[1])
-    same = is_isomorphic(a, b)
+    same = is_isomorphic(*codes)
     _emit(args, {"isomorphic": same}, "isomorphic" if same else "not isomorphic")
     return EXIT_OK if same else EXIT_VERIFICATION
 
@@ -197,6 +196,7 @@ def _cmd_symmetroid_scan(args) -> int:
 
 
 def _cmd_hilbert_check(args) -> int:
+    series_mod._check_order(args.order)
     coeffs = series_mod.symmetroid_hilbert_series(max(args.order, 5))
     ok = coeffs[:6] == series_mod.SYMMETROID_LEADING_COEFFICIENTS
     payload = {
@@ -256,7 +256,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("code", help="inspect or compare even-set code files")
     p.add_argument("action", choices=["info", "canonical", "isomorphic"])
-    p.add_argument("files", nargs="+", help="code JSON file(s)")
+    p.add_argument("files", nargs="+", help="one code JSON file (two for isomorphic)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_code)
 
@@ -272,7 +272,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hilbert-check", help="series expansion check for the ten-node symmetroid")
     p.add_argument("--order", type=int, default=5,
-                   help=f"last power of t to print (at most {series_mod.ORDER_CAP})")
+                   help=f"last power of t to print, 0..{series_mod.ORDER_CAP} "
+                        "(t^0..t^5 are always printed)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hilbert_check)
 

@@ -15,12 +15,11 @@ bytes iff one is a node relabeling of the other.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DataError, DomainError, ResourceError
+from .errors import DataError, DomainError, ResourceError, read_json
 from .linalg import bit_rref
 
 _MU_CAP_CANONICAL = 24
@@ -82,6 +81,14 @@ class EvenSetWord:
 
     def __str__(self) -> str:
         return f"{self.parity}{{{','.join(map(str, self.indices))}}}"
+
+
+def span_words(basis: Iterable[int]) -> list[int]:
+    """All 2^k F2 combinations of k words, zero first."""
+    words = [0]
+    for g in basis:
+        words += [w ^ g for w in words]
+    return words
 
 
 def word_sum(u: EvenSetWord, v: EvenSetWord) -> EvenSetWord:
@@ -147,10 +154,7 @@ class EvenSetCode:
             raise ResourceError(
                 f"refusing to enumerate 2^{self.dim} words (cap {_DIM_CAP_ENUMERATION})"
             )
-        words = [0]
-        for g in self.basis_ext():
-            words += [w ^ g for w in words]
-        return words
+        return span_words(self.basis_ext())
 
     def words(self) -> Iterator[EvenSetWord]:
         """All nonzero words of the code."""
@@ -310,11 +314,4 @@ def code_to_dict(code: EvenSetCode) -> dict:
 
 
 def load_code_file(path: str) -> EvenSetCode:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read code file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"code file is not valid JSON: {exc}") from exc
-    return code_from_dict(data)
+    return code_from_dict(read_json(path, "code file"))

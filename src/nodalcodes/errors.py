@@ -1,9 +1,11 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the JSON file reader.
 
 The CLI maps these onto exit codes: usage problems exit 1, anything
 derived from :class:`InputError` exits 2, and failed certifications
 exit 3 (the latter are reported values, not exceptions).
 """
+
+import json
 
 
 class NodalcodesError(Exception):
@@ -16,6 +18,19 @@ class InputError(NodalcodesError):
 
 class DataError(InputError):
     """Malformed or inconsistent input data (bad matrix, duplicate points, ...)."""
+
+
+def read_json(path: str, what: str):
+    """The JSON value in the file at ``path``; ``what`` names the file
+    ("node file", ...) in the :class:`DataError` raised when it cannot be
+    read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DataError(f"{what} is not valid JSON: {exc}") from exc
 
 
 class DomainError(InputError):

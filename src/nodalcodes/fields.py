@@ -1,10 +1,14 @@
 """Exact coefficient fields: the rationals and odd prime fields.
 
-Scalars are plain Python values (``Fraction`` for Q, ``int`` in ``[0, p)``
-for F_p); a field object bundles the arithmetic so matrices and forms can
-work over either field through one interface.  Rationals are always in
-lowest terms with positive denominator (``Fraction`` guarantees this),
-prime-field values are always reduced mod p.
+Scalars are plain Python values: ``Fraction`` for Q, ``int`` in
+``[0, p)`` for F_p.  Arithmetic on them is Python's operators followed by
+the field's ``reduce`` (``a % p`` over F_p, the value itself over Q), so
+``f.reduce(a * b)`` is a product in either field.  A field object holds
+only what differs between the two: its name, characteristic, zero and
+one, and how to parse, validate, reduce and invert a scalar.  Rationals
+are always in lowest terms with positive denominator (``Fraction``
+guarantees this), and every prime-field value the library stores is
+already reduced mod p, so ``a == 0`` is the zero test in both fields.
 """
 
 from __future__ import annotations
@@ -50,9 +54,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
     def parse(self, text: str) -> Fraction:
         text = text.strip()
         try:
@@ -65,32 +66,13 @@ class RationalField:
             raise DataError(f"not a rational scalar: {a!r}")
         return Fraction(a)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, a: Fraction) -> Fraction:
+        return a
 
     def inverse(self, a):
         if a == 0:
             raise DomainError("division by zero")
         return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def to_str(self, a) -> str:
-        return str(a)
-
-    def pivot_size(self, a: Fraction) -> int:
-        """Bit size of numerator x denominator; small pivots limit blowup."""
-        return abs(a.numerator).bit_length() + a.denominator.bit_length()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -118,9 +100,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1
 
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
     def parse(self, text: str) -> int:
         text = text.strip()
         if "/" in text:
@@ -144,31 +123,13 @@ class PrimeField:
             raise DataError(f"not a prime-field scalar: {a!r}")
         return a % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+    def reduce(self, a: int) -> int:
+        return a % self.p
 
     def inverse(self, a):
         if a % self.p == 0:
             raise DomainError("division by zero")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
-    def to_str(self, a) -> str:
-        return str(a % self.p)
-
-    def pivot_size(self, a: int) -> int:
-        return 1  # all nonzero residues are equally good pivots
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

@@ -65,7 +65,7 @@ class HomogeneousForm:
                 raise DataError(f"bad exponent vector {m}")
             if monomial_degree(m) != self.degree:
                 raise HomogeneityError(self.degree, monomial_degree(m))
-            if self.field.is_zero(c):
+            if self.field.reduce(c) == 0:
                 raise DataError("zero coefficient stored in a form")
 
     @classmethod
@@ -73,7 +73,7 @@ class HomogeneousForm:
         cleaned = {}
         for m, c in terms.items():
             c = field.validate(c)
-            if not field.is_zero(c):
+            if c != 0:
                 cleaned[tuple(m)] = c
         return cls(degree, field, cleaned)
 
@@ -103,15 +103,15 @@ class HomogeneousForm:
         terms = dict(self.terms)
         f = self.field
         for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero), c)
-            if f.is_zero(s):
+            s = f.reduce(terms.get(m, 0) + c)
+            if s == 0:
                 terms.pop(m, None)
             else:
                 terms[m] = s
         return HomogeneousForm(self.degree, f, terms)
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + other.scaled(self.field.neg(self.field.one))
+        return self + other.scaled(-1)
 
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         self._check_compatible(other)
@@ -122,8 +122,8 @@ class HomogeneousForm:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = f.add(terms.get(m, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
+                s = f.reduce(terms.get(m, 0) + c1 * c2)
+                if s == 0:
                     terms.pop(m, None)
                 else:
                     terms[m] = s
@@ -132,9 +132,9 @@ class HomogeneousForm:
     def scaled(self, c: Scalar) -> "HomogeneousForm":
         f = self.field
         c = f.validate(c)
-        if f.is_zero(c):
+        if c == 0:
             return HomogeneousForm.zero_form(self.degree, f)
-        return HomogeneousForm(self.degree, f, {m: f.mul(c, v) for m, v in self.terms.items()})
+        return HomogeneousForm(self.degree, f, {m: f.reduce(c * v) for m, v in self.terms.items()})
 
     def _check_compatible(self, other: "HomogeneousForm") -> None:
         if self.field != other.field:
@@ -148,8 +148,7 @@ class HomogeneousForm:
         for i, (m, c) in enumerate(self.sorted_terms()):
             mono = _format_monomial(m)
             negative = f.characteristic == 0 and c < 0
-            mag = f.neg(c) if negative else c
-            coeff_str = f.to_str(mag)
+            coeff_str = str(-c if negative else c)
             if mono and coeff_str == "1":
                 body = mono
             elif mono:
@@ -178,8 +177,8 @@ def evaluate_at(form: HomogeneousForm, point: Sequence[Scalar]) -> Scalar:
         v = c
         for coord, e in zip(coords, m):
             if e:
-                v = f.mul(v, pow(coord, e, p))
-        total = f.add(total, v)
+                v = f.reduce(v * pow(coord, e, p))
+        total = f.reduce(total + v)
     return total
 
 
@@ -192,8 +191,8 @@ def partial(form: HomogeneousForm, index: int) -> HomogeneousForm:
         e = m[index]
         if e == 0:
             continue
-        coeff = f.mul(c, f.from_int(e))
-        if f.is_zero(coeff):
+        coeff = f.reduce(c * e)
+        if coeff == 0:
             continue  # exponent divisible by the characteristic
         dm = tuple(v - 1 if i == index else v for i, v in enumerate(m))
         terms[dm] = coeff
@@ -279,10 +278,9 @@ def parse_form(text: str, field: Field = QQ) -> HomogeneousForm:
             degree = d
         elif d != degree:
             raise HomogeneityError(degree, d)
-        c = field.mul(field.from_int(sign), coeff)
         m = tuple(exps)
-        s = field.add(terms.get(m, field.zero), c)
-        if field.is_zero(s):
+        s = field.reduce(terms.get(m, 0) + sign * coeff)
+        if s == 0:
             terms.pop(m, None)
         else:
             terms[m] = s
@@ -323,7 +321,7 @@ def parse_form(text: str, field: Field = QQ) -> HomogeneousForm:
                     raise ParseError("zero denominator", den_pos)
                 coeff = field.parse(f"{num}/{den}")
             else:
-                coeff = field.from_int(num)
+                coeff = field.validate(num)
             saw_anything = True
 
         while True:

@@ -7,9 +7,10 @@ next.  Over Q it clears each row's denominators and takes the rank mod
 the fixed prime 2^61 - 1: that rank is a lower bound, and when it is
 min(rows, cols) it is the answer; otherwise fraction-free Bareiss
 elimination over Z decides.  :func:`nullspace_basis` runs Gauss-Jordan
-through the field interface over Q or F_p.  :func:`bit_rref` reduces
-generator matrices of binary codes, one int per row.  Everything is pure:
-operations never mutate their inputs.
+over Q or F_p with Python's operators, each result passed through the
+field's ``reduce``.  :func:`bit_rref` reduces generator matrices of binary
+codes, one int per row.  Everything is pure: operations never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class ExactMatrix:
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
+def _bit_size(a: Scalar) -> int:
+    return a.numerator.bit_length() + a.denominator.bit_length()
+
+
 def _eliminate(m: ExactMatrix) -> tuple[list[list], list[int]]:
     """Full Gauss-Jordan reduction; returns (reduced rows, pivot columns)."""
     f = m.field
@@ -68,23 +73,19 @@ def _eliminate(m: ExactMatrix) -> tuple[list[list], list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        # pick the candidate with the smallest pivot to limit coefficient growth
-        best = None
-        for i in range(r, nrows):
-            if not f.is_zero(rows[i][c]):
-                size = f.pivot_size(rows[i][c])
-                if best is None or size < best[0]:
-                    best = (size, i)
-        if best is None:
+        candidates = [i for i in range(r, nrows) if rows[i][c] != 0]
+        if not candidates:
             continue
-        i = best[1]
+        # the first pivot with the fewest numerator and denominator bits, to
+        # limit coefficient growth over Q (an int has denominator 1)
+        i = min(candidates, key=lambda i: _bit_size(rows[i][c]))
         rows[r], rows[i] = rows[i], rows[r]
         inv = f.inverse(rows[r][c])
-        rows[r] = [f.mul(inv, v) for v in rows[r]]
+        rows[r] = [f.reduce(inv * v) for v in rows[r]]
         for j in range(nrows):
-            if j != r and not f.is_zero(rows[j][c]):
-                factor = rows[j][c]
-                rows[j] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[j], rows[r])]
+            factor = rows[j][c]
+            if j != r and factor != 0:
+                rows[j] = [f.reduce(a - factor * b) for a, b in zip(rows[j], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -101,7 +102,7 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
         vec = [f.zero] * m.ncols
         vec[fc] = f.one
         for c, i in pivot_of_col.items():
-            vec[c] = f.neg(rows[i][fc])
+            vec[c] = f.reduce(-rows[i][fc])
         basis.append(tuple(vec))
     return basis
 

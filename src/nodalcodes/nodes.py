@@ -9,13 +9,12 @@ nodes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-from .errors import DataError, DomainError, ResourceError
+from .errors import DataError, DomainError, ResourceError, read_json
 from .fields import Field, PrimeField, QQ, Scalar
 from .forms import (
     HomogeneousForm,
@@ -42,9 +41,9 @@ def normalize_point(field: Field, coords: Sequence[Scalar]) -> Point:
         raise DataError(f"expected 4 coordinates, got {len(coords)}")
     vals = [field.validate(c) for c in coords]
     for v in vals:
-        if not field.is_zero(v):
+        if v != 0:
             inv = field.inverse(v)
-            return tuple(field.mul(inv, c) for c in vals)
+            return tuple(field.reduce(inv * c) for c in vals)
     raise DataError("(0:0:0:0) is not a projective point")
 
 
@@ -87,10 +86,10 @@ def verify_node(f: HomogeneousForm, point: Sequence[Scalar]) -> bool:
     """True iff the point is an ordinary double point of {f = 0}:
     f and all four partials vanish there and the Hessian has rank exactly 3."""
     pt = normalize_point(f.field, point)
-    if not f.field.is_zero(evaluate_at(f, pt)):
+    if evaluate_at(f, pt) != 0:
         return False
     for g in gradient(f):
-        if not f.field.is_zero(evaluate_at(g, pt)):
+        if evaluate_at(g, pt) != 0:
             return False
     return hessian_rank_at(f, pt) == 3
 
@@ -261,7 +260,7 @@ def config_to_dict(cfg: NodeConfiguration) -> dict:
     out = {
         "degree": cfg.degree,
         "field": _field_to_json(f),
-        "nodes": [[f.to_str(c) for c in pt] for pt in cfg.points],
+        "nodes": [[str(c) for c in pt] for pt in cfg.points],
     }
     if cfg.surface is not None:
         out["surface"] = str(cfg.surface)
@@ -269,11 +268,4 @@ def config_to_dict(cfg: NodeConfiguration) -> dict:
 
 
 def load_node_file(path: str) -> NodeConfiguration:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read node file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"node file is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, "node file"))

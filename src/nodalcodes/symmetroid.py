@@ -23,13 +23,12 @@ comparison experiments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from .errors import DataError, DomainError, ResourceError
+from .errors import DataError, DomainError, ResourceError, read_json
 from .fields import PrimeField, is_prime
 from .forms import HomogeneousForm, parse_form
 from .linalg import ExactMatrix, exact_rank, nullspace_basis
@@ -138,14 +137,7 @@ def matrix_from_dict(data: dict) -> SymmetricLinearMatrix:
 
 
 def load_matrix_file(path: str) -> SymmetricLinearMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read matrix file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"matrix file is not valid JSON: {exc}") from exc
-    return matrix_from_dict(data)
+    return matrix_from_dict(read_json(path, "matrix file"))
 
 
 @dataclass(frozen=True)

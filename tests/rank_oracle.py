@@ -1,9 +1,10 @@
 """Reference paths of the rank pipeline, kept for tests only.
 
 The library packs each row mod p into one int, runs Bareiss over Z, and
-builds evaluation matrices on plain ints.  Gauss-Jordan through the field
-interface, the elimination on lists of residues and the builder below are
-the slow paths the tests check the fast ones against.
+builds evaluation matrices from powers of integer coordinates.
+Gauss-Jordan, the elimination on lists of residues and the builder below,
+one product at a time, are the slow paths the tests check the fast ones
+against.
 """
 
 from __future__ import annotations
@@ -45,17 +46,21 @@ def row_list_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def field_evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
-    """Degree-d monomials at the nodes, every product through the field."""
-    f = cfg.field
+    """Degree-d monomials at the nodes, one product at a time, mod p over F_p."""
+    p = cfg.field.characteristic
+
+    def mul(a, b):
+        return a * b % p if p else a * b
+
     basis = monomial_basis(d)
     rows = []
     for pt in cfg.points:
         powers = []
         for coord in pt:
-            table = [f.one]
+            table = [cfg.field.one]
             for _ in range(d):
-                table.append(f.mul(table[-1], coord))
+                table.append(mul(table[-1], coord))
             powers.append(table)
         px, py, pz, pw = powers
-        rows.append([f.mul(f.mul(px[i], py[j]), f.mul(pz[k], pw[l])) for i, j, k, l in basis])
-    return ExactMatrix.from_rows(f, rows)
+        rows.append([mul(mul(px[i], py[j]), mul(pz[k], pw[l])) for i, j, k, l in basis])
+    return ExactMatrix.from_rows(cfg.field, rows)

@@ -192,6 +192,16 @@ def test_code_info_and_isomorphic(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("action", ["info", "canonical"])
+def test_code_single_file_actions_reject_extra_files(tmp_path, capsys, action):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"mu": 6, "generators": [{"parity": "weak", "support": [0, 1, 2, 3, 4, 5]}]}))
+    for extra in (str(path), str(tmp_path / "nonexistent.json")):
+        code, out, err = run(capsys, "code", action, str(path), extra)
+        assert code == 2 and out == ""
+        assert err == f"error: code {action} needs exactly one code file\n"
+
+
 def _quadratic_residue_code(tmp_path):
     # the 23 cyclic shifts of {0} and the squares mod 23, all strict; every
     # shift has weight 12, so the overall parity node 23 stays empty
@@ -282,6 +292,17 @@ def test_malformed_files_exit_2(tmp_path, capsys, argv, payload):
     assert code == 2 and "Traceback" not in err and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["defect", "--nodes"], ["code", "info"], ["symmetroid-scan", "--matrix"]],
+                         ids=["node", "code", "matrix"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested"])
+def test_undecodable_files_exit_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_hilbert_check(capsys):
     code, out, _ = run(capsys, "hilbert-check", "--json")
     assert code == 0
@@ -324,10 +345,15 @@ def test_hilbert_check_order_above_cap_exits_2(capsys):
 
 
 def test_hilbert_check_short_order_still_checks_five_terms(capsys):
-    code, out, _ = run(capsys, "hilbert-check", "--order", "-3", "--json")
+    code, out, _ = run(capsys, "hilbert-check", "--order", "0", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["match"] is True
     assert payload["coefficients"] == [0, 0, 0, 10, 25, 46]
+
+
+def test_hilbert_check_negative_order_exits_2(capsys):
+    code, out, err = run(capsys, "hilbert-check", "--order", "-3", "--json")
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 # --- fuzzing: random subcommands, flags and small input files ----------------

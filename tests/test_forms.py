@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalcodes.errors import HomogeneityError, ParseError, ResourceError
+from nodalcodes.errors import DataError, HomogeneityError, ParseError, ResourceError
 from nodalcodes.fields import PrimeField, QQ
 from nodalcodes.forms import (
     DEGREE_CAP,
@@ -113,17 +113,23 @@ def _random_form(rng, degree, nterms=5, field=QQ):
 
 
 def _evaluate_by_repeated_multiplication(form, point):
-    """One field multiplication per unit of exponent, no ``pow``."""
-    f = form.field
-    coords = [f.validate(c) for c in point]
-    total = f.zero
+    """One multiplication per unit of exponent, no ``pow``; mod p over F_p."""
+    p = form.field.characteristic
+    coords = [form.field.validate(c) for c in point]
+    total = 0
     for m, c in form.terms.items():
         v = c
         for coord, e in zip(coords, m):
             for _ in range(e):
-                v = f.mul(v, coord)
-        total = f.add(total, v)
-    return total
+                v = v * coord % p if p else v * coord
+        total += v
+    return total % p if p else total
+
+
+@pytest.mark.parametrize("field, zero", [(QQ, Fraction(0)), (PrimeField(7), 0), (PrimeField(7), 7)])
+def test_stored_zero_coefficient_rejected(field, zero):
+    with pytest.raises(DataError):
+        HomogeneousForm(1, field, {(1, 0, 0, 0): zero})
 
 
 class TestEvaluate:
@@ -160,8 +166,6 @@ class TestEvaluate:
                 assert evaluate_at(f, pt) == _evaluate_by_repeated_multiplication(f, pt)
 
     def test_wrong_coordinate_count(self):
-        from nodalcodes.errors import DataError
-
         with pytest.raises(DataError):
             evaluate_at(parse_form("x^2"), (1, 2, 3))
 

@@ -197,7 +197,7 @@ def _matrices_with_repeats(draw, field):
             rows.append([field.zero] * ncols)
         elif kind == "repeat" and rows:
             scale = draw(entry)
-            rows.append([field.mul(scale, a) for a in draw(st.sampled_from(rows))])
+            rows.append([scale * a for a in draw(st.sampled_from(rows))])
         else:
             rows.append([draw(st.one_of(st.just(field.zero), entry)) for _ in range(ncols)])
     return ExactMatrix.from_rows(field, rows)
@@ -221,6 +221,33 @@ def test_modular_rank_never_exceeds_rational(m, p):
     # the lower bound the certified rank over Q relies on; at p = 3, 5, 7
     # the rank mod p often drops below the rank over Z
     assert _modular_rank(m, p) <= _bareiss(_integer_rows(m.entries))[0]
+
+
+@st.composite
+def _matrices_with_zero_columns(draw, field):
+    """:func:`_matrices_with_repeats` with some columns set to zero."""
+    m = draw(_matrices_with_repeats(field))
+    zero_cols = draw(st.sets(st.integers(0, 6)))
+    return ExactMatrix.from_rows(
+        field, [[field.zero if j in zero_cols else a for j, a in enumerate(row)] for row in m.entries]
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from((QQ, PrimeField(3), PrimeField(7), PrimeField(10007)))
+       .flatmap(_matrices_with_zero_columns))
+def test_nullspace_basis_spans_the_kernel(m):
+    p = m.field.characteristic
+    basis = nullspace_basis(m)
+    assert len(basis) == m.ncols - exact_rank(m)
+    for vec in basis:
+        assert len(vec) == m.ncols
+        if p:
+            assert all(0 <= a < p for a in vec)
+        for row in m.entries:
+            dot = sum(a * v for a, v in zip(row, vec))
+            assert (dot % p if p else dot) == 0
+    assert exact_rank(ExactMatrix.from_rows(m.field, basis)) == len(basis)
 
 
 def test_exact_rank_empty_shapes():

@@ -172,22 +172,22 @@ def test_evaluation_matrix_matches_the_field_interface_builder(case):
     assert all(type(a) is scalar for row in m.entries for a in row)
 
 
-def _quadric_grid(field, d, rng):
+def _quadric_grid(d, rng):
     """(d+2)^2 points (su : sv : tu : tv) on xw = yz, a grid in P^1 x P^1.
 
     Degree-d forms restrict onto the bidegree-(d,d) forms, which a grid with
     at least d+1 values per factor separates, so the rank is (d+1)^2."""
     ss = rng.sample(range(-6, 7), d + 2)
     us = rng.sample(range(-6, 7), d + 2)
-    return [tuple(field.from_int(c) for c in (s * u, s, u, 1)) for s in ss for u in us]
+    return [(s * u, s, u, 1) for s in ss for u in us]
 
 
-def _twisted_cubic(field, n, rng):
+def _twisted_cubic(n, rng):
     """n points (s^3 : s^2 t : s t^2 : t^3) of the twisted cubic.
 
     Degree-d forms restrict onto binary forms of degree 3d, which n >= 3d+1
     distinct points separate, so the rank is 3d+1."""
-    return [tuple(field.from_int(c) for c in (s**3, s**2, s, 1)) for s in rng.sample(range(-40, 41), n)]
+    return [(s**3, s**2, s, 1) for s in rng.sample(range(-40, 41), n)]
 
 
 class TestDeficientRanks:
@@ -197,7 +197,7 @@ class TestDeficientRanks:
     @pytest.mark.parametrize("degree", [6, 8])
     def test_quadric_grid(self, degree, field):
         d = 3 * degree // 2 - 4
-        cfg = NodeConfiguration(degree, field, tuple(_quadric_grid(field, d, random.Random(degree))))
+        cfg = NodeConfiguration(degree, field, tuple(_quadric_grid(d, random.Random(degree))))
         report = defect_from_nodes(cfg)
         assert report.dim_m == comb(d + 3, 3) - (d + 1) ** 2
         assert report.defect == cfg.mu - (d + 1) ** 2
@@ -206,7 +206,7 @@ class TestDeficientRanks:
     @pytest.mark.parametrize("degree", [6, 8])
     def test_twisted_cubic(self, degree, field):
         d = 3 * degree // 2 - 4
-        pts = _twisted_cubic(field, 3 * d + 5, random.Random(degree))
+        pts = _twisted_cubic(3 * d + 5, random.Random(degree))
         cfg = NodeConfiguration(degree, field, tuple(pts))
         report = defect_from_nodes(cfg)
         assert report.dim_m == comb(d + 3, 3) - (3 * d + 1)
