@@ -21,18 +21,29 @@ from .errors import DataError, DomainError
 Scalar = Union[Fraction, int]
 
 
+# the prime bases of the Miller-Rabin test, and psi_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact below psi_13 = 3317044064679887385961981.
+
+    Larger n raise :class:`DomainError` rather than guess.
+    """
+    if n >= _PSI_13:
+        raise DomainError(f"primality is decided only below {_PSI_13}")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

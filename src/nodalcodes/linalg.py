@@ -4,9 +4,11 @@
 echelon elimination on rows packed into one int each, in slots wide
 enough that the unreduced updates never carry from one column into the
 next.  Over Q it clears each row's denominators and takes the rank mod
-the fixed prime 2^61 - 1: that rank is a lower bound, and when it is
-min(rows, cols) it is the answer; otherwise fraction-free Bareiss
-elimination over Z decides.  :func:`nullspace_basis` runs Gauss-Jordan
+the prime 2^61 - 1: that rank is a lower bound, and when it is
+min(rows, cols) it is the answer.  Otherwise the kernel vectors found mod
+the prime are lifted to Q by rational reconstruction and checked exactly
+over Z, which proves the matching upper bound; when the lift or the check
+fails, more primes are combined by CRT.  :func:`nullspace_basis` runs Gauss-Jordan
 over Q or F_p with Python's operators, each result passed through the
 field's ``reduce``.  :func:`bit_rref` reduces generator matrices of binary
 codes, one int per row.  Everything is pure: operations never mutate their
@@ -17,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from math import isqrt, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
-from .fields import Field, PrimeField, Scalar
+from .fields import Field, PrimeField, Scalar, is_prime
 
-# the one prime of the certified rank over Q (a Mersenne prime)
+# the first prime of the certified rank over Q (a Mersenne prime)
 _Q_PRIME = 2**61 - 1
 
 
@@ -115,13 +117,16 @@ def _pack(values, w: int) -> int:
     return u
 
 
-def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of rows of residues in [0, p) by echelon elimination mod p.
+def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
+    """Echelon form mod p of rows of residues in [0, p), one pair per pivot.
 
-    Each row is packed into one Python int, column j in the w-bit slot at
-    bit j*w, and the current column is always the lowest slot.  The pivot
-    row is unpacked once and normalised by -1/lead mod p, so every other
-    row with lead f is updated by the single big-int step
+    Each pair is the pivot's column c and ``vals``, the pivot row's entries
+    right of c scaled by -1/lead mod p, so every kernel vector x has
+    ``x[c] = sum(vals[t] * x[c + 1 + t])``; the rank mod p is the number
+    of pivots.  Each row is packed into one Python int, column j in the
+    w-bit slot at bit j*w, and the current column is always the lowest
+    slot.  The pivot row is unpacked once into ``vals``, so every other row
+    with lead f is updated by the single big-int step
     ``(u >> w) + f * prow``.  Slots are never reduced: one starts below p
     and gains at most (p-1)^2 per pivot, so with
     ``w = (p + min(m, n)*(p-1)^2).bit_length()`` no slot carries into the
@@ -129,12 +134,12 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """
     ncols = len(rows[0]) if rows else 0
     if not ncols:
-        return 0
+        return []
     w = (p + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
     mask = (1 << w) - 1
     packed = [_pack(row, w) for row in rows]
-    rank = 0
-    for cols in range(ncols, 0, -1):
+    pivots = []
+    for c in range(ncols):
         leads = [(u & mask) % p for u in packed]
         i = next((i for i, f in enumerate(leads) if f), None)
         if i is None:
@@ -142,36 +147,125 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
             continue
         scale = p - pow(leads.pop(i), -1, p)
         tail = packed.pop(i) >> w
-        prow = _pack([((tail >> s) & mask) * scale % p for s in range(0, (cols - 1) * w, w)], w)
-        packed = [(u >> w) + f * prow if f else u >> w for u, f in zip(packed, leads)]
-        rank += 1
+        vals = [((tail >> s) & mask) * scale % p for s in range(0, (ncols - c - 1) * w, w)]
+        pivots.append((c, vals))
         if not packed:
             break
-    return rank
+        prow = _pack(vals, w)
+        packed = [(u >> w) + f * prow if f else u >> w for u, f in zip(packed, leads)]
+    return pivots
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Fraction-free elimination over Z (Bareiss, Math. Comp. 22, 1968).
+def _kernel_images(pivots: list[tuple[int, list[int]]], ncols: int, p: int) -> list[list[int]]:
+    """The kernel basis mod p with the identity pattern on the free columns.
 
-    Returns the rank and the last pivot.  After k pivots every remaining
-    entry is the (k+1) x (k+1) minor on the pivot rows and columns plus its
-    own row and column, so the division by the previous pivot is exact and
-    the last pivot is, up to sign, the determinant of the pivot minor.
-    Columns with no nonzero entry left are skipped.
+    Row k holds the entry at the k-th pivot column of each free column's
+    kernel vector, free columns in order.  Back-substitution runs from the
+    last pivot up on ints packed as in :func:`_echelon_mod_p`, one slot per
+    free column: a free column is the unit of its own slot, and a pivot
+    column the sum of its ``vals`` times the later columns.  A slot gains
+    less than p from its own free column and (p-1)^2 per later pivot, and
+    is reduced mod p as soon as its pivot is done.
     """
-    rows = list(rows)
-    rank, prev = 0, 1
-    while rows and rows[0]:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
-        if i is None:
-            rows = [row[1:] for row in rows]
+    pivot_cols = {c for c, _ in pivots}
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    w = (p + len(pivots) * (p - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    packed = {c: 1 << (i * w) for i, c in enumerate(free)}
+    images = []
+    for c, vals in reversed(pivots):
+        acc = sum(f * packed[j] for j, f in enumerate(vals, c + 1) if f)
+        image = [((acc >> s) & mask) % p for s in range(0, len(free) * w, w)]
+        packed[c] = _pack(image, w)
+        images.append(image)
+    images.reverse()
+    return images
+
+
+def _lift(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b*u mod ``modulus``, |a| <= bound and 0 < b <= bound.
+
+    Rational reconstruction by half-extended Euclid (Wang 1981): for an odd
+    modulus and ``bound = isqrt(modulus // 2)`` at most one such a/b
+    exists, and this finds it; None when the cofactor exceeds the bound.
+    """
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _kernel_certificate(rows: list[list[int]], pivot_cols: list[int],
+                        residues: list[list[int]], modulus: int) -> bool:
+    """Lift the kernel basis to Q and check exactly that it annihilates ``rows``.
+
+    Each free column's vector is lifted entry by entry, its denominators are
+    cleared, and every integer row must give a zero dot product with it over
+    Z; only the vector's nonzeros enter.  The vectors have the identity
+    pattern on the free columns, so passing proves rank <= len(pivot_cols).
+    """
+    bound = isqrt(modulus // 2)
+    pivot_set = set(pivot_cols)
+    free = [c for c in range(len(rows[0])) if c not in pivot_set]
+    for i, fc in enumerate(free):
+        lifted = []
+        for c, image in zip(pivot_cols, residues):
+            ab = _lift(image[i], modulus, bound)
+            if ab is None:
+                return False
+            if ab[0]:
+                lifted.append((c, *ab))
+        scale = lcm(*(b for _, _, b in lifted))
+        vec = [(fc, scale)] + [(c, a * (scale // b)) for c, a, b in lifted]
+        if any(sum(row[c] * v for c, v in vec) for row in rows):
+            return False
+    return True
+
+
+def _q_primes() -> Iterator[int]:
+    """:data:`_Q_PRIME`, then the primes below it in descending order."""
+    n = _Q_PRIME
+    while True:
+        if is_prime(n):
+            yield n
+        n -= 2
+
+
+def _rational_rank(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Rank over Q of integer rows, and the number of primes it took.
+
+    A minor that is nonzero mod a prime is nonzero over Z, so every rank mod
+    a prime is a lower bound; at min(rows, cols) it is the rank.  Below
+    that, a kernel certificate proves the matching upper bound.  The best
+    echelon so far (highest rank, then smallest pivot columns; a prime can
+    only lower the rank or push pivots right) supplies the kernel residues,
+    and each prime with that echelon extends them by CRT.  Only finitely
+    many primes are unlucky, and once the modulus exceeds 2*H^2, with H the
+    Hadamard bound on the r x r minors, every kernel entry (a ratio of such
+    minors by Cramer's rule) lifts exactly; so the loop ends.
+    """
+    full = min(len(rows), ncols)
+    best = None
+    for used, p in enumerate(_q_primes(), 1):
+        pivots = _echelon_mod_p([[a % p for a in row] for row in rows], p)
+        if len(pivots) == full:
+            return full, used
+        key = (-len(pivots), [c for c, _ in pivots])
+        if best is not None and key > best:
             continue
-        pivot, *tail = rows.pop(i)
-        for j, row in enumerate(rows):
-            f = row[0]
-            rows[j] = [(pivot * a - f * b) // prev for a, b in zip(row[1:], tail)]
-        rank, prev = rank + 1, pivot
-    return rank, prev
+        images = _kernel_images(pivots, ncols, p)
+        if key == best:
+            k = pow(modulus, -1, p)
+            residues = [[x + modulus * ((y - x) * k % p) for x, y in zip(xs, ys)]
+                        for xs, ys in zip(residues, images)]
+            modulus *= p
+        else:
+            best, residues, modulus = key, images, p
+        if _kernel_certificate(rows, best[1], residues, modulus):
+            return len(best[1]), used
 
 
 def _integer_rows(entries: Iterable[Sequence[Fraction]]) -> list[list[int]]:
@@ -187,20 +281,15 @@ def exact_rank(m: ExactMatrix) -> int:
     """Exact rank on plain integers.
 
     Over F_p: packed-row elimination mod p.  Over Q: clear each row's
-    denominators, then take the rank of the integer rows mod
-    :data:`_Q_PRIME`.  A minor that is nonzero mod a prime is nonzero over
-    Z, so that rank is a lower bound for the rational one, and no
-    denominator can vanish mod the prime because none is left.  When it
-    reaches min(rows, cols) it is the rank; otherwise fraction-free
-    Bareiss elimination over Z decides it.
+    denominators, so none can vanish mod a prime, and take the rank of the
+    integer rows mod :data:`_Q_PRIME`.  When that lower bound reaches
+    min(rows, cols) it is the rank; otherwise lifted kernel vectors, checked
+    exactly over Z, certify it from above, with more primes when one is not
+    enough.
     """
     if isinstance(m.field, PrimeField):
-        return _rank_mod_p(m.entries, m.field.p)
-    rows = _integer_rows(m.entries)
-    rank = _rank_mod_p([[a % _Q_PRIME for a in row] for row in rows], _Q_PRIME)
-    if rank == min(m.nrows, m.ncols):
-        return rank
-    return _bareiss(rows)[0]
+        return len(_echelon_mod_p(m.entries, m.field.p))
+    return _rational_rank(_integer_rows(m.entries), m.ncols)[0]
 
 
 def bit_rref(rows: Iterable[int]) -> list[int]:

@@ -316,10 +316,10 @@ def no_quadric_certificate(points, p: int) -> QuadricCertificate:
 
 
 def _seeded_rng(p: int, seed: int) -> np.random.Generator:
-    if not is_prime(p) or p == 2 or seed < 0:
-        raise DomainError(f"need an odd prime and a non-negative seed, got p = {p}, seed {seed}")
     if p > _PRIME_CAP:
         raise ResourceError(f"the scan caps the prime at {_PRIME_CAP}, got {p}")
+    if not is_prime(p) or p == 2 or seed < 0:
+        raise DomainError(f"need an odd prime and a non-negative seed, got p = {p}, seed {seed}")
     return np.random.default_rng(seed)
 
 
@@ -345,10 +345,10 @@ def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
     quadrics splitting into two planes of three points each, one for each
     of the ten 3+3 partitions, so the scan finds them all.
     """
-    field = PrimeField(p)
     rng = _seeded_rng(p, seed)
     if p == 3:
         raise DomainError("P^3(F_3) has no six points with no four coplanar (at most five)")
+    field = PrimeField(p)
     while True:
         pts = [tuple(int(c) for c in rng.integers(0, p, size=4)) for _ in range(6)]
         if any(all(c % p == 0 for c in pt) for pt in pts):

@@ -1,9 +1,10 @@
 """Reference paths of the rank pipeline, kept for tests only.
 
-The library packs each row mod p into one int, runs Bareiss over Z, and
-builds evaluation matrices from powers of integer coordinates.
-Gauss-Jordan, the elimination on lists of residues and the builder below,
-one product at a time, are the slow paths the tests check the fast ones
+The library packs each row mod p into one int, certifies ranks over Q
+with lifted kernel vectors, and builds evaluation matrices from powers of
+integer coordinates.  Gauss-Jordan, fraction-free Bareiss elimination
+over Z, the elimination on lists of residues and the builder below, one
+product at a time, are the slow paths the tests check the fast ones
 against.
 """
 
@@ -19,6 +20,30 @@ def rank_and_rref(m: ExactMatrix) -> tuple[int, ExactMatrix]:
     """Rank and the unique reduced row echelon form of ``m``, by Gauss-Jordan."""
     rows, pivots = _eliminate(m)
     return len(pivots), ExactMatrix(m.field, tuple(tuple(r) for r in rows))
+
+
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free elimination over Z (Bareiss, Math. Comp. 22, 1968).
+
+    Returns the rank and the last pivot.  After k pivots every remaining
+    entry is the (k+1) x (k+1) minor on the pivot rows and columns plus its
+    own row and column, so the division by the previous pivot is exact and
+    the last pivot is, up to sign, the determinant of the pivot minor.
+    Columns with no nonzero entry left are skipped.
+    """
+    rows = list(rows)
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot, *tail = rows.pop(i)
+        for j, row in enumerate(rows):
+            f = row[0]
+            rows[j] = [(pivot * a - f * b) // prev for a, b in zip(row[1:], tail)]
+        rank, prev = rank + 1, pivot
+    return rank, prev
 
 
 def row_list_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

@@ -320,6 +320,26 @@ def test_json_output_is_byte_deterministic(capsys):
     assert out3 == out4
 
 
+@pytest.mark.parametrize("prime", [
+    318665857834031151167461,  # 399165290221 * 798330580441, strong pseudoprime to bases 2..37
+    3317044064679887385961981,  # psi_13: strong pseudoprime to bases 2..41
+    2**127 - 1,  # prime, but past the range the primality test decides
+], ids=["pseudoprime-37", "psi-13", "mersenne-127"])
+def test_defect_refuses_an_undecided_prime_field(tmp_path, capsys, prime):
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"degree": 4, "field": {"prime": prime}, "nodes": [["1", "2", "3", "4"]]}))
+    code, out, err = run(capsys, "defect", "--nodes", str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_defect_accepts_a_prime_above_two_to_the_64(tmp_path, capsys):
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"degree": 4, "field": {"prime": 2**64 + 13},
+                                "nodes": [["1", "2", "3", "4"], ["0", "1", "2", "3"]]}))
+    code, out, _ = run(capsys, "defect", "--nodes", str(path), "--json")
+    assert code == 0 and json.loads(out)["dim_vanishing_space"] == 8
+
+
 def test_node_file_json_round_trip(tmp_path, capsys):
     payload = {
         "degree": 4,

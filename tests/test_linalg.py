@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +15,21 @@ from nodalcodes.errors import DataError
 from nodalcodes.fields import PrimeField, QQ, is_prime
 from nodalcodes.linalg import (
     ExactMatrix,
-    _bareiss,
+    _echelon_mod_p,
     _integer_rows,
-    _rank_mod_p,
+    _lift,
+    _rational_rank,
     bit_rref,
     exact_rank,
     nullspace_basis,
 )
-from nodalcodes.nodes import NodeConfiguration, evaluation_matrix, normalize_point
-from rank_oracle import rank_and_rref, row_list_rank_mod_p
+from nodalcodes.nodes import (
+    NodeConfiguration,
+    evaluation_matrix,
+    normalize_point,
+    vanishing_dimension,
+)
+from rank_oracle import bareiss, rank_and_rref, row_list_rank_mod_p
 
 
 def _identity(field, n):
@@ -36,7 +43,7 @@ def _zero(field, nrows, ncols):
 
 def _modular_rank(m, p):
     """Rank mod p of the integer rows that :func:`exact_rank` takes over Q."""
-    return _rank_mod_p([[a % p for a in row] for row in _integer_rows(m.entries)], p)
+    return len(_echelon_mod_p([[a % p for a in row] for row in _integer_rows(m.entries)], p))
 
 
 def _minor_rank_oracle(rows, size):
@@ -176,8 +183,8 @@ def test_rref_idempotent(m):
     assert rref2 == rref
 
 
-# primes from 3 to 2^127 - 1, so products of residues exceed 64 bits
-_PRIMES = (3, 5, 7, 101, 65537, 1073741827, 2**61 - 1, 2**127 - 1)
+# primes from 3 to 2^64 + 13, so products of residues exceed 64 bits
+_PRIMES = (3, 5, 7, 101, 65537, 1073741827, 2**61 - 1, 2**64 + 13)
 
 
 @st.composite
@@ -220,7 +227,7 @@ def test_exact_rank_matches_gauss_jordan_over_fp(m):
 def test_modular_rank_never_exceeds_rational(m, p):
     # the lower bound the certified rank over Q relies on; at p = 3, 5, 7
     # the rank mod p often drops below the rank over Z
-    assert _modular_rank(m, p) <= _bareiss(_integer_rows(m.entries))[0]
+    assert _modular_rank(m, p) <= bareiss(_integer_rows(m.entries))[0]
 
 
 @st.composite
@@ -273,8 +280,8 @@ def test_exact_rank_skips_pivotless_columns():
 
 
 def test_exact_rank_prime_above_two_to_the_64():
-    p = 2**127 - 1
-    assert is_prime(p) and p > 2**64
+    p = 2**64 + 13
+    assert is_prime(p)
     rng = random.Random(3)
     base = [[rng.randrange(p) for _ in range(7)] for _ in range(4)]
     # two rows are combinations of the others with coefficients near p
@@ -284,6 +291,8 @@ def test_exact_rank_prime_above_two_to_the_64():
     assert exact_rank(m) == rank_and_rref(m)[0] == 4
 
 
+# 2^127 - 1 is past the primality test's range, but the elimination takes
+# any modulus; it keeps slots of over 250 bits in the test
 _PACKED_PRIMES = (3, 5, 10007, 2**61 - 1, 2**127 - 1)
 
 
@@ -311,14 +320,14 @@ def _residue_rows(draw):
 @given(_residue_rows())
 def test_packed_rank_mod_p_matches_row_list_elimination(case):
     p, rows = case
-    assert _rank_mod_p(rows, p) == row_list_rank_mod_p(rows, p)
+    assert len(_echelon_mod_p(rows, p)) == row_list_rank_mod_p(rows, p)
 
 
 @pytest.mark.parametrize("p", [3, 2**61 - 1])
 def test_packed_rank_mod_p_worst_case_slot_growth(p):
     n = 40
     # every entry p - 1: rank 1
-    assert _rank_mod_p([[p - 1] * n for _ in range(n)], p) == 1
+    assert len(_echelon_mod_p([[p - 1] * n for _ in range(n)], p)) == 1
     # a staircase of pivot rows (p-1 on the diagonal and in the last column)
     # and a last row of p - 1: each of the 39 pivots adds (p-1)^2 to the
     # last row's last slot, the most any slot can gain.  Its start value
@@ -327,7 +336,7 @@ def test_packed_rank_mod_p_worst_case_slot_growth(p):
     rows = [[p - 1 if c in (r, n - 1) else 0 for c in range(n)] for r in range(n - 1)]
     rows.append([p - 1] * (n - 1) + [-(n - 1) % p])
     assert row_list_rank_mod_p(rows, p) == n - 1
-    assert _rank_mod_p(rows, p) == n - 1
+    assert len(_echelon_mod_p(rows, p)) == n - 1
 
 
 def _distinct_points(field, draw, n):
@@ -340,21 +349,17 @@ def _distinct_points(field, draw, n):
     return tuple(points.values())
 
 
-def test_full_rank_q_matrix_is_decided_by_one_prime(monkeypatch):
+def test_full_rank_q_matrix_is_decided_by_one_prime():
     # 168 random integer points and the 165 degree-8 monomials: the rank mod
-    # 2^61 - 1 reaches min(m, n), so Bareiss never runs
+    # 2^61 - 1 reaches min(m, n), so no kernel certificate is needed
     rng = random.Random(168)
     points = _distinct_points(QQ, lambda: tuple(rng.randint(-9, 9) for _ in range(4)), 168)
     m = evaluation_matrix(NodeConfiguration(8, QQ, points), 8)
-
-    def no_bareiss(rows):
-        raise AssertionError("the certified rank should not fall through to Bareiss")
-
-    monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
     start = time.perf_counter()
     assert exact_rank(m) == 165
     # Bareiss alone took over 10 s on matrices like this one
     assert time.perf_counter() - start < 3
+    assert _rational_rank(_integer_rows(m.entries), m.ncols) == (165, 1)
 
 
 @pytest.mark.parametrize("rows", [
@@ -362,20 +367,173 @@ def test_full_rank_q_matrix_is_decided_by_one_prime(monkeypatch):
     # integer rows (1, 2) and (1, 2 + 2P): the only 2x2 minor is 2P
     [[Fraction(1, 2), 1], [1, 2 + 2 * linalg._Q_PRIME]],
 ], ids=["P-diagonal", "minor-2P"])
-def test_rank_mod_the_q_prime_falls_through_to_bareiss(monkeypatch, rows):
-    calls = []
-    bareiss = linalg._bareiss
-
-    def counting_bareiss(int_rows):
-        calls.append(int_rows)
-        return bareiss(int_rows)
-
-    monkeypatch.setattr(linalg, "_bareiss", counting_bareiss)
+def test_rank_mod_the_q_prime_takes_a_second_prime(rows):
+    # the rank drops mod 2^61 - 1, the kernel vector found there fails the
+    # exact check, and the next prime sees the full rank
     m = ExactMatrix.from_rows(QQ, rows)
-    p_rows = [[a % linalg._Q_PRIME for a in row] for row in linalg._integer_rows(m.entries)]
-    assert _rank_mod_p(p_rows, linalg._Q_PRIME) == 1
-    assert exact_rank(m) == rank_and_rref(m)[0] == 2
-    assert len(calls) == 1
+    int_rows = _integer_rows(m.entries)
+    assert _modular_rank(m, linalg._Q_PRIME) == 1
+    assert _rational_rank(int_rows, 2) == (2, 2)
+    assert exact_rank(m) == rank_and_rref(m)[0] == bareiss(int_rows)[0] == 2
+
+
+def test_q_primes_descend_from_the_mersenne_prime():
+    primes = list(itertools.islice(linalg._q_primes(), 4))
+    assert primes[0] == 2**61 - 1
+    assert primes == sorted(primes, reverse=True)
+    # every odd number strictly between two listed primes is composite
+    for hi, lo in zip(primes, primes[1:]):
+        assert not any(is_prime(n) for n in range(lo + 2, hi, 2))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 2**61).flatmap(lambda k: st.tuples(
+    st.just(2 * k + 1), st.integers(-isqrt(k), isqrt(k)), st.integers(1, isqrt(k)))))
+def test_lift_recovers_small_fractions(case):
+    # an odd modulus M has 2 * isqrt(M // 2)^2 < M, so a/b is the only answer
+    modulus, a, b = case
+    bound = isqrt(modulus // 2)
+    if gcd(a, b) != 1 or gcd(b, modulus) != 1:
+        return
+    assert _lift(a * pow(b, -1, modulus) % modulus, modulus, bound) == (a, b)
+
+
+def _q_rank_oracles(rows):
+    """Ranks of integer rows by Bareiss and by Gauss-Jordan over Q; they must agree."""
+    by_bareiss = bareiss(rows)[0]
+    assert rank_and_rref(ExactMatrix.from_rows(QQ, rows))[0] == by_bareiss
+    return by_bareiss
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _int_matrix(shape, entries):
+    return st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0], max_size=shape[0])
+
+
+def _unitriangular(n, draw, lower):
+    """A random n x n integer matrix with ones on the diagonal: unimodular."""
+    return [[1 if i == j else (draw(st.integers(-5, 5)) if (i > j) == lower else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda shape: _int_matrix(shape, st.integers(-50, 50))))
+def test_rational_rank_of_full_rank_integer_matrices(rows):
+    ncols = len(rows[0])
+    rank, used = _rational_rank(rows, ncols)
+    assert rank == _q_rank_oracles(rows)
+    # every minor is below 2^61 - 1 in absolute value (Hadamard: 7^3.5 * 50^7),
+    # so a nonzero one stays nonzero mod that prime
+    if rank == min(len(rows), ncols):
+        assert used == 1
+
+
+@st.composite
+def _deficient_products(draw):
+    """A (m x k) times B (k x n) with 1 <= k < min(m, n): rank at most k."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    k = draw(st.integers(1, min(m, n) - 1))
+    entries = st.integers(-9, 9)
+    return _product(draw(_int_matrix((m, k), entries)), draw(_int_matrix((k, n), entries))), k
+
+
+@settings(deadline=None, max_examples=60)
+@given(_deficient_products())
+def test_rational_rank_of_deficient_products(case):
+    rows, k = case
+    rank, _ = _rational_rank(rows, len(rows[0]))
+    assert rank == _q_rank_oracles(rows) <= k
+
+
+@st.composite
+def _huge_kernel_entries(draw):
+    """A (I | C) stacked with combinations of its rows, A unimodular.
+
+    The kernel basis with the identity on the free columns is (-C e_i, e_i),
+    and C has an entry above 2^31, past what one prime's lift can reach.
+    """
+    r, s, extra = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    c = draw(_int_matrix((r, s), st.integers(-9, 9)))
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, s - 1))
+    c[i][j] = draw(st.sampled_from((1, -1))) * draw(st.integers(2**31 + 1, 2**40))
+    a = _product(_unitriangular(r, draw, True), _unitriangular(r, draw, False))
+    top = _product(a, [[int(i == j) for j in range(r)] + c[i] for i in range(r)])
+    return top + _product(draw(_int_matrix((extra, r), st.integers(-3, 3))), top)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_huge_kernel_entries())
+def test_rational_rank_with_a_huge_kernel_entry_takes_two_primes(rows):
+    rank, used = _rational_rank(rows, len(rows[0]))
+    assert rank == _q_rank_oracles(rows)
+    # one prime lifts entries up to ~2^30; two, sharing the echelon, lift
+    # the entry of at most 2^40 after one CRT step
+    assert used == 2
+
+
+@st.composite
+def _unlucky_at_the_q_prime(draw):
+    """[[A, AX], [YA, YAX]] with det A = k * (2^61 - 1) and rank A over Q.
+
+    A = L diag(1, ..., 1, kP) R with L, R unitriangular, so its rank drops
+    by one mod P = 2^61 - 1 and is full mod the next prime.
+    """
+    r, s, t = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d = [[int(i == j) for j in range(r)] for i in range(r)]
+    d[-1][-1] = draw(st.integers(1, 1000)) * linalg._Q_PRIME
+    a = _product(_product(_unitriangular(r, draw, True), d), _unitriangular(r, draw, False))
+    x = draw(_int_matrix((r, s), st.integers(-5, 5)))
+    y = draw(_int_matrix((t, r), st.integers(-5, 5)))
+    top = [row + ext for row, ext in zip(a, _product(a, x))]
+    return top + _product(y, top)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_unlucky_at_the_q_prime())
+def test_rational_rank_when_the_q_prime_is_unlucky(rows):
+    rank, used = _rational_rank(rows, len(rows[0]))
+    assert rank == _q_rank_oracles(rows)
+    assert len(_echelon_mod_p([[v % linalg._Q_PRIME for v in row] for row in rows],
+                              linalg._Q_PRIME)) == rank - 1
+    assert used == 2
+
+
+def _segre_points(rng, n):
+    """n distinct points on xw = yz, (su, sv, tu, tv) for small integers."""
+    def draw():
+        s, t, u, v = (rng.randint(-9, 9) for _ in range(4))
+        return (s * u, s * v, t * u, t * v)
+    return _distinct_points(QQ, draw, n)
+
+
+def _cubic_points(rng, n):
+    """n distinct points on the twisted cubic (s^3, s^2 t, s t^2, t^3)."""
+    def draw():
+        s, t = rng.randint(-30, 30), rng.randint(1, 30)
+        return (s**3, s * s * t, s * t * t, t**3)
+    return _distinct_points(QQ, draw, n)
+
+
+@pytest.mark.parametrize("points, expected_rank", [
+    (_segre_points(random.Random(84), 168), 81),   # (8 + 1)^2 forms on P1 x P1
+    (_cubic_points(random.Random(140), 60), 25),  # 3*8 + 1 forms on P1
+], ids=["quadric-168", "cubic-60"])
+def test_deficient_rank_at_scale_matches_the_closed_form(points, expected_rank):
+    cfg = NodeConfiguration(8, QQ, points)
+    start = time.perf_counter()
+    assert vanishing_dimension(cfg, 8) == 165 - expected_rank
+    # Bareiss alone took 4.5 s on the 168-point case
+    assert time.perf_counter() - start < 3
+    # the closed form bounds the rank from above, a rank mod a prime from below
+    p = 2**31 - 1
+    rows = _integer_rows(evaluation_matrix(cfg, 8).entries)
+    assert row_list_rank_mod_p([[a % p for a in row] for row in rows], p) == expected_rank
+    assert _rational_rank(rows, 165) == (expected_rank, 1)
 
 
 def _fraction_det(rows):
@@ -401,7 +559,7 @@ def _fraction_det(rows):
     lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
                        min_size=n, max_size=n)))
 def test_bareiss_last_pivot_is_the_determinant(rows):
-    rank, pivot = _bareiss(rows)
+    rank, pivot = bareiss(rows)
     m = ExactMatrix.from_rows(QQ, rows)
     assert rank == rank_and_rref(m)[0]
     if rank == len(rows):
