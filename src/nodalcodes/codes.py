@@ -51,6 +51,8 @@ class EvenSetWord:
             raise DataError(f"parity must be 'weak' or 'strict', got {parity!r}")
         support = 0
         for i in indices:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise DataError(f"node index {i!r} is not an integer")
             if not 0 <= i < mu:
                 raise DataError(f"node index {i} outside 0..{mu - 1}")
             support |= 1 << i
@@ -291,7 +293,7 @@ def code_from_dict(data: dict) -> EvenSetCode:
         gens = data["generators"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"code file is missing {exc}") from exc
-    if not isinstance(mu, int) or mu < 0:
+    if isinstance(mu, bool) or not isinstance(mu, int) or mu < 0:
         raise DataError("mu must be a non-negative integer")
     if not isinstance(gens, list):
         raise DataError("generators must be a list of {parity, support} entries")

@@ -117,25 +117,29 @@ def _pack(values, w: int) -> int:
     return u
 
 
-def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
+def _slot_width(p: int, nrows: int, ncols: int) -> int:
+    """Bits per column slot of :func:`_echelon_mod_p` on an nrows x ncols matrix."""
+    return (p + min(nrows, ncols) * (p - 1) ** 2).bit_length()
+
+
+def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
     """Echelon form mod p of rows of residues in [0, p), one pair per pivot.
 
-    Each pair is the pivot's column c and ``vals``, the pivot row's entries
-    right of c scaled by -1/lead mod p, so every kernel vector x has
-    ``x[c] = sum(vals[t] * x[c + 1 + t])``; the rank mod p is the number
-    of pivots.  Each row is packed into one Python int, column j in the
-    w-bit slot at bit j*w, and the current column is always the lowest
-    slot.  The pivot row is unpacked once into ``vals``, so every other row
-    with lead f is updated by the single big-int step
-    ``(u >> w) + f * prow``.  Slots are never reduced: one starts below p
-    and gains at most (p-1)^2 per pivot, so with
-    ``w = (p + min(m, n)*(p-1)^2).bit_length()`` no slot carries into the
-    next, and only ``(u & mask) % p`` is ever read.
+    Each pair is the pivot's column c and ``prow``, the pivot row's entries
+    right of c scaled by -1/lead mod p and packed in w-bit slots, column
+    c + 1 lowest, with ``w = _slot_width(p, m, n)``; so every kernel vector
+    x has ``x[c] = sum(prow[t] * x[c + 1 + t])``.  The rank mod p is the
+    number of pivots.  Each row is packed into one Python int, column j in
+    the w-bit slot at bit j*w, and the current column is always the lowest
+    slot.  Every other row with lead f is updated by the single big-int
+    step ``(u >> w) + f * prow``.  Slots are never reduced: one starts
+    below p and gains at most (p-1)^2 per pivot, so with this w no slot
+    carries into the next, and only ``(u & mask) % p`` is ever read.
     """
     ncols = len(rows[0]) if rows else 0
     if not ncols:
         return []
-    w = (p + min(len(rows), ncols) * (p - 1) ** 2).bit_length()
+    w = _slot_width(p, len(rows), ncols)
     mask = (1 << w) - 1
     packed = [_pack(row, w) for row in rows]
     pivots = []
@@ -147,33 +151,37 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, lis
             continue
         scale = p - pow(leads.pop(i), -1, p)
         tail = packed.pop(i) >> w
-        vals = [((tail >> s) & mask) * scale % p for s in range(0, (ncols - c - 1) * w, w)]
-        pivots.append((c, vals))
+        prow = _pack([((tail >> s) & mask) * scale % p
+                      for s in range(0, (ncols - c - 1) * w, w)], w)
+        pivots.append((c, prow))
         if not packed:
             break
-        prow = _pack(vals, w)
         packed = [(u >> w) + f * prow if f else u >> w for u, f in zip(packed, leads)]
     return pivots
 
 
-def _kernel_images(pivots: list[tuple[int, list[int]]], ncols: int, p: int) -> list[list[int]]:
+def _kernel_images(pivots: list[tuple[int, int]], ncols: int, p: int,
+                   row_w: int) -> list[list[int]]:
     """The kernel basis mod p with the identity pattern on the free columns.
 
+    ``pivots`` come from :func:`_echelon_mod_p` with slot width ``row_w``.
     Row k holds the entry at the k-th pivot column of each free column's
     kernel vector, free columns in order.  Back-substitution runs from the
     last pivot up on ints packed as in :func:`_echelon_mod_p`, one slot per
     free column: a free column is the unit of its own slot, and a pivot
-    column the sum of its ``vals`` times the later columns.  A slot gains
-    less than p from its own free column and (p-1)^2 per later pivot, and
-    is reduced mod p as soon as its pivot is done.
+    column the sum of its unpacked ``prow`` entries times the later
+    columns.  A slot gains less than p from its own free column and (p-1)^2
+    per later pivot, and is reduced mod p as soon as its pivot is done.
     """
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
     w = (p + len(pivots) * (p - 1) ** 2).bit_length()
     mask = (1 << w) - 1
+    row_mask = (1 << row_w) - 1
     packed = {c: 1 << (i * w) for i, c in enumerate(free)}
     images = []
-    for c, vals in reversed(pivots):
+    for c, prow in reversed(pivots):
+        vals = ((prow >> s) & row_mask for s in range(0, (ncols - c - 1) * row_w, row_w))
         acc = sum(f * packed[j] for j, f in enumerate(vals, c + 1) if f)
         image = [((acc >> s) & mask) % p for s in range(0, len(free) * w, w)]
         packed[c] = _pack(image, w)
@@ -256,7 +264,7 @@ def _rational_rank(rows: list[list[int]], ncols: int) -> tuple[int, int]:
         key = (-len(pivots), [c for c, _ in pivots])
         if best is not None and key > best:
             continue
-        images = _kernel_images(pivots, ncols, p)
+        images = _kernel_images(pivots, ncols, p, _slot_width(p, len(rows), ncols))
         if key == best:
             k = pow(modulus, -1, p)
             residues = [[x + modulus * ((y - x) * k % p) for x, y in zip(xs, ys)]

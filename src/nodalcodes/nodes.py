@@ -237,7 +237,7 @@ def config_from_dict(data: dict) -> NodeConfiguration:
         nodes = data["nodes"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"node file is missing {exc}") from exc
-    if not isinstance(degree, int):
+    if isinstance(degree, bool) or not isinstance(degree, int):
         raise DataError("degree must be an integer")
     if not isinstance(nodes, list):
         raise DataError("nodes must be a list of 4-coordinate lists")

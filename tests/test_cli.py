@@ -292,6 +292,22 @@ def test_malformed_files_exit_2(tmp_path, capsys, argv, payload):
     assert code == 2 and "Traceback" not in err and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, payload, message", [
+    (["code", "info"], {"mu": True, "generators": []}, "mu must be a non-negative integer"),
+    (["code", "info"], {"mu": 4, "generators": [{"parity": "strict", "support": [True, 1]}]},
+     "node index True is not an integer"),
+    (["vanishing-dim", "--nodes"], {"degree": True, "nodes": [["1", "0", "0", "0"]]},
+     "degree must be an integer"),
+    (["defect", "--nodes"], {"degree": True, "nodes": [["1", "0", "0", "0"]]},
+     "degree must be an integer"),
+], ids=["code-mu", "code-support", "vanishing-dim-degree", "defect-degree"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, argv, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["defect", "--nodes"], ["code", "info"], ["symmetroid-scan", "--matrix"]],
                          ids=["node", "code", "matrix"])
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
