@@ -46,11 +46,7 @@ from .nodes import (
     vanishing_dimension,
     verify_node,
 )
-from .series import (
-    RationalSeries,
-    expand_rational_series,
-    symmetroid_hilbert_check,
-)
+from .series import expand_rational_series, symmetroid_hilbert_check
 
 __version__ = "0.1.0"
 

@@ -84,9 +84,6 @@ class ClassificationTable:
     entries: tuple[TableEntry, ...]
     excluded: tuple[TableEntry, ...] = ()  # weight-admissible, failing dimension bounds
 
-    def profiles(self) -> list[str]:
-        return [e.profile for e in self.entries]
-
     def to_dict(self, audit: bool = False) -> dict:
         out = {
             "mu": self.mu,

@@ -83,7 +83,7 @@ def _cmd_verify_nodes(args) -> int:
         try:
             with open(args.surface, "r", encoding="utf-8") as fh:
                 text = fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read surface file: {exc}") from exc
         cfg = dataclasses.replace(cfg, surface=parse_form(text, cfg.field))
     verdicts = nodes_mod.verify_configuration(cfg)

@@ -55,6 +55,8 @@ class EvenSetWord:
                 raise DataError(f"node index {i!r} is not an integer")
             if not 0 <= i < mu:
                 raise DataError(f"node index {i} outside 0..{mu - 1}")
+            if support >> i & 1:
+                raise DataError(f"node index {i} is repeated")
             support |= 1 << i
         return cls(mu, parity == WEAK, support)
 

@@ -29,7 +29,9 @@ def read_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {what}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and the refusal
+    # of an integer literal longer than sys.get_int_max_str_digits()
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{what} is not valid JSON: {exc}") from exc
 
 

@@ -1,18 +1,19 @@
 """Exact matrix rank, kernels, and F2 row reduction.
 
-:func:`exact_rank` works on plain Python integers.  Over F_p it runs
-echelon elimination on rows packed into one int each, in slots wide
-enough that the unreduced updates never carry from one column into the
-next.  Over Q it clears each row's denominators and takes the rank mod
-the prime 2^61 - 1: that rank is a lower bound, and when it is
-min(rows, cols) it is the answer.  Otherwise the kernel vectors found mod
-the prime are lifted to Q by rational reconstruction and checked exactly
-over Z, which proves the matching upper bound; when the lift or the check
-fails, more primes are combined by CRT.  :func:`nullspace_basis` runs Gauss-Jordan
-over Q or F_p with Python's operators, each result passed through the
-field's ``reduce``.  :func:`bit_rref` reduces generator matrices of binary
-codes, one int per row.  Everything is pure: operations never mutate their
-inputs.
+One elimination, :func:`_echelon_mod_p`, serves ranks and kernels over
+both fields, on plain Python integers.  Over F_p it runs echelon
+elimination on rows packed into one int each, in slots wide enough that
+the unreduced updates never carry from one column into the next, and
+back-substitution gives the kernel.  Over Q the rows' denominators are
+cleared and the rank taken mod the prime 2^61 - 1: that rank is a lower
+bound, and when it is min(rows, cols) it is the answer.  Otherwise the
+kernel vectors found mod the prime are lifted to Q by rational
+reconstruction and checked exactly over Z, which proves the matching
+upper bound; when the lift or the check fails, more primes are combined
+by CRT.  :func:`nullspace_basis` returns those certified vectors, which
+are the Gauss-Jordan kernel basis.  :func:`bit_rref` reduces generator
+matrices of binary codes, one int per row.  Everything is pure:
+operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -59,54 +60,6 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-
-def _bit_size(a: Scalar) -> int:
-    return a.numerator.bit_length() + a.denominator.bit_length()
-
-
-def _eliminate(m: ExactMatrix) -> tuple[list[list], list[int]]:
-    """Full Gauss-Jordan reduction; returns (reduced rows, pivot columns)."""
-    f = m.field
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = len(rows), m.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        candidates = [i for i in range(r, nrows) if rows[i][c] != 0]
-        if not candidates:
-            continue
-        # the first pivot with the fewest numerator and denominator bits, to
-        # limit coefficient growth over Q (an int has denominator 1)
-        i = min(candidates, key=lambda i: _bit_size(rows[i][c]))
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = f.inverse(rows[r][c])
-        rows[r] = [f.reduce(inv * v) for v in rows[r]]
-        for j in range(nrows):
-            factor = rows[j][c]
-            if j != r and factor != 0:
-                rows[j] = [f.reduce(a - factor * b) for a, b in zip(rows[j], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
-    """Basis of the right kernel; returns ``ncols - rank`` vectors."""
-    f = m.field
-    rows, pivots = _eliminate(m)
-    pivot_of_col = {c: i for i, c in enumerate(pivots)}
-    free_cols = [c for c in range(m.ncols) if c not in pivot_of_col]
-    basis = []
-    for fc in free_cols:
-        vec = [f.zero] * m.ncols
-        vec[fc] = f.one
-        for c, i in pivot_of_col.items():
-            vec[c] = f.reduce(-rows[i][fc])
-        basis.append(tuple(vec))
-    return basis
 
 
 def _pack(values, w: int) -> int:
@@ -207,30 +160,35 @@ def _lift(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
 
 
 def _kernel_certificate(rows: list[list[int]], pivot_cols: list[int],
-                        residues: list[list[int]], modulus: int) -> bool:
+                        residues: list[list[int]],
+                        modulus: int) -> list[list[tuple[int, int]]] | None:
     """Lift the kernel basis to Q and check exactly that it annihilates ``rows``.
 
     Each free column's vector is lifted entry by entry, its denominators are
     cleared, and every integer row must give a zero dot product with it over
     Z; only the vector's nonzeros enter.  The vectors have the identity
     pattern on the free columns, so passing proves rank <= len(pivot_cols).
+    Returns the integer vectors, one list of (column, value) pairs per free
+    column with that column first, or None when a lift or the check fails.
     """
     bound = isqrt(modulus // 2)
     pivot_set = set(pivot_cols)
     free = [c for c in range(len(rows[0])) if c not in pivot_set]
+    vectors = []
     for i, fc in enumerate(free):
         lifted = []
         for c, image in zip(pivot_cols, residues):
             ab = _lift(image[i], modulus, bound)
             if ab is None:
-                return False
+                return None
             if ab[0]:
                 lifted.append((c, *ab))
         scale = lcm(*(b for _, _, b in lifted))
         vec = [(fc, scale)] + [(c, a * (scale // b)) for c, a, b in lifted]
         if any(sum(row[c] * v for c, v in vec) for row in rows):
-            return False
-    return True
+            return None
+        vectors.append(vec)
+    return vectors
 
 
 def _q_primes() -> Iterator[int]:
@@ -242,25 +200,27 @@ def _q_primes() -> Iterator[int]:
         n -= 2
 
 
-def _rational_rank(rows: list[list[int]], ncols: int) -> tuple[int, int]:
-    """Rank over Q of integer rows, and the number of primes it took.
+def _rational_kernel(rows: list[list[int]], ncols: int,
+                     full: int) -> tuple[int, list[list[tuple[int, int]]] | None, int]:
+    """Rank over Q of integer rows, its certified kernel, and the primes it took.
 
     A minor that is nonzero mod a prime is nonzero over Z, so every rank mod
-    a prime is a lower bound; at min(rows, cols) it is the rank.  Below
-    that, a kernel certificate proves the matching upper bound.  The best
-    echelon so far (highest rank, then smallest pivot columns; a prime can
-    only lower the rank or push pivots right) supplies the kernel residues,
-    and each prime with that echelon extends them by CRT.  Only finitely
-    many primes are unlucky, and once the modulus exceeds 2*H^2, with H the
-    Hadamard bound on the r x r minors, every kernel entry (a ratio of such
-    minors by Cramer's rule) lifts exactly; so the loop ends.
+    a prime is a lower bound; a prime whose rank reaches ``full`` (at most
+    min(rows, cols)) ends the loop with no kernel.  Below that, a kernel
+    certificate proves the matching upper bound and its vectors are
+    returned.  The best echelon so far (highest rank, then smallest pivot
+    columns; a prime can only lower the rank or push pivots right) supplies
+    the kernel residues, and each prime with that echelon extends them by
+    CRT.  Only finitely many primes are unlucky, and once the modulus
+    exceeds 2*H^2, with H the Hadamard bound on the r x r minors, every
+    kernel entry (a ratio of such minors by Cramer's rule) lifts exactly;
+    so the loop ends.
     """
-    full = min(len(rows), ncols)
     best = None
     for used, p in enumerate(_q_primes(), 1):
         pivots = _echelon_mod_p([[a % p for a in row] for row in rows], p)
         if len(pivots) == full:
-            return full, used
+            return full, None, used
         key = (-len(pivots), [c for c, _ in pivots])
         if best is not None and key > best:
             continue
@@ -272,8 +232,15 @@ def _rational_rank(rows: list[list[int]], ncols: int) -> tuple[int, int]:
             modulus *= p
         else:
             best, residues, modulus = key, images, p
-        if _kernel_certificate(rows, best[1], residues, modulus):
-            return len(best[1]), used
+        kernel = _kernel_certificate(rows, best[1], residues, modulus)
+        if kernel is not None:
+            return len(best[1]), kernel, used
+
+
+def _rational_rank(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Rank over Q of integer rows, and the number of primes it took."""
+    rank, _, used = _rational_kernel(rows, ncols, min(len(rows), ncols))
+    return rank, used
 
 
 def _integer_rows(entries: Iterable[Sequence[Fraction]]) -> list[list[int]]:
@@ -298,6 +265,44 @@ def exact_rank(m: ExactMatrix) -> int:
     if isinstance(m.field, PrimeField):
         return len(_echelon_mod_p(m.entries, m.field.p))
     return _rational_rank(_integer_rows(m.entries), m.ncols)[0]
+
+
+def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
+    """Basis of the right kernel; returns ``ncols - rank`` vectors.
+
+    The basis is the one Gauss-Jordan gives: one vector per free column of
+    the reduced row echelon form, 1 there, 0 at the other free columns.
+    Over F_p it is read off :func:`_echelon_mod_p` by
+    :func:`_kernel_images`.  Over Q it is the certified lift of
+    :func:`_rational_kernel`, each vector divided by its free column's
+    entry, and it is the Gauss-Jordan basis for this reason:
+
+    1. a prime's echelon has residue 0 at every pivot column right of a
+       free column in that column's kernel vector (back-substitution
+       there sees only zeros);
+    2. CRT and the lift keep those zeros;
+    3. so a passing exact check proves each free column a combination of
+       the pivot columns left of it, and the first k columns have rank over
+       Q at most their pivot count mod p, which is also a lower bound;
+    4. so the certified pivots are the pivots over Q, and the lifted
+       vectors, kernel vectors with the identity pattern on the free
+       columns, are the unique such vectors: the Gauss-Jordan basis.
+    """
+    ncols = m.ncols
+    if isinstance(m.field, PrimeField):
+        p = m.field.p
+        pivots = _echelon_mod_p(m.entries, p)
+        images = _kernel_images(pivots, ncols, p, _slot_width(p, m.nrows, ncols))
+        at_pivot = dict(zip((c for c, _ in pivots), images))
+        free = [c for c in range(ncols) if c not in at_pivot]
+        return [tuple(at_pivot[c][i] if c in at_pivot else int(c == fc) for c in range(ncols))
+                for i, fc in enumerate(free)]
+    _, kernel, _ = _rational_kernel(_integer_rows(m.entries), ncols, ncols)
+    basis = []
+    for vec in kernel or ():
+        entries, scale = dict(vec), vec[0][1]
+        basis.append(tuple(Fraction(entries.get(c, 0), scale) for c in range(ncols)))
+    return basis
 
 
 def bit_rref(rows: Iterable[int]) -> list[int]:

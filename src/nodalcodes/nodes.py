@@ -227,10 +227,6 @@ def _field_from_json(spec) -> Field:
     raise DataError(f"bad field spec {spec!r}; use \"rational\" or {{\"prime\": p}}")
 
 
-def _field_to_json(field: Field):
-    return "rational" if field == QQ else {"prime": field.p}
-
-
 def config_from_dict(data: dict) -> NodeConfiguration:
     try:
         degree = data["degree"]
@@ -253,18 +249,6 @@ def config_from_dict(data: dict) -> NodeConfiguration:
             raise DataError("surface must be a polynomial string")
         surface = parse_form(surface, field)
     return NodeConfiguration(degree, field, tuple(points), surface)
-
-
-def config_to_dict(cfg: NodeConfiguration) -> dict:
-    f = cfg.field
-    out = {
-        "degree": cfg.degree,
-        "field": _field_to_json(f),
-        "nodes": [[str(c) for c in pt] for pt in cfg.points],
-    }
-    if cfg.surface is not None:
-        out["surface"] = str(cfg.surface)
-    return out
 
 
 def load_node_file(path: str) -> NodeConfiguration:

@@ -8,10 +8,7 @@ non-integral coefficient means the input was wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
-    DataError,
     DomainError,
     NonIntegralCoefficientError,
     PoleAtOriginError,
@@ -74,33 +71,6 @@ def expand_rational_series(num: IntPoly, den: IntPoly, order: int) -> list[int]:
             )
         coeffs.append(q)
     return coeffs
-
-
-@dataclass(frozen=True)
-class RationalSeries:
-    """A rational function together with its expansion up to some order."""
-
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        num, den = _normalized(list(self.numerator), list(self.denominator))
-        object.__setattr__(self, "numerator", tuple(num))
-        object.__setattr__(self, "denominator", tuple(den))
-        # the stored coefficients must satisfy the denominator's recurrence
-        expected = expand_rational_series(num, den, len(self.coefficients) - 1)
-        if list(self.coefficients) != expected:
-            raise DataError("coefficients do not satisfy the denominator recurrence")
-
-    @classmethod
-    def expand(cls, num: IntPoly, den: IntPoly, order: int) -> "RationalSeries":
-        return cls(tuple(num), tuple(den),
-                   tuple(expand_rational_series(num, den, order)))
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def symmetroid_hilbert_series(order: int = 5) -> list[int]:

@@ -260,8 +260,9 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
         bases = [np.eye(4, dtype=np.int64)]
     else:
         field = PrimeField(p)
-        bases = {tuple(nullspace_basis(ExactMatrix.from_rows(field, (a_forms @ v).tolist())))
-                 for v in singular.T}
+        # the rows are reduced mod p here, so they skip from_rows' validation
+        kernel_rows = (tuple(map(tuple, ((a_forms @ v) % p).tolist())) for v in singular.T)
+        bases = {tuple(nullspace_basis(ExactMatrix(field, rows))) for rows in kernel_rows}
     found = [np.zeros((4, 0), dtype=np.int64)]
     for basis in bases:
         for x in _span_points(basis, p):

@@ -1,25 +1,75 @@
 """Reference paths of the rank pipeline, kept for tests only.
 
-The library packs each row mod p into one int, certifies ranks over Q
-with lifted kernel vectors, and builds evaluation matrices from powers of
-integer coordinates.  Gauss-Jordan, fraction-free Bareiss elimination
-over Z, the elimination on lists of residues and the builder below, one
-product at a time, are the slow paths the tests check the fast ones
-against.
+The library packs each row mod p into one int, certifies ranks and
+kernels over Q with lifted kernel vectors, and builds evaluation matrices
+from powers of integer coordinates.  Gauss-Jordan (for the rank, the
+reduced row echelon form and the kernel basis), fraction-free Bareiss
+elimination over Z, the elimination on lists of residues and the builder
+below, one product at a time, are the slow paths the tests check the
+fast ones against.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from nodalcodes.linalg import ExactMatrix, _eliminate
+from nodalcodes.fields import Scalar
+from nodalcodes.linalg import ExactMatrix
 from nodalcodes.nodes import NodeConfiguration, monomial_basis
+
+
+def _bit_size(a: Scalar) -> int:
+    return a.numerator.bit_length() + a.denominator.bit_length()
+
+
+def _eliminate(m: ExactMatrix) -> tuple[list[list], list[int]]:
+    """Full Gauss-Jordan reduction; returns (reduced rows, pivot columns)."""
+    f = m.field
+    rows = [list(r) for r in m.entries]
+    nrows, ncols = len(rows), m.ncols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        candidates = [i for i in range(r, nrows) if rows[i][c] != 0]
+        if not candidates:
+            continue
+        # the first pivot with the fewest numerator and denominator bits, to
+        # limit coefficient growth over Q (an int has denominator 1)
+        i = min(candidates, key=lambda i: _bit_size(rows[i][c]))
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = f.inverse(rows[r][c])
+        rows[r] = [f.reduce(inv * v) for v in rows[r]]
+        for j in range(nrows):
+            factor = rows[j][c]
+            if j != r and factor != 0:
+                rows[j] = [f.reduce(a - factor * b) for a, b in zip(rows[j], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 def rank_and_rref(m: ExactMatrix) -> tuple[int, ExactMatrix]:
     """Rank and the unique reduced row echelon form of ``m``, by Gauss-Jordan."""
     rows, pivots = _eliminate(m)
     return len(pivots), ExactMatrix(m.field, tuple(tuple(r) for r in rows))
+
+
+def gauss_jordan_nullspace(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
+    """Kernel basis read off the reduced row echelon form: one vector per
+    free column, 1 there, 0 at the other free columns."""
+    f = m.field
+    rows, pivots = _eliminate(m)
+    pivot_of_col = {c: i for i, c in enumerate(pivots)}
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivot_of_col):
+        vec = [f.zero] * m.ncols
+        vec[fc] = f.one
+        for c, i in pivot_of_col.items():
+            vec[c] = f.reduce(-rows[i][fc])
+        basis.append(tuple(vec))
+    return basis
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:

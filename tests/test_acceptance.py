@@ -57,7 +57,7 @@ def test_criterion_1_classification_golden_table(classification_tables):
     counts = tuple(len(tables[mu].entries) for mu in range(6, 17))
     assert counts == EXPECTED_COUNTS
     for mu in range(6, 17):
-        got = set(tables[mu].profiles())
+        got = {e.profile for e in tables[mu].entries}
         assert got == EXPECTED_TABLE[mu], f"mu={mu}: {sorted(got)}"
         # dimensions are encoded in the profiles; check them explicitly too
         for entry in tables[mu].entries:

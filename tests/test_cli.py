@@ -283,8 +283,10 @@ def test_symmetroid_scan_seed_prime_above_cap(capsys):
     (["verify-nodes", "--nodes"], {"degree": 4, "nodes": [["1", "0", "0", "0"]], "surface": 5}),
     (["code", "canonical"], {"mu": 16, "generators": 5}),
     (["defect", "--nodes"], {"degree": 40000, "nodes": [["1", "0", "0", "0"]]}),
+    (["code", "info"], {"mu": 16, "generators": [
+        {"parity": "strict", "support": [0, 0, 1, 2, 3, 4, 5, 6, 7]}]}),
 ], ids=["nodes-not-list", "node-not-list", "surface-not-string", "generators-not-list",
-        "form-degree-above-cap"])
+        "form-degree-above-cap", "repeated-node-index"])
 def test_malformed_files_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
@@ -310,13 +312,26 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, argv, payload, message
 
 @pytest.mark.parametrize("argv", [["defect", "--nodes"], ["code", "info"], ["symmetroid-scan", "--matrix"]],
                          ids=["node", "code", "matrix"])
-@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
-                         ids=["not-utf8", "nested"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000,
+                                     b"1" + b"0" * 5000],
+                         ids=["not-utf8", "nested", "5001-digit-int"])
 def test_undecodable_files_exit_2(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
     path.write_bytes(content)
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_nodes_undecodable_surface_file_exits_2(tmp_path, capsys):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps({
+        "degree": 2, "field": "rational", "nodes": [["0", "0", "0", "1"]],
+    }))
+    surface = tmp_path / "surface.txt"
+    surface.write_bytes(b"x^2 + y^2 + z^2 \xff\xfe\n")
+    code, out, err = run(capsys, "verify-nodes", "--nodes", str(nodes), "--surface", str(surface))
+    assert code == 2 and out == "" and err.startswith("error: cannot read surface file")
+    assert err.count("\n") == 1
 
 
 def test_hilbert_check(capsys):

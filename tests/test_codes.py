@@ -337,3 +337,9 @@ class TestCodeFiles:
     def test_out_of_range_support(self):
         with pytest.raises(DataError):
             code_from_dict({"mu": 6, "generators": [{"parity": "weak", "support": [6]}]})
+
+    def test_repeated_support_index(self):
+        # collapsing the repeat would read a different word, of weight 8
+        support = [0, 0, 1, 2, 3, 4, 5, 6, 7]
+        with pytest.raises(DataError, match="node index 0 is repeated"):
+            code_from_dict({"mu": 16, "generators": [{"parity": "strict", "support": support}]})

@@ -29,7 +29,7 @@ from nodalcodes.nodes import (
     normalize_point,
     vanishing_dimension,
 )
-from rank_oracle import bareiss, rank_and_rref, row_list_rank_mod_p
+from rank_oracle import bareiss, gauss_jordan_nullspace, rank_and_rref, row_list_rank_mod_p
 
 
 def _identity(field, n):
@@ -501,6 +501,25 @@ def test_rational_rank_when_the_q_prime_is_unlucky(rows):
     assert len(_echelon_mod_p([[v % linalg._Q_PRIME for v in row] for row in rows],
                               linalg._Q_PRIME)) == rank - 1
     assert used == 2
+
+
+def _as_rational(rows):
+    return ExactMatrix.from_rows(QQ, rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(
+    _matrices_with_zero_columns(QQ),
+    st.sampled_from(_PRIMES).flatmap(lambda p: _matrices_with_zero_columns(PrimeField(p))),
+    _unlucky_at_the_q_prime().map(_as_rational),
+    _huge_kernel_entries().map(_as_rational),
+))
+def test_nullspace_basis_is_the_gauss_jordan_basis(m):
+    # same vectors in the same order, and the same entry types: Fraction
+    # over Q, int over F_p
+    basis, oracle = nullspace_basis(m), gauss_jordan_nullspace(m)
+    assert basis == oracle
+    assert [list(map(type, v)) for v in basis] == [list(map(type, v)) for v in oracle]
 
 
 def _segre_points(rng, n):

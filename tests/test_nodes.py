@@ -16,7 +16,6 @@ from nodalcodes.nodes import (
     MONOMIAL_CAP,
     NodeConfiguration,
     config_from_dict,
-    config_to_dict,
     defect,
     defect_from_nodes,
     evaluation_matrix,
@@ -289,14 +288,10 @@ class TestSymmetroidNodesIntegration:
 
 
 class TestNodeFiles:
-    def test_round_trip(self, tmp_path):
-        cfg = _config(
-            [(Fraction(1, 2), 1, 0, 3), (0, 1, 1, 1)],
-            surface=None,
-        )
-        data = config_to_dict(cfg)
-        again = config_from_dict(json.loads(json.dumps(data)))
-        assert again == cfg
+    def test_rational_coordinates_from_dict(self):
+        data = {"degree": 4, "field": "rational",
+                "nodes": [["1/2", "1", "0", "3"], ["0", "1", "1", "1"]]}
+        assert config_from_dict(data) == _config([(Fraction(1, 2), 1, 0, 3), (0, 1, 1, 1)])
 
     def test_load_with_surface_and_verify(self, tmp_path):
         payload = {

@@ -17,7 +17,6 @@ from nodalcodes.series import (
     SYMMETROID_DENOMINATOR,
     SYMMETROID_LEADING_COEFFICIENTS,
     SYMMETROID_NUMERATOR,
-    RationalSeries,
     expand_rational_series,
     symmetroid_hilbert_check,
     symmetroid_hilbert_series,
@@ -115,19 +114,6 @@ def test_order_cap():
             expand([1], [1, -1], ORDER_CAP + 1)
         with pytest.raises(ResourceError):
             expand([1], [1, -1], 10**12)
-
-
-def test_rational_series_carrier():
-    s = RationalSeries.expand(SYMMETROID_NUMERATOR, SYMMETROID_DENOMINATOR, 5)
-    assert s.coefficients == (0, 0, 0, 10, 25, 46)
-    assert s.order == 5
-
-
-def test_rational_series_rejects_wrong_coefficients():
-    from nodalcodes.errors import DataError
-
-    with pytest.raises(DataError):
-        RationalSeries((1,), (1, -1), (1, 2, 3))
 
 
 @settings(deadline=None, max_examples=80)
