@@ -3,13 +3,15 @@
 One subcommand per computation, each with an optional ``--json`` payload.
 Exit codes: 0 success (including all requested certifications passing),
 1 usage error, 2 invalid data or parameters, 3 a certification or
-verification that was run and failed.
+verification that was run and failed, 141 (128 + SIGPIPE) when stdout was
+closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFICATION = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,13 +288,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except SystemExit as exc:  # argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to devnull, so the
+        # flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -24,6 +24,9 @@ from .linalg import bit_rref
 
 _MU_CAP_CANONICAL = 24
 _DIM_CAP_ENUMERATION = 20
+# Largest mu a code file may declare: Miyaoka's bound 4b(b-1)^2/9 allows at
+# most 832 nodes at degree 13, so every surface of degree <= 13 fits.
+_MU_CAP_FILE = 1024
 
 WEAK = "weak"
 STRICT = "strict"
@@ -297,6 +300,8 @@ def code_from_dict(data: dict) -> EvenSetCode:
         raise DataError(f"code file is missing {exc}") from exc
     if isinstance(mu, bool) or not isinstance(mu, int) or mu < 0:
         raise DataError("mu must be a non-negative integer")
+    if mu > _MU_CAP_FILE:
+        raise ResourceError(f"code files are capped at mu = {_MU_CAP_FILE}, got {mu}")
     if not isinstance(gens, list):
         raise DataError("generators must be a list of {parity, support} entries")
     words = []

@@ -5,11 +5,11 @@ cuts out a quartic symmetroid (its determinant); the locus in P^3 where the
 matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
 nodes.  Over F_p that locus is found by kernel incidence (see
 :func:`scan_nodes_fp`), at a cost of about p^2 evaluations instead of the p^3
-points of P^3, and quadric interpolation through the ten points is tested
-exactly.  More than ten points prove a positive-dimensional locus, by the
-Harris-Tu degree bound (:data:`MAX_FINITE_LOCUS`).  The outcome is
-finite-field evidence, labeled as such: nothing here claims a
-characteristic-0 proof.
+points of P^3.  The no-quadric certificate is the dimension of the quadrics
+through the ten nodes, the defect computation for b = 4.  More than ten
+points prove a positive-dimensional locus, by the Harris-Tu degree bound
+(:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence, labeled
+as such: nothing here claims a characteristic-0 proof.
 
 Uniformly random coefficient matrices are the wrong distribution for this
 experiment: Frobenius permutes the ten geometric rank-2 points, so almost
@@ -29,9 +29,10 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import DataError, DomainError, ResourceError, read_json
-from .fields import PrimeField, is_prime
+from .fields import PrimeField
 from .forms import HomogeneousForm, parse_form
-from .linalg import ExactMatrix, exact_rank, nullspace_basis
+from .linalg import ExactMatrix, nullspace_basis
+from .nodes import NodeConfiguration, vanishing_dimension
 
 _PRIME_CAP = 1024
 
@@ -47,6 +48,9 @@ UPPER_TRIANGLE = tuple((i, j) for i in range(4) for j in range(i, 4))
 # degree-2 monomial exponent pairs, matching the quadric coefficient order
 QUADRIC_MONOMIALS = UPPER_TRIANGLE
 
+# the exponent vectors of x, y, z, w: a linear form's coefficients in order
+_VARIABLES = tuple(tuple(int(k == i) for k in range(4)) for i in range(4))
+
 
 @dataclass(frozen=True)
 class SymmetricLinearMatrix:
@@ -57,8 +61,7 @@ class SymmetricLinearMatrix:
 
     def __post_init__(self):
         p = self.prime
-        if not is_prime(p) or p == 2:
-            raise DomainError(f"{p} is not an odd prime")
+        PrimeField(p)  # refuses anything but an odd prime
         if len(self.coefficients) != 10:
             raise DataError("expected 10 upper-triangle linear forms")
         object.__setattr__(
@@ -71,37 +74,19 @@ class SymmetricLinearMatrix:
                 raise DataError("each linear form needs 4 coefficients")
 
     @classmethod
-    def from_forms(cls, prime: int, forms) -> "SymmetricLinearMatrix":
-        field = PrimeField(prime)
-        rows = []
-        for f in forms:
-            if f.field != field:
-                raise DataError("matrix entries must live over F_p for the scan prime")
-            if not f.is_zero() and f.degree != 1:
-                raise DataError(f"matrix entries must be linear, got degree {f.degree}")
-            coeffs = [0, 0, 0, 0]
-            for mono, c in f.terms.items():
-                coeffs[mono.index(1)] = c
-            rows.append(tuple(coeffs))
-        return cls(prime, tuple(rows))
-
-    @classmethod
     def from_strings(cls, prime: int, texts) -> "SymmetricLinearMatrix":
         field = PrimeField(prime)
-        return cls.from_forms(prime, [parse_form(t, field) for t in texts])
+        rows = []
+        for f in (parse_form(t, field) for t in texts):
+            if not f.is_zero() and f.degree != 1:
+                raise DataError(f"matrix entries must be linear, got degree {f.degree}")
+            rows.append(tuple(f.terms.get(v, 0) for v in _VARIABLES))
+        return cls(prime, tuple(rows))
 
     def forms(self) -> list[HomogeneousForm]:
         field = PrimeField(self.prime)
-        out = []
-        for row in self.coefficients:
-            terms = {}
-            for i, c in enumerate(row):
-                if c % self.prime:
-                    mono = tuple(1 if k == i else 0 for k in range(4))
-                    terms[mono] = c % self.prime
-            out.append(HomogeneousForm(1, field, terms) if terms
-                       else HomogeneousForm.zero_form(1, field))
-        return out
+        return [HomogeneousForm.from_terms(1, field, dict(zip(_VARIABLES, row)))
+                for row in self.coefficients]
 
     def evaluate(self, point) -> list[list[int]]:
         """The symmetric 4x4 integer matrix at a point, entries mod p."""
@@ -289,27 +274,17 @@ class QuadricCertificate:
 def no_quadric_certificate(points, p: int) -> QuadricCertificate:
     """Rank of the 10x10 quadric-monomial evaluation matrix at ten points.
 
-    Full rank certifies that no quadric over F_p passes through all ten
-    points, the finite-field counterpart of the Hilbert-series check in
+    The ten points are nodes of a quartic (b = 4), so the defect's space M
+    is the quadrics through them (3b/2 - 4 = 2) and its estimate is
+    C(5,3) - 10 = 0: the rank is 10 minus the dimension of M.  Full rank
+    certifies that no quadric over F_p passes through all ten points, the
+    finite-field counterpart of the Hilbert-series check in
     :mod:`nodalcodes.series`.
     """
-    field = PrimeField(p)
-    pts = [tuple(field.validate(c) for c in pt) for pt in points]
-    if len(pts) != 10:
-        raise DomainError(f"expected exactly 10 points, got {len(pts)}")
-    normalized = set()
-    for pt in pts:
-        first = next((c for c in pt if c % p), None)
-        if first is None:
-            raise DomainError("(0:0:0:0) is not a projective point")
-        inv = pow(first, -1, p)
-        normalized.add(tuple(c * inv % p for c in pt))
-    if len(normalized) != 10:
-        raise DomainError("points must be pairwise distinct projectively")
-    rows = []
-    for pt in pts:
-        rows.append([pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS])
-    rank = exact_rank(ExactMatrix.from_rows(field, rows))
+    points = tuple(points)
+    if len(points) != 10:
+        raise DomainError(f"expected exactly 10 points, got {len(points)}")
+    rank = 10 - vanishing_dimension(NodeConfiguration(4, PrimeField(p), points), 2)
     return QuadricCertificate(prime=p, rank=rank, certified=rank == 10)
 
 
@@ -319,8 +294,9 @@ def no_quadric_certificate(points, p: int) -> QuadricCertificate:
 def _seeded_rng(p: int, seed: int) -> np.random.Generator:
     if p > _PRIME_CAP:
         raise ResourceError(f"the scan caps the prime at {_PRIME_CAP}, got {p}")
-    if not is_prime(p) or p == 2 or seed < 0:
-        raise DomainError(f"need an odd prime and a non-negative seed, got p = {p}, seed {seed}")
+    PrimeField(p)  # refuses anything but an odd prime
+    if seed < 0:
+        raise DomainError(f"need a non-negative seed, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -360,17 +336,10 @@ def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
         web_basis = nullspace_basis(ExactMatrix.from_rows(field, rows))
         if len(web_basis) != 4:  # the 6 quadric conditions are dependent
             continue
+        # the symmetric matrix of quadric q: q[m] on the diagonal, q[m] / 2 off it
         inv2 = pow(2, -1, p)
-        symmetric = []
-        for q in web_basis:
-            m = [[0] * 4 for _ in range(4)]
-            for (i, j), c in zip(QUADRIC_MONOMIALS, q):
-                if i == j:
-                    m[i][i] = c % p
-                else:
-                    m[i][j] = m[j][i] = c * inv2 % p
-            symmetric.append(m)
         coeffs = tuple(
-            tuple(symmetric[k][i][j] for k in range(4)) for i, j in UPPER_TRIANGLE
+            tuple(q[m] if i == j else q[m] * inv2 % p for q in web_basis)
+            for m, (i, j) in enumerate(QUADRIC_MONOMIALS)
         )
         return SymmetricLinearMatrix(p, coeffs)

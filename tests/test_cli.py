@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nodalcodes
 from nodalcodes.cli import main
 from nodalcodes.codes import code_from_dict
 from nodalcodes.forms import DEGREE_CAP
@@ -277,6 +280,25 @@ def test_symmetroid_scan_seed_prime_above_cap(capsys):
         assert code == 2 and "Traceback" not in err and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["symmetroid-scan", "--seed", "1", "--prime", "101", "--json"],
+    ["bounds", "--degree", "8", "--mu", "168"],
+], ids=["scan-json", "bounds"])
+def test_closed_stdout_exits_141_quietly(argv):
+    # the read end is closed before the child starts, so its first write fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nodalcodes.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["vanishing-dim", "--nodes"], {"degree": 4, "nodes": 7}),
     (["vanishing-dim", "--nodes"], {"degree": 4, "nodes": [7]}),
@@ -285,8 +307,10 @@ def test_symmetroid_scan_seed_prime_above_cap(capsys):
     (["defect", "--nodes"], {"degree": 40000, "nodes": [["1", "0", "0", "0"]]}),
     (["code", "info"], {"mu": 16, "generators": [
         {"parity": "strict", "support": [0, 0, 1, 2, 3, 4, 5, 6, 7]}]}),
+    (["code", "info"], {"mu": 100000000, "generators": [
+        {"parity": "strict", "support": [0, 1, 2, 3, 4, 5]}]}),
 ], ids=["nodes-not-list", "node-not-list", "surface-not-string", "generators-not-list",
-        "form-degree-above-cap", "repeated-node-index"])
+        "form-degree-above-cap", "repeated-node-index", "mu-above-cap"])
 def test_malformed_files_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))

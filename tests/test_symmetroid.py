@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalcodes.errors import DataError, DomainError, ResourceError
 from nodalcodes.fields import PrimeField
@@ -34,15 +36,14 @@ ZERO = ["0"] * 10
 COPLANAR_SIX = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1), (1, 2, 3, 4)]
 
 
+def _projective_key(pt, p):
+    """The representative of pt whose first nonzero coordinate is 1."""
+    inv = pow(next(c for c in pt if c % p), -1, p)
+    return tuple(c * inv % p for c in pt)
+
+
 def _enumerate_p3(p):
-    seen = set()
-    for pt in itertools.product(range(p), repeat=4):
-        if all(c == 0 for c in pt):
-            continue
-        first = next(c for c in pt if c)
-        inv = pow(first, -1, p)
-        seen.add(tuple(c * inv % p for c in pt))
-    return seen
+    return {_projective_key(pt, p) for pt in itertools.product(range(p), repeat=4) if any(pt)}
 
 
 def _web_through(p, points):
@@ -98,9 +99,7 @@ class TestScan:
             pt = tuple(rng.randrange(p) for _ in range(4))
             if all(c == 0 for c in pt):
                 continue
-            first = next(c for c in pt if c)
-            inv = pow(first, -1, p)
-            normalized = tuple(c * inv % p for c in pt)
+            normalized = _projective_key(pt, p)
             if minors_vanish_at(matrix, normalized):
                 assert normalized in point_set
 
@@ -182,8 +181,41 @@ class TestCertificate:
     def test_repeated_point_rejected(self):
         pts = [(1, i, i * i % 7, 1) for i in range(9)] + [(2, 0, 0, 2)]
         # (2,0,0,2) is projectively (1,0,0,1) = the i=0 entry
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             no_quadric_certificate(pts, 7)
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_points_need_four_coordinates(self, length):
+        # five coordinates were once ranked on their first four
+        pts = [(1,) + (0,) * (length - 2) + (i,) for i in range(10)]
+        with pytest.raises(DataError):
+            no_quadric_certificate(pts, 13)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_rank_matches_quadric_rows(self, data):
+        # an oracle that shares no code with nodes: the upper-triangle
+        # quadric rows at the points as given, ranked by row_list_rank_mod_p
+        p = data.draw(st.sampled_from([5, 7, 13, 101]))
+        on_segre = data.draw(st.booleans())
+        residue = st.integers(0, p - 1)
+        if on_segre:
+            # (ac : ad : bc : bd) lies on xw = yz, so a quadric passes through
+            line = st.tuples(residue, residue).filter(any)
+            point = st.tuples(line, line).map(
+                lambda uv: (uv[0][0] * uv[1][0], uv[0][0] * uv[1][1],
+                            uv[0][1] * uv[1][0], uv[0][1] * uv[1][1]))
+        else:
+            point = st.tuples(residue, residue, residue, residue).filter(any)
+        points = data.draw(st.lists(point, min_size=10, max_size=10,
+                                    unique_by=lambda pt: _projective_key(pt, p)))
+        rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in points]
+        expected = row_list_rank_mod_p(rows, p)
+        cert = no_quadric_certificate(points, p)
+        assert cert.rank == expected
+        assert cert.certified == (expected == 10)
+        if on_segre:
+            assert not cert.certified
 
     def test_certified_on_survey(self, scan_survey):
         for _, _, result in scan_survey:
