@@ -47,28 +47,13 @@ from .nodes import (
     verify_node,
 )
 from .series import expand_rational_series, symmetroid_hilbert_check
-
-__version__ = "0.1.0"
-
-# The symmetroid scanner is the only numpy user, so its names load on first
-# use (PEP 562) and every other import of the package stays free of numpy.
-_SCANNER_NAMES = frozenset(
-    {
-        "ScanResult",
-        "SymmetricLinearMatrix",
-        "no_quadric_certificate",
-        "random_symmetric_matrix",
-        "random_symmetroid_matrix",
-        "scan_nodes_fp",
-    }
+from .symmetroid import (
+    ScanResult,
+    SymmetricLinearMatrix,
+    no_quadric_certificate,
+    random_symmetric_matrix,
+    random_symmetroid_matrix,
+    scan_nodes_fp,
 )
 
-
-def __getattr__(name):
-    if name in _SCANNER_NAMES:
-        from . import symmetroid
-
-        value = getattr(symmetroid, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__version__ = "0.1.0"

@@ -18,6 +18,7 @@ from . import bounds as bounds_mod
 from . import classify as classify_mod
 from . import nodes as nodes_mod
 from . import series as series_mod
+from . import symmetroid as symmetroid_mod
 from .codes import canonical_form, code_to_dict, is_isomorphic, load_code_file, weight_enumerator
 from .errors import InputError
 from .fields import QQ
@@ -165,8 +166,6 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_symmetroid_scan(args) -> int:
-    from . import symmetroid as symmetroid_mod  # loads numpy; no other subcommand does
-
     if args.matrix is not None:
         matrix = symmetroid_mod.load_matrix_file(args.matrix)
     elif args.seed is not None:

@@ -104,7 +104,7 @@ class PrimeField:
         if not isinstance(p, int) or not is_prime(p):
             raise DomainError(f"{p} is not prime")
         if p == 2:
-            raise DomainError("prime field must be odd (packed-bit F2 has its own path)")
+            raise DomainError(f"prime field needs an odd prime, got {p}")
         self.p = p
         self.characteristic = p
         self.name = f"F_{p}"

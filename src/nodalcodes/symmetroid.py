@@ -4,8 +4,13 @@ A symmetric 4x4 matrix of linear forms M(x) = x M_x + y M_y + z M_z + w M_w
 cuts out a quartic symmetroid (its determinant); the locus in P^3 where the
 matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
 nodes.  Over F_p that locus is found by kernel incidence (see
-:func:`scan_nodes_fp`), at a cost of about p^2 evaluations instead of the p^3
-points of P^3.  The no-quadric certificate is the dimension of the quadrics
+:func:`scan_nodes_fp`): det A(v), with A(v) = [M_x v | M_y v | M_z v |
+M_w v], is a quartic in u on each line v = base + u (0:0:0:1) of the plane
+v_z = 0, and the kernels of A at its roots hold every rank <= 2 point, at a
+cost of about p^2 evaluations instead of the p^3 points of P^3.  When det A
+vanishes on the whole plane, the scan solves instead, on each of the
+p^2 + p + 1 lines of P^3 through (0:0:0:1), the cubic to which a 3x3 minor
+restricts.  The no-quadric certificate is the dimension of the quadrics
 through the ten nodes, the defect computation for b = 4.  More than ten
 points prove a positive-dimensional locus, by the Harris-Tu degree bound
 (:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence, labeled
@@ -18,15 +23,15 @@ therefore builds the matrix from the web of quadrics through six random
 rational points, no four coplanar; its ten rank-2 members are the
 C(6,3)/2 = 10 splittings of the six points into two plane-spanning
 triples, all rational by construction.  A uniform generator is kept for
-comparison experiments.
+comparison experiments.  Both draw what numpy's ``default_rng(seed)``
+draws (:class:`_PCG64`), so a seed names the same matrix with or without
+numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-
-import numpy as np
 
 from .errors import DataError, DomainError, ResourceError, read_json
 from .fields import PrimeField
@@ -50,6 +55,11 @@ QUADRIC_MONOMIALS = UPPER_TRIANGLE
 
 # the exponent vectors of x, y, z, w: a linear form's coefficients in order
 _VARIABLES = tuple(tuple(int(k == i) for k in range(4)) for i in range(4))
+
+# (rows, cols) of the ten distinct 3x3 minors of a symmetric 4x4 matrix: the
+# minor on (rows, cols) equals the one on (cols, rows)
+_TRIPLES = tuple(combinations(range(4), 3))
+_MINORS = tuple((rows, cols) for n, rows in enumerate(_TRIPLES) for cols in _TRIPLES[n:])
 
 
 @dataclass(frozen=True)
@@ -91,9 +101,8 @@ class SymmetricLinearMatrix:
     def evaluate(self, point) -> list[list[int]]:
         """The symmetric 4x4 integer matrix at a point, entries mod p."""
         p = self.prime
-        values = [
-            sum(c * x for c, x in zip(row, point)) % p for row in self.coefficients
-        ]
+        x, y, z, w = point
+        values = [(a * x + b * y + c * z + d * w) % p for a, b, c, d in self.coefficients]
         m = [[0] * 4 for _ in range(4)]
         for (i, j), v in zip(UPPER_TRIANGLE, values):
             m[i][j] = m[j][i] = v
@@ -142,73 +151,177 @@ class ScanResult:
         }
 
 
-def minors_vanish_at(matrix: SymmetricLinearMatrix, point) -> bool:
-    """Pure-integer check that all sixteen 3x3 minors vanish at a point."""
-    p = matrix.prime
-    m = matrix.evaluate(point)
-    for rows in combinations(range(4), 3):
-        for cols in combinations(range(4), 3):
-            r1, r2, r3 = rows
-            c1, c2, c3 = cols
-            det = (
-                m[r1][c1] * (m[r2][c2] * m[r3][c3] - m[r2][c3] * m[r3][c2])
-                - m[r1][c2] * (m[r2][c1] * m[r3][c3] - m[r2][c3] * m[r3][c1])
-                + m[r1][c3] * (m[r2][c1] * m[r3][c2] - m[r2][c2] * m[r3][c1])
-            ) % p
-            if det:
-                return False
-    return True
-
-
-def _minor(a, rows, cols, p):
-    """A 3x3 minor mod p of matrices given entrywise as arrays ``a[i][j]``; entries
-    may be unreduced below 4p^2, which keeps products in int64 for p <= _PRIME_CAP."""
+def _det3(m, rows, cols) -> int:
+    """The 3x3 minor of an integer matrix on the given rows and columns, unreduced."""
     (r1, r2, r3), (c1, c2, c3) = rows, cols
     return (
-        a[r1][c1] * ((a[r2][c2] * a[r3][c3] - a[r2][c3] * a[r3][c2]) % p)
-        - a[r1][c2] * ((a[r2][c1] * a[r3][c3] - a[r2][c3] * a[r3][c1]) % p)
-        + a[r1][c3] * ((a[r2][c1] * a[r3][c2] - a[r2][c2] * a[r3][c1]) % p)
-    ) % p
+        m[r1][c1] * (m[r2][c2] * m[r3][c3] - m[r2][c3] * m[r3][c2])
+        - m[r1][c2] * (m[r2][c1] * m[r3][c3] - m[r2][c3] * m[r3][c1])
+        + m[r1][c3] * (m[r2][c1] * m[r3][c2] - m[r2][c2] * m[r3][c1])
+    )
 
 
-def _det4(a, p):
-    """Determinants mod p of 4x4 matrices given entrywise, by the first row."""
-    cofactors = (_minor(a, (1, 2, 3), [c for c in range(4) if c != k], p) for k in range(4))
-    return sum((-1) ** k * a[0][k] * m for k, m in enumerate(cofactors)) % p
+def _det4(m) -> int:
+    """The determinant of a 4x4 integer matrix, unreduced, by its first row."""
+    return sum((-1) ** k * m[0][k] * _det3(m, (1, 2, 3), _TRIPLES[3 - k]) for k in range(4))
 
 
-def _rank_at_most_2(a, p):
-    """Indices of the points where every 3x3 minor of the (4, 4, n) array ``a`` vanishes."""
-    alive = np.arange(a.shape[2])
-    for rows, cols in product(combinations(range(4), 3), repeat=2):
-        keep = np.flatnonzero(_minor(a, rows, cols, p) == 0)
-        if keep.size < alive.size:
-            alive, a = alive[keep], a[:, :, keep]
-        if not alive.size:
-            break
-    return alive
+def minors_vanish_at(matrix: SymmetricLinearMatrix, point) -> bool:
+    """Pure-integer check that all sixteen 3x3 minors vanish at a point (the
+    matrix is symmetric, so ten of them decide)."""
+    p = matrix.prime
+    m = matrix.evaluate(point)
+    return not any(_det3(m, rows, cols) % p for rows, cols in _MINORS)
 
 
-def _span_points(basis, p: int, chunk: int = 1 << 18):
-    """The projective points of span(basis) as (4, n) arrays mod p, in chunks:
-    sum_l c_l basis[l] for each coefficient vector c whose first nonzero entry is 1."""
-    basis = np.asarray(basis, dtype=np.int64)
+# --- polynomials in (x, y, z, w): {exponents: coefficient mod p} --------------
+
+
+def _linear(coefficients) -> dict:
+    return {e: c for e, c in zip(_VARIABLES, coefficients) if c}
+
+
+def _mul(f: dict, g: dict, p: int) -> dict:
+    h = {}
+    for e, a in f.items():
+        for d, b in g.items():
+            k = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
+            h[k] = (h.get(k, 0) + a * b) % p
+    return h
+
+
+def _det(rows, p: int) -> dict:
+    """The determinant of a square matrix of polynomials, by the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = {}
+    for k, entry in enumerate(rows[0]):
+        if entry:
+            minor = _det([r[:k] + r[k + 1:] for r in rows[1:]], p)
+            for e, c in _mul(entry, minor, p).items():
+                total[e] = (total.get(e, 0) - c if k % 2 else total.get(e, 0) + c) % p
+    return {e: c for e, c in total.items() if c}
+
+
+def _by_power_of_w(form: dict, degree: int) -> list[list[tuple[int, int, int, int]]]:
+    """The terms (c, i, j, k) of c x^i y^j z^k w^l, one list per power l."""
+    terms = [[] for _ in range(degree + 1)]
+    for (i, j, k, l), c in form.items():
+        terms[l].append((c, i, j, k))
+    return terms
+
+
+def _on_line(terms, base, p: int) -> list[int]:
+    """The coefficients in u of a form on the line base + u (0:0:0:1)."""
+    a, b, c = base[:3]
+    return [sum(t * a**i * b**j * c**k for t, i, j, k in power) % p for power in terms]
+
+
+def _span_points(basis, p: int):
+    """The points of P^3 in the span of ``basis``, each scaled so that its
+    first nonzero coordinate is 1: sum_l c_l basis[l] for each coefficient
+    vector c whose first nonzero entry is 1."""
     for lead in range(len(basis)):
-        total = p ** (len(basis) - 1 - lead)
-        for start in range(0, total, chunk):
-            digits = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            points = np.repeat(basis[lead][:, None], digits.size, axis=1)
-            for vec in basis[lead + 1:]:
-                digits, digit = np.divmod(digits, p)
-                points += vec[:, None] * digit
-            yield points % p
+        for digits in product(range(p), repeat=len(basis) - 1 - lead):
+            x = basis[lead]
+            for d, vec in zip(digits, basis[lead + 1:]):
+                x = [(s + d * t) % p for s, t in zip(x, vec)]
+            inv = pow(next(s for s in x if s), -1, p)
+            yield tuple(s * inv % p for s in x)
 
 
-def _normalize(points, p: int) -> list[tuple[int, int, int, int]]:
-    """The columns of a (4, n) array, scaled so the first nonzero coordinate is 1."""
-    inverse = np.array([pow(a, -1, p) if a else 0 for a in range(p)], dtype=np.int64)
-    lead = points[(points != 0).argmax(axis=0), np.arange(points.shape[1])]
-    return [tuple(map(int, pt)) for pt in (points * inverse[lead] % p).T]
+def _root_tables(p: int):
+    """For each residue r of F_p: its square roots, its cube roots, and the
+    roots t of t^3 + r t + r."""
+    squares, cubes, family = ([[] for _ in range(p)] for _ in range(3))
+    for t in range(p):
+        squares[t * t % p].append(t)
+        cubes[t**3 % p].append(t)
+        if t != p - 1:  # t^3 + r (t + 1) = 0 for r = -t^3 / (t + 1)
+            family[-(t**3) * pow(t + 1, -1, p) % p].append(t)
+    return squares, cubes, family
+
+
+def _cubic_roots(c, p: int, tables) -> list[int]:
+    """The roots in F_p of c[0] + c[1] u + c[2] u^2 + c[3] u^3, not all c zero."""
+    c0, c1, c2, c3 = c
+    if p == 3:
+        return [u for u in range(3) if (c0 + c1 * u + c2 * u * u + c3 * u**3) % 3 == 0]
+    squares, cubes, family = tables
+    if c3 == 0:
+        if c2 == 0:
+            return [-c0 * pow(c1, -1, p) % p] if c1 else []
+        inv = pow(2 * c2, -1, p)
+        return [(s - c1) * inv % p for s in squares[(c1 * c1 - 4 * c2 * c0) % p]]
+    inv = pow(c3, -1, p)
+    s = c2 * inv * pow(3, -1, p) % p  # u = t - s: t^3 + P t + Q
+    b = c1 * inv % p
+    P = (b - 3 * s * s) % p
+    Q = (2 * s**3 - b * s + c0 * inv) % p
+    if P == 0:
+        ts = cubes[-Q % p]
+    elif Q == 0:
+        ts = [0] + squares[-P % p]
+    else:  # t = lam r turns it into r^3 + k r + k with k = P^3 / Q^2
+        lam = Q * pow(P, -1, p) % p
+        ts = [lam * r % p for r in family[P**3 * pow(Q * Q, -1, p) % p]]
+    return [(t - s) % p for t in ts]
+
+
+_PLANE = ((1, 0, 0, 0), (0, 1, 0, 0))  # with (0:0:0:1), spans the plane v_z = 0
+_W = (0, 0, 0, 1)
+
+
+def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> set | None:
+    """The distinct kernels of A(v) at the points v of the plane v_z = 0 where
+    det A(v) = 0, or None when det A vanishes identically on the plane.
+
+    det A on the line v = base + u (0:0:0:1) is a quartic in u, whose roots
+    are found by evaluating it at every u."""
+    p = matrix.prime
+    det = _det([[_linear((forms[i][0][k], forms[i][1][k], 0, forms[i][3][k])) for k in range(4)]
+                for i in range(4)], p)
+    if not det:
+        return None
+    terms = _by_power_of_w(det, 4)
+    # A(e_j) flat, row-major: A(v)[i][k] = (M_k v)_i = sum_j forms[i][j][k] v_j
+    a_x, a_y, _, a_w = ([forms[i][j][k] for i in range(4) for k in range(4)] for j in range(4))
+    singular = [] if det.get((0, 0, 0, 4)) else [a_w]
+    for base in _span_points(_PLANE, p):
+        c0, c1, c2, c3, c4 = _on_line(terms, base, p)
+        a_base = [base[0] * s + base[1] * t for s, t in zip(a_x, a_y)]
+        singular += [[s + u * t for s, t in zip(a_base, a_w)] for u in range(p)
+                     if ((((c4 * u + c3) * u + c2) * u + c1) * u + c0) % p == 0]
+    field = PrimeField(p)
+    kernels = set()
+    for a in singular:
+        # residues, so the rows skip from_rows' validation
+        rows = tuple(tuple(c % p for c in a[k:k + 4]) for k in range(0, 16, 4))
+        kernels.add(tuple(nullspace_basis(ExactMatrix(field, rows))))
+    return kernels
+
+
+def _line_points(matrix: SymmetricLinearMatrix, forms) -> set:
+    """The rank <= 2 points on the p^2 + p + 1 lines through (0:0:0:1).
+
+    On each line the first 3x3 minor not identically zero there is a cubic
+    in u, and only its roots can be rank <= 2 points; when every minor
+    vanishes on the line, all of it is."""
+    p = matrix.prime
+    minors = [_det([[_linear(forms[i][j]) for j in cols] for i in rows], p) for rows, cols in _MINORS]
+    minors = [_by_power_of_w(m, 3) for m in minors if m]
+    tables = _root_tables(p)
+    points = {_W} if minors_vanish_at(matrix, _W) else set()
+    for base in _span_points(_VARIABLES[:3], p):
+        for terms in minors:
+            c = _on_line(terms, base, p)
+            if any(c):
+                line = (base[:3] + (u,) for u in _cubic_roots(c, p, tables))
+                points.update(x for x in line if minors_vanish_at(matrix, x))
+                break
+        else:
+            points.update(base[:3] + (u,) for u in range(p))
+    return points
 
 
 def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
@@ -217,10 +330,13 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
     Kernel incidence: M(x) v = A(v) x with A(v) = [M_x v | M_y v | M_z v |
     M_w v].  The kernel of M(x) at a point x of rank <= 2 is at least a
     line, which meets the plane v_z = 0 in some v with det A(v) = 0 and
-    x in ker A(v).  So det A is evaluated on the p^2 + p + 1 points of that
-    plane, the points of each distinct kernel ker A(v) where it vanishes are
-    enumerated, and those where all sixteen 3x3 minors vanish are kept.
-    When det A vanishes on the whole plane every point of P^3 is a candidate.
+    x in ker A(v).  On each of the p + 1 lines of that plane through
+    (0:0:0:1), det A is a quartic in the line's parameter; its roots (and
+    (0:0:0:1) itself, when singular) are the points v.  The points of each
+    distinct kernel ker A(v) are enumerated, and those where all sixteen
+    3x3 minors vanish are kept.  When det A vanishes on the whole plane the
+    scan instead walks the p^2 + p + 1 lines of P^3 through (0:0:0:1) and
+    solves one cubic minor on each (:func:`_line_points`).
 
     ``degenerate`` means more than :data:`MAX_FINITE_LOCUS` points, which
     proves a positive-dimensional locus.
@@ -228,31 +344,19 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
     p = matrix.prime
     if p > _PRIME_CAP:
         raise ResourceError(
-            "some matrices make the scan enumerate all p^3 + p^2 + p + 1 points; "
-            f"prime capped at {_PRIME_CAP}"
+            "some matrices make the scan solve a cubic on each of the p^2 + p + 1 "
+            f"lines through (0:0:0:1); prime capped at {_PRIME_CAP}"
         )
-    forms = np.zeros((4, 4, 4), dtype=np.int64)  # forms[i, j]: entry (i, j) as a form in x
+    forms = [[None] * 4 for _ in range(4)]  # forms[i][j]: entry (i, j) as (x, y, z, w) coefficients
     for (i, j), row in zip(UPPER_TRIANGLE, matrix.coefficients):
-        forms[i, j] = forms[j, i] = row
-    a_forms = forms.transpose(0, 2, 1)  # a_forms[i, k]: entry (i, k) of A(v) as a form in v
-
-    plane = np.eye(4, dtype=np.int64)[[0, 1, 3]]
-    singular = [v[:, _det4(a_forms @ v, p) == 0] for v in _span_points(plane, p)]
-    singular = np.concatenate(singular, axis=1)
-    if singular.shape[1] == p * p + p + 1:
-        # det A vanishes on the whole plane: p^2 + p + 1 exact kernels would
-        # cost more than enumerating every point of P^3
-        bases = [np.eye(4, dtype=np.int64)]
+        forms[i][j] = forms[j][i] = row
+    kernels = _plane_kernels(matrix, forms)
+    if kernels is None:
+        points = _line_points(matrix, forms)
     else:
-        field = PrimeField(p)
-        # the rows are reduced mod p here, so they skip from_rows' validation
-        kernel_rows = (tuple(map(tuple, ((a_forms @ v) % p).tolist())) for v in singular.T)
-        bases = {tuple(nullspace_basis(ExactMatrix(field, rows))) for rows in kernel_rows}
-    found = [np.zeros((4, 0), dtype=np.int64)]
-    for basis in bases:
-        for x in _span_points(basis, p):
-            found.append(x[:, _rank_at_most_2(forms @ x, p)])
-    points = sorted(set(_normalize(np.concatenate(found, axis=1), p)))
+        points = {x for basis in kernels for x in _span_points(basis, p)
+                  if minors_vanish_at(matrix, x)}
+    points = sorted(points)
     return ScanResult(prime=p, points=tuple(points), degenerate=len(points) > MAX_FINITE_LOCUS)
 
 
@@ -290,14 +394,92 @@ def no_quadric_certificate(points, p: int) -> QuadricCertificate:
 
 # --- seeded generators --------------------------------------------------------
 
+_MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+_PCG_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
-def _seeded_rng(p: int, seed: int) -> np.random.Generator:
+
+def _hasher(const: int, multiplier: int):
+    """SeedSequence's hash: each call mixes a 32-bit word with a running constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+class _PCG64:
+    """numpy's ``default_rng(seed)`` in pure Python, draw for draw.
+
+    SeedSequence mixes the seed's 32-bit words into a four-word pool and
+    expands it to the 128-bit state and increment of PCG64 (O'Neill 2014),
+    whose 64-bit outputs are XSL-RR.  ``integers(p, n)`` is numpy's
+    ``integers(0, p, size=n)``: Lemire's bounded draw on the 32-bit halves
+    of the outputs, low half first.  A pending high half stays with the
+    generator from one call to the next, as in numpy.
+    """
+
+    def __init__(self, seed: int):
+        entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        expand = _hasher(0x8B51F9DD, 0x58F38DED)
+        words = [expand(pool[i % 4]) for i in range(8)]
+        # eight 32-bit words, read as four little-endian 64-bit ones
+        s0, s1, i0, i1 = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULTIPLIER + self._inc) & _MASK128
+        self._high = None
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULTIPLIER + self._inc) & _MASK128
+        x, r = (s >> 64 ^ s) & _MASK64, s >> 122
+        return (x >> r | x << (64 - r)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            high, self._high = self._high, None
+            return high
+        x = self._next64()
+        self._high = x >> 32
+        return x & _MASK32
+
+    def integers(self, p: int, n: int) -> list[int]:
+        out = []
+        for _ in range(n):
+            m = self._next32() * p
+            if m & _MASK32 < p:
+                threshold = (2**32 - p) % p
+                while m & _MASK32 < threshold:
+                    m = self._next32() * p
+            out.append(m >> 32)
+        return out
+
+
+def _seeded_rng(p: int, seed: int) -> _PCG64:
     if p > _PRIME_CAP:
         raise ResourceError(f"the scan caps the prime at {_PRIME_CAP}, got {p}")
     PrimeField(p)  # refuses anything but an odd prime
     if seed < 0:
         raise DomainError(f"need a non-negative seed, got {seed}")
-    return np.random.default_rng(seed)
+    return _PCG64(seed)
 
 
 def random_symmetric_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
@@ -308,8 +490,8 @@ def random_symmetric_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
     few of them; use :func:`random_symmetroid_matrix` when the full ten-point
     locus should be visible over F_p.
     """
-    coeffs = _seeded_rng(p, seed).integers(0, p, size=(10, 4))
-    return SymmetricLinearMatrix(p, tuple(tuple(int(c) for c in row) for row in coeffs))
+    coeffs = _seeded_rng(p, seed).integers(p, 40)
+    return SymmetricLinearMatrix(p, tuple(tuple(coeffs[4 * k:4 * k + 4]) for k in range(10)))
 
 
 def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
@@ -327,10 +509,10 @@ def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
         raise DomainError("P^3(F_3) has no six points with no four coplanar (at most five)")
     field = PrimeField(p)
     while True:
-        pts = [tuple(int(c) for c in rng.integers(0, p, size=4)) for _ in range(6)]
-        if any(all(c % p == 0 for c in pt) for pt in pts):
+        pts = [tuple(rng.integers(p, 4)) for _ in range(6)]
+        if (0, 0, 0, 0) in pts:
             continue
-        if any(_det4(quad, p) == 0 for quad in combinations(pts, 4)):
+        if any(_det4(quad) % p == 0 for quad in combinations(pts, 4)):  # coplanar
             continue
         rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in pts]
         web_basis = nullspace_basis(ExactMatrix.from_rows(field, rows))

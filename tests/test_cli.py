@@ -273,6 +273,12 @@ def test_symmetroid_scan_negative_seed(capsys):
     assert code == 2 and "Traceback" not in err and err.startswith("error:")
 
 
+def test_symmetroid_scan_even_prime_exits_2(capsys):
+    code, out, err = run(capsys, "symmetroid-scan", "--seed", "0", "--prime", "2")
+    assert code == 2 and out == ""
+    assert err == "error: prime field needs an odd prime, got 2\n"
+
+
 def test_symmetroid_scan_seed_prime_above_cap(capsys):
     huge = str(2**127 - 1)
     for extra in ((), ("--uniform",)):

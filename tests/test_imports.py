@@ -1,7 +1,8 @@
-"""Import path: numpy loads only with the symmetroid scanner.
+"""Import path: the package loads nothing outside the standard library.
 
 Checks of what an import loads run in a fresh interpreter, because the
-test session itself has already imported the scanner.
+test session itself has already imported the test tools and numpy, the
+oracle for the seeded generators' draws.
 """
 
 import json
@@ -14,15 +15,6 @@ import pytest
 import nodalcodes
 from nodalcodes.cli import main
 
-SCANNER_NAMES = [
-    "ScanResult",
-    "SymmetricLinearMatrix",
-    "no_quadric_certificate",
-    "random_symmetric_matrix",
-    "random_symmetroid_matrix",
-    "scan_nodes_fp",
-]
-
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
@@ -31,26 +23,30 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
-def test_package_and_cli_import_without_numpy():
-    proc = _python("import sys, nodalcodes, nodalcodes.cli; print('numpy' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
-@pytest.mark.parametrize("name", SCANNER_NAMES)
-def test_scanner_name_loads_on_first_use(name):
+def test_package_imports_only_the_standard_library():
     proc = _python(
-        "import sys, nodalcodes\n"
-        "name = sys.argv[1]\n"
-        "before = 'numpy' in sys.modules\n"
-        "value = getattr(nodalcodes, name)\n"
-        "from nodalcodes import symmetroid\n"
-        "print(before, 'numpy' in sys.modules, value is getattr(symmetroid, name),"
-        " vars(nodalcodes)[name] is value)",
-        name,
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nodalcodes, nodalcodes.cli, nodalcodes.symmetroid\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'nodalcodes'}))"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False True True True\n"
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", [
+    "ScanResult",
+    "SymmetricLinearMatrix",
+    "no_quadric_certificate",
+    "random_symmetric_matrix",
+    "random_symmetroid_matrix",
+    "scan_nodes_fp",
+])
+def test_scanner_name_is_the_symmetroid_object(name):
+    from nodalcodes import symmetroid
+
+    assert vars(nodalcodes)[name] is getattr(symmetroid, name)
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -72,6 +68,10 @@ def _input_files(tmp_path) -> dict:
             {"parity": "strict", "support": [4, 5, 6, 7, 8, 9, 10, 11]},
             {"parity": "strict", "support": [0, 1, 2, 3, 8, 9, 10, 11]}]},
         "bad_code": {"mu": 12, "generators": 5},
+        "matrix": {"prime": 13, "upper_triangle": [
+            "x + 2*y", "3*z", "w", "x + w", "y", "5*x + z", "2*w", "x + y + z", "7*y", "w + 4*z"]},
+        "x_identity": {"prime": 31, "upper_triangle": [
+            "x", "0", "0", "0", "x", "0", "0", "x", "0", "x"]},
     }
     paths = {}
     for name, payload in files.items():
@@ -95,6 +95,10 @@ def _calls(paths: dict) -> list[list[str]]:
         ["code", "info", paths["bad_code"]],
         ["vanishing-dim", "--nodes", paths["nodes"], "--degree", "2", "--json"],
         ["verify-nodes", "--nodes", paths["surface_nodes"], "--json"],
+        ["symmetroid-scan", "--seed", "1", "--prime", "101", "--json"],
+        ["symmetroid-scan", "--seed", "4", "--prime", "31", "--uniform", "--json"],
+        ["symmetroid-scan", "--matrix", paths["matrix"], "--json"],
+        ["symmetroid-scan", "--matrix", paths["x_identity"]],
     ]
 
 

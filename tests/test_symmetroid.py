@@ -1,13 +1,15 @@
 """Finite-field rank-2 locus scans and quadric interpolation certificates."""
 
+import functools
 import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nodalcodes import symmetroid
 from nodalcodes.errors import DataError, DomainError, ResourceError
 from nodalcodes.fields import PrimeField
 from nodalcodes.linalg import ExactMatrix, nullspace_basis
@@ -42,8 +44,54 @@ def _projective_key(pt, p):
     return tuple(c * inv % p for c in pt)
 
 
+@functools.lru_cache(maxsize=None)
 def _enumerate_p3(p):
-    return {_projective_key(pt, p) for pt in itertools.product(range(p), repeat=4) if any(pt)}
+    return frozenset(_projective_key(pt, p) for pt in itertools.product(range(p), repeat=4) if any(pt))
+
+
+def _matrix_from_pencil(p, pencil):
+    """The symmetric linear matrix sum_k x_k pencil[k], from four 4x4 matrices."""
+    return SymmetricLinearMatrix(p, tuple(tuple(pencil[k][i][j] for k in range(4))
+                                          for i, j in QUADRIC_MONOMIALS))
+
+
+@st.composite
+def _scan_inputs(draw):
+    """Matrices on both sides of the scan's fallback: uniform ones, webs and
+    coplanar webs reach the plane scan; a common kernel vector or a
+    dependent pencil M_w in span(M_x, M_y, M_z) makes det A vanish
+    everywhere, so those reach the lines through (0:0:0:1)."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    residue = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["uniform", "web", "coplanar web", "common kernel", "dependent pencil"]))
+    sym = st.lists(residue, min_size=10, max_size=10).map(
+        lambda c: [[c[QUADRIC_MONOMIALS.index((min(i, j), max(i, j)))] for j in range(4)]
+                   for i in range(4)])
+    if kind == "uniform":
+        return _matrix_from_pencil(p, draw(st.lists(sym, min_size=4, max_size=4)))
+    if kind in ("web", "coplanar web"):
+        point = st.tuples(residue, residue, residue, residue).filter(any)
+        if kind == "coplanar web":  # four points on the plane w = 0
+            plane = st.tuples(residue, residue, residue).filter(any).map(lambda pt: pt + (0,))
+            points = draw(st.lists(plane, min_size=4, max_size=4)) + draw(st.lists(point, min_size=2, max_size=2))
+        else:
+            points = draw(st.lists(point, min_size=6, max_size=6))
+        rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in points]
+        assume(row_list_rank_mod_p(rows, p) == 6)
+        return _web_through(p, points)
+    pencil = draw(st.lists(sym, min_size=4, max_size=4))
+    if kind == "dependent pencil":
+        a, b, c = draw(st.tuples(residue, residue, residue))
+        pencil[3] = [[(a * x + b * y + c * z) % p for x, y, z in zip(*rows)]
+                     for rows in zip(*pencil[:3])]
+        return _matrix_from_pencil(p, pencil)
+    # zero last row and column, then in coordinates v -> T v: T^t M_k T
+    t = draw(st.lists(st.lists(residue, min_size=4, max_size=4), min_size=4, max_size=4))
+    pencil = [[[m[i][j] if 3 not in (i, j) else 0 for j in range(4)] for i in range(4)]
+              for m in pencil]
+    return _matrix_from_pencil(p, [
+        [[sum(t[a][i] * m[a][b] * t[b][j] for a in range(4) for b in range(4)) % p
+          for j in range(4)] for i in range(4)] for m in pencil])
 
 
 def _web_through(p, points):
@@ -135,6 +183,11 @@ class TestScan:
     def test_matches_brute_force_enumeration_p31(self):
         self._check_against_enumeration(random_symmetroid_matrix(31, 0))
         self._check_against_enumeration(SymmetricLinearMatrix.from_strings(31, X_IDENTITY))
+
+    @settings(deadline=None, max_examples=60)
+    @given(_scan_inputs())
+    def test_matches_brute_force_on_drawn_matrices(self, m):
+        self._check_against_enumeration(m)
 
     @staticmethod
     def _check_against_enumeration(m):
@@ -260,11 +313,32 @@ class TestGenerators:
 
     @pytest.mark.parametrize("p", [1031, 2**127 - 1])
     def test_generator_prime_cap(self, p):
-        # refused before drawing: numpy cannot draw residues of p >= 2^63
+        # refused before drawing, like the scan itself
         with pytest.raises(ResourceError):
             random_symmetric_matrix(p, 0)
         with pytest.raises(ResourceError):
             random_symmetroid_matrix(p, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101, 211, 1021])
+def test_seeded_generators_match_numpy_draws(p, monkeypatch):
+    numpy = pytest.importorskip("numpy")
+
+    class NumpyDraws:  # numpy's own default_rng behind the port's interface
+        def __init__(self, seed):
+            self.rng = numpy.random.default_rng(seed)
+
+        def integers(self, p, n):
+            return [int(c) for c in self.rng.integers(0, p, size=n)]
+
+    seeds = list(range(200)) + [2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]
+    ported = [random_symmetric_matrix(p, seed) for seed in seeds]
+    webs = [random_symmetroid_matrix(p, seed) for seed in seeds] if p > 3 else []
+    monkeypatch.setattr(symmetroid, "_PCG64", NumpyDraws)
+    for seed, m in zip(seeds, ported):
+        assert random_symmetric_matrix(p, seed) == m, seed
+    for seed, m in zip(seeds, webs):
+        assert random_symmetroid_matrix(p, seed) == m, seed
 
 
 class TestMatrixFiles:
