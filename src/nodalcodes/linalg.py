@@ -2,37 +2,50 @@
 
 One elimination, :func:`_echelon_mod_p`, serves ranks and kernels over
 both fields, on plain Python integers.  Over F_p it runs echelon
-elimination on rows packed into one int each, in slots wide enough that
-the unreduced updates never carry from one column into the next, and
-back-substitution gives the kernel.  Over Q the rows' denominators are
-cleared and the rank taken mod the prime 2^61 - 1: that rank is a lower
-bound, and when it is min(rows, cols) it is the answer.  Otherwise the
-kernel vectors found mod the prime are lifted to Q by rational
-reconstruction and checked exactly over Z, which proves the matching
-upper bound; when the lift or the check fails, more primes are combined
-by CRT.  :func:`nullspace_basis` returns those certified vectors, which
-are the Gauss-Jordan kernel basis.  :func:`bit_rref` reduces generator
-matrices of binary codes, one int per row.  Everything is pure:
-operations never mutate their inputs.
+elimination on rows packed into one int each, in slots of one array
+item (8 to 64 bits) or whole words, wide enough that the unreduced
+updates never carry from one column into the next; rows move in and out
+of that form through bytes, in linear time, and back-substitution gives
+the kernel.  Over Q, int rows are taken as they are and rational rows
+have their denominators cleared; the rank is then taken mod the prime
+2^26 - 5, whose slots fit one 64-bit word.  That rank is a lower bound,
+and when it is min(rows, cols) it is the answer.
+Otherwise the kernel vectors found mod the prime are lifted to Q by
+rational reconstruction and checked exactly over Z, which proves the
+matching upper bound; when the lift or the check fails, more primes are
+combined by CRT.  :func:`nullspace_basis` returns those certified
+vectors, which are the Gauss-Jordan kernel basis.  :func:`bit_rref`
+reduces generator matrices of binary codes, one int per row.  Everything
+is pure: operations never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .fields import Field, PrimeField, Scalar, is_prime
 
-# the first prime of the certified rank over Q (a Mersenne prime)
-_Q_PRIME = 2**61 - 1
+# the first prime of the certified rank over Q: at the largest matrices
+# ranked (2000 monomial columns), its worst-case slot p + 2000 (p-1)^2 is
+# below 2^64, so every slot of the elimination is one machine word
+_Q_PRIME = 2**26 - 5
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dense matrix with entries in a single exact field."""
+    """Immutable dense matrix with entries in a single exact field.
+
+    :meth:`from_rows` validates entries into the field's scalars.  Over Q
+    a row may also hold only ints, as ``nodes.evaluation_matrix`` builds:
+    the integer row of a point, which the rank and kernel take as it is.
+    """
 
     field: Field
     entries: tuple[tuple[Scalar, ...], ...]
@@ -62,17 +75,46 @@ class ExactMatrix:
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _pack(values, w: int) -> int:
-    """One int holding ``values`` in w-bit slots, the first in the lowest."""
-    u = 0
-    for a in reversed(values):
-        u = (u << w) | a
-    return u
-
-
 def _slot_width(p: int, nrows: int, ncols: int) -> int:
-    """Bits per column slot of :func:`_echelon_mod_p` on an nrows x ncols matrix."""
-    return (p + min(nrows, ncols) * (p - 1) ** 2).bit_length()
+    """Bits per column slot of :func:`_echelon_mod_p` on an nrows x ncols matrix.
+
+    The worst-case slot value p + min(nrows, ncols) * (p-1)^2 must fit.
+    The width is rounded up to 8, 16, 32 or 64 bits, one native array
+    item, or above a word to whole 64-bit words.
+    """
+    bits = (p + min(nrows, ncols) * (p - 1) ** 2).bit_length()
+    if bits > 64:
+        return -(-bits // 64) * 64
+    return max(8, 1 << (bits - 1).bit_length())
+
+
+# (pack, unpack) for the slot widths of one array item, in bits.  Array
+# items are native-endian and packed ints little-endian, so a big-endian
+# machine has none and converts slot by slot.
+_ITEM_CODECS = {} if sys.byteorder == "big" else {
+    8 * array(t).itemsize: (partial(array, t),) * 2 for t in "QIHB"}
+
+
+def _slot_codec(w: int):
+    """``(pack, unpack)`` between slot values and bytes of w-bit slots.
+
+    ``pack(values)`` lays the values out as little-endian bytes, the first
+    lowest, and ``unpack(data)`` reads them back; ``int.from_bytes`` and
+    ``int.to_bytes`` move between those bytes and a packed int.  A slot of
+    one array item converts in C, a multi-word slot one slot at a time, so
+    a row converts in linear time either way.
+    """
+    if w in _ITEM_CODECS:
+        return _ITEM_CODECS[w]
+    k = w >> 3
+
+    def pack(values):
+        return b"".join(a.to_bytes(k, "little") for a in values)
+
+    def unpack(data):
+        return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
+
+    return pack, unpack
 
 
 def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
@@ -87,25 +129,30 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int
     slot.  Every other row with lead f is updated by the single big-int
     step ``(u >> w) + f * prow``.  Slots are never reduced: one starts
     below p and gains at most (p-1)^2 per pivot, so with this w no slot
-    carries into the next, and only ``(u & mask) % p`` is ever read.
+    carries into the next, and only ``(u & mask) % p`` is ever read.  Rows
+    are packed, and each pivot row unpacked and packed again, through bytes
+    (:func:`_slot_codec`), in time linear in the row.
     """
     ncols = len(rows[0]) if rows else 0
     if not ncols:
         return []
     w = _slot_width(p, len(rows), ncols)
-    mask = (1 << w) - 1
-    packed = [_pack(row, w) for row in rows]
+    k, mask = w >> 3, (1 << w) - 1
+    pack, unpack = _slot_codec(w)
+    from_bytes = int.from_bytes
+    packed = [from_bytes(pack(row), "little") for row in rows]
     pivots = []
     for c in range(ncols):
         leads = [(u & mask) % p for u in packed]
-        i = next((i for i, f in enumerate(leads) if f), None)
-        if i is None:
+        for i, f in enumerate(leads):
+            if f:
+                break
+        else:
             packed = [u >> w for u in packed]
             continue
         scale = p - pow(leads.pop(i), -1, p)
-        tail = packed.pop(i) >> w
-        prow = _pack([((tail >> s) & mask) * scale % p
-                      for s in range(0, (ncols - c - 1) * w, w)], w)
+        tail = (packed.pop(i) >> w).to_bytes(k * (ncols - c - 1), "little")
+        prow = from_bytes(pack([a * scale % p for a in unpack(tail)]), "little")
         pivots.append((c, prow))
         if not packed:
             break
@@ -128,16 +175,18 @@ def _kernel_images(pivots: list[tuple[int, int]], ncols: int, p: int,
     """
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
-    w = (p + len(pivots) * (p - 1) ** 2).bit_length()
-    mask = (1 << w) - 1
-    row_mask = (1 << row_w) - 1
+    w = _slot_width(p, len(pivots), len(pivots))
+    nbytes, row_k = (w >> 3) * len(free), row_w >> 3
+    pack, unpack = _slot_codec(w)
+    row_unpack = _slot_codec(row_w)[1]
+    from_bytes = int.from_bytes
     packed = {c: 1 << (i * w) for i, c in enumerate(free)}
     images = []
     for c, prow in reversed(pivots):
-        vals = ((prow >> s) & row_mask for s in range(0, (ncols - c - 1) * row_w, row_w))
+        vals = row_unpack(prow.to_bytes(row_k * (ncols - c - 1), "little"))
         acc = sum(f * packed[j] for j, f in enumerate(vals, c + 1) if f)
-        image = [((acc >> s) & mask) % p for s in range(0, len(free) * w, w)]
-        packed[c] = _pack(image, w)
+        image = [a % p for a in unpack(acc.to_bytes(nbytes, "little"))]
+        packed[c] = from_bytes(pack(image), "little")
         images.append(image)
     images.reverse()
     return images
@@ -243,10 +292,16 @@ def _rational_rank(rows: list[list[int]], ncols: int) -> tuple[int, int]:
     return rank, used
 
 
-def _integer_rows(entries: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each rational row by its denominators' lcm; the rank is unchanged."""
+def _integer_rows(entries: Iterable[Sequence[Scalar]]) -> list[Sequence[int]]:
+    """Scale each rational row by its denominators' lcm; the rank is unchanged.
+
+    A row of ints is already integral and is kept as it is.
+    """
     rows = []
     for row in entries:
+        if not row or type(row[0]) is int:
+            rows.append(row)
+            continue
         scale = lcm(*(a.denominator for a in row))
         rows.append([a.numerator * (scale // a.denominator) for a in row])
     return rows
@@ -255,12 +310,12 @@ def _integer_rows(entries: Iterable[Sequence[Fraction]]) -> list[list[int]]:
 def exact_rank(m: ExactMatrix) -> int:
     """Exact rank on plain integers.
 
-    Over F_p: packed-row elimination mod p.  Over Q: clear each row's
-    denominators, so none can vanish mod a prime, and take the rank of the
-    integer rows mod :data:`_Q_PRIME`.  When that lower bound reaches
-    min(rows, cols) it is the rank; otherwise lifted kernel vectors, checked
-    exactly over Z, certify it from above, with more primes when one is not
-    enough.
+    Over F_p: packed-row elimination mod p.  Over Q: take int rows as they
+    are and clear each rational row's denominators, so none can vanish mod
+    a prime, and take the rank of the integer rows mod :data:`_Q_PRIME`,
+    on one-word slots.  When that lower bound reaches min(rows, cols) it is
+    the rank; otherwise lifted kernel vectors, checked exactly over Z,
+    certify it from above, with more primes when one is not enough.
     """
     if isinstance(m.field, PrimeField):
         return len(_echelon_mod_p(m.entries, m.field.p))
@@ -293,10 +348,16 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
         p = m.field.p
         pivots = _echelon_mod_p(m.entries, p)
         images = _kernel_images(pivots, ncols, p, _slot_width(p, m.nrows, ncols))
-        at_pivot = dict(zip((c for c, _ in pivots), images))
-        free = [c for c in range(ncols) if c not in at_pivot]
-        return [tuple(at_pivot[c][i] if c in at_pivot else int(c == fc) for c in range(ncols))
-                for i, fc in enumerate(free)]
+        pivot_cols = [c for c, _ in pivots]
+        pivot_set = set(pivot_cols)
+        basis = []
+        for i, fc in enumerate(c for c in range(ncols) if c not in pivot_set):
+            vec = [0] * ncols
+            vec[fc] = 1
+            for c, image in zip(pivot_cols, images):
+                vec[c] = image[i]
+            basis.append(tuple(vec))
+        return basis
     _, kernel, _ = _rational_kernel(_integer_rows(m.entries), ncols, ncols)
     basis = []
     for vec in kernel or ():

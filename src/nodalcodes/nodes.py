@@ -10,7 +10,6 @@ nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
@@ -119,9 +118,10 @@ def monomial_basis(d: int) -> list[Monomial]:
 def evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
     """mu x C(d+3,3) matrix of degree-d monomials evaluated at the nodes.
 
-    Entries are computed on plain ints.  Over F_p they are products of
-    powers mod p.  Over Q each point is scaled by the lcm L of its
-    denominators, so an entry is a product of integer powers over L^d.
+    Entries are plain ints.  Over F_p they are products of powers mod p.
+    Over Q each point is scaled by the lcm L of its denominators, which
+    scales its row by L^d and leaves the rank unchanged, so a row is the
+    monomials at the point's integer coordinates: no ``Fraction`` is built.
     """
     f = cfg.field
     basis = monomial_basis(d)
@@ -136,8 +136,7 @@ def evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
             scale = lcm(*(c.denominator for c in pt))
             ints = [c.numerator * (scale // c.denominator) for c in pt]
             px, py, pz, pw = ([n**e for e in range(d + 1)] for n in ints)
-            den = scale**d
-            rows.append(tuple(Fraction(px[i] * py[j] * pz[k] * pw[l], den) for i, j, k, l in basis))
+            rows.append(tuple(px[i] * py[j] * pz[k] * pw[l] for i, j, k, l in basis))
     return ExactMatrix(f, tuple(rows))
 
 

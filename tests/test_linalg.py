@@ -19,11 +19,14 @@ from nodalcodes.linalg import (
     _integer_rows,
     _lift,
     _rational_rank,
+    _slot_codec,
+    _slot_width,
     bit_rref,
     exact_rank,
     nullspace_basis,
 )
 from nodalcodes.nodes import (
+    MONOMIAL_CAP,
     NodeConfiguration,
     evaluation_matrix,
     normalize_point,
@@ -223,6 +226,20 @@ def test_exact_rank_matches_gauss_jordan_over_fp(m):
 
 
 @settings(deadline=None, max_examples=200)
+@given(_matrices_with_repeats(QQ))
+def test_integer_rows_over_q_give_the_fraction_results(m):
+    # a Q matrix of int rows, as evaluation_matrix builds, is taken as it
+    # is; rank and kernel match its Fraction form and the unscaled rows
+    int_rows = _integer_rows(m.entries)
+    ints = ExactMatrix(QQ, tuple(tuple(row) for row in int_rows))
+    fractions = ExactMatrix.from_rows(QQ, int_rows)
+    assert all(type(a) is int for row in ints.entries for a in row)
+    assert _integer_rows(ints.entries) == list(ints.entries)
+    assert exact_rank(ints) == exact_rank(fractions) == exact_rank(m)
+    assert nullspace_basis(ints) == nullspace_basis(fractions) == nullspace_basis(m)
+
+
+@settings(deadline=None, max_examples=200)
 @given(_matrices_with_repeats(QQ), st.sampled_from((3, 5, 7, 2**61 - 1)))
 def test_modular_rank_never_exceeds_rational(m, p):
     # the lower bound the certified rank over Q relies on; at p = 3, 5, 7
@@ -291,9 +308,10 @@ def test_exact_rank_prime_above_two_to_the_64():
     assert exact_rank(m) == rank_and_rref(m)[0] == 4
 
 
-# 2^127 - 1 is past the primality test's range, but the elimination takes
-# any modulus; it keeps slots of over 250 bits in the test
-_PACKED_PRIMES = (3, 5, 10007, 2**61 - 1, 2**127 - 1)
+# slots of 8, 16, 32 and 64 bits over these shapes, and multi-word slots
+# from 2^61 - 1 up; 2^127 - 1 is past the primality test's range, but the
+# elimination takes any modulus; it keeps slots of over 250 bits in the test
+_PACKED_PRIMES = (3, 5, 101, 10007, 32003, 2**26 - 5, 2**29 - 3, 2**61 - 1, 2**127 - 1)
 
 
 @st.composite
@@ -323,7 +341,34 @@ def test_packed_rank_mod_p_matches_row_list_elimination(case):
     assert len(_echelon_mod_p(rows, p)) == row_list_rank_mod_p(rows, p)
 
 
-@pytest.mark.parametrize("p", [3, 2**61 - 1])
+@settings(deadline=None, max_examples=100)
+@given(_residue_rows())
+def test_slot_by_slot_conversion_gives_the_same_echelon(case):
+    # without array items (as on a big-endian machine) every slot converts
+    # by itself, and the pivots must not change
+    p, rows = case
+    pivots = _echelon_mod_p(rows, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_ITEM_CODECS", {})
+        assert _echelon_mod_p(rows, p) == pivots
+
+
+@pytest.mark.parametrize("item_codecs", [True, False], ids=["array-items", "slot-by-slot"])
+@pytest.mark.parametrize("k", range(1, 18))
+def test_slot_codec_round_trips_every_width(k, item_codecs, monkeypatch):
+    if not item_codecs:
+        monkeypatch.setattr(linalg, "_ITEM_CODECS", {})
+    rng = random.Random(k)
+    top = 2 ** (8 * k) - 1
+    values = [0, top, 1, top - 1] + [rng.randrange(top + 1) for _ in range(40)]
+    pack, unpack = _slot_codec(8 * k)
+    data = pack(values)
+    assert int.from_bytes(data, "little") == sum(a << (8 * k * i) for i, a in enumerate(values))
+    assert list(unpack(bytes(data))) == values
+    assert list(unpack(b"")) == [] and len(pack([])) == 0
+
+
+@pytest.mark.parametrize("p", [3, 2**61 - 1, linalg._Q_PRIME, 2**29 - 3])
 def test_packed_rank_mod_p_worst_case_slot_growth(p):
     n = 40
     # every entry p - 1: rank 1
@@ -339,6 +384,15 @@ def test_packed_rank_mod_p_worst_case_slot_growth(p):
     assert len(_echelon_mod_p(rows, p)) == n - 1
 
 
+def test_worst_case_slot_growth_fills_a_whole_word():
+    # at 2^29 - 3 the staircase above ends with a last slot in [2^63, 2^64):
+    # one word, top bit set, so a carry or a lost byte at the word boundary
+    # changes that test's rank
+    p, n = 2**29 - 3, 40
+    assert _slot_width(p, n, n) == 64
+    assert 2**63 <= (n - 1) * (p - 1) ** 2 + (-(n - 1) % p) < 2**64
+
+
 def _distinct_points(field, draw, n):
     """n pairwise distinct projective points from ``draw()``."""
     points = {}
@@ -351,7 +405,7 @@ def _distinct_points(field, draw, n):
 
 def test_full_rank_q_matrix_is_decided_by_one_prime():
     # 168 random integer points and the 165 degree-8 monomials: the rank mod
-    # 2^61 - 1 reaches min(m, n), so no kernel certificate is needed
+    # the first prime reaches min(m, n), so no kernel certificate is needed
     rng = random.Random(168)
     points = _distinct_points(QQ, lambda: tuple(rng.randint(-9, 9) for _ in range(4)), 168)
     m = evaluation_matrix(NodeConfiguration(8, QQ, points), 8)
@@ -368,8 +422,8 @@ def test_full_rank_q_matrix_is_decided_by_one_prime():
     [[Fraction(1, 2), 1], [1, 2 + 2 * linalg._Q_PRIME]],
 ], ids=["P-diagonal", "minor-2P"])
 def test_rank_mod_the_q_prime_takes_a_second_prime(rows):
-    # the rank drops mod 2^61 - 1, the kernel vector found there fails the
-    # exact check, and the next prime sees the full rank
+    # the rank drops mod the first prime, the kernel vector found there fails
+    # the exact check, and the next prime sees the full rank
     m = ExactMatrix.from_rows(QQ, rows)
     int_rows = _integer_rows(m.entries)
     assert _modular_rank(m, linalg._Q_PRIME) == 1
@@ -377,9 +431,11 @@ def test_rank_mod_the_q_prime_takes_a_second_prime(rows):
     assert exact_rank(m) == rank_and_rref(m)[0] == bareiss(int_rows)[0] == 2
 
 
-def test_q_primes_descend_from_the_mersenne_prime():
+def test_q_primes_descend_from_a_one_word_prime():
     primes = list(itertools.islice(linalg._q_primes(), 4))
-    assert primes[0] == 2**61 - 1
+    assert primes[0] == linalg._Q_PRIME == 2**26 - 5
+    # the worst-case slot at the largest matrix ranked is one 64-bit word
+    assert _slot_width(linalg._Q_PRIME, MONOMIAL_CAP, MONOMIAL_CAP) <= 64
     assert primes == sorted(primes, reverse=True)
     # every odd number strictly between two listed primes is composite
     for hi, lo in zip(primes, primes[1:]):
@@ -422,13 +478,14 @@ def _unitriangular(n, draw, lower):
 
 @settings(deadline=None, max_examples=60)
 @given(st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
-    lambda shape: _int_matrix(shape, st.integers(-50, 50))))
+    lambda shape: _int_matrix(shape, st.integers(-4, 4))))
 def test_rational_rank_of_full_rank_integer_matrices(rows):
     ncols = len(rows[0])
     rank, used = _rational_rank(rows, ncols)
     assert rank == _q_rank_oracles(rows)
-    # every minor is below 2^61 - 1 in absolute value (Hadamard: 7^3.5 * 50^7),
-    # so a nonzero one stays nonzero mod that prime
+    # every minor is below the first prime in absolute value (Hadamard:
+    # 7^3.5 * 4^7 < 7^4 * 4^7), so a nonzero one stays nonzero mod that prime
+    assert 7**4 * 4**7 < linalg._Q_PRIME
     if rank == min(len(rows), ncols):
         assert used == 1
 
@@ -450,17 +507,23 @@ def test_rational_rank_of_deficient_products(case):
     assert rank == _q_rank_oracles(rows) <= k
 
 
+# the first two primes of the certified rank over Q
+_P1, _P2 = itertools.islice(linalg._q_primes(), 2)
+
+
 @st.composite
 def _huge_kernel_entries(draw):
     """A (I | C) stacked with combinations of its rows, A unimodular.
 
     The kernel basis with the identity on the free columns is (-C e_i, e_i),
-    and C has an entry above 2^31, past what one prime's lift can reach.
+    and C has an entry past what one prime's lift can reach, isqrt(p // 2)
+    for the first prime p, and within what the first two reach together.
     """
     r, s, extra = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     c = draw(_int_matrix((r, s), st.integers(-9, 9)))
     i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, s - 1))
-    c[i][j] = draw(st.sampled_from((1, -1))) * draw(st.integers(2**31 + 1, 2**40))
+    c[i][j] = draw(st.sampled_from((1, -1))) * draw(st.integers(isqrt(_P1 // 2) + 1,
+                                                                isqrt(_P1 * _P2 // 2)))
     a = _product(_unitriangular(r, draw, True), _unitriangular(r, draw, False))
     top = _product(a, [[int(i == j) for j in range(r)] + c[i] for i in range(r)])
     return top + _product(draw(_int_matrix((extra, r), st.integers(-3, 3))), top)
@@ -471,17 +534,18 @@ def _huge_kernel_entries(draw):
 def test_rational_rank_with_a_huge_kernel_entry_takes_two_primes(rows):
     rank, used = _rational_rank(rows, len(rows[0]))
     assert rank == _q_rank_oracles(rows)
-    # one prime lifts entries up to ~2^30; two, sharing the echelon, lift
-    # the entry of at most 2^40 after one CRT step
+    # one prime p lifts entries up to isqrt(p // 2), ~5.8e3; two, sharing
+    # the echelon, lift the entry of at most isqrt(p p' // 2), ~4.7e7, after
+    # one CRT step
     assert used == 2
 
 
 @st.composite
 def _unlucky_at_the_q_prime(draw):
-    """[[A, AX], [YA, YAX]] with det A = k * (2^61 - 1) and rank A over Q.
+    """[[A, AX], [YA, YAX]] with det A = kP, P the first prime, and rank A over Q.
 
     A = L diag(1, ..., 1, kP) R with L, R unitriangular, so its rank drops
-    by one mod P = 2^61 - 1 and is full mod the next prime.
+    by one mod P and is full mod the next prime.
     """
     r, s, t = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     d = [[int(i == j) for j in range(r)] for i in range(r)]

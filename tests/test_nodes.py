@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -164,11 +164,16 @@ def _configurations(draw):
 @settings(deadline=None, max_examples=150)
 @given(_configurations())
 def test_evaluation_matrix_matches_the_field_interface_builder(case):
+    # over Q each row is the oracle's row times L^d, L the lcm of the point's
+    # denominators, and holds ints; over F_p the matrices are equal
     cfg, d = case
     m = evaluation_matrix(cfg, d)
-    assert m == field_evaluation_matrix(cfg, d)
-    scalar = Fraction if cfg.field == QQ else int
-    assert all(type(a) is scalar for row in m.entries for a in row)
+    oracle = field_evaluation_matrix(cfg, d)
+    assert m.field == oracle.field and len(m.entries) == len(oracle.entries) == cfg.mu
+    for pt, row, expected in zip(cfg.points, m.entries, oracle.entries):
+        scale = lcm(*(c.denominator for c in pt)) ** d if cfg.field == QQ else 1
+        assert row == tuple(a * scale for a in expected)
+    assert all(type(a) is int for row in m.entries for a in row)
 
 
 def _quadric_grid(d, rng):
