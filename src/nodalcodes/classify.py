@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .codes import (
+    QUARTIC_WORD_CLASSES,
     EvenSetCode,
     EvenSetWord,
     _canonical_form,
@@ -50,8 +51,6 @@ from .errors import DomainError
 from .linalg import bit_rref
 
 MU_MAX = 16
-
-_WORD_CLASSES = ((6, True), (8, False), (10, True), (16, False))
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def admissible_words_ext(mu: int) -> list[int]:
     strict of weight 8 or 16."""
     bits = [1 << i for i in range(mu)]
     words = []
-    for weight, weak in _WORD_CLASSES:
+    for weight, weak in QUARTIC_WORD_CLASSES:
         if weight > mu:
             continue
         parity_bit = 1 << mu if weak else 0
@@ -155,7 +154,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
 
     # canonical form -> (basis, its candidate words)
     level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
-    for weight, weak in _WORD_CLASSES:
+    for weight, weak in QUARTIC_WORD_CLASSES:
         if weight > mu:
             continue
         w = (1 << weight) - 1 | ((1 << mu) if weak else 0)

@@ -201,7 +201,7 @@ def _cmd_symmetroid_scan(args) -> int:
 def _cmd_hilbert_check(args) -> int:
     series_mod._check_order(args.order)
     coeffs = series_mod.symmetroid_hilbert_series(max(args.order, 5))
-    ok = coeffs[:6] == series_mod.SYMMETROID_LEADING_COEFFICIENTS
+    ok = series_mod.symmetroid_hilbert_check()
     payload = {
         "coefficients": coeffs,
         "expected_leading": series_mod.SYMMETROID_LEADING_COEFFICIENTS,

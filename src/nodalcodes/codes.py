@@ -105,14 +105,16 @@ def word_sum(u: EvenSetWord, v: EvenSetWord) -> EvenSetWord:
     return EvenSetWord.from_ext(u.mu, u.to_ext() ^ v.to_ext())
 
 
+# (weight, weak) of the nonzero even sets a nodal quartic allows, in weight order
+QUARTIC_WORD_CLASSES = ((6, True), (8, False), (10, True), (16, False))
+
+
 def quartic_admissible(w: EvenSetWord) -> bool:
     """Whether a nonzero even set can occur on a nodal quartic surface:
     weakly even sets have 6 or 10 nodes, strictly even ones 8 or 16."""
     if w.support == 0:
         raise DomainError("admissibility is defined for nonzero words only")
-    if w.weak:
-        return w.weight in (6, 10)
-    return w.weight in (8, 16)
+    return (w.weight, w.weak) in QUARTIC_WORD_CLASSES
 
 
 def griesmer_ok(n: int, k: int, d: int) -> bool:

@@ -77,68 +77,11 @@ class HomogeneousForm:
                 cleaned[tuple(m)] = c
         return cls(degree, field, cleaned)
 
-    @classmethod
-    def zero_form(cls, degree: int, field: Field) -> "HomogeneousForm":
-        return cls(max(degree, 0), field, {})
-
-    @classmethod
-    def variable(cls, index: int, field: Field) -> "HomogeneousForm":
-        m = tuple(1 if i == index else 0 for i in range(4))
-        return cls(1, field, {m: field.one})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]))
-
-    def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        self._check_compatible(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise HomogeneityError(self.degree, other.degree)
-        terms = dict(self.terms)
-        f = self.field
-        for m, c in other.terms.items():
-            s = f.reduce(terms.get(m, 0) + c)
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return HomogeneousForm(self.degree, f, terms)
-
-    def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + other.scaled(-1)
-
-    def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        self._check_compatible(other)
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return HomogeneousForm.zero_form(self.degree + other.degree, f)
-        terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = f.reduce(terms.get(m, 0) + c1 * c2)
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return HomogeneousForm(self.degree + other.degree, f, terms)
-
-    def scaled(self, c: Scalar) -> "HomogeneousForm":
-        f = self.field
-        c = f.validate(c)
-        if c == 0:
-            return HomogeneousForm.zero_form(self.degree, f)
-        return HomogeneousForm(self.degree, f, {m: f.reduce(c * v) for m, v in self.terms.items()})
-
-    def _check_compatible(self, other: "HomogeneousForm") -> None:
-        if self.field != other.field:
-            raise DataError("forms live over different fields")
 
     def __str__(self) -> str:
         if self.is_zero():

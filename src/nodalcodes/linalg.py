@@ -1,22 +1,22 @@
-"""Exact matrix rank, kernels, and F2 row reduction.
+"""Exact matrix rank, kernels mod p, and F2 row reduction.
 
-One elimination, :func:`_echelon_mod_p`, serves ranks and kernels over
-both fields, on plain Python integers.  Over F_p it runs echelon
-elimination on rows packed into one int each, in slots of one array
-item (8 to 64 bits) or whole words, wide enough that the unreduced
-updates never carry from one column into the next; rows move in and out
-of that form through bytes, in linear time, and back-substitution gives
-the kernel.  Over Q, int rows are taken as they are and rational rows
-have their denominators cleared; the rank is then taken mod the prime
-2^26 - 5, whose slots fit one 64-bit word.  That rank is a lower bound,
-and when it is min(rows, cols) it is the answer.
+One elimination, :func:`_echelon_mod_p`, serves ranks over both fields
+and kernels over F_p, on plain Python integers.  Over F_p it runs
+echelon elimination on rows packed into one int each, in slots of one
+array item (8 to 64 bits) or whole words, wide enough that the
+unreduced updates never carry from one column into the next; rows move
+in and out of that form through bytes, in linear time, and
+back-substitution gives the kernel.  Over Q, int rows are taken as they
+are and rational rows have their denominators cleared; the rank is then
+taken mod the prime 2^26 - 5, whose slots fit one 64-bit word.  That
+rank is a lower bound, and when it is min(rows, cols) it is the answer.
 Otherwise the kernel vectors found mod the prime are lifted to Q by
 rational reconstruction and checked exactly over Z, which proves the
 matching upper bound; when the lift or the check fails, more primes are
-combined by CRT.  :func:`nullspace_basis` returns those certified
-vectors, which are the Gauss-Jordan kernel basis.  :func:`bit_rref`
-reduces generator matrices of binary codes, one int per row.  Everything
-is pure: operations never mutate their inputs.
+combined by CRT.  Over Q the library needs ranks only, so
+:func:`nullspace_basis` is F_p-only.  :func:`bit_rref` reduces
+generator matrices of binary codes, one int per row.  Everything is
+pure: operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataError
+from .errors import DataError, DomainError
 from .fields import Field, PrimeField, Scalar, is_prime
 
 # the first prime of the certified rank over Q: at the largest matrices
@@ -249,23 +248,27 @@ def _q_primes() -> Iterator[int]:
         n -= 2
 
 
-def _rational_kernel(rows: list[list[int]], ncols: int,
-                     full: int) -> tuple[int, list[list[tuple[int, int]]] | None, int]:
+def _rational_kernel(rows: list[list[int]],
+                     ncols: int) -> tuple[int, list[list[tuple[int, int]]] | None, int]:
     """Rank over Q of integer rows, its certified kernel, and the primes it took.
 
     A minor that is nonzero mod a prime is nonzero over Z, so every rank mod
-    a prime is a lower bound; a prime whose rank reaches ``full`` (at most
-    min(rows, cols)) ends the loop with no kernel.  Below that, a kernel
-    certificate proves the matching upper bound and its vectors are
-    returned.  The best echelon so far (highest rank, then smallest pivot
-    columns; a prime can only lower the rank or push pivots right) supplies
-    the kernel residues, and each prime with that echelon extends them by
-    CRT.  Only finitely many primes are unlucky, and once the modulus
-    exceeds 2*H^2, with H the Hadamard bound on the r x r minors, every
-    kernel entry (a ratio of such minors by Cramer's rule) lifts exactly;
-    so the loop ends.
+    a prime is a lower bound; a prime whose rank reaches min(rows, cols)
+    ends the loop with no kernel.  Below that, a kernel certificate
+    (:func:`_kernel_certificate`) proves the matching upper bound, and its
+    integer vectors are returned.  The best echelon so far (highest rank,
+    then smallest pivot columns; a prime can only lower the rank or push
+    pivots right) supplies the kernel residues, and each prime with that
+    echelon extends them by CRT.  Let H, the product of the min(rows, cols)
+    largest row norms rounded up, bound every minor.  A wrong echelon
+    collects only primes dividing one fixed nonzero minor, so its modulus
+    stays at most H; with the right one and a modulus above 2*H^2 every
+    kernel entry (a ratio of minors by Cramer's rule) lifts exactly and the
+    check passes.  So a certificate failing past 2*H^2 is a fault and
+    raises ArithmeticError rather than trying primes forever.
     """
-    best = None
+    full = min(len(rows), ncols)
+    best = limit = None
     for used, p in enumerate(_q_primes(), 1):
         pivots = _echelon_mod_p([[a % p for a in row] for row in rows], p)
         if len(pivots) == full:
@@ -284,12 +287,11 @@ def _rational_kernel(rows: list[list[int]], ncols: int,
         kernel = _kernel_certificate(rows, best[1], residues, modulus)
         if kernel is not None:
             return len(best[1]), kernel, used
-
-
-def _rational_rank(rows: list[list[int]], ncols: int) -> tuple[int, int]:
-    """Rank over Q of integer rows, and the number of primes it took."""
-    rank, _, used = _rational_kernel(rows, ncols, min(len(rows), ncols))
-    return rank, used
+        if limit is None:  # H is needed only once a certificate fails
+            norms = sorted((isqrt(sum(a * a for a in row)) + 1 for row in rows), reverse=True)
+            limit = 2 * prod(norms[:full]) ** 2
+        if modulus > limit:
+            raise ArithmeticError(f"kernel certificate failed past 2*H^2 after {used} primes")
 
 
 def _integer_rows(entries: Iterable[Sequence[Scalar]]) -> list[Sequence[int]]:
@@ -319,50 +321,31 @@ def exact_rank(m: ExactMatrix) -> int:
     """
     if isinstance(m.field, PrimeField):
         return len(_echelon_mod_p(m.entries, m.field.p))
-    return _rational_rank(_integer_rows(m.entries), m.ncols)[0]
+    return _rational_kernel(_integer_rows(m.entries), m.ncols)[0]
 
 
-def nullspace_basis(m: ExactMatrix) -> list[tuple[Scalar, ...]]:
-    """Basis of the right kernel; returns ``ncols - rank`` vectors.
+def nullspace_basis(m: ExactMatrix) -> list[tuple[int, ...]]:
+    """Basis of the right kernel over F_p; returns ``ncols - rank`` vectors.
 
     The basis is the one Gauss-Jordan gives: one vector per free column of
-    the reduced row echelon form, 1 there, 0 at the other free columns.
-    Over F_p it is read off :func:`_echelon_mod_p` by
-    :func:`_kernel_images`.  Over Q it is the certified lift of
-    :func:`_rational_kernel`, each vector divided by its free column's
-    entry, and it is the Gauss-Jordan basis for this reason:
-
-    1. a prime's echelon has residue 0 at every pivot column right of a
-       free column in that column's kernel vector (back-substitution
-       there sees only zeros);
-    2. CRT and the lift keep those zeros;
-    3. so a passing exact check proves each free column a combination of
-       the pivot columns left of it, and the first k columns have rank over
-       Q at most their pivot count mod p, which is also a lower bound;
-    4. so the certified pivots are the pivots over Q, and the lifted
-       vectors, kernel vectors with the identity pattern on the free
-       columns, are the unique such vectors: the Gauss-Jordan basis.
+    the reduced row echelon form, 1 there, 0 at the other free columns,
+    read off :func:`_echelon_mod_p` by :func:`_kernel_images`.  Over Q the
+    library computes ranks, not kernels, so a Q matrix raises DomainError.
     """
-    ncols = m.ncols
-    if isinstance(m.field, PrimeField):
-        p = m.field.p
-        pivots = _echelon_mod_p(m.entries, p)
-        images = _kernel_images(pivots, ncols, p, _slot_width(p, m.nrows, ncols))
-        pivot_cols = [c for c, _ in pivots]
-        pivot_set = set(pivot_cols)
-        basis = []
-        for i, fc in enumerate(c for c in range(ncols) if c not in pivot_set):
-            vec = [0] * ncols
-            vec[fc] = 1
-            for c, image in zip(pivot_cols, images):
-                vec[c] = image[i]
-            basis.append(tuple(vec))
-        return basis
-    _, kernel, _ = _rational_kernel(_integer_rows(m.entries), ncols, ncols)
+    if not isinstance(m.field, PrimeField):
+        raise DomainError("nullspace_basis works over F_p only; over Q take exact_rank")
+    p, ncols = m.field.p, m.ncols
+    pivots = _echelon_mod_p(m.entries, p)
+    images = _kernel_images(pivots, ncols, p, _slot_width(p, m.nrows, ncols))
+    pivot_cols = [c for c, _ in pivots]
+    pivot_set = set(pivot_cols)
     basis = []
-    for vec in kernel or ():
-        entries, scale = dict(vec), vec[0][1]
-        basis.append(tuple(Fraction(entries.get(c, 0), scale) for c in range(ncols)))
+    for i, fc in enumerate(c for c in range(ncols) if c not in pivot_set):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for c, image in zip(pivot_cols, images):
+            vec[c] = image[i]
+        basis.append(tuple(vec))
     return basis
 
 

@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalcodes import linalg
-from nodalcodes.errors import DataError
+from nodalcodes.errors import DataError, DomainError
 from nodalcodes.fields import PrimeField, QQ, is_prime
 from nodalcodes.linalg import (
     ExactMatrix,
     _echelon_mod_p,
     _integer_rows,
     _lift,
-    _rational_rank,
+    _rational_kernel,
     _slot_codec,
     _slot_width,
     bit_rref,
@@ -108,12 +108,18 @@ def test_rank_matches_minor_oracle_small():
 
 
 def test_nullspace_identity_empty():
-    assert nullspace_basis(_identity(QQ, 4)) == []
+    assert nullspace_basis(_identity(PrimeField(7), 4)) == []
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace_basis(_zero(QQ, 2, 5))
+    basis = nullspace_basis(_zero(PrimeField(7), 2, 5))
     assert len(basis) == 5
+
+
+def test_nullspace_basis_over_q_is_refused():
+    # over Q the library computes ranks, not kernels
+    with pytest.raises(DomainError):
+        nullspace_basis(_identity(QQ, 2))
 
 
 def test_nullspace_ones_row_over_f7():
@@ -229,14 +235,13 @@ def test_exact_rank_matches_gauss_jordan_over_fp(m):
 @given(_matrices_with_repeats(QQ))
 def test_integer_rows_over_q_give_the_fraction_results(m):
     # a Q matrix of int rows, as evaluation_matrix builds, is taken as it
-    # is; rank and kernel match its Fraction form and the unscaled rows
+    # is; its rank matches its Fraction form and the unscaled rows
     int_rows = _integer_rows(m.entries)
     ints = ExactMatrix(QQ, tuple(tuple(row) for row in int_rows))
     fractions = ExactMatrix.from_rows(QQ, int_rows)
     assert all(type(a) is int for row in ints.entries for a in row)
     assert _integer_rows(ints.entries) == list(ints.entries)
     assert exact_rank(ints) == exact_rank(fractions) == exact_rank(m)
-    assert nullspace_basis(ints) == nullspace_basis(fractions) == nullspace_basis(m)
 
 
 @settings(deadline=None, max_examples=200)
@@ -258,19 +263,17 @@ def _matrices_with_zero_columns(draw, field):
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.sampled_from((QQ, PrimeField(3), PrimeField(7), PrimeField(10007)))
+@given(st.sampled_from((PrimeField(3), PrimeField(7), PrimeField(10007)))
        .flatmap(_matrices_with_zero_columns))
 def test_nullspace_basis_spans_the_kernel(m):
-    p = m.field.characteristic
+    p = m.field.p
     basis = nullspace_basis(m)
     assert len(basis) == m.ncols - exact_rank(m)
     for vec in basis:
         assert len(vec) == m.ncols
-        if p:
-            assert all(0 <= a < p for a in vec)
+        assert all(0 <= a < p for a in vec)
         for row in m.entries:
-            dot = sum(a * v for a, v in zip(row, vec))
-            assert (dot % p if p else dot) == 0
+            assert sum(a * v for a, v in zip(row, vec)) % p == 0
     assert exact_rank(ExactMatrix.from_rows(m.field, basis)) == len(basis)
 
 
@@ -413,7 +416,7 @@ def test_full_rank_q_matrix_is_decided_by_one_prime():
     assert exact_rank(m) == 165
     # Bareiss alone took over 10 s on matrices like this one
     assert time.perf_counter() - start < 3
-    assert _rational_rank(_integer_rows(m.entries), m.ncols) == (165, 1)
+    assert _rational_kernel(_integer_rows(m.entries), m.ncols) == (165, None, 1)
 
 
 @pytest.mark.parametrize("rows", [
@@ -427,7 +430,7 @@ def test_rank_mod_the_q_prime_takes_a_second_prime(rows):
     m = ExactMatrix.from_rows(QQ, rows)
     int_rows = _integer_rows(m.entries)
     assert _modular_rank(m, linalg._Q_PRIME) == 1
-    assert _rational_rank(int_rows, 2) == (2, 2)
+    assert _rational_kernel(int_rows, 2) == (2, None, 2)
     assert exact_rank(m) == rank_and_rref(m)[0] == bareiss(int_rows)[0] == 2
 
 
@@ -461,6 +464,32 @@ def _q_rank_oracles(rows):
     return by_bareiss
 
 
+def _check_certificate(rows, rank, kernel):
+    """The certified integer kernel: one vector per free column, nonzero
+    there and zero at the other free columns, annihilating every row over Z."""
+    free = [vec[0][0] for vec in kernel]
+    assert len(set(free)) == len(free) == len(rows[0]) - rank
+    for vec in kernel:
+        assert vec[0][1] and not any(c in free for c, _ in vec[1:])
+        assert not any(sum(row[c] * v for c, v in vec) for row in rows)
+
+
+def test_failing_certificate_raises_past_the_hadamard_limit(monkeypatch):
+    # a fault that fails every certificate must end the loop: past 2*H^2,
+    # H = 3 * 5 here, a correct elimination always certifies
+    primes = linalg._q_primes
+
+    def at_most_fifty_primes():
+        for p in itertools.islice(primes(), 50):
+            yield p
+        raise AssertionError("the certificate loop took more than 50 primes")
+
+    monkeypatch.setattr(linalg, "_kernel_certificate", lambda *args: None)
+    monkeypatch.setattr(linalg, "_q_primes", at_most_fifty_primes)
+    with pytest.raises(ArithmeticError):
+        exact_rank(ExactMatrix.from_rows(QQ, [[1, 2], [2, 4]]))
+
+
 def _product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
@@ -481,13 +510,15 @@ def _unitriangular(n, draw, lower):
     lambda shape: _int_matrix(shape, st.integers(-4, 4))))
 def test_rational_rank_of_full_rank_integer_matrices(rows):
     ncols = len(rows[0])
-    rank, used = _rational_rank(rows, ncols)
+    rank, kernel, used = _rational_kernel(rows, ncols)
     assert rank == _q_rank_oracles(rows)
     # every minor is below the first prime in absolute value (Hadamard:
     # 7^3.5 * 4^7 < 7^4 * 4^7), so a nonzero one stays nonzero mod that prime
     assert 7**4 * 4**7 < linalg._Q_PRIME
     if rank == min(len(rows), ncols):
-        assert used == 1
+        assert kernel is None and used == 1
+    else:
+        _check_certificate(rows, rank, kernel)
 
 
 @st.composite
@@ -503,8 +534,9 @@ def _deficient_products(draw):
 @given(_deficient_products())
 def test_rational_rank_of_deficient_products(case):
     rows, k = case
-    rank, _ = _rational_rank(rows, len(rows[0]))
+    rank, kernel, _ = _rational_kernel(rows, len(rows[0]))
     assert rank == _q_rank_oracles(rows) <= k
+    _check_certificate(rows, rank, kernel)
 
 
 # the first two primes of the certified rank over Q
@@ -532,8 +564,9 @@ def _huge_kernel_entries(draw):
 @settings(deadline=None, max_examples=40)
 @given(_huge_kernel_entries())
 def test_rational_rank_with_a_huge_kernel_entry_takes_two_primes(rows):
-    rank, used = _rational_rank(rows, len(rows[0]))
+    rank, kernel, used = _rational_kernel(rows, len(rows[0]))
     assert rank == _q_rank_oracles(rows)
+    _check_certificate(rows, rank, kernel)
     # one prime p lifts entries up to isqrt(p // 2), ~5.8e3; two, sharing
     # the echelon, lift the entry of at most isqrt(p p' // 2), ~4.7e7, after
     # one CRT step
@@ -560,27 +593,18 @@ def _unlucky_at_the_q_prime(draw):
 @settings(deadline=None, max_examples=40)
 @given(_unlucky_at_the_q_prime())
 def test_rational_rank_when_the_q_prime_is_unlucky(rows):
-    rank, used = _rational_rank(rows, len(rows[0]))
+    rank, kernel, used = _rational_kernel(rows, len(rows[0]))
     assert rank == _q_rank_oracles(rows)
+    _check_certificate(rows, rank, kernel)
     assert len(_echelon_mod_p([[v % linalg._Q_PRIME for v in row] for row in rows],
                               linalg._Q_PRIME)) == rank - 1
     assert used == 2
 
 
-def _as_rational(rows):
-    return ExactMatrix.from_rows(QQ, rows)
-
-
 @settings(deadline=None, max_examples=300)
-@given(st.one_of(
-    _matrices_with_zero_columns(QQ),
-    st.sampled_from(_PRIMES).flatmap(lambda p: _matrices_with_zero_columns(PrimeField(p))),
-    _unlucky_at_the_q_prime().map(_as_rational),
-    _huge_kernel_entries().map(_as_rational),
-))
+@given(st.sampled_from(_PRIMES).flatmap(lambda p: _matrices_with_zero_columns(PrimeField(p))))
 def test_nullspace_basis_is_the_gauss_jordan_basis(m):
-    # same vectors in the same order, and the same entry types: Fraction
-    # over Q, int over F_p
+    # same vectors in the same order, and the same entry type, int
     basis, oracle = nullspace_basis(m), gauss_jordan_nullspace(m)
     assert basis == oracle
     assert [list(map(type, v)) for v in basis] == [list(map(type, v)) for v in oracle]
@@ -616,7 +640,9 @@ def test_deficient_rank_at_scale_matches_the_closed_form(points, expected_rank):
     p = 2**31 - 1
     rows = _integer_rows(evaluation_matrix(cfg, 8).entries)
     assert row_list_rank_mod_p([[a % p for a in row] for row in rows], p) == expected_rank
-    assert _rational_rank(rows, 165) == (expected_rank, 1)
+    rank, kernel, used = _rational_kernel(rows, 165)
+    assert (rank, used) == (expected_rank, 1)
+    _check_certificate(rows, rank, kernel)
 
 
 def _fraction_det(rows):
