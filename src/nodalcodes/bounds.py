@@ -12,11 +12,11 @@ from math import comb
 from .errors import DomainError, InconsistencyError
 
 
-def _require_even_degree(b: int, minimum: int = 4) -> None:
+def _require_even_degree(b: int) -> None:
     if b % 2 != 0:
         raise DomainError(f"branch degree must be even, got {b}")
-    if b < minimum:
-        raise DomainError(f"branch degree must be at least {minimum}, got {b}")
+    if b < 4:
+        raise DomainError(f"branch degree must be at least 4, got {b}")
 
 
 def second_betti_of_resolution(b: int) -> int:
@@ -48,14 +48,11 @@ def improved_bound(b: int, mu: int) -> int:
 
     The subtracted term equals C(3b/2-1, 3) - 4*C(b/2, 3): the count of
     degree-(3b/2-4) monomials minus the dimension of the slice of the
-    Jacobian ideal in that degree.  48 divides the product exactly for
-    even b.
+    Jacobian ideal in that degree.  48 divides the product for every even
+    b = 2k: it is 8(k-1)(23k^2-19k+6), and 6 divides (k-1)(23k^2-19k+6).
     """
     _require_even_degree(b)
-    product = (b - 2) * (23 * b**2 - 38 * b + 24)
-    if product % 48 != 0:
-        raise AssertionError(f"48 does not divide {product} for b = {b}")
-    return mu - product // 48
+    return mu - (b - 2) * (23 * b**2 - 38 * b + 24) // 48
 
 
 def miyaoka_max_nodes(b: int) -> int:

@@ -1,11 +1,12 @@
 """Exact matrix rank, kernels mod p, and F2 row reduction.
 
 One elimination, :func:`_echelon_mod_p`, serves ranks over both fields
-and kernels over F_p, on plain Python integers.  Over F_p it runs
-echelon elimination on rows packed into one int each, in slots of one
-array item (8 to 64 bits) or whole words, wide enough that the
-unreduced updates never carry from one column into the next; rows move
-in and out of that form through bytes, in linear time, and
+and kernels over F_p, on plain Python integers.  It takes rows of any
+ints and reduces them mod p itself, so no caller reduces first.  Over
+F_p it runs echelon elimination on rows packed into one int each, in
+slots of one array item (8 to 64 bits) or whole words, wide enough that
+the unreduced updates never carry from one column into the next; rows
+move in and out of that form through bytes, in linear time, and
 back-substitution gives the kernel.  Over Q, int rows are taken as they
 are and rational rows have their denominators cleared; the rank is then
 taken mod the prime 2^26 - 5, whose slots fit one 64-bit word.  That
@@ -41,9 +42,10 @@ _Q_PRIME = 2**26 - 5
 class ExactMatrix:
     """Immutable dense matrix with entries in a single exact field.
 
-    :meth:`from_rows` validates entries into the field's scalars.  Over Q
-    a row may also hold only ints, as ``nodes.evaluation_matrix`` builds:
-    the integer row of a point, which the rank and kernel take as it is.
+    :meth:`from_rows` validates entries into the field's scalars.  A row
+    may also hold any ints, as ``nodes.evaluation_matrix`` builds: the
+    elimination reduces them mod p, so over F_p they need not be residues,
+    and over Q an integer row is taken as it is.
     """
 
     field: Field
@@ -117,7 +119,7 @@ def _slot_codec(w: int):
 
 
 def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
-    """Echelon form mod p of rows of residues in [0, p), one pair per pivot.
+    """Echelon form mod p of rows of ints, one pair per pivot.
 
     Each pair is the pivot's column c and ``prow``, the pivot row's entries
     right of c scaled by -1/lead mod p and packed in w-bit slots, column
@@ -126,11 +128,13 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int
     number of pivots.  Each row is packed into one Python int, column j in
     the w-bit slot at bit j*w, and the current column is always the lowest
     slot.  Every other row with lead f is updated by the single big-int
-    step ``(u >> w) + f * prow``.  Slots are never reduced: one starts
-    below p and gains at most (p-1)^2 per pivot, so with this w no slot
-    carries into the next, and only ``(u & mask) % p`` is ever read.  Rows
-    are packed, and each pivot row unpacked and packed again, through bytes
-    (:func:`_slot_codec`), in time linear in the row.
+    step ``(u >> w) + f * prow``.  Each row is reduced mod p as it is
+    packed, so entries may be any ints, negative or past p.  Slots are
+    never reduced after that: one starts below p and gains at most (p-1)^2
+    per pivot, so with this w no slot carries into the next, and only
+    ``(u & mask) % p`` is ever read.  Rows are packed, and each pivot row
+    unpacked and packed again, through bytes (:func:`_slot_codec`), in
+    time linear in the row.
     """
     ncols = len(rows[0]) if rows else 0
     if not ncols:
@@ -139,7 +143,7 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int
     k, mask = w >> 3, (1 << w) - 1
     pack, unpack = _slot_codec(w)
     from_bytes = int.from_bytes
-    packed = [from_bytes(pack(row), "little") for row in rows]
+    packed = [from_bytes(pack([a % p for a in row]), "little") for row in rows]
     pivots = []
     for c in range(ncols):
         leads = [(u & mask) % p for u in packed]
@@ -159,12 +163,12 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int
     return pivots
 
 
-def _kernel_images(pivots: list[tuple[int, int]], ncols: int, p: int,
-                   row_w: int) -> list[list[int]]:
-    """The kernel basis mod p with the identity pattern on the free columns.
+def _kernel_images(pivots: list[tuple[int, int]], nrows: int, ncols: int,
+                   p: int) -> tuple[list[int], list[list[int]]]:
+    """The free columns and the kernel basis mod p with the identity pattern on them.
 
-    ``pivots`` come from :func:`_echelon_mod_p` with slot width ``row_w``.
-    Row k holds the entry at the k-th pivot column of each free column's
+    ``pivots`` come from :func:`_echelon_mod_p` on an nrows x ncols matrix.
+    Image k holds the entry at the k-th pivot column of each free column's
     kernel vector, free columns in order.  Back-substitution runs from the
     last pivot up on ints packed as in :func:`_echelon_mod_p`, one slot per
     free column: a free column is the unit of its own slot, and a pivot
@@ -174,7 +178,7 @@ def _kernel_images(pivots: list[tuple[int, int]], ncols: int, p: int,
     """
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
-    w = _slot_width(p, len(pivots), len(pivots))
+    w, row_w = _slot_width(p, len(pivots), len(pivots)), _slot_width(p, nrows, ncols)
     nbytes, row_k = (w >> 3) * len(free), row_w >> 3
     pack, unpack = _slot_codec(w)
     row_unpack = _slot_codec(row_w)[1]
@@ -188,7 +192,7 @@ def _kernel_images(pivots: list[tuple[int, int]], ncols: int, p: int,
         packed[c] = from_bytes(pack(image), "little")
         images.append(image)
     images.reverse()
-    return images
+    return free, images
 
 
 def _lift(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
@@ -207,7 +211,7 @@ def _lift(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _kernel_certificate(rows: list[list[int]], pivot_cols: list[int],
+def _kernel_certificate(rows: list[list[int]], pivot_cols: list[int], free: list[int],
                         residues: list[list[int]],
                         modulus: int) -> list[list[tuple[int, int]]] | None:
     """Lift the kernel basis to Q and check exactly that it annihilates ``rows``.
@@ -220,8 +224,6 @@ def _kernel_certificate(rows: list[list[int]], pivot_cols: list[int],
     column with that column first, or None when a lift or the check fails.
     """
     bound = isqrt(modulus // 2)
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(len(rows[0])) if c not in pivot_set]
     vectors = []
     for i, fc in enumerate(free):
         lifted = []
@@ -270,13 +272,13 @@ def _rational_kernel(rows: list[list[int]],
     full = min(len(rows), ncols)
     best = limit = None
     for used, p in enumerate(_q_primes(), 1):
-        pivots = _echelon_mod_p([[a % p for a in row] for row in rows], p)
+        pivots = _echelon_mod_p(rows, p)
         if len(pivots) == full:
             return full, None, used
         key = (-len(pivots), [c for c, _ in pivots])
         if best is not None and key > best:
             continue
-        images = _kernel_images(pivots, ncols, p, _slot_width(p, len(rows), ncols))
+        free, images = _kernel_images(pivots, len(rows), ncols, p)
         if key == best:
             k = pow(modulus, -1, p)
             residues = [[x + modulus * ((y - x) * k % p) for x, y in zip(xs, ys)]
@@ -284,7 +286,7 @@ def _rational_kernel(rows: list[list[int]],
             modulus *= p
         else:
             best, residues, modulus = key, images, p
-        kernel = _kernel_certificate(rows, best[1], residues, modulus)
+        kernel = _kernel_certificate(rows, best[1], free, residues, modulus)
         if kernel is not None:
             return len(best[1]), kernel, used
         if limit is None:  # H is needed only once a certificate fails
@@ -312,7 +314,8 @@ def _integer_rows(entries: Iterable[Sequence[Scalar]]) -> list[Sequence[int]]:
 def exact_rank(m: ExactMatrix) -> int:
     """Exact rank on plain integers.
 
-    Over F_p: packed-row elimination mod p.  Over Q: take int rows as they
+    Over F_p: packed-row elimination mod p, which reduces the entries
+    itself, so they may be any ints.  Over Q: take int rows as they
     are and clear each rational row's denominators, so none can vanish mod
     a prime, and take the rank of the integer rows mod :data:`_Q_PRIME`,
     on one-word slots.  When that lower bound reaches min(rows, cols) it is
@@ -336,11 +339,10 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[int, ...]]:
         raise DomainError("nullspace_basis works over F_p only; over Q take exact_rank")
     p, ncols = m.field.p, m.ncols
     pivots = _echelon_mod_p(m.entries, p)
-    images = _kernel_images(pivots, ncols, p, _slot_width(p, m.nrows, ncols))
+    free, images = _kernel_images(pivots, m.nrows, ncols, p)
     pivot_cols = [c for c, _ in pivots]
-    pivot_set = set(pivot_cols)
     basis = []
-    for i, fc in enumerate(c for c in range(ncols) if c not in pivot_set):
+    for i, fc in enumerate(free):
         vec = [0] * ncols
         vec[fc] = 1
         for c, image in zip(pivot_cols, images):

@@ -118,26 +118,22 @@ def monomial_basis(d: int) -> list[Monomial]:
 def evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
     """mu x C(d+3,3) matrix of degree-d monomials evaluated at the nodes.
 
-    Entries are plain ints.  Over F_p they are products of powers mod p.
-    Over Q each point is scaled by the lcm L of its denominators, which
-    scales its row by L^d and leaves the rank unchanged, so a row is the
-    monomials at the point's integer coordinates: no ``Fraction`` is built.
+    Entries are plain ints.  Each point is scaled by the lcm L of its
+    denominators (1 over F_p), which scales its row by L^d and leaves the
+    rank unchanged, so a row is the monomials at the point's integer
+    coordinates: no ``Fraction`` is built.  Over F_p the powers are taken
+    mod p and their products, below p^4, are left for the elimination to
+    reduce.
     """
-    f = cfg.field
+    p = cfg.field.characteristic or None
     basis = monomial_basis(d)
     rows = []
-    if isinstance(f, PrimeField):
-        p = f.p
-        for pt in cfg.points:
-            px, py, pz, pw = ([pow(c, e, p) for e in range(d + 1)] for c in pt)
-            rows.append(tuple(px[i] * py[j] * pz[k] * pw[l] % p for i, j, k, l in basis))
-    else:
-        for pt in cfg.points:
-            scale = lcm(*(c.denominator for c in pt))
-            ints = [c.numerator * (scale // c.denominator) for c in pt]
-            px, py, pz, pw = ([n**e for e in range(d + 1)] for n in ints)
-            rows.append(tuple(px[i] * py[j] * pz[k] * pw[l] for i, j, k, l in basis))
-    return ExactMatrix(f, tuple(rows))
+    for pt in cfg.points:
+        scale = lcm(*(c.denominator for c in pt))
+        ints = [c.numerator * (scale // c.denominator) for c in pt]
+        px, py, pz, pw = ([pow(n, e, p) for e in range(d + 1)] for n in ints)
+        rows.append(tuple(px[i] * py[j] * pz[k] * pw[l] for i, j, k, l in basis))
+    return ExactMatrix(cfg.field, tuple(rows))
 
 
 def vanishing_dimension(cfg: NodeConfiguration, d: int) -> int:

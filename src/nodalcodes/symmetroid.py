@@ -36,7 +36,7 @@ from itertools import combinations, product
 from .errors import DataError, DomainError, ResourceError, read_json
 from .fields import PrimeField
 from .forms import HomogeneousForm, parse_form
-from .linalg import ExactMatrix, nullspace_basis
+from .linalg import ExactMatrix, exact_rank, nullspace_basis
 from .nodes import NodeConfiguration, vanishing_dimension
 
 _PRIME_CAP = 1024
@@ -159,11 +159,6 @@ def _det3(m, rows, cols) -> int:
         - m[r1][c2] * (m[r2][c1] * m[r3][c3] - m[r2][c3] * m[r3][c1])
         + m[r1][c3] * (m[r2][c1] * m[r3][c2] - m[r2][c2] * m[r3][c1])
     )
-
-
-def _det4(m) -> int:
-    """The determinant of a 4x4 integer matrix, unreduced, by its first row."""
-    return sum((-1) ** k * m[0][k] * _det3(m, (1, 2, 3), _TRIPLES[3 - k]) for k in range(4))
 
 
 def minors_vanish_at(matrix: SymmetricLinearMatrix, point) -> bool:
@@ -293,12 +288,8 @@ def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> set | None:
         singular += [[s + u * t for s, t in zip(a_base, a_w)] for u in range(p)
                      if ((((c4 * u + c3) * u + c2) * u + c1) * u + c0) % p == 0]
     field = PrimeField(p)
-    kernels = set()
-    for a in singular:
-        # residues, so the rows skip from_rows' validation
-        rows = tuple(tuple(c % p for c in a[k:k + 4]) for k in range(0, 16, 4))
-        kernels.add(tuple(nullspace_basis(ExactMatrix(field, rows))))
-    return kernels
+    return {tuple(nullspace_basis(ExactMatrix(field, (a[:4], a[4:8], a[8:12], a[12:]))))
+            for a in singular}
 
 
 def _line_points(matrix: SymmetricLinearMatrix, forms) -> set:
@@ -512,10 +503,10 @@ def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
         pts = [tuple(rng.integers(p, 4)) for _ in range(6)]
         if (0, 0, 0, 0) in pts:
             continue
-        if any(_det4(quad) % p == 0 for quad in combinations(pts, 4)):  # coplanar
-            continue
-        rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in pts]
-        web_basis = nullspace_basis(ExactMatrix.from_rows(field, rows))
+        if any(exact_rank(ExactMatrix(field, quad)) < 4 for quad in combinations(pts, 4)):
+            continue  # four coplanar points
+        rows = tuple(tuple(pt[i] * pt[j] for i, j in QUADRIC_MONOMIALS) for pt in pts)
+        web_basis = nullspace_basis(ExactMatrix(field, rows))
         if len(web_basis) != 4:  # the 6 quadric conditions are dependent
             continue
         # the symmetric matrix of quadric q: q[m] on the diagonal, q[m] / 2 off it

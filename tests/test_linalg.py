@@ -277,6 +277,38 @@ def test_nullspace_basis_spans_the_kernel(m):
     assert exact_rank(ExactMatrix.from_rows(m.field, basis)) == len(basis)
 
 
+@pytest.mark.parametrize("rows, rank", [
+    # residues ((5, 3), (6, 2)): determinant 6 mod 7
+    (((222, 66), (118, 226)), 2),
+    (((-1, 0), (0, 1)), 2),
+    # residues (6, 5, 3) and twice that row
+    (((-1, -2, 10), (5, 10, -1)), 1),
+], ids=["past-p", "negative", "deficient"])
+def test_unreduced_and_negative_entries_give_the_residue_results(rows, rank):
+    # the elimination reduces its own input: rows built with the constructor
+    # need not be residues
+    field = PrimeField(7)
+    unreduced, residues = ExactMatrix(field, rows), ExactMatrix.from_rows(field, rows)
+    assert unreduced.entries != residues.entries
+    assert exact_rank(unreduced) == exact_rank(residues) == rank
+    assert row_list_rank_mod_p(residues.entries, 7) == rank
+    basis = nullspace_basis(unreduced)
+    assert basis == nullspace_basis(residues) and len(basis) == len(rows[0]) - rank
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(_PRIMES).flatmap(lambda p: _matrices_with_repeats(PrimeField(p))),
+       st.data())
+def test_rank_and_kernel_of_shifted_residues_match_the_residue_oracle(m, data):
+    # each residue moved by a multiple of p, negative, small or far past p
+    p = m.field.p
+    shift = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+    unreduced = ExactMatrix(m.field, tuple(tuple(a + p * data.draw(shift) for a in row)
+                                           for row in m.entries))
+    assert exact_rank(unreduced) == row_list_rank_mod_p(m.entries, p)
+    assert nullspace_basis(unreduced) == nullspace_basis(m)
+
+
 def test_exact_rank_empty_shapes():
     # a matrix with no rows cannot record a width, so 0 x n is the empty tuple
     for field in (QQ, PrimeField(7)):

@@ -165,14 +165,18 @@ def _configurations(draw):
 @given(_configurations())
 def test_evaluation_matrix_matches_the_field_interface_builder(case):
     # over Q each row is the oracle's row times L^d, L the lcm of the point's
-    # denominators, and holds ints; over F_p the matrices are equal
+    # denominators; over F_p the entries are unreduced products of powers,
+    # which the elimination reduces, and equal the oracle's mod p; all are ints
     cfg, d = case
     m = evaluation_matrix(cfg, d)
     oracle = field_evaluation_matrix(cfg, d)
     assert m.field == oracle.field and len(m.entries) == len(oracle.entries) == cfg.mu
     for pt, row, expected in zip(cfg.points, m.entries, oracle.entries):
-        scale = lcm(*(c.denominator for c in pt)) ** d if cfg.field == QQ else 1
-        assert row == tuple(a * scale for a in expected)
+        if cfg.field == QQ:
+            scale = lcm(*(c.denominator for c in pt)) ** d
+            assert row == tuple(a * scale for a in expected)
+        else:
+            assert tuple(a % cfg.field.p for a in row) == expected
     assert all(type(a) is int for row in m.entries for a in row)
 
 
