@@ -45,24 +45,21 @@ class ExactMatrix:
     :meth:`from_rows` validates entries into the field's scalars.  A row
     may also hold any ints, as ``nodes.evaluation_matrix`` builds: the
     elimination reduces them mod p, so over F_p they need not be residues,
-    and over Q an integer row is taken as it is.
+    and over Q an integer row is taken as it is.  Rows of different
+    lengths raise DataError.
     """
 
     field: Field
     entries: tuple[tuple[Scalar, ...], ...]
 
+    def __post_init__(self):
+        widths = {len(row) for row in self.entries}
+        if len(widths) > 1:
+            raise DataError(f"ragged matrix: rows have lengths {sorted(widths)}")
+
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "ExactMatrix":
-        validated = []
-        width = None
-        for row in rows:
-            vr = tuple(field.validate(a) for a in row)
-            if width is None:
-                width = len(vr)
-            elif len(vr) != width:
-                raise DataError("ragged matrix: rows have different lengths")
-            validated.append(vr)
-        return cls(field, tuple(validated))
+        return cls(field, tuple(tuple(field.validate(a) for a in row) for row in rows))
 
     @property
     def nrows(self) -> int:

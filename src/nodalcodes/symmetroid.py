@@ -6,8 +6,11 @@ matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
 nodes.  Over F_p that locus is found by kernel incidence (see
 :func:`scan_nodes_fp`): det A(v), with A(v) = [M_x v | M_y v | M_z v |
 M_w v], is a quartic in u on each line v = base + u (0:0:0:1) of the plane
-v_z = 0, and the kernels of A at its roots hold every rank <= 2 point, at a
-cost of about p^2 evaluations instead of the p^3 points of P^3.  When det A
+v_z = 0, and the kernels of A at its roots hold every rank <= 2 point.  The
+quartic is evaluated at every u of a line at once, on powers of u packed
+into one int each, and at a root where A has rank 3 the kernel is a column
+of its adjugate, so the work is about p^2 slot reductions instead of the
+p^3 points of P^3, with no elimination in the common case.  When det A
 vanishes on the whole plane, the scan solves instead, on each of the
 p^2 + p + 1 lines of P^3 through (0:0:0:1), the cubic to which a 3x3 minor
 restricts.  The no-quadric certificate is the dimension of the quadrics
@@ -36,7 +39,7 @@ from itertools import combinations, product
 from .errors import DataError, DomainError, ResourceError, read_json
 from .fields import PrimeField
 from .forms import HomogeneousForm, parse_form
-from .linalg import ExactMatrix, exact_rank, nullspace_basis
+from .linalg import ExactMatrix, _slot_codec, exact_rank, nullspace_basis
 from .nodes import NodeConfiguration, vanishing_dimension
 
 _PRIME_CAP = 1024
@@ -266,30 +269,67 @@ def _cubic_roots(c, p: int, tables) -> list[int]:
 _PLANE = ((1, 0, 0, 0), (0, 1, 0, 0))  # with (0:0:0:1), spans the plane v_z = 0
 _W = (0, 0, 0, 1)
 
+# _DELETE_ONE[i]: the other three indices of a 4x4 matrix, the rows or
+# columns of the 3x3 minors that leave index i out
+_DELETE_ONE = _TRIPLES[::-1]
+
+
+def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
+    """The kernel of a singular 4x4 integer matrix mod p as its point with
+    first nonzero coordinate 1, or None when the rank is <= 2.
+
+    A adj(A) = det(A) I = 0, so every column of the adjugate lies in
+    ker A; at rank 3 the adjugate has rank 1 and any nonzero column spans
+    the kernel, while at rank <= 2 all sixteen cofactors vanish.  Column i
+    holds the signed 3x3 minors of A with row i deleted.
+    """
+    for rows in _DELETE_ONE:
+        x = [_det3(a, rows, cols) * (-1) ** j % p for j, cols in enumerate(_DELETE_ONE)]
+        for s in x:
+            if s:
+                inv = pow(s, -1, p)
+                return tuple(t * inv % p for t in x)
+    return None
+
 
 def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> set | None:
-    """The distinct kernels of A(v) at the points v of the plane v_z = 0 where
-    det A(v) = 0, or None when det A vanishes identically on the plane.
+    """The distinct kernels of A(v), each as a basis, at the points v of the
+    plane v_z = 0 where det A(v) = 0, or None when det A vanishes
+    identically on the plane.
 
-    det A on the line v = base + u (0:0:0:1) is a quartic in u, whose roots
-    are found by evaluating it at every u."""
+    det A on the line v = base + u (0:0:0:1) is a quartic in u.  The
+    powers u^k mod p for u = 0..p-1 are packed once, in 32-bit slots of
+    one int per k, so one sum of five products gives the quartic at every
+    u of a line, and the roots are the slots that vanish mod p (all of
+    them when the quartic vanishes on the line).  At a root where A(v) has
+    rank 3 the kernel is read off the adjugate (:func:`_cofactor_kernel`);
+    only at rank <= 2 does a 4x4 elimination run.
+    """
     p = matrix.prime
     det = _det([[_linear((forms[i][0][k], forms[i][1][k], 0, forms[i][3][k])) for k in range(4)]
                 for i in range(4)], p)
     if not det:
         return None
     terms = _by_power_of_w(det, 4)
+    # every slot value sum_k c_k u^k stays below 5 (p-1)^2 < 2^32 up to _PRIME_CAP
+    pack, unpack = _slot_codec(32)
+    powers = [int.from_bytes(pack([pow(u, k, p) for u in range(p)]), "little") for k in range(5)]
     # A(e_j) flat, row-major: A(v)[i][k] = (M_k v)_i = sum_j forms[i][j][k] v_j
     a_x, a_y, _, a_w = ([forms[i][j][k] for i in range(4) for k in range(4)] for j in range(4))
     singular = [] if det.get((0, 0, 0, 4)) else [a_w]
     for base in _span_points(_PLANE, p):
-        c0, c1, c2, c3, c4 = _on_line(terms, base, p)
-        a_base = [base[0] * s + base[1] * t for s, t in zip(a_x, a_y)]
-        singular += [[s + u * t for s, t in zip(a_base, a_w)] for u in range(p)
-                     if ((((c4 * u + c3) * u + c2) * u + c1) * u + c0) % p == 0]
+        quartic = sum(c * q for c, q in zip(_on_line(terms, base, p), powers))
+        roots = [u for u, v in enumerate(unpack(quartic.to_bytes(4 * p, "little"))) if not v % p]
+        if roots:
+            a_base = [base[0] * s + base[1] * t for s, t in zip(a_x, a_y)]
+            singular += [[(s + u * t) % p for s, t in zip(a_base, a_w)] for u in roots]
     field = PrimeField(p)
-    return {tuple(nullspace_basis(ExactMatrix(field, (a[:4], a[4:8], a[8:12], a[12:]))))
-            for a in singular}
+    kernels = set()
+    for a in singular:
+        rows = (a[:4], a[4:8], a[8:12], a[12:])
+        point = _cofactor_kernel(rows, p)
+        kernels.add((point,) if point else tuple(nullspace_basis(ExactMatrix(field, rows))))
+    return kernels
 
 
 def _line_points(matrix: SymmetricLinearMatrix, forms) -> set:
@@ -322,12 +362,15 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
     M_w v].  The kernel of M(x) at a point x of rank <= 2 is at least a
     line, which meets the plane v_z = 0 in some v with det A(v) = 0 and
     x in ker A(v).  On each of the p + 1 lines of that plane through
-    (0:0:0:1), det A is a quartic in the line's parameter; its roots (and
-    (0:0:0:1) itself, when singular) are the points v.  The points of each
-    distinct kernel ker A(v) are enumerated, and those where all sixteen
-    3x3 minors vanish are kept.  When det A vanishes on the whole plane the
-    scan instead walks the p^2 + p + 1 lines of P^3 through (0:0:0:1) and
-    solves one cubic minor on each (:func:`_line_points`).
+    (0:0:0:1), det A is a quartic in the line's parameter, evaluated at
+    every parameter at once on packed powers; its roots (and (0:0:0:1)
+    itself, when singular) are the points v.  Where A(v) has rank 3 its
+    kernel is the one point spanned by a column of the adjugate; only the
+    kernels of rank <= 2 matrices are eliminated and their points
+    enumerated.  The candidates where all sixteen 3x3 minors vanish are
+    kept.  When det A vanishes on the whole plane the scan instead walks
+    the p^2 + p + 1 lines of P^3 through (0:0:0:1) and solves one cubic
+    minor on each (:func:`_line_points`).
 
     ``degenerate`` means more than :data:`MAX_FINITE_LOCUS` points, which
     proves a positive-dimensional locus.

@@ -169,6 +169,18 @@ def test_mixed_field_entries_rejected():
         ExactMatrix.from_rows(QQ, [["x"]])
 
 
+@pytest.mark.parametrize("field", [PrimeField(7), QQ])
+@pytest.mark.parametrize("rows", [((1, 2), (3,)), ((1, 2, 3), (0,)), ((0,), (1, 2, 3)),
+                                  ((1, 2), (3, 4), ())])
+def test_ragged_rows_rejected(field, rows):
+    # rank and kernel read the width off the first row, so ragged rows
+    # would give a rank, a kernel or an exception from deep in the elimination
+    with pytest.raises(DataError, match="ragged matrix"):
+        ExactMatrix(field, rows)
+    with pytest.raises(DataError, match="ragged matrix"):
+        ExactMatrix.from_rows(field, rows)
+
+
 @st.composite
 def _rational_matrices(draw):
     nrows = draw(st.integers(1, 5))

@@ -213,6 +213,78 @@ class TestScan:
             SymmetricLinearMatrix.from_strings(9, X_IDENTITY)
 
 
+def _kernel_incidence_matrix(m, v):
+    """A(v) = [M_x v | M_y v | M_z v | M_w v] mod p, as a tuple of rows."""
+    p = m.prime
+    pencil = [m.evaluate(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    return tuple(tuple(sum(pencil[k][i][j] * v[j] for j in range(4)) % p for k in range(4))
+                 for i in range(4))
+
+
+class TestPlaneKernels:
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_cofactor_kernel_is_the_nullspace_point(self, data):
+        # B C with B 4 x r and C r x 4 has rank <= r; the rank oracle decides
+        # which answer is due
+        p = data.draw(st.sampled_from([3, 5, 7, 13, 101, 1021]))
+        r = data.draw(st.integers(0, 3))
+        residue = st.integers(0, p - 1)
+        b = data.draw(st.lists(st.lists(residue, min_size=r, max_size=r), min_size=4, max_size=4))
+        c = data.draw(st.lists(st.lists(residue, min_size=4, max_size=4), min_size=r, max_size=r))
+        a = [[sum(b[i][t] * c[t][j] for t in range(r)) % p for j in range(4)] for i in range(4)]
+        point = symmetroid._cofactor_kernel(a, p)
+        if row_list_rank_mod_p(a, p) == 3:
+            (vec,) = nullspace_basis(ExactMatrix.from_rows(PrimeField(p), a))
+            assert point == _projective_key(vec, p)
+        else:
+            assert point is None
+
+    def test_rank_two_fallback_is_reached_on_the_coplanar_web(self, monkeypatch):
+        # the line of plane pairs gives rank-2 matrices A(v), whose kernels
+        # are planes: the brute-force oracles cover the elimination fallback
+        p = 13
+        m = _web_through(p, COPLANAR_SIX)
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return nullspace_basis(matrix)
+
+        monkeypatch.setattr(symmetroid, "nullspace_basis", counting)
+        assert len(scan_nodes_fp(m).points) == p + 7
+        assert calls
+        assert all(row_list_rank_mod_p([list(r) for r in a.entries], p) <= 2 for a in calls)
+
+    def test_packed_quartic_slots_cannot_carry(self):
+        # five terms c_k u^k with c_k, u^k mod p below p, at the largest prime
+        assert 5 * (symmetroid._PRIME_CAP - 1) ** 2 < 2**32
+
+    # three points on x = 0 and three on z = 0, no four coplanar mod 5..13:
+    # the plane pair x z is in the web and kills the line x = z = 0, so
+    # det A vanishes on the line (0, 1, 0, u) of the plane v_z = 0 only
+    ONE_LINE_WEB = [(0, 1, 2, 1), (0, 2, 1, 1), (0, 1, 1, 0), (1, 0, 0, 3), (1, 0, 0, 1), (2, 3, 0, 1)]
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_quartic_vanishing_on_one_line_keeps_every_u(self, p, monkeypatch):
+        m = _web_through(p, self.ONE_LINE_WEB)
+        line = [_kernel_incidence_matrix(m, (0, 1, 0, u)) for u in range(p)]
+        assert all(row_list_rank_mod_p(a, p) < 4 for a in line)
+        plane = [v for v in _enumerate_p3(p) if v[2] == 0]
+        assert any(row_list_rank_mod_p(_kernel_incidence_matrix(m, v), p) == 4 for v in plane)
+        seen = set()
+
+        def recording(a, q):
+            seen.add(tuple(map(tuple, a)))
+            return cofactor_kernel(a, q)
+
+        cofactor_kernel = symmetroid._cofactor_kernel
+        monkeypatch.setattr(symmetroid, "_cofactor_kernel", recording)
+        TestScan._check_against_enumeration(m)
+        assert seen.issuperset(line)
+        assert len(scan_nodes_fp(m).points) == 10
+
+
 class TestCertificate:
     def test_points_on_a_common_quadric_fail(self):
         # ten points on the Segre quadric xw = yz over F_7
