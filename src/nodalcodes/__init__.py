@@ -17,11 +17,8 @@ from .codes import (
     EvenSetCode,
     EvenSetWord,
     canonical_form,
-    griesmer_ok,
     is_isomorphic,
-    quartic_admissible,
     weight_enumerator,
-    word_sum,
 )
 from .errors import (
     DataError,
@@ -31,7 +28,6 @@ from .errors import (
     InputError,
     NodalcodesError,
     ParseError,
-    PoleAtOriginError,
     ResourceError,
 )
 from .fields import PrimeField, QQ, RationalField
@@ -46,7 +42,7 @@ from .nodes import (
     vanishing_dimension,
     verify_node,
 )
-from .series import expand_rational_series, symmetroid_hilbert_check
+from .series import symmetroid_hilbert_check, symmetroid_hilbert_series
 from .symmetroid import (
     ScanResult,
     SymmetricLinearMatrix,

@@ -10,6 +10,7 @@ closed before the output was written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from . import symmetroid as symmetroid_mod
 from .codes import canonical_form, code_to_dict, is_isomorphic, load_code_file, weight_enumerator
 from .errors import InputError
 from .fields import QQ
+from .forms import parse_form
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,10 +82,6 @@ def _cmd_vanishing_dim(args) -> int:
 def _cmd_verify_nodes(args) -> int:
     cfg = nodes_mod.load_node_file(args.nodes)
     if args.surface is not None:
-        import dataclasses
-
-        from .forms import parse_form
-
         try:
             with open(args.surface, "r", encoding="utf-8") as fh:
                 text = fh.read().strip()

@@ -7,7 +7,9 @@ coordinate is the parity bit; the strictly even words are then exactly a
 hyperplane subcode.
 
 Internally words are plain ints: bits 0..mu-1 carry the support, bit mu
-the parity (set = weakly even).  The canonical form minimizes the
+the parity (set = weakly even), so the sum of two words is the XOR of
+their ``to_ext()`` encodings.  ``QUARTIC_WORD_CLASSES`` lists the weights
+and parities a nodal quartic allows.  The canonical form minimizes the
 column-wise reduced generator matrix over all permutations of the support
 columns (the parity column stays put), so two codes get equal canonical
 bytes iff one is a node relabeling of the other.
@@ -19,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DataError, DomainError, ResourceError, read_json
+from .errors import DataError, ResourceError, read_json
 from .linalg import bit_rref
 
 _MU_CAP_CANONICAL = 24
@@ -83,9 +85,6 @@ class EvenSetWord:
     def from_ext(cls, mu: int, ext: int) -> "EvenSetWord":
         return cls(mu, bool((ext >> mu) & 1), ext & ((1 << mu) - 1))
 
-    def __add__(self, other: "EvenSetWord") -> "EvenSetWord":
-        return word_sum(self, other)
-
     def __str__(self) -> str:
         return f"{self.parity}{{{','.join(map(str, self.indices))}}}"
 
@@ -98,32 +97,8 @@ def span_words(basis: Iterable[int]) -> list[int]:
     return words
 
 
-def word_sum(u: EvenSetWord, v: EvenSetWord) -> EvenSetWord:
-    """Symmetric difference of supports; parities add mod 2."""
-    if u.mu != v.mu:
-        raise DataError(f"length mismatch: {u.mu} != {v.mu}")
-    return EvenSetWord.from_ext(u.mu, u.to_ext() ^ v.to_ext())
-
-
 # (weight, weak) of the nonzero even sets a nodal quartic allows, in weight order
 QUARTIC_WORD_CLASSES = ((6, True), (8, False), (10, True), (16, False))
-
-
-def quartic_admissible(w: EvenSetWord) -> bool:
-    """Whether a nonzero even set can occur on a nodal quartic surface:
-    weakly even sets have 6 or 10 nodes, strictly even ones 8 or 16."""
-    if w.support == 0:
-        raise DomainError("admissibility is defined for nonzero words only")
-    return (w.weight, w.weak) in QUARTIC_WORD_CLASSES
-
-
-def griesmer_ok(n: int, k: int, d: int) -> bool:
-    """Griesmer bound test for a binary [n, k, d] code."""
-    if k < 1:
-        raise DomainError(f"dimension must be at least 1, got {k}")
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got d={d}, n={n}")
-    return n >= sum(-(-d // (1 << i)) for i in range(k))
 
 
 @dataclass(frozen=True)

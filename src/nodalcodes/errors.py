@@ -63,11 +63,3 @@ class HomogeneityError(DataError):
             f"polynomial is not homogeneous: found terms of degree {degree_a} and {degree_b}"
         )
         self.degrees = (degree_a, degree_b)
-
-
-class PoleAtOriginError(DomainError):
-    """Rational series denominator vanishes at t = 0; no power series exists."""
-
-
-class NonIntegralCoefficientError(DomainError):
-    """Series expansion produced a non-integer coefficient."""

@@ -1,29 +1,24 @@
-"""Power series by long division, kept for tests only.
+"""The ten-node symmetroid Hilbert series by long division, for tests only.
 
-The library expands num/den by the denominator's recurrence; naive long
-division below is the independent cross-check.  It shares the library's
-input checks, so both refuse the same inputs.
+The library writes each coefficient in closed form; this oracle divides
+t^3 (6t^2 - 15t + 10) by (t - 1)^4 in ascending powers of t instead, and
+shares no code with the library.
 """
 
 from __future__ import annotations
 
-from nodalcodes.errors import NonIntegralCoefficientError
-from nodalcodes.series import IntPoly, _check_order, _normalized
+# ascending coefficients of t^3 (6t^2 - 15t + 10) and of (t - 1)^4
+NUMERATOR = (0, 0, 0, 10, -15, 6)
+DENOMINATOR = (1, -4, 6, -4, 1)
 
 
-def long_division_series(num: IntPoly, den: IntPoly, order: int) -> list[int]:
-    """First ``order + 1`` coefficients of num/den by naive long division."""
-    _check_order(order)
-    num, den = _normalized(num, den)
-    remainder = list(num) + [0] * (order + len(den) + 1 - len(num))
+def symmetroid_series_by_division(order: int) -> list[int]:
+    """First ``order + 1`` coefficients of the series, by naive long division."""
+    remainder = list(NUMERATOR) + [0] * (order + len(DENOMINATOR))
     coeffs = []
     for k in range(order + 1):
-        q, r = divmod(remainder[k], den[0])
-        if r != 0:
-            raise NonIntegralCoefficientError(
-                f"coefficient of t^{k} is {remainder[k]}/{den[0]}, not an integer"
-            )
+        q = remainder[k]  # the divisor's constant term is 1
         coeffs.append(q)
-        for i, d in enumerate(den):
+        for i, d in enumerate(DENOMINATOR):
             remainder[k + i] -= q * d
     return coeffs

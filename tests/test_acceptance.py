@@ -15,24 +15,15 @@ from nodalcodes.bounds import (
     torsion_rank,
 )
 from nodalcodes.classify import classify_quartic_codes
-from nodalcodes.codes import (
-    EvenSetCode,
-    EvenSetWord,
-    canonical_form,
-    quartic_admissible,
-)
+from nodalcodes.codes import STRICT, WEAK, EvenSetCode, EvenSetWord, canonical_form
 from nodalcodes.fields import QQ
 from nodalcodes.linalg import ExactMatrix
 from nodalcodes.nodes import NodeConfiguration, defect, vanishing_dimension
-from nodalcodes.series import (
-    SYMMETROID_DENOMINATOR,
-    SYMMETROID_NUMERATOR,
-    expand_rational_series,
-)
+from nodalcodes.series import symmetroid_hilbert_series
 from nodalcodes.symmetroid import no_quadric_certificate
 from permutation_oracle import permuted_code
 from rank_oracle import rank_and_rref
-from series_oracle import long_division_series
+from series_oracle import symmetroid_series_by_division
 
 EXPECTED_TABLE = {
     6: {"[6,1,{6_1}]"},
@@ -91,11 +82,9 @@ def test_criterion_3_bounds():
 
 
 def test_criterion_4_hilbert_series():
-    coeffs = expand_rational_series(SYMMETROID_NUMERATOR, SYMMETROID_DENOMINATOR, 5)
-    assert coeffs == [0, 0, 0, 10, 25, 46]
-    assert expand_rational_series(
-        SYMMETROID_NUMERATOR, SYMMETROID_DENOMINATOR, 20
-    ) == long_division_series(SYMMETROID_NUMERATOR, SYMMETROID_DENOMINATOR, 20)
+    coeffs = symmetroid_hilbert_series(20)
+    assert coeffs[:6] == [0, 0, 0, 10, 25, 46]
+    assert coeffs == symmetroid_series_by_division(20)
     print("\n[acceptance] 4 hilbert series (0,0,0,10,25,46; division oracle to 20): PASS")
 
 
@@ -126,10 +115,12 @@ def test_criterion_7_property_suites(classification_tables):
             for b in range(size):
                 assert (a ^ b).bit_count() + 2 * (a & b).bit_count() == wa + b.bit_count()
 
-    # every classified word is admissible
+    # every classified word is admissible: weakly even of weight 6 or 10,
+    # strictly even of weight 8 or 16
+    admissible = {(6, WEAK), (10, WEAK), (8, STRICT), (16, STRICT)}
     for table in classification_tables.values():
         for entry in table.entries:
-            assert all(quartic_admissible(w) for w in entry.code.words())
+            assert all((w.weight, w.parity) in admissible for w in entry.code.words())
 
     # canonical form is invariant under 500 random node permutations
     rng = random.Random(9001)

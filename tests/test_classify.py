@@ -11,7 +11,7 @@ from nodalcodes.classify import (
     classify_quartic_codes,
     render_table,
 )
-from nodalcodes.codes import STRICT, WEAK, canonical_form, griesmer_ok, quartic_admissible
+from nodalcodes.codes import STRICT, WEAK, canonical_form
 from nodalcodes.errors import DomainError
 from permutation_oracle import column_transpositions, searched_orbit_representatives
 
@@ -81,11 +81,15 @@ def test_domain_errors():
         classify_quartic_codes(17)
 
 
+# the nonzero even sets a nodal quartic allows
+ADMISSIBLE = {(6, WEAK), (10, WEAK), (8, STRICT), (16, STRICT)}
+
+
 def test_every_word_admissible_exhaustively(classification_tables):
     for table in classification_tables.values():
         for entry in table.entries:
             for w in entry.code.words():
-                assert quartic_admissible(w)
+                assert (w.weight, w.parity) in ADMISSIBLE
 
 
 def test_entries_pairwise_non_isomorphic(classification_tables):
@@ -120,19 +124,25 @@ def _min_weight(words):
     return min(w.weight for w in words)
 
 
+def _griesmer_ok(n, k, d):
+    """Whether a binary [n, k, d] code meets the Griesmer bound."""
+    return n >= sum(-(-d // (1 << i)) for i in range(k))
+
+
 def test_every_searched_code_satisfies_griesmer(audited_classification_tables):
+    assert _griesmer_ok(12, 2, 8) and not _griesmer_ok(12, 3, 8)  # 8 + 4, 8 + 4 + 2
     # every code the search meets, kept or excluded by the dimension
     # bounds, is a genuine linear code, so it and its strictly even
     # subcode obey the Griesmer bound
     for mu, table in audited_classification_tables.items():
         for entry in table.entries + table.excluded:
             words = list(entry.code.words())
-            assert griesmer_ok(mu, entry.dim, _min_weight(words))
+            assert _griesmer_ok(mu, entry.dim, _min_weight(words))
             strict = [w for w in words if w.parity == STRICT]
             if strict:
                 k_strict = entry.code.strict_dim()
                 assert len(strict) == 2**k_strict - 1
-                assert griesmer_ok(mu, k_strict, _min_weight(strict))
+                assert _griesmer_ok(mu, k_strict, _min_weight(strict))
 
 
 def test_orbit_key_matches_transposition_orbit_search(monkeypatch):

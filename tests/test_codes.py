@@ -1,4 +1,4 @@
-"""Even-set word algebra, admissibility, enumerators, canonical forms."""
+"""Even-set words, admissibility, enumerators, canonical forms."""
 
 import itertools
 import json
@@ -17,13 +17,11 @@ from nodalcodes.codes import (
     canonical_form,
     code_from_dict,
     code_to_dict,
-    griesmer_ok,
     is_isomorphic,
-    quartic_admissible,
     weight_enumerator,
-    word_sum,
 )
-from nodalcodes.errors import DataError, DomainError, ResourceError
+from nodalcodes.classify import admissible_words_ext
+from nodalcodes.errors import DataError, ResourceError
 import canonical_oracle
 from permutation_oracle import permuted_code
 
@@ -32,30 +30,31 @@ def _word(mu, parity, indices):
     return EvenSetWord.from_indices(mu, parity, indices)
 
 
+def _sum(u, v):
+    """Symmetric difference of supports; parities add mod 2."""
+    return EvenSetWord.from_ext(u.mu, u.to_ext() ^ v.to_ext())
+
+
 class TestWordSum:
     def test_two_weak_sixes_overlapping_in_two(self):
         u = _word(10, WEAK, range(6))
         v = _word(10, WEAK, [0, 1, 6, 7, 8, 9])
-        s = word_sum(u, v)
+        s = _sum(u, v)
         assert s.parity == STRICT
         assert s.weight == 8
 
     def test_self_sum_is_zero(self):
         w = _word(8, WEAK, range(6))
-        s = word_sum(w, w)
+        s = _sum(w, w)
         assert s.support == 0
         assert s.parity == STRICT
 
     def test_weak_six_plus_strict_eight_overlap_four(self):
         u = _word(10, WEAK, range(6))
         v = _word(10, STRICT, [2, 3, 4, 5, 6, 7, 8, 9])
-        s = word_sum(u, v)
+        s = _sum(u, v)
         assert s.parity == WEAK
         assert s.weight == 6
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            word_sum(_word(8, WEAK, range(6)), _word(9, WEAK, range(6)))
 
     def test_weight_overlap_law_exhaustive_small_mu(self):
         for mu in (2, 6, 10):
@@ -71,7 +70,7 @@ class TestWordSum:
             for pb in (0, 1):
                 u = EvenSetWord(6, bool(pa), 0b000111)
                 v = EvenSetWord(6, bool(pb), 0b111000)
-                assert word_sum(u, v).weak == bool(pa ^ pb)
+                assert _sum(u, v).weak == bool(pa ^ pb)
 
     def test_zero_word_must_be_strict(self):
         with pytest.raises(DataError):
@@ -86,6 +85,8 @@ class TestWordSum:
 
 
 class TestQuarticAdmissible:
+    POOL = frozenset(admissible_words_ext(16))  # the words the classifier searches
+
     @pytest.mark.parametrize(
         "parity,weight,expected",
         [
@@ -101,30 +102,10 @@ class TestQuarticAdmissible:
     )
     def test_truth_table(self, parity, weight, expected):
         w = _word(16, parity, range(weight))
-        assert quartic_admissible(w) is expected
+        assert (w.to_ext() in self.POOL) is expected
 
     def test_zero_word_rejected(self):
-        with pytest.raises(DomainError):
-            quartic_admissible(EvenSetWord(8, False, 0))
-
-
-class TestGriesmer:
-    def test_dimension_two_weight_eight_fits_length_twelve(self):
-        assert griesmer_ok(12, 2, 8)  # 8 + 4 = 12
-
-    def test_dimension_three_does_not(self):
-        assert not griesmer_ok(12, 3, 8)  # 8 + 4 + 2 = 14
-
-    def test_dimension_one_always_fits(self):
-        for n in range(1, 30):
-            for d in range(1, n + 1):
-                assert griesmer_ok(n, 1, d)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            griesmer_ok(10, 0, 4)
-        with pytest.raises(DomainError):
-            griesmer_ok(10, 2, 11)
+        assert 0 not in self.POOL
 
 
 # generator rows frozen from the classification's two- and four-dimensional

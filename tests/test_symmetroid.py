@@ -395,22 +395,31 @@ class TestGenerators:
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101, 211, 1021])
 def test_seeded_generators_match_numpy_draws(p, monkeypatch):
     numpy = pytest.importorskip("numpy")
+    runs = []  # (seed, [(p, n, draws), ...]) of each generator run
 
-    class NumpyDraws:  # numpy's own default_rng behind the port's interface
+    class LoggedPCG64(symmetroid._PCG64):  # the port, recording every draw
         def __init__(self, seed):
-            self.rng = numpy.random.default_rng(seed)
+            super().__init__(seed)
+            self.calls = []
+            runs.append((seed, self.calls))
 
         def integers(self, p, n):
-            return [int(c) for c in self.rng.integers(0, p, size=n)]
+            out = super().integers(p, n)
+            self.calls.append((p, n, out))
+            return out
 
+    monkeypatch.setattr(symmetroid, "_PCG64", LoggedPCG64)
     seeds = list(range(200)) + [2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]
-    ported = [random_symmetric_matrix(p, seed) for seed in seeds]
-    webs = [random_symmetroid_matrix(p, seed) for seed in seeds] if p > 3 else []
-    monkeypatch.setattr(symmetroid, "_PCG64", NumpyDraws)
-    for seed, m in zip(seeds, ported):
-        assert random_symmetric_matrix(p, seed) == m, seed
-    for seed, m in zip(seeds, webs):
-        assert random_symmetroid_matrix(p, seed) == m, seed
+    for seed in seeds:
+        random_symmetric_matrix(p, seed)
+        if p > 3:
+            random_symmetroid_matrix(p, seed)
+    assert len(runs) == len(seeds) * (2 if p > 3 else 1)
+    # numpy's own default_rng, asked for the same draws in the same order
+    for seed, calls in runs:
+        rng = numpy.random.default_rng(seed)
+        for q, n, out in calls:
+            assert [int(c) for c in rng.integers(0, q, size=n)] == out, seed
 
 
 class TestMatrixFiles:
