@@ -14,6 +14,7 @@ from nodalcodes.classify import (
 from nodalcodes.codes import STRICT, WEAK, canonical_form
 from nodalcodes.errors import DomainError
 from permutation_oracle import column_transpositions, searched_orbit_representatives
+from test_codes import _griesmer_ok
 
 # the complete table: per mu the set of (dim, profile) rows
 EXPECTED = {
@@ -124,13 +125,7 @@ def _min_weight(words):
     return min(w.weight for w in words)
 
 
-def _griesmer_ok(n, k, d):
-    """Whether a binary [n, k, d] code meets the Griesmer bound."""
-    return n >= sum(-(-d // (1 << i)) for i in range(k))
-
-
 def test_every_searched_code_satisfies_griesmer(audited_classification_tables):
-    assert _griesmer_ok(12, 2, 8) and not _griesmer_ok(12, 3, 8)  # 8 + 4, 8 + 4 + 2
     # every code the search meets, kept or excluded by the dimension
     # bounds, is a genuine linear code, so it and its strictly even
     # subcode obey the Griesmer bound

@@ -108,6 +108,19 @@ class TestQuarticAdmissible:
         assert 0 not in self.POOL
 
 
+def _griesmer_ok(n, k, d):
+    """Whether a binary [n, k, d] code meets the Griesmer bound."""
+    return n >= sum(-(-d // (1 << i)) for i in range(k))
+
+
+class TestGriesmer:
+    def test_dimension_two_weight_eight_fits_length_twelve(self):
+        assert _griesmer_ok(12, 2, 8)  # 8 + 4 = 12
+
+    def test_dimension_three_does_not(self):
+        assert not _griesmer_ok(12, 3, 8)  # 8 + 4 + 2 = 14
+
+
 # generator rows frozen from the classification's two- and four-dimensional
 # representatives; supports listed by node index
 CODE_12_2_8_8 = [(STRICT, [0, 1, 2, 3, 4, 5, 6, 7]), (STRICT, [0, 1, 2, 3, 8, 9, 10, 11])]
