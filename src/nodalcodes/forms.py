@@ -16,6 +16,7 @@ Grammar (ASCII, whitespace insignificant)::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -161,41 +162,9 @@ def hessian_rank_at(form: HomogeneousForm, point: Sequence[Scalar]) -> int:
 
 _VAR_INDEX = {v: i for i, v in enumerate(VARIABLES)}
 
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise ResourceError(
-                f"integer of {self.pos - start} digits at position {start} is too long"
-            ) from None
-
-    def take_char(self) -> str:
-        self._skip_ws()
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
+# each match is one token: a run of decimal digits or any other character
+# that is not a space, after the spaces before it
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\S))")
 
 
 def parse_form(text: str, field: Field = QQ) -> HomogeneousForm:
@@ -206,93 +175,84 @@ def parse_form(text: str, field: Field = QQ) -> HomogeneousForm:
     outside the grammar, including unknown identifiers, and
     :class:`ResourceError` for a term of degree above :data:`DEGREE_CAP`.
     """
-    tok = _Tokenizer(text)
+    tokens = [(m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
+    if not tokens:
+        raise ParseError("empty polynomial", len(text))
+    tokens.append(("", len(text)))
+    i = 0
     terms: dict[Monomial, Scalar] = {}
     degree: int | None = None
 
-    def add_term(sign: int, coeff: Scalar, exps: list[int], term_pos: int):
-        nonlocal degree
-        d = sum(exps)
-        if d > DEGREE_CAP:
+    def integer() -> int:
+        nonlocal i
+        digits, pos = tokens[i]
+        if not digits.isdecimal():
+            raise ParseError("expected an integer", pos)
+        i += 1
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise ResourceError(
-                f"term of degree {d} at position {term_pos}; forms are capped at degree {DEGREE_CAP}"
-            )
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise HomogeneityError(degree, d)
-        m = tuple(exps)
-        s = field.reduce(terms.get(m, 0) + sign * coeff)
-        if s == 0:
-            terms.pop(m, None)
-        else:
-            terms[m] = s
+                f"integer of {len(digits)} digits at position {pos} is too long"
+            ) from None
 
-    first = True
-    while True:
-        sign = 1
-        ch = tok.peek()
-        if ch is None:
-            if first:
-                raise ParseError("empty polynomial", tok.pos)
-            break
-        if ch in "+-":
-            if first and ch == "+":
-                tok.take_char()
-            elif first:  # leading minus
-                tok.take_char()
-                sign = -1
-            else:
-                sign = -1 if tok.take_char() == "-" else 1
-        elif not first:
-            raise ParseError(f"expected '+' or '-', found {ch!r}", tok.pos)
-        first = False
-
-        term_pos = tok.pos
+    while tokens[i][0]:  # every term after the first starts with its sign
+        s, term_pos = tokens[i]
+        sign = -1 if s == "-" else 1
+        if s in ("+", "-"):
+            term_pos += 1  # right after the sign, before any space
+            i += 1
+        start = i
         coeff = field.one
-        exps = [0, 0, 0, 0]
-        saw_anything = False
-
-        ch = tok.peek()
-        if ch is not None and ch.isdigit():
-            num = tok.take_int()
-            if tok.peek() == "/":
-                tok.take_char()
-                den_pos = tok.pos
-                den = tok.take_int()
+        if tokens[i][0].isdecimal():
+            num = integer()
+            if tokens[i][0] == "/":
+                den_pos = tokens[i][1] + 1
+                i += 1
+                den = integer()
                 if den == 0:
                     raise ParseError("zero denominator", den_pos)
                 coeff = field.parse(f"{num}/{den}")
             else:
                 coeff = field.validate(num)
-            saw_anything = True
 
-        while True:
-            ch = tok.peek()
-            if ch == "*":
-                tok.take_char()
-                ch = tok.peek()
-                if ch is None or ch not in _VAR_INDEX:
-                    raise ParseError("expected a variable after '*'", tok.pos)
-            if ch is None or ch in "+-":
-                break
-            if ch in _VAR_INDEX:
-                tok.take_char()
+        exps = [0, 0, 0, 0]
+        while tokens[i][0] not in ("", "+", "-"):
+            s, pos = tokens[i]
+            if s == "*":
+                i += 1
+                s, pos = tokens[i]
+                if s not in _VAR_INDEX:
+                    raise ParseError("expected a variable after '*'", pos)
+            if s in _VAR_INDEX:
+                i += 1
                 e = 1
-                if tok.peek() == "^":
-                    tok.take_char()
-                    e = tok.take_int()
-                exps[_VAR_INDEX[ch]] += e
-                saw_anything = True
-            elif ch.isalpha():
-                raise ParseError(f"unknown identifier {ch!r}", tok.pos)
-            elif ch.isdigit():
-                raise ParseError("coefficient must come first in a term", tok.pos)
+                if tokens[i][0] == "^":
+                    i += 1
+                    e = integer()
+                exps[_VAR_INDEX[s]] += e
+            elif s.isalpha():
+                raise ParseError(f"unknown identifier {s!r}", pos)
+            elif s.isdecimal():
+                raise ParseError("coefficient must come first in a term", pos)
             else:
-                raise ParseError(f"unexpected character {ch!r}", tok.pos)
+                raise ParseError(f"unexpected character {s!r}", pos)
 
-        if not saw_anything:
+        if i == start:
             raise ParseError("empty term", term_pos)
-        add_term(sign, coeff, exps, term_pos)
+        d = sum(exps)
+        if d > DEGREE_CAP:
+            raise ResourceError(
+                f"term of degree {d} at position {term_pos}; forms are capped at degree {DEGREE_CAP}"
+            )
+        if degree is not None and d != degree:
+            raise HomogeneityError(degree, d)
+        degree = d
+        m = tuple(exps)
+        c = field.reduce(terms.get(m, 0) + sign * coeff)
+        if c == 0:
+            terms.pop(m, None)
+        else:
+            terms[m] = c
 
     return HomogeneousForm(degree if degree is not None else 0, field, terms)

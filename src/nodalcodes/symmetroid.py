@@ -532,11 +532,14 @@ def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
     """Seeded random symmetroid whose ten rank-2 points are all F_p-rational.
 
     Draws six random points of P^3(F_p), no four coplanar (those give a
-    positive-dimensional locus), whose quadric conditions are independent,
-    and takes the four-dimensional web of quadrics through them, written as
-    a symmetric matrix pencil.  The rank-2 members of the web are the
-    quadrics splitting into two planes of three points each, one for each
-    of the ten 3+3 partitions, so the scan finds them all.
+    positive-dimensional locus), and takes the four-dimensional web of
+    quadrics through them, written as a symmetric matrix pencil.  That one
+    check suffices: four rows that include a zero point have rank below 4,
+    and six points with no four coplanar impose independent conditions on
+    quadrics (for each point, a plane through three of the other five times
+    a plane through the last two that misses the point).  The rank-2
+    members of the web are the quadrics splitting into two planes of three
+    points each, one per 3+3 partition, so the scan finds all ten.
     """
     rng = _seeded_rng(p, seed)
     if p == 3:
@@ -544,14 +547,10 @@ def random_symmetroid_matrix(p: int, seed: int) -> SymmetricLinearMatrix:
     field = PrimeField(p)
     while True:
         pts = [tuple(rng.integers(p, 4)) for _ in range(6)]
-        if (0, 0, 0, 0) in pts:
-            continue
         if any(exact_rank(ExactMatrix(field, quad)) < 4 for quad in combinations(pts, 4)):
-            continue  # four coplanar points
+            continue  # four coplanar points, or the zero vector
         rows = tuple(tuple(pt[i] * pt[j] for i, j in QUADRIC_MONOMIALS) for pt in pts)
         web_basis = nullspace_basis(ExactMatrix(field, rows))
-        if len(web_basis) != 4:  # the 6 quadric conditions are dependent
-            continue
         # the symmetric matrix of quadric q: q[m] on the diagonal, q[m] / 2 off it
         inv2 = pow(2, -1, p)
         coeffs = tuple(

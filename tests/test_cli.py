@@ -286,23 +286,82 @@ def test_symmetroid_scan_seed_prime_above_cap(capsys):
         assert code == 2 and "Traceback" not in err and err.startswith("error:")
 
 
+def _child_env():
+    """The environment with this package's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("argv", [
     ["symmetroid-scan", "--seed", "1", "--prime", "101", "--json"],
     ["bounds", "--degree", "8", "--mu", "168"],
 ], ids=["scan-json", "bounds"])
 def test_closed_stdout_exits_141_quietly(argv):
     # the read end is closed before the child starts, so its first write fails
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "nodalcodes.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                              stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_reader_that_stops_early_gets_exit_141_quietly(tmp_path):
+    # like `| head -1`: the 10 303 points of the plane x = 0 at p = 101 are far
+    # more JSON than a pipe holds, so a write fails after the reader is gone
+    matrix = tmp_path / "x_identity.json"
+    matrix.write_text(json.dumps({"prime": 101, "upper_triangle": ["x", "0", "0", "0", "x", "0",
+                                                                   "0", "x", "0", "x"]}))
+    with subprocess.Popen([sys.executable, "-m", "nodalcodes.cli", "symmetroid-scan", "--matrix",
+                           str(matrix), "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_child_env()) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert (proc.returncode, stderr) == (141, b"")
+
+
+_NODES = [["1", "0", "0", "0"]]
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["defect", "--nodes", "FILE"], {"degree": 5, "nodes": _NODES},
+     "branch degree must be even, got 5"),
+    (["vanishing-dim", "--nodes", "FILE"], {"degree": 0, "nodes": _NODES},
+     "surface degree must be positive, got 0"),
+    (["vanishing-dim", "--nodes", "FILE", "--degree", "-1"], {"degree": 4, "nodes": _NODES},
+     "degree must be non-negative, got -1"),
+    (["bounds", "--degree", "2", "--mu", "5"], None, "branch degree must be at least 4, got 2"),
+    (["bounds", "--degree", "8", "--mu", "-1"], None, "mu must be non-negative, got -1"),
+    (["vanishing-dim", "--nodes", "FILE"],
+     {"degree": 4, "field": {"prime": 7}, "nodes": [["1/7", "0", "0", "1"]]},
+     "denominator 7 is divisible by 7"),
+    (["vanishing-dim", "--nodes", "FILE"],
+     {"degree": 4, "field": {"prime": 7}, "nodes": [["abc", "0", "0", "1"]]},
+     "not a scalar: 'abc'"),
+    (["vanishing-dim", "--nodes", "FILE"],
+     {"degree": 4, "field": {"prime": 7}, "nodes": [["1/x", "0", "0", "1"]]},
+     "not a scalar: '1/x'"),
+    (["vanishing-dim", "--nodes", "FILE"], {"degree": 4, "nodes": [["nan", "0", "0", "1"]]},
+     "not a rational number: 'nan'"),
+    (["vanishing-dim", "--nodes", "FILE"], {"degree": 4, "nodes": [["1/0", "0", "0", "1"]]},
+     "not a rational number: '1/0'"),
+    (["code", "info", "FILE"], {"generators": []}, "code file is missing 'mu'"),
+    (["code", "info", "FILE"], {"mu": 6, "generators": [[0, 1, 2, 3]]},
+     "bad generator entry [0, 1, 2, 3]"),
+], ids=["odd-degree", "degree-0", "form-degree-negative", "bounds-degree-2", "bounds-mu-negative",
+        "f7-denominator-7", "f7-abc", "f7-over-x", "rational-nan", "rational-over-0",
+        "code-without-mu", "generator-is-a-list"])
+def test_invalid_values_exit_2_with_one_error_line(tmp_path, capsys, argv, payload, message):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, payload", [

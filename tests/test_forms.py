@@ -19,6 +19,7 @@ from nodalcodes.forms import (
     parse_form,
     partial,
 )
+from parse_oracle import parse_form_oracle
 
 
 class TestParse:
@@ -94,9 +95,85 @@ class TestParse:
             with pytest.raises(ResourceError, match=f"{digits} digits"):
                 parse_form(text)
 
+    def test_leading_plus(self):
+        assert parse_form("+ x*y - 2z^2") == parse_form("x*y - 2z^2")
+        assert parse_form("+5") == parse_form("5")
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("", "empty polynomial", 0),
+        (" \t\n", "empty polynomial", 3),
+        ("x + ", "empty term", 3),  # right after the sign, before the space
+        ("x +  - y", "empty term", 3),
+        ("-", "empty term", 1),
+        ("1/ 0*x", "zero denominator", 2),  # right after the '/'
+        ("x^", "expected an integer", 2),
+        ("x^ y", "expected an integer", 3),
+        ("3/ x", "expected an integer", 3),
+        ("x *", "expected a variable after '*'", 3),
+        ("x * 2", "expected a variable after '*'", 4),
+        ("2x * + y", "expected a variable after '*'", 5),
+        ("x 3", "coefficient must come first in a term", 2),
+        ("x^2 12y", "coefficient must come first in a term", 4),
+        ("x + v", "unknown identifier 'v'", 4),
+        ("x ß", "unknown identifier 'ß'", 2),
+        ("x (", "unexpected character '('", 2),
+        ("1/2/3", "unexpected character '/'", 3),
+        ("x^2^3", "unexpected character '^'", 3),
+        # digits that are not decimal: '²' is str.isdigit but not str.isdecimal
+        ("x^²", "expected an integer", 2),
+        ("1/²", "expected an integer", 2),
+        ("²x", "unexpected character '²'", 0),
+        ("x²", "unexpected character '²'", 1),
+    ])
+    def test_parse_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_form(text)
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})",
+                                                        position)
+
+    @pytest.mark.parametrize("text, position", [
+        (f"x^{DEGREE_CAP + 1}", 0), (f"  x^{DEGREE_CAP + 1}", 2), (f"- x^{DEGREE_CAP + 1}", 1),
+        (f"x^{DEGREE_CAP} + \ty^{DEGREE_CAP + 1}", 8),
+    ])
+    def test_degree_cap_reports_the_term_position(self, text, position):
+        # a signed term starts right after its sign, before any space
+        with pytest.raises(ResourceError, match=f"at position {position};"):
+            parse_form(text)
+
+    def test_too_long_integer_reports_its_position(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer strings of any length")
+        with pytest.raises(ResourceError, match=f"of {limit + 1} digits at position 4 "):
+            parse_form("x^ \t" + "9" * (limit + 1))
+
     def test_print_order_is_canonical(self):
         f = parse_form("w^4 + x^2*y^2 - 2*x*y*z*w")
         assert str(f) == "x^2*y^2 - 2*x*y*z*w + w^4"
+
+
+# the oracle's alphabet: every character class the parser tells apart,
+# non-decimal digits aside (the parsers differ there by design)
+_PARSE_ALPHABET = list("xyzw0123456789+-*/^ \t\n") + ["٣", "é", "ß", "(", ".", "\x0b", "\u3000"]
+_PARSE_PIECES = ["x", "y", "z", "w", "x^2", "^", "0", "2", "12", "3/4", "1/0", "/", "*", "+", "-",
+                 " + ", " ", "\t", "٣", "é", "("]
+
+
+def _parse_outcome(parse, text, field):
+    """(degree, terms) of the parsed form, or the exception's type, message and position."""
+    try:
+        result = parse(text, field)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return result if isinstance(result, tuple) else (result.degree, result.terms)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(st.text(_PARSE_ALPHABET, max_size=16),
+                 st.lists(st.sampled_from(_PARSE_PIECES), max_size=10).map("".join)),
+       st.sampled_from([QQ, PrimeField(7), PrimeField(10007)]))
+def test_parse_form_matches_the_character_parser(text, field):
+    assert _parse_outcome(parse_form, text, field) == _parse_outcome(parse_form_oracle, text, field)
 
 
 def _random_form(rng, degree, nterms=5, field=QQ):

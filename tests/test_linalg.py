@@ -645,6 +645,25 @@ def test_rational_rank_when_the_q_prime_is_unlucky(rows):
     assert used == 2
 
 
+def test_rational_rank_skips_a_prime_whose_echelon_is_worse(monkeypatch):
+    # rank 2 with pivots in columns 0 and 1; mod the second prime P2 the first
+    # row is (0, 0, -A), so the pivots move to columns 1 and 2 and that prime
+    # must not enter the CRT; the kernel entry 7 P2 lifts from the first,
+    # third and fourth primes
+    a, b = 10**6 + 3, 7
+    rows = [[_P2, 0, -a], [0, 1, -b], [_P2, 1, -a - b]]
+    imaged = []
+
+    def logged_kernel_images(pivots, nrows, ncols, p):
+        imaged.append(p)
+        return kernel_images(pivots, nrows, ncols, p)
+
+    kernel_images = linalg._kernel_images
+    monkeypatch.setattr(linalg, "_kernel_images", logged_kernel_images)
+    assert _rational_kernel(rows, 3) == (2, [[(2, _P2), (0, a), (1, 7 * _P2)]], 4)
+    assert _P2 not in imaged and len(imaged) == 3 and imaged[0] == _P1
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(_PRIMES).flatmap(lambda p: _matrices_with_zero_columns(PrimeField(p))))
 def test_nullspace_basis_is_the_gauss_jordan_basis(m):

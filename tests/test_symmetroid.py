@@ -107,30 +107,35 @@ def _web_through(p, points):
 
 
 class TestScan:
-    def test_x_identity_is_a_degenerate_plane(self):
+    @pytest.mark.parametrize("p", [7, 101])
+    def test_x_identity_is_a_degenerate_plane(self, p):
         # rank drops below 3 only on the plane x = 0, which has p^2+p+1 points
-        p = 7
         m = SymmetricLinearMatrix.from_strings(p, X_IDENTITY)
         result = scan_nodes_fp(m)
         assert len(result.points) == p * p + p + 1
-        assert result.degenerate  # 57 > 10
+        assert result.degenerate  # 57 > 10 at p = 7
         assert all(pt[0] == 0 for pt in result.points)
 
-    def test_diagonal_matrix_coordinate_lines(self):
+    @pytest.mark.parametrize("p", [5, 101])
+    def test_diagonal_matrix_coordinate_lines(self, p):
         # rank <= 2 iff at least two coordinates vanish: six lines through
-        # four points, 6(p-1) + 4 points at p = 5
-        p = 5
+        # four points, 6(p-1) + 4 points
         m = SymmetricLinearMatrix.from_strings(p, DIAG_XYZW)
         result = scan_nodes_fp(m)
         assert len(result.points) == 6 * (p - 1) + 4 == (p + 1) * 6 - 8
-        assert result.degenerate  # 28 > 10
-        # independent enumeration oracle over all of P^3(F_5)
+        assert result.degenerate  # 28 > 10 at p = 5
         expected = {
-            pt for pt in _enumerate_p3(p)
-            if row_list_rank_mod_p([[pt[0], 0, 0, 0], [0, pt[1], 0, 0],
-                                  [0, 0, pt[2], 0], [0, 0, 0, pt[3]]], p) <= 2
+            _projective_key(tuple(a if k == i else b if k == j else 0 for k in range(4)), p)
+            for i, j in itertools.combinations(range(4), 2)
+            for a in range(p) for b in range(p) if a or b
         }
         assert set(result.points) == expected
+        if p <= 31:  # independent enumeration oracle over all of P^3(F_p)
+            assert expected == {
+                pt for pt in _enumerate_p3(p)
+                if row_list_rank_mod_p([[pt[0], 0, 0, 0], [0, pt[1], 0, 0],
+                                      [0, 0, pt[2], 0], [0, 0, 0, pt[3]]], p) <= 2
+            }
 
     def test_scan_points_satisfy_all_sixteen_minors(self, scan_survey):
         for _, matrix, result in scan_survey[:5]:
@@ -285,6 +290,34 @@ class TestPlaneKernels:
         assert len(scan_nodes_fp(m).points) == 10
 
 
+def _cubic_roots_by_search(c, p):
+    return [u for u in range(p) if (c[0] + c[1] * u + c[2] * u * u + c[3] * u**3) % p == 0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_cubic_roots_of_every_nonzero_cubic(p):
+    tables = symmetroid._root_tables(p)
+    for c in itertools.product(range(p), repeat=4):
+        if any(c):
+            assert sorted(symmetroid._cubic_roots(c, p, tables)) == _cubic_roots_by_search(c, p), c
+
+
+@pytest.mark.parametrize("p", [101, 1021])
+def test_cubic_roots_of_random_and_planted_cubics(p):
+    rng = random.Random(p)
+    cubics = [[rng.randrange(p) for _ in range(4)] for _ in range(300)]
+    for _ in range(300):  # a (u - r_1) ... (u - r_k) for k = 1..3, repeated roots allowed
+        c = [rng.randrange(1, p)]
+        for _ in range(rng.randint(1, 3)):
+            r = rng.randrange(p)
+            c = [(s - r * t) % p for s, t in zip([0] + c, c + [0])]
+        cubics.append(c + [0] * (4 - len(c)))
+    tables = symmetroid._root_tables(p)
+    for c in cubics:
+        if any(c):
+            assert sorted(symmetroid._cubic_roots(c, p, tables)) == _cubic_roots_by_search(c, p), c
+
+
 class TestCertificate:
     def test_points_on_a_common_quadric_fail(self):
         # ten points on the Segre quadric xw = yz over F_7
@@ -420,6 +453,19 @@ def test_seeded_generators_match_numpy_draws(p, monkeypatch):
         rng = numpy.random.default_rng(seed)
         for q, n, out in calls:
             assert [int(c) for c in rng.integers(0, q, size=n)] == out, seed
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+@pytest.mark.parametrize("p", [3 * 2**30 + 1, 2**31 + 11, 2**32 - 5])
+def test_bounded_draws_match_numpy_where_rejection_is_common(p, seed):
+    # Lemire's draw tests the threshold when the low word of m is below p and
+    # rejects with probability (2^32 mod p) / 2^32: about 1/4 at 3 * 2^30 + 1
+    # and 1/2 at 2^31 + 11, while at 2^32 - 5 nearly every draw takes the
+    # threshold test; the pending high half carries over between the calls
+    numpy = pytest.importorskip("numpy")
+    ours, theirs = symmetroid._PCG64(seed), numpy.random.default_rng(seed)
+    for n in (500, 333):
+        assert ours.integers(p, n) == [int(c) for c in theirs.integers(0, p, size=n)]
 
 
 class TestMatrixFiles:
