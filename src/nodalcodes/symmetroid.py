@@ -4,18 +4,15 @@ A symmetric 4x4 matrix of linear forms M(x) = x M_x + y M_y + z M_z + w M_w
 cuts out a quartic symmetroid (its determinant); the locus in P^3 where the
 matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
 nodes.  Over F_p that locus is found by kernel incidence (see
-:func:`scan_nodes_fp`): det A(v), with A(v) = [M_x v | M_y v | M_z v |
-M_w v], is a quartic in u on each line v = base + u (0:0:0:1) of the plane
-v_z = 0, and the kernels of A at its roots hold every rank <= 2 point.  The
-quartic is evaluated at every u of a line at once, on powers of u packed
-into one int each, and at a root where A has rank 3 the kernel is a column
-of its adjugate, so the work is about p^2 slot reductions instead of the
-p^3 points of P^3, with no elimination in the common case.  When det A
-vanishes on the whole plane, the scan solves instead, on each of the
-p^2 + p + 1 lines of P^3 through (0:0:0:1), the cubic to which a 3x3 minor
-restricts.  The no-quadric certificate is the dimension of the quadrics
-through the ten nodes, the defect computation for b = 4.  More than ten
-points prove a positive-dimensional locus, by the Harris-Tu degree bound
+:func:`scan_nodes_fp`): the kernels of the singular A(v) = [M_x v | M_y v |
+M_z v | M_w v] on the plane v_z = 0 hold every rank <= 2 point.  Packed
+sums evaluate det A on that whole plane in about p^2 slot reductions, not
+the p^3 points of P^3, and one principal 3x3 minor of M(x) decides each
+kernel point x.  When det A vanishes on the plane, a cubic 3x3 minor is
+solved on each of the p^2 + p + 1 lines through (0:0:0:1) instead.  The
+no-quadric certificate is the dimension of the quadrics through the ten
+nodes, the defect computation for b = 4.  More than ten points prove a
+positive-dimensional locus, by the Harris-Tu degree bound
 (:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence, labeled
 as such: nothing here claims a characteristic-0 proof.
 
@@ -266,7 +263,6 @@ def _cubic_roots(c, p: int, tables) -> list[int]:
     return [(t - s) % p for t in ts]
 
 
-_PLANE = ((1, 0, 0, 0), (0, 1, 0, 0))  # with (0:0:0:1), spans the plane v_z = 0
 _W = (0, 0, 0, 1)
 
 # _DELETE_ONE[i]: the other three indices of a 4x4 matrix, the rows or
@@ -292,44 +288,59 @@ def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
     return None
 
 
-def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> set | None:
-    """The distinct kernels of A(v), each as a basis, at the points v of the
-    plane v_z = 0 where det A(v) = 0, or None when det A vanishes
-    identically on the plane.
+def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
+    """The distinct kernels of the singular A(v) on the plane v_z = 0, each
+    a basis mapped to the first such v; None if det A vanishes on the plane.
 
-    det A on the line v = base + u (0:0:0:1) is a quartic in u.  The
-    powers u^k mod p for u = 0..p-1 are packed once, in 32-bit slots of
-    one int per k, so one sum of five products gives the quartic at every
-    u of a line, and the roots are the slots that vanish mod p (all of
-    them when the quartic vanishes on the line).  At a root where A(v) has
-    rank 3 the kernel is read off the adjugate (:func:`_cofactor_kernel`);
-    only at rank <= 2 does a 4x4 elimination run.
-    """
+    det A(a, b, 0, u) = sum_l u^l g_l(a, b), g_l of degree 4 - l.  With t^k
+    mod p for t = 0..p-1 packed in 32-bit slots, one int per k, one sum of
+    products gives g_l(1, b) at every b, and one more the quartic on the
+    line (1, b, 0) + u (0:0:0:1) at every u: its roots are the slots that
+    vanish mod p.  The line (0, 1, 0) takes the leading coefficients.  A
+    rank-3 A(v) has its kernel read off the adjugate (:func:`_cofactor_kernel`)."""
     p = matrix.prime
     det = _det([[_linear((forms[i][0][k], forms[i][1][k], 0, forms[i][3][k])) for k in range(4)]
                 for i in range(4)], p)
     if not det:
         return None
-    terms = _by_power_of_w(det, 4)
-    # every slot value sum_k c_k u^k stays below 5 (p-1)^2 < 2^32 up to _PRIME_CAP
+    # every slot value sum_k c_k t^k stays below 5 (p-1)^2 < 2^32 up to _PRIME_CAP
     pack, unpack = _slot_codec(32)
-    powers = [int.from_bytes(pack([pow(u, k, p) for u in range(p)]), "little") for k in range(5)]
+    powers = [int.from_bytes(pack([pow(t, k, p) for t in range(p)]), "little") for k in range(5)]
+
+    def packed_values(coefficients):  # sum_k c_k t^k at every t, unreduced
+        return unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(4 * p, "little"))
+
+    g = [[det.get((4 - l - j, j, 0, l), 0) for j in range(5 - l)] for l in range(5)]
+    lines = list(zip(*([s % p for s in packed_values(c)] for c in g))) + [[c[-1] for c in g]]
     # A(e_j) flat, row-major: A(v)[i][k] = (M_k v)_i = sum_j forms[i][j][k] v_j
     a_x, a_y, _, a_w = ([forms[i][j][k] for i in range(4) for k in range(4)] for j in range(4))
-    singular = [] if det.get((0, 0, 0, 4)) else [a_w]
-    for base in _span_points(_PLANE, p):
-        quartic = sum(c * q for c, q in zip(_on_line(terms, base, p), powers))
-        roots = [u for u, v in enumerate(unpack(quartic.to_bytes(4 * p, "little"))) if not v % p]
+    singular = [] if det.get((0, 0, 0, 4)) else [(_W, a_w)]
+    for b, quartic in enumerate(lines):
+        roots = [u for u, s in enumerate(packed_values(quartic)) if not s % p]
         if roots:
+            base = (1, b, 0) if b < p else (0, 1, 0)
             a_base = [base[0] * s + base[1] * t for s, t in zip(a_x, a_y)]
-            singular += [[(s + u * t) % p for s, t in zip(a_base, a_w)] for u in roots]
+            singular += [(base + (u,), [(s + u * t) % p for s, t in zip(a_base, a_w)]) for u in roots]
     field = PrimeField(p)
-    kernels = set()
-    for a in singular:
+    kernels = {}
+    for v, a in singular:
         rows = (a[:4], a[4:8], a[8:12], a[12:])
         point = _cofactor_kernel(rows, p)
-        kernels.add((point,) if point else tuple(nullspace_basis(ExactMatrix(field, rows))))
+        kernels.setdefault((point,) if point else tuple(nullspace_basis(ExactMatrix(field, rows))), v)
     return kernels
+
+
+def _rank_two_in_kernel(forms, v, candidates, p: int):
+    """The candidates x in ker A(v) at which M(x) has rank <= 2: M(x) v =
+    A(v) x = 0 and M(x) is symmetric, so at rank 3 adj M(x) is a nonzero
+    multiple of v v^T, and the principal minor off any i with v_i != 0
+    vanishes exactly at rank <= 2."""
+    rows = _DELETE_ONE[next(i for i, s in enumerate(v) if s)]
+    upper = [forms[r][c] for n, r in enumerate(rows) for c in rows[n:]]  # of the minor, row-major
+    for x0, x1, x2, x3 in candidates:
+        a, b, c, d, e, f = [s0 * x0 + s1 * x1 + s2 * x2 + s3 * x3 for s0, s1, s2, s3 in upper]
+        if not (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)) % p:
+            yield x0, x1, x2, x3
 
 
 def _line_points(matrix: SymmetricLinearMatrix, forms) -> set:
@@ -360,27 +371,17 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
 
     Kernel incidence: M(x) v = A(v) x with A(v) = [M_x v | M_y v | M_z v |
     M_w v].  The kernel of M(x) at a point x of rank <= 2 is at least a
-    line, which meets the plane v_z = 0 in some v with det A(v) = 0 and
-    x in ker A(v).  On each of the p + 1 lines of that plane through
-    (0:0:0:1), det A is a quartic in the line's parameter, evaluated at
-    every parameter at once on packed powers; its roots (and (0:0:0:1)
-    itself, when singular) are the points v.  Where A(v) has rank 3 its
-    kernel is the one point spanned by a column of the adjugate; only the
-    kernels of rank <= 2 matrices are eliminated and their points
-    enumerated.  The candidates where all sixteen 3x3 minors vanish are
-    kept.  When det A vanishes on the whole plane the scan instead walks
-    the p^2 + p + 1 lines of P^3 through (0:0:0:1) and solves one cubic
-    minor on each (:func:`_line_points`).
-
-    ``degenerate`` means more than :data:`MAX_FINITE_LOCUS` points, which
-    proves a positive-dimensional locus.
+    line, so it meets the plane v_z = 0 in some v with x in ker A(v)
+    (:func:`_plane_kernels`), and one principal minor of M(x) decides x
+    (:func:`_rank_two_in_kernel`).  When det A vanishes on that plane, a
+    cubic minor is solved on each line through (0:0:0:1) instead
+    (:func:`_line_points`).  ``degenerate`` means more than
+    :data:`MAX_FINITE_LOCUS` points, a positive-dimensional locus.
     """
     p = matrix.prime
     if p > _PRIME_CAP:
-        raise ResourceError(
-            "some matrices make the scan solve a cubic on each of the p^2 + p + 1 "
-            f"lines through (0:0:0:1); prime capped at {_PRIME_CAP}"
-        )
+        raise ResourceError("some matrices make the scan solve a cubic on each of the p^2 + p + 1 "
+                            f"lines through (0:0:0:1); prime capped at {_PRIME_CAP}")
     forms = [[None] * 4 for _ in range(4)]  # forms[i][j]: entry (i, j) as (x, y, z, w) coefficients
     for (i, j), row in zip(UPPER_TRIANGLE, matrix.coefficients):
         forms[i][j] = forms[j][i] = row
@@ -388,8 +389,8 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
     if kernels is None:
         points = _line_points(matrix, forms)
     else:
-        points = {x for basis in kernels for x in _span_points(basis, p)
-                  if minors_vanish_at(matrix, x)}
+        points = {x for basis, v in kernels.items() for x in _rank_two_in_kernel(
+            forms, v, basis if len(basis) == 1 else _span_points(basis, p), p)}
     points = sorted(points)
     return ScanResult(prime=p, points=tuple(points), degenerate=len(points) > MAX_FINITE_LOCUS)
 

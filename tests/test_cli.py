@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -323,6 +324,27 @@ def test_reader_that_stops_early_gets_exit_141_quietly(tmp_path):
         stderr = proc.stderr.read()
         proc.wait(timeout=120)
     assert (proc.returncode, stderr) == (141, b"")
+
+
+_SURVEY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts", "scan_seed_survey.py")
+
+
+def test_scan_survey_script_times_the_scan_and_refuses_bad_input():
+    ok = subprocess.run([sys.executable, _SURVEY, "--prime", "13", "--seeds", "2"],
+                        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    lines = ok.stdout.splitlines()
+    for seed in range(2):
+        assert re.fullmatch(rf"seed   {seed}:   10 point\(s\) \[scan \d+\.\d ms\]"
+                            r"  quadric-evaluation rank 10  certified", lines[seed])
+    assert lines[-1] == "2 seeds at p=13: 2 ten-point certified, 0 degenerate"
+    # p = 3 has no six points with no four coplanar; 2000 is above the scan's cap
+    for argv in (["--prime", "3"], ["--prime", "2000"], ["--prime", "9"], ["--seeds", "-1"]):
+        bad = subprocess.run([sys.executable, _SURVEY, *argv], capture_output=True, text=True,
+                             env=_child_env(), timeout=120)
+        assert (bad.returncode, bad.stdout) == (2, ""), argv
+        assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, argv
 
 
 _NODES = [["1", "0", "0", "0"]]

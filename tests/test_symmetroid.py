@@ -1,5 +1,6 @@
 """Finite-field rank-2 locus scans and quadric interpolation certificates."""
 
+import collections
 import functools
 import itertools
 import json
@@ -24,7 +25,7 @@ from nodalcodes.symmetroid import (
     random_symmetroid_matrix,
     scan_nodes_fp,
 )
-from rank_oracle import row_list_rank_mod_p
+from rank_oracle import gauss_jordan_nullspace, row_list_rank_mod_p
 
 # upper-triangle entry order: (0,0),(0,1),(0,2),(0,3),(1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
 X_IDENTITY = ["x", "0", "0", "0", "x", "0", "0", "x", "0", "x"]
@@ -92,6 +93,17 @@ def _scan_inputs(draw):
     return _matrix_from_pencil(p, [
         [[sum(t[a][i] * m[a][b] * t[b][j] for a in range(4) for b in range(4)) % p
           for j in range(4)] for i in range(4)] for m in pencil])
+
+
+def _plane_through(points, p):
+    """The coefficients of the plane through three points of P^3: the
+    cofactors of the first row of det [x; P1; P2; P3]."""
+    def det3(r):
+        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+    return tuple((-1) ** k * det3([[c for n, c in enumerate(pt) if n != k] for pt in points]) % p
+                 for k in range(4))
 
 
 def _web_through(p, points):
@@ -189,6 +201,35 @@ class TestScan:
         self._check_against_enumeration(random_symmetroid_matrix(31, 0))
         self._check_against_enumeration(SymmetricLinearMatrix.from_strings(31, X_IDENTITY))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p", [101, 211, 401, 1021])
+    def test_web_nodes_are_its_plane_pairs(self, p, seed):
+        # the generator's six points, replayed: each 3+3 split gives the plane
+        # pair L1 L2, a quadric of the web, and its node is its coordinate
+        # vector in the web basis, which nullspace_basis makes the identity on
+        # its free columns: the pair's coefficients there
+        rng = symmetroid._PCG64(seed)
+        while True:
+            points = [tuple(rng.integers(p, 4)) for _ in range(6)]
+            if all(row_list_rank_mod_p([list(q) for q in quad], p) == 4
+                   for quad in itertools.combinations(points, 4)):
+                break
+        m = random_symmetroid_matrix(p, seed)
+        assert _web_through(p, points) == m
+        rows = [[pt[i] * pt[j] % p for i, j in QUADRIC_MONOMIALS] for pt in points]
+        web = nullspace_basis(ExactMatrix.from_rows(PrimeField(p), rows))
+        free = [next(c for c in range(10) if b[c] == 1 and all(o[c] == 0 for o in web if o is not b))
+                for b in web]
+        nodes = set()
+        for trio in itertools.combinations(range(1, 6), 2):
+            first = [points[0]] + [points[k] for k in trio]
+            second = [points[k] for k in range(1, 6) if k not in trio]
+            l1, l2 = _plane_through(first, p), _plane_through(second, p)
+            pair = [l1[i] * l2[j] + (l1[j] * l2[i] if i != j else 0) for i, j in QUADRIC_MONOMIALS]
+            nodes.add(_projective_key([pair[c] for c in free], p))
+        assert len(nodes) == 10
+        assert scan_nodes_fp(m).points == tuple(sorted(nodes))
+
     @settings(deadline=None, max_examples=60)
     @given(_scan_inputs())
     def test_matches_brute_force_on_drawn_matrices(self, m):
@@ -216,6 +257,21 @@ class TestScan:
             SymmetricLinearMatrix.from_strings(2, X_IDENTITY)
         with pytest.raises(DomainError):
             SymmetricLinearMatrix.from_strings(9, X_IDENTITY)
+
+
+def _forms(m):
+    """forms[i][j]: the (x, y, z, w) coefficients of entry (i, j)."""
+    forms = [[None] * 4 for _ in range(4)]
+    for (i, j), row in zip(QUADRIC_MONOMIALS, m.coefficients):
+        forms[i][j] = forms[j][i] = row
+    return forms
+
+
+@functools.lru_cache(maxsize=None)
+def _span(basis, p):
+    """The points of P^3(F_p) in the span of basis, normalized."""
+    return sorted({_projective_key([sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(4)], p)
+                   for coeffs in itertools.product(range(p), repeat=len(basis)) if any(coeffs)})
 
 
 def _kernel_incidence_matrix(m, v):
@@ -261,9 +317,56 @@ class TestPlaneKernels:
         assert calls
         assert all(row_list_rank_mod_p([list(r) for r in a.entries], p) <= 2 for a in calls)
 
-    def test_packed_quartic_slots_cannot_carry(self):
-        # five terms c_k u^k with c_k, u^k mod p below p, at the largest prime
+    def test_packed_quartic_slots_cannot_carry(self, monkeypatch):
+        # the quartic in u and each of its coefficients g_l(b) are sums of at
+        # most five terms c_k t^k with c_k and t^k mod p below p, so no slot
+        # reaches 2^32 up to the largest prime
         assert 5 * (symmetroid._PRIME_CAP - 1) ** 2 < 2**32
+        # every det A coefficient at p - 1, the largest slot values: the roots
+        # found are those of sum a^i b^j u^l over the whole plane v_z = 0
+        p = 101
+        m = random_symmetroid_matrix(p, 0)
+        quartic = {(i, j, 0, 4 - i - j): p - 1 for i in range(5) for j in range(5 - i)}
+        monkeypatch.setattr(symmetroid, "_det", lambda rows, q: dict(quartic))
+        seen = []
+
+        def recording(a, q):
+            seen.append(tuple(map(tuple, a)))
+            return cofactor_kernel(a, q)
+
+        cofactor_kernel = symmetroid._cofactor_kernel
+        monkeypatch.setattr(symmetroid, "_cofactor_kernel", recording)
+        symmetroid._plane_kernels(m, _forms(m))
+        plane = [(1, b, 0, u) for b in range(p) for u in range(p)] + [(0, 1, 0, u) for u in range(p)]
+        roots = [v for v in plane + [(0, 0, 0, 1)] if not sum(
+            v[0] ** i * v[1] ** j * v[3] ** (4 - i - j) for i in range(5) for j in range(5 - i)) % p]
+        assert roots
+        assert sorted(seen) == sorted(_kernel_incidence_matrix(m, v) for v in roots)
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_one_principal_minor_decides_every_kernel_point(self, p):
+        # every pair with A(v) x = M(x) v = 0, grouped by v: the minor off the
+        # first i with v_i != 0 agrees with all sixteen minors, also where
+        # v_0 = 0 and where M(x) has rank <= 2
+        matrices = [random_symmetroid_matrix(p, 0), random_symmetric_matrix(p, 0),
+                    _web_through(p, COPLANAR_SIX), _web_through(p, self.ONE_LINE_WEB)]
+        matrices += [SymmetricLinearMatrix.from_strings(p, forms)
+                     for forms in (X_IDENTITY, DIAG_XYZW, COMMON_KERNEL)]
+        field = PrimeField(p)
+        for m in matrices:
+            pairs, rank_two = collections.defaultdict(list), set()
+            for x in sorted(_enumerate_p3(p)):
+                mx = m.evaluate(x)
+                if minors_vanish_at(m, x):
+                    rank_two.add(x)
+                kernel = gauss_jordan_nullspace(ExactMatrix.from_rows(field, mx))
+                for v in _span(tuple(kernel), p):
+                    pairs[v].append(x)
+            assert any(v[0] == 0 for v in pairs)
+            forms = _forms(m)
+            for v, xs in pairs.items():
+                assert list(symmetroid._rank_two_in_kernel(forms, v, xs, p)) == \
+                    [x for x in xs if x in rank_two], (m.coefficients, v)
 
     # three points on x = 0 and three on z = 0, no four coplanar mod 5..13:
     # the plane pair x z is in the web and kills the line x = z = 0, so
