@@ -19,7 +19,7 @@ def main() -> None:
     start = time.monotonic()
     for mu in range(6, 17):
         table = classify_quartic_codes(mu, audit=args.audit)
-        print(render_table(table, audit=args.audit))
+        print(render_table(table))
         print()
     print(f"total {time.monotonic() - start:.2f}s")
 

@@ -25,11 +25,15 @@ call share a single completion memo, keyed by the pivot count and the
 sorted values of the remaining columns (the unpivoted rows are never
 re-reduced), and dropped when the call returns.
 
+The search works on bases of ints in extended encoding (see ``codes``)
+and hands each enlarged basis, reduced by ``bit_rref``, straight to the
+canonical search; an ``EvenSetCode`` is built only for a table entry.
+
 Two dimension lower bounds (due to Beauville) cut the weight-admissible
 list down to the codes that actually occur: dim of the full code is at
 least mu - 10, dim of the strictly even subcode at least mu - 11.  They
-are applied as a post-filter so the weight-admissible-but-excluded codes
-can still be inspected with ``audit=True``.
+are applied as a post-filter, so a table built with ``audit=True`` also
+carries the weight-admissible codes they exclude, and says so itself.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from dataclasses import dataclass
 from .codes import (
     QUARTIC_WORD_CLASSES,
     EvenSetCode,
-    EvenSetWord,
     _canonical_form,
     code_to_dict,
     span_words,
@@ -82,14 +85,15 @@ class ClassificationTable:
     mu: int
     entries: tuple[TableEntry, ...]
     excluded: tuple[TableEntry, ...] = ()  # weight-admissible, failing dimension bounds
+    audit: bool = False  # whether ``excluded`` was collected
 
-    def to_dict(self, audit: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "mu": self.mu,
             "count": len(self.entries),
             "entries": [e.to_dict() for e in self.entries],
         }
-        if audit:
+        if self.audit:
             out["excluded_by_dimension_bounds"] = [e.to_dict() for e in self.excluded]
         return out
 
@@ -158,7 +162,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         if weight > mu:
             continue
         w = (1 << weight) - 1 | ((1 << mu) if weak else 0)
-        level[_canonical_form(_as_code(mu, (w,)), memo)] = (
+        level[_canonical_form(mu, (w,), memo)] = (
             (w,),
             _child_candidates(admissible, [0], w, admissible_set),
         )
@@ -174,7 +178,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
                     continue
                 seen_word_sets.add(new_words)
                 new_basis = basis + (w,)
-                enc = _canonical_form(_as_code(mu, new_basis), memo)
+                enc = _canonical_form(mu, bit_rref(new_basis), memo)
                 if enc not in next_level:
                     next_level[enc] = (
                         new_basis,
@@ -182,12 +186,6 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
                     )
         level = next_level
     return found
-
-
-def _as_code(mu: int, basis: tuple[int, ...]) -> EvenSetCode:
-    return EvenSetCode.from_words(
-        mu, tuple(EvenSetWord.from_ext(mu, w) for w in basis)
-    )
 
 
 def _greedy_profile(code: EvenSetCode) -> str:
@@ -217,7 +215,7 @@ def _greedy_profile(code: EvenSetCode) -> str:
 
 
 def _entry(mu: int, canonical: bytes, basis: tuple[int, ...]) -> TableEntry:
-    code = _as_code(mu, basis)
+    code = EvenSetCode(mu, basis)
     return TableEntry(
         code=code,
         dim=code.dim,
@@ -233,7 +231,7 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
 
     For mu <= 5 no admissible word fits and the table is empty.  With
     ``audit=True`` the codes excluded only by the dimension lower bounds
-    are reported alongside.
+    are kept in ``excluded``, and the table's ``audit`` field says so.
     """
     if not 1 <= mu <= MU_MAX:
         raise DomainError(f"mu must lie in 1..{MU_MAX}, got {mu}")
@@ -241,8 +239,7 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
     excluded = []
     for canonical, basis in _enumerate_admissible(mu):
         entry = _entry(mu, canonical, basis)
-        strict_dim = entry.code.strict_dim()
-        if entry.dim >= max(1, mu - 10) and strict_dim >= mu - 11:
+        if entry.dim >= max(1, mu - 10) and entry.code.strict_dim() >= mu - 11:
             passing.append(entry)
         elif audit:
             excluded.append(entry)
@@ -253,10 +250,11 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
         mu=mu,
         entries=tuple(sorted(passing, key=order)),
         excluded=tuple(sorted(excluded, key=order)),
+        audit=audit,
     )
 
 
-def render_table(table: ClassificationTable, audit: bool = False) -> str:
+def render_table(table: ClassificationTable) -> str:
     """Human-readable listing, one line per code class."""
     lines = [f"mu = {table.mu}: {len(table.entries)} code(s)"]
     for e in table.entries:
@@ -266,7 +264,7 @@ def render_table(table: ClassificationTable, audit: bool = False) -> str:
         lines.append(f"  {e.profile}   dim {e.dim}   words: {weights}")
         for g in e.code.generators:
             lines.append(f"      {g}")
-    if audit and table.excluded:
+    if table.audit and table.excluded:
         lines.append(f"  excluded by dimension bounds ({len(table.excluded)}):")
         for e in table.excluded:
             lines.append(f"    {e.profile}")

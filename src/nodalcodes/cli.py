@@ -122,11 +122,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_classify(args) -> int:
     table = classify_mod.classify_quartic_codes(args.mu, audit=args.audit)
-    _emit(
-        args,
-        table.to_dict(audit=args.audit),
-        classify_mod.render_table(table, audit=args.audit),
-    )
+    _emit(args, table.to_dict(), classify_mod.render_table(table))
     return EXIT_OK
 
 

@@ -6,22 +6,24 @@ weak = weak), so a word is modeled as a (1+mu)-bit vector whose extra
 coordinate is the parity bit; the strictly even words are then exactly a
 hyperplane subcode.
 
-Internally words are plain ints: bits 0..mu-1 carry the support, bit mu
-the parity (set = weakly even), so the sum of two words is the XOR of
-their ``to_ext()`` encodings.  ``QUARTIC_WORD_CLASSES`` lists the weights
-and parities a nodal quartic allows.  The canonical form minimizes the
-column-wise reduced generator matrix over all permutations of the support
-columns (the parity column stays put), so two codes get equal canonical
-bytes iff one is a node relabeling of the other.
+Inside the library a word is a plain int: bits 0..mu-1 carry the support,
+bit mu the parity (set = weakly even), so the sum of two words is their
+XOR.  A code is the ``bit_rref`` basis of such ints that spans it, and
+``EvenSetWord`` is the tagged form for code files and printing.
+``QUARTIC_WORD_CLASSES`` lists the weights and parities a nodal quartic
+allows.  The canonical form minimizes the column-wise reduced generator
+matrix over all permutations of the support columns (the parity column
+stays put), so two codes get equal canonical bytes iff one is a node
+relabeling of the other.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import DataError, ResourceError, read_json
+from .errors import DataError, ResourceError, json_fields, read_json
 from .linalg import bit_rref
 
 _MU_CAP_CANONICAL = 24
@@ -103,34 +105,38 @@ QUARTIC_WORD_CLASSES = ((6, True), (8, False), (10, True), (16, False))
 
 @dataclass(frozen=True)
 class EvenSetCode:
-    """F2-span of even-set words; stored generators are an independent basis."""
+    """F2-span of even-set words, stored as the ``bit_rref`` basis of the
+    words given, in extended encoding.  That basis depends on their order,
+    so compare spans by ``words_ext``, not by ``==``."""
 
     mu: int
-    generators: tuple[EvenSetWord, ...]
+    basis: tuple[int, ...]
 
     def __post_init__(self):
-        for g in self.generators:
-            if g.mu != self.mu:
-                raise DataError("generator length disagrees with the code length")
-        basis = bit_rref([g.to_ext() for g in self.generators])
-        if 1 << self.mu in basis:
-            # two words with equal support but opposite parity: the empty
-            # weakly even set would be in the span
+        for w in self.basis:
+            if not 0 <= w < 2 << self.mu:
+                raise DataError(f"word {w} has bits outside the {self.mu + 1}-bit range")
+        basis = tuple(bit_rref(self.basis))
+        if len(bit_rref([*basis, 1 << self.mu])) == len(basis):
+            # the empty weakly even set is in the span: two sums of words
+            # with equal support but opposite parity
             raise DataError("parity is not a linear functional of the support")
-        object.__setattr__(
-            self, "generators", tuple(EvenSetWord.from_ext(self.mu, v) for v in basis)
-        )
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def from_words(cls, mu: int, words: Iterable[EvenSetWord]) -> "EvenSetCode":
-        return cls(mu, tuple(words))
+        words = tuple(words)
+        if any(g.mu != mu for g in words):
+            raise DataError("generator length disagrees with the code length")
+        return cls(mu, tuple(g.to_ext() for g in words))
+
+    @property
+    def generators(self) -> tuple[EvenSetWord, ...]:
+        return tuple(EvenSetWord.from_ext(self.mu, w) for w in self.basis)
 
     @property
     def dim(self) -> int:
-        return len(self.generators)
-
-    def basis_ext(self) -> list[int]:
-        return [g.to_ext() for g in self.generators]
+        return len(self.basis)
 
     def words_ext(self) -> list[int]:
         """All 2^dim words in extended encoding, zero included."""
@@ -138,7 +144,7 @@ class EvenSetCode:
             raise ResourceError(
                 f"refusing to enumerate 2^{self.dim} words (cap {_DIM_CAP_ENUMERATION})"
             )
-        return span_words(self.basis_ext())
+        return span_words(self.basis)
 
     def words(self) -> Iterator[EvenSetWord]:
         """All nonzero words of the code."""
@@ -148,9 +154,7 @@ class EvenSetCode:
 
     def strict_dim(self) -> int:
         """Dimension of the strictly even subcode (index at most 2)."""
-        if any(g.weak for g in self.generators):
-            return self.dim - 1
-        return self.dim
+        return self.dim - any(w >> self.mu for w in self.basis)
 
 
 def weight_enumerator(code: EvenSetCode) -> dict[tuple[int, str], int]:
@@ -226,11 +230,10 @@ def _min_completion(cols: tuple[int, ...], npiv: int, k: int, memo: dict) -> tup
     return best
 
 
-def _canonical_encoding(code: EvenSetCode, memo: dict) -> tuple[int, ...]:
-    mu = code.mu
+def _canonical_encoding(mu: int, basis: Sequence[int], memo: dict) -> tuple[int, ...]:
+    # basis: independent words in extended encoding, reduced or not
     if mu > _MU_CAP_CANONICAL:
         raise ResourceError(f"canonical form is capped at mu = {_MU_CAP_CANONICAL}")
-    basis = code.basis_ext()
     k = len(basis)
     if k == 0:
         return (mu, 0)
@@ -244,15 +247,15 @@ def _canonical_encoding(code: EvenSetCode, memo: dict) -> tuple[int, ...]:
     return (mu, k, 0) + _min_completion(tuple(sorted(cols[:mu])), 0, k, memo)
 
 
-def _canonical_form(code: EvenSetCode, memo: dict) -> bytes:
-    enc = _canonical_encoding(code, memo)
+def _canonical_form(mu: int, basis: Sequence[int], memo: dict) -> bytes:
+    enc = _canonical_encoding(mu, basis, memo)
     return struct.pack(f">{len(enc)}I", *enc)
 
 
 def canonical_form(code: EvenSetCode) -> bytes:
     """Permutation-invariant fingerprint; equal bytes iff codes are
     equivalent up to a permutation of node positions."""
-    return _canonical_form(code, {})
+    return _canonical_form(code.mu, code.basis, {})
 
 
 def is_isomorphic(a: EvenSetCode, b: EvenSetCode) -> bool:
@@ -260,7 +263,7 @@ def is_isomorphic(a: EvenSetCode, b: EvenSetCode) -> bool:
     if a.mu != b.mu:
         raise DataError(f"length mismatch: {a.mu} != {b.mu}")
     memo: dict = {}
-    return _canonical_form(a, memo) == _canonical_form(b, memo)
+    return _canonical_form(a.mu, a.basis, memo) == _canonical_form(b.mu, b.basis, memo)
 
 
 # --- code file format ---------------------------------------------------------
@@ -270,11 +273,7 @@ def is_isomorphic(a: EvenSetCode, b: EvenSetCode) -> bool:
 
 
 def code_from_dict(data: dict) -> EvenSetCode:
-    try:
-        mu = data["mu"]
-        gens = data["generators"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"code file is missing {exc}") from exc
+    mu, gens = json_fields(data, "code file", "mu", "generators")
     if isinstance(mu, bool) or not isinstance(mu, int) or mu < 0:
         raise DataError("mu must be a non-negative integer")
     if mu > _MU_CAP_FILE:

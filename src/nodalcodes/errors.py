@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the JSON file reader.
+"""Exception hierarchy shared by all modules, and the JSON file helpers.
 
 The CLI maps these onto exit codes: usage problems exit 1, anything
 derived from :class:`InputError` exits 2, and failed certifications
@@ -33,6 +33,17 @@ def read_json(path: str, what: str):
     # of an integer literal longer than sys.get_int_max_str_digits()
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def json_fields(data, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``data``, or a
+    :class:`DataError` naming ``what`` if it is not an object or lacks one."""
+    if not isinstance(data, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(data).__name__}")
+    try:
+        return [data[key] for key in keys]
+    except KeyError as exc:
+        raise DataError(f"{what} is missing {exc}") from exc
 
 
 class DomainError(InputError):

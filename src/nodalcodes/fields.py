@@ -101,7 +101,9 @@ class PrimeField:
     characteristic: int
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise DataError(f"prime must be an integer, got {p!r}")
+        if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         if p == 2:
             raise DomainError(f"prime field needs an odd prime, got {p}")

@@ -349,7 +349,10 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[int, ...]]:
 
 
 def bit_rref(rows: Iterable[int]) -> list[int]:
-    """Fully reduced F2 basis of the span, sorted by leading bit descending."""
+    """An F2 basis of the span, one row per leading bit, sorted by leading
+    bit descending.  A new row's leading bit is cleared from the rows kept
+    so far, but the new row is reduced only until its leading bit is new,
+    so the result is not the RREF and depends on the order of ``rows``."""
     basis: dict[int, int] = {}
     for v in rows:
         cur = v

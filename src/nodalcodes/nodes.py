@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, lcm
 from typing import Sequence
 
-from .errors import DataError, DomainError, ResourceError, read_json
+from .errors import DataError, DomainError, ResourceError, json_fields, read_json
 from .fields import Field, PrimeField, QQ, Scalar
 from .forms import (
     HomogeneousForm,
@@ -223,11 +223,7 @@ def _field_from_json(spec) -> Field:
 
 
 def config_from_dict(data: dict) -> NodeConfiguration:
-    try:
-        degree = data["degree"]
-        nodes = data["nodes"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"node file is missing {exc}") from exc
+    degree, nodes = json_fields(data, "node file", "degree", "nodes")
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise DataError("degree must be an integer")
     if not isinstance(nodes, list):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import DataError, DomainError, ResourceError, read_json
+from .errors import DataError, DomainError, ResourceError, json_fields, read_json
 from .fields import PrimeField
 from .forms import HomogeneousForm, parse_form
 from .linalg import ExactMatrix, _slot_codec, exact_rank, nullspace_basis
@@ -116,13 +116,7 @@ class SymmetricLinearMatrix:
 
 
 def matrix_from_dict(data: dict) -> SymmetricLinearMatrix:
-    try:
-        prime = data["prime"]
-        entries = data["upper_triangle"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"matrix file is missing {exc}") from exc
-    if isinstance(prime, bool) or not isinstance(prime, int):
-        raise DataError(f"matrix prime must be an integer, got {prime!r}")
+    prime, entries = json_fields(data, "matrix file", "prime", "upper_triangle")
     if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
         raise DataError("upper_triangle must be a list of strings")
     if len(entries) != 10:

@@ -85,7 +85,7 @@ def _min_completion(
 def canonical_encoding(code: EvenSetCode) -> tuple[int, ...]:
     """The canonical encoding of ``code`` by the row-based search."""
     mu = code.mu
-    basis = code.basis_ext()
+    basis = list(code.basis)
     k = len(basis)
     if k == 0:
         return (mu, 0)

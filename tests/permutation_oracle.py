@@ -8,7 +8,7 @@ search below is the oracle for the classifier's orbit key.
 
 from __future__ import annotations
 
-from nodalcodes.codes import EvenSetCode, EvenSetWord
+from nodalcodes.codes import EvenSetCode
 
 
 def apply_node_permutation(word_ext: int, perm: tuple[int, ...], mu: int) -> int:
@@ -23,19 +23,14 @@ def apply_node_permutation(word_ext: int, perm: tuple[int, ...], mu: int) -> int
 
 
 def permuted_code(code: EvenSetCode, perm: tuple[int, ...]) -> EvenSetCode:
-    mu = code.mu
-    return EvenSetCode.from_words(
-        mu,
-        [
-            EvenSetWord.from_ext(mu, apply_node_permutation(g.to_ext(), perm, mu))
-            for g in code.generators
-        ],
+    return EvenSetCode(
+        code.mu, tuple(apply_node_permutation(g, perm, code.mu) for g in code.basis)
     )
 
 
 def column_transpositions(code: EvenSetCode) -> list[tuple[int, ...]]:
     """Transpositions of support columns identical in every codeword."""
-    mu, basis = code.mu, code.basis_ext()
+    mu, basis = code.mu, code.basis
     groups: dict[tuple[int, ...], list[int]] = {}
     for c in range(mu):
         column = tuple((g >> c) & 1 for g in basis)

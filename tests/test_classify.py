@@ -11,7 +11,7 @@ from nodalcodes.classify import (
     classify_quartic_codes,
     render_table,
 )
-from nodalcodes.codes import STRICT, WEAK, canonical_form
+from nodalcodes.codes import STRICT, WEAK, EvenSetCode, canonical_form
 from nodalcodes.errors import DomainError
 from permutation_oracle import column_transpositions, searched_orbit_representatives
 from test_codes import _griesmer_ok
@@ -158,7 +158,7 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
     assert {mu for *_, mu, _ in calls} == set(range(6, 14))
     assert any(len(reps) < len(candidates) for candidates, *_, reps in calls)
     for candidates, basis, mu, reps in calls:
-        perms = column_transpositions(classify_mod._as_code(mu, basis))
+        perms = column_transpositions(EvenSetCode(mu, basis))
         assert reps == searched_orbit_representatives(candidates, perms, mu)
 
 
@@ -212,7 +212,7 @@ def test_classification_output_is_pinned(audited_classification_tables):
                 )
                 h.update(
                     f"{mu}|{kind}|{e.profile}|{e.dim}|{e.canonical.hex()}|"
-                    f"{e.code.basis_ext()}|{enum}\n".encode()
+                    f"{list(e.code.basis)}|{enum}\n".encode()
                 )
     assert h.hexdigest() == CLASSIFICATION_DIGEST
 
@@ -224,6 +224,22 @@ def test_audit_reports_dimension_excluded_codes():
     assert {"[12,1,{6_1}]", "[12,1,{8_1}]", "[12,1,{10_1}]"} <= profiles
     for e in table.excluded:
         assert e.dim < max(1, 12 - 10) or e.code.strict_dim() < 12 - 11
+
+
+def test_only_an_audited_table_reports_exclusions(
+    classification_tables, audited_classification_tables
+):
+    # the table records whether it was audited, so its payload and listing
+    # cannot claim an audit the run did not make
+    plain, audited = classification_tables[12], audited_classification_tables[12]
+    assert (plain.audit, plain.excluded) == (False, ())
+    assert "excluded_by_dimension_bounds" not in plain.to_dict()
+    assert "excluded by dimension bounds" not in render_table(plain)
+    assert audited.audit
+    assert len(audited.to_dict()["excluded_by_dimension_bounds"]) == 3
+    assert "  excluded by dimension bounds (3):" in render_table(audited).splitlines()
+    # an audit that excludes nothing still says it looked
+    assert audited_classification_tables[6].to_dict()["excluded_by_dimension_bounds"] == []
 
 
 def test_deterministic_ordering():

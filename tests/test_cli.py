@@ -372,12 +372,21 @@ _NODES = [["1", "0", "0", "0"]]
      "not a rational number: 'nan'"),
     (["vanishing-dim", "--nodes", "FILE"], {"degree": 4, "nodes": [["1/0", "0", "0", "1"]]},
      "not a rational number: '1/0'"),
+    (["vanishing-dim", "--nodes", "FILE"],
+     {"degree": 4, "field": {"prime": "7"}, "nodes": _NODES},
+     "prime must be an integer, got '7'"),
+    (["symmetroid-scan", "--matrix", "FILE"], {"prime": "7", "upper_triangle": ["x"] * 10},
+     "prime must be an integer, got '7'"),
     (["code", "info", "FILE"], {"generators": []}, "code file is missing 'mu'"),
     (["code", "info", "FILE"], {"mu": 6, "generators": [[0, 1, 2, 3]]},
      "bad generator entry [0, 1, 2, 3]"),
+    (["code", "info", "FILE"], {"mu": 6, "generators": [
+        {"parity": "strict", "support": [0, 1, 2]}, {"parity": "weak", "support": [0, 1, 2]}]},
+     "parity is not a linear functional of the support"),
 ], ids=["odd-degree", "degree-0", "form-degree-negative", "bounds-degree-2", "bounds-mu-negative",
         "f7-denominator-7", "f7-abc", "f7-over-x", "rational-nan", "rational-over-0",
-        "code-without-mu", "generator-is-a-list"])
+        "field-prime-string", "matrix-prime-string", "code-without-mu", "generator-is-a-list",
+        "weak-empty-set-in-span"])
 def test_invalid_values_exit_2_with_one_error_line(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     if payload is not None:
@@ -413,12 +422,29 @@ def test_malformed_files_exit_2(tmp_path, capsys, argv, payload):
      "degree must be an integer"),
     (["defect", "--nodes"], {"degree": True, "nodes": [["1", "0", "0", "0"]]},
      "degree must be an integer"),
-], ids=["code-mu", "code-support", "vanishing-dim-degree", "defect-degree"])
+    (["vanishing-dim", "--nodes"],
+     {"degree": 4, "field": {"prime": True}, "nodes": [["1", "0", "0", "0"]]},
+     "prime must be an integer, got True"),
+], ids=["code-mu", "code-support", "vanishing-dim-degree", "defect-degree", "field-prime"])
 def test_json_booleans_are_not_integers(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["defect", "--nodes"], "node file"),
+    (["code", "info"], "code file"),
+    (["symmetroid-scan", "--matrix"], "matrix file"),
+], ids=["node", "code", "matrix"])
+@pytest.mark.parametrize("payload, kind", [([], "list"), (5, "int"), ("x", "str"), (None, "NoneType")],
+                         ids=["array", "number", "string", "null"])
+def test_a_file_that_is_not_a_json_object_is_named(tmp_path, capsys, argv, what, payload, kind):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: {what} must be a JSON object, got {kind}\n")
 
 
 @pytest.mark.parametrize("argv", [["defect", "--nodes"], ["code", "info"], ["symmetroid-scan", "--matrix"]],

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodalcodes.codes import (
@@ -18,10 +18,12 @@ from nodalcodes.codes import (
     code_from_dict,
     code_to_dict,
     is_isomorphic,
+    span_words,
     weight_enumerator,
 )
 from nodalcodes.classify import admissible_words_ext
 from nodalcodes.errors import DataError, ResourceError
+from nodalcodes.linalg import bit_rref
 import canonical_oracle
 from permutation_oracle import permuted_code
 
@@ -134,6 +136,35 @@ CODE_14_UNIQUE = [
 
 def _code(mu, rows):
     return EvenSetCode.from_words(mu, [_word(mu, p, s) for p, s in rows])
+
+
+class TestIntBasis:
+    RAW_14 = [_word(14, p, s).to_ext() for p, s in CODE_14_UNIQUE]
+
+    @pytest.mark.parametrize("word", [-1, 1 << 7, 1 << 7 | 0b111111, 1 << 40],
+                             ids=["negative", "2^(mu+1)", "bit-mu+1-set", "far-above"])
+    def test_word_outside_the_extended_range_is_refused(self, word):
+        with pytest.raises(DataError, match="outside the 7-bit range"):
+            EvenSetCode(6, (0b111111 | 1 << 6, word))
+
+    # in either order, and as a sum of three words
+    @pytest.mark.parametrize("basis", [(0b111111, 0b1111111), (0b1111111, 0b111111),
+                                       (0b011, 0b1000110, 0b101)])
+    def test_the_weak_empty_set_in_the_span_is_refused(self, basis):
+        with pytest.raises(DataError, match="parity is not a linear functional"):
+            EvenSetCode(6, basis)
+
+    def test_two_bases_of_one_code(self):
+        g0, g1, g2, g3 = self.RAW_14
+        a = EvenSetCode(14, tuple(self.RAW_14))
+        b = EvenSetCode(14, (g3 ^ g1, g1, g0 ^ g2 ^ g3, g0))
+        assert a.basis == tuple(bit_rref(self.RAW_14)) and a.dim == b.dim == 4
+        assert sorted(a.words_ext()) == sorted(b.words_ext())
+        assert canonical_form(a) == canonical_form(b)
+        # the rows of a fully reduced basis, in any order, give one code
+        x, y = 0b1000000111111, 0b0111100001111  # leads 12 and 11, each clear at the other's
+        c, d = EvenSetCode(13, (x, y)), EvenSetCode(13, (y, x))
+        assert c == d and hash(c) == hash(d) and c.generators == d.generators
 
 
 class TestWeightEnumerator:
@@ -263,7 +294,24 @@ def _codes_with_repeated_columns(draw):
 @settings(deadline=None, max_examples=300)
 @given(_codes_with_repeated_columns())
 def test_canonical_encoding_matches_the_row_based_search(code):
-    assert _canonical_encoding(code, {}) == canonical_oracle.canonical_encoding(code)
+    assert _canonical_encoding(code.mu, code.basis, {}) == canonical_oracle.canonical_encoding(code)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_codes_with_repeated_columns(), st.data())
+def test_canonical_encoding_of_an_unreduced_basis_is_that_of_its_rref(code, data):
+    # the int entry takes any independent basis of the code: row
+    # operations (the first two entries of each drawn permutation add one
+    # row into another) and a reordering leave the span as it is
+    assume(code.dim >= 2)
+    basis = list(code.basis)
+    for i, j, *_ in data.draw(st.lists(st.permutations(range(code.dim)), min_size=1, max_size=6)):
+        basis[i] ^= basis[j]
+    basis = data.draw(st.permutations(basis))
+    assert sorted(span_words(basis)) == sorted(code.words_ext())
+    want = _canonical_encoding(code.mu, code.basis, {})
+    assert _canonical_encoding(code.mu, basis, {}) == want
+    assert _canonical_encoding(code.mu, bit_rref(basis), {}) == want
 
 
 def test_shared_memo_gives_the_fresh_memo_encodings():
@@ -277,7 +325,9 @@ def test_shared_memo_gives_the_fresh_memo_encodings():
             codes += [code, permuted_code(code, tuple(perm))]
     memo: dict = {}
     for code in codes:
-        assert _canonical_encoding(code, memo) == _canonical_encoding(code, {})
+        assert _canonical_encoding(code.mu, code.basis, memo) == _canonical_encoding(
+            code.mu, code.basis, {}
+        )
     assert memo
 
 
@@ -286,7 +336,7 @@ def _rref_column_encoding(code, order):
     # *order); each column of the RREF read top row first as an integer
     mu, k = code.mu, code.dim
     cols = [mu, *order]
-    rows = [[(g >> c) & 1 for c in cols] for g in code.basis_ext()]
+    rows = [[(g >> c) & 1 for c in cols] for g in code.basis]
     npiv = 0
     for j in range(len(cols)):
         pivot = next((i for i in range(npiv, k) if rows[i][j]), None)
@@ -315,7 +365,7 @@ def test_canonical_encoding_matches_brute_force_over_all_column_orders():
                 for order in itertools.permutations(range(code.mu))
             )
             expected = (code.mu, code.dim, *best)
-        assert _canonical_encoding(code, {}) == expected, code
+        assert _canonical_encoding(code.mu, code.basis, {}) == expected, code
 
 
 class TestCodeFiles:
