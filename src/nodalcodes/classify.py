@@ -17,7 +17,8 @@ equals a filter of all admissible words from scratch.
 Duplicates are cut in two steps.  Before a code is extended, its
 candidate words are reduced to one per orbit under the permutations of
 identical support columns; the orbit of a word is read off a key (its
-parity bit and its popcount inside each class of identical columns), so
+parity bit and its popcount inside each class of identical columns,
+packed into one int and looked up from two tables of subset sums), so
 no permutation is ever applied.  After extension, the enlarged codes are
 deduplicated by canonical form at each level, so each equivalence class
 is visited once.  All canonical forms of one ``classify_quartic_codes``
@@ -107,7 +108,7 @@ def admissible_words_ext(mu: int) -> list[int]:
         if weight > mu:
             continue
         parity_bit = 1 << mu if weak else 0
-        words += [sum(combo) | parity_bit for combo in itertools.combinations(bits, weight)]
+        words += [s | parity_bit for s in map(sum, itertools.combinations(bits, weight))]
     return words
 
 
@@ -115,20 +116,40 @@ def _orbit_representatives(
     candidates: list[int], basis: tuple[int, ...], mu: int
 ) -> list[int]:
     """The first candidate of each orbit under permutations of the support
-    columns that are identical across ``basis``.
+    columns that are identical across ``basis``, in the order of first
+    occurrence.
 
     Those permutations form a product of symmetric groups, one per class of
-    identical columns, so an orbit is fixed by the parity bit and the
-    popcount of the word inside each class.
+    identical columns, and such a product moves a word to exactly the words
+    with the same parity bit and the same popcount inside each class; so
+    that vector of counts is a complete orbit invariant.  It is packed into
+    one int: each class has a slot of ``mu.bit_length()`` bits and the
+    parity bit one more slot, so bit ``c`` adds ``1 << width * slot(c)``.
+    A count is at most mu < 2^width, so no slot carries into the next and
+    equal ints mean equal counts.  The key is the sum over the low ``half``
+    bits plus the sum over the rest, each read from a table of subset sums
+    built by doubling; an even split keeps both tables small.
+
+    The first candidate of each orbit is kept, not another member, because
+    the candidate that represents an orbit becomes a basis word, and
+    through it decides the representative the table reports for its class.
     """
-    classes: dict[tuple[int, ...], int] = {}
+    width = mu.bit_length()
+    slots: dict[tuple[int, ...], int] = {}
+    steps = []
     for c in range(mu):
         column = tuple((g >> c) & 1 for g in basis)
-        classes[column] = classes.get(column, 0) | 1 << c
-    masks = [*classes.values(), 1 << mu]
-    reps: dict[tuple[int, ...], int] = {}
+        steps.append(1 << width * slots.setdefault(column, len(slots)))
+    steps.append(1 << width * len(slots))  # the parity bit
+    half = (mu + 2) // 2
+    lo, hi = [0], [0]
+    for sums, part in ((lo, steps[:half]), (hi, steps[half:])):
+        for step in part:
+            sums += [x + step for x in sums]
+    mask = (1 << half) - 1
+    reps: dict[int, int] = {}
     for w in candidates:
-        reps.setdefault(tuple([(w & m).bit_count() for m in masks]), w)
+        reps.setdefault(lo[w & mask] + hi[w >> half], w)
     return list(reps.values())
 
 
@@ -243,6 +264,7 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
             passing.append(entry)
         elif audit:
             excluded.append(entry)
+
     def order(e: TableEntry):
         return (e.dim, e.canonical)
 

@@ -271,10 +271,20 @@ def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
     A adj(A) = det(A) I = 0, so every column of the adjugate lies in
     ker A; at rank 3 the adjugate has rank 1 and any nonzero column spans
     the kernel, while at rank <= 2 all sixteen cofactors vanish.  Column i
-    holds the signed 3x3 minors of A with row i deleted.
+    holds the signed 3x3 minors of A with row i deleted; its four minors,
+    expanded along their first row, share the six 2x2 minors of the other
+    two rows.
     """
-    for rows in _DELETE_ONE:
-        x = [_det3(a, rows, cols) * (-1) ** j % p for j, cols in enumerate(_DELETE_ONE)]
+    for r1, r2, r3 in _DELETE_ONE:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = a[r1], a[r2], a[r3]
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        x = (
+            (a1 * m23 - a2 * m13 + a3 * m12) % p,
+            -(a0 * m23 - a2 * m03 + a3 * m02) % p,
+            (a0 * m13 - a1 * m03 + a3 * m01) % p,
+            -(a0 * m12 - a1 * m02 + a2 * m01) % p,
+        )
         for s in x:
             if s:
                 inv = pow(s, -1, p)

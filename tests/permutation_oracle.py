@@ -1,9 +1,10 @@
 """Explicit node permutations, kept for tests only.
 
 The library never applies a permutation: canonical forms minimize over
-column orders, and the classifier reduces candidates by an orbit key.  The
-tests still permute codes to check invariance, and the explicit orbit
-search below is the oracle for the classifier's orbit key.
+column orders, and the classifier reduces candidates by an orbit key packed
+into one int.  The tests still permute codes to check invariance.  Two
+oracles check the classifier's key: the explicit orbit search below, and
+the key as a tuple of popcounts, which cannot overflow at any mu.
 """
 
 from __future__ import annotations
@@ -66,3 +67,20 @@ def searched_orbit_representatives(
         seen |= orbit
         reps.append(w)
     return reps
+
+
+def popcount_orbit_representatives(
+    candidates: list[int], basis: tuple[int, ...], mu: int
+) -> list[int]:
+    """The first candidate of each orbit, keyed by the tuple of the word's
+    popcounts inside each class of support columns identical across
+    ``basis``, and its parity bit."""
+    classes: dict[tuple[int, ...], int] = {}
+    for c in range(mu):
+        column = tuple((g >> c) & 1 for g in basis)
+        classes[column] = classes.get(column, 0) | 1 << c
+    masks = [*classes.values(), 1 << mu]
+    reps: dict[tuple[int, ...], int] = {}
+    for w in candidates:
+        reps.setdefault(tuple([(w & m).bit_count() for m in masks]), w)
+    return list(reps.values())

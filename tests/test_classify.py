@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalcodes import classify as classify_mod
 from nodalcodes.classify import (
@@ -13,7 +15,12 @@ from nodalcodes.classify import (
 )
 from nodalcodes.codes import STRICT, WEAK, EvenSetCode, canonical_form
 from nodalcodes.errors import DomainError
-from permutation_oracle import column_transpositions, searched_orbit_representatives
+from permutation_oracle import (
+    apply_node_permutation,
+    column_transpositions,
+    popcount_orbit_representatives,
+    searched_orbit_representatives,
+)
 from test_codes import _griesmer_ok
 
 # the complete table: per mu the set of (dim, profile) rows
@@ -141,9 +148,10 @@ def test_every_searched_code_satisfies_griesmer(audited_classification_tables):
 
 
 def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
-    # every basis the search extends at mu <= 13: the orbit-key reduction
-    # keeps exactly the candidates an explicit orbit search under the
-    # transpositions of identical columns keeps
+    # every basis the search extends: the packed orbit key keeps exactly the
+    # candidates the popcount-tuple key keeps, and at mu <= 13 exactly those
+    # an explicit orbit search under the transpositions of identical columns
+    # keeps
     calls = []
     reduce = classify_mod._orbit_representatives
 
@@ -153,13 +161,65 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
         return reps
 
     monkeypatch.setattr(classify_mod, "_orbit_representatives", recording)
-    for mu in range(6, 14):
+    for mu in range(6, 17):
         classify_quartic_codes(mu)
-    assert {mu for *_, mu, _ in calls} == set(range(6, 14))
+    assert {mu for *_, mu, _ in calls} == set(range(6, 17))
     assert any(len(reps) < len(candidates) for candidates, *_, reps in calls)
     for candidates, basis, mu, reps in calls:
-        perms = column_transpositions(EvenSetCode(mu, basis))
-        assert reps == searched_orbit_representatives(candidates, perms, mu)
+        assert reps == popcount_orbit_representatives(candidates, basis, mu)
+        if mu <= 13:
+            perms = column_transpositions(EvenSetCode(mu, basis))
+            assert reps == searched_orbit_representatives(candidates, perms, mu)
+
+
+@st.composite
+def _orbit_inputs(draw):
+    # a random basis and words, with images of those words under random
+    # permutations inside each class of identical columns inserted
+    # anywhere, so orbits repeat and a later member may come first
+    mu = draw(st.integers(1, 16))
+    top = (1 << mu + 1) - 1
+    basis = tuple(draw(st.lists(st.integers(0, top), max_size=4)))
+    dense = st.integers(0, top).map(lambda x: x | x >> 1)
+    words = draw(st.lists(st.one_of(st.integers(0, top), dense), min_size=1, max_size=12))
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c in range(mu):
+        classes.setdefault(tuple((g >> c) & 1 for g in basis), []).append(c)
+    rng = draw(st.randoms(use_true_random=False))
+    candidates = list(words)
+    for _ in range(draw(st.integers(0, 12))):
+        perm = list(range(mu))
+        for cols in classes.values():
+            for a, b in zip(cols, rng.sample(cols, len(cols))):
+                perm[a] = b
+        image = apply_node_permutation(rng.choice(words), tuple(perm), mu)
+        candidates.insert(rng.randrange(len(candidates) + 1), image)
+    return candidates, basis, mu
+
+
+@settings(deadline=None, max_examples=300)
+@given(_orbit_inputs())
+def test_orbit_key_matches_the_popcount_key(inputs):
+    assert classify_mod._orbit_representatives(*inputs) == popcount_orbit_representatives(*inputs)
+
+
+@pytest.mark.parametrize("mu", [8, 16])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_orbit_key_slot_holds_a_count_of_mu(mu, reverse):
+    # basis (1 << mu,): every support column is 0, so all mu columns form
+    # one class, and the all-ones support fills its slot with mu, the
+    # largest count a slot of mu.bit_length() bits must hold; one bit less
+    # and it would carry into the parity slot, meeting the parity-only word
+    full = (1 << mu) - 1
+    low = full >> mu // 2
+    supports = (full, full >> 1, full ^ low, low, 0)
+    candidates = [s | parity for parity in (0, 1 << mu) for s in supports]
+    if reverse:
+        candidates.reverse()
+    reps = classify_mod._orbit_representatives(candidates, (1 << mu,), mu)
+    # the two half-weight supports share an orbit, with either parity
+    assert len(reps) == 8
+    assert reps == popcount_orbit_representatives(candidates, (1 << mu,), mu)
 
 
 def _scratch_candidates(basis, mu, admissible):
