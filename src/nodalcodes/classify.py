@@ -6,13 +6,15 @@ every word of the enlarged span stays admissible for a quartic, which
 mechanizes the whole weight-addition case analysis.
 
 Candidate lists are inherited.  Each basis carries the words that may
-extend it; a child ``basis + (w,)`` keeps those parent candidates ``c``
-for which ``c ^ w ^ s`` is admissible for every ``s`` in the parent's
-span.  Nothing else needs checking: the parent's list already meets the
-conditions from the span itself, and the words of ``w + span`` drop out
-on their own, since 0 is not admissible.  A child's list is therefore a
-subsequence of its parent's, in the order of ``admissible_words_ext``, and
-equals a filter of all admissible words from scratch.
+extend it: exactly those ``c`` with ``c + span`` admissible, in the order
+of ``admissible_words_ext``.  A child ``basis + (w,)`` needs ``c + span``
+and ``c + w + span`` admissible, that is ``c`` and ``c ^ w`` both parent
+candidates; so one pass over the parent's list, against a bytearray that
+marks it, gives the child's list.  The zero code's candidates are the
+admissible words themselves.  No span word is ever a candidate, since
+its sum with itself is 0, which is not admissible.  A child's list is
+therefore a subsequence of its parent's and equals a filter of all
+admissible words from scratch.
 
 Duplicates are cut in two steps.  Before a code is extended, its
 candidate words are reduced to one per orbit under the permutations of
@@ -24,7 +26,8 @@ deduplicated by canonical form at each level, so each equivalence class
 is visited once.  All canonical forms of one ``classify_quartic_codes``
 call share a single completion memo, keyed by the pivot count and the
 sorted values of the remaining columns (the unpivoted rows are never
-re-reduced), and dropped when the call returns.
+re-reduced), with the pivot maps it fills, and dropped when the call
+returns.
 
 The search works on bases of ints in extended encoding (see ``codes``)
 and hands each enlarged basis, reduced by ``bit_rref``, straight to the
@@ -153,18 +156,12 @@ def _orbit_representatives(
     return list(reps.values())
 
 
-def _child_candidates(
-    candidates: list[int], span: list[int], w: int, admissible_set: set[int]
-) -> list[int]:
-    """The candidate words of ``basis + (w,)``, given the candidates and the
-    span of ``basis``: those ``c`` with ``c ^ w ^ s`` admissible for every
-    ``s`` in the span, in the parent's order."""
-    for s in span:
-        t = w ^ s
-        candidates = [c for c in candidates if c ^ t in admissible_set]
-        if not candidates:
-            break
-    return candidates
+def _marks(words: list[int], mu: int) -> bytearray:
+    """A byte per word of the extended range, 1 at each of ``words``."""
+    mask = bytearray(2 << mu)
+    for w in words:
+        mask[w] = 1
+    return mask
 
 
 def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
@@ -172,7 +169,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
     basis) pair per permutation class, found by isomorph-rejected basis
     extension."""
     admissible = admissible_words_ext(mu)
-    admissible_set = set(admissible)
+    is_admissible = _marks(admissible, mu)
     memo: dict = {}  # canonical-form completions, shared by this run's codes
     seen_word_sets: set[frozenset[int]] = set()
     found: list[tuple[bytes, tuple[int, ...]]] = []
@@ -185,7 +182,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         w = (1 << weight) - 1 | ((1 << mu) if weak else 0)
         level[_canonical_form(mu, (w,), memo)] = (
             (w,),
-            _child_candidates(admissible, [0], w, admissible_set),
+            [c for c in admissible if is_admissible[c ^ w]],
         )
 
     while level:
@@ -193,6 +190,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, candidates in level.values():
             span = span_words(basis)
+            is_candidate = _marks(candidates, mu)
             for w in _orbit_representatives(candidates, basis, mu):
                 new_words = frozenset(span + [s ^ w for s in span])
                 if new_words in seen_word_sets:
@@ -203,7 +201,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
                 if enc not in next_level:
                     next_level[enc] = (
                         new_basis,
-                        _child_candidates(candidates, span, w, admissible_set),
+                        [c for c in candidates if is_candidate[c ^ w]],
                     )
         level = next_level
     return found
@@ -254,6 +252,8 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
     ``audit=True`` the codes excluded only by the dimension lower bounds
     are kept in ``excluded``, and the table's ``audit`` field says so.
     """
+    if isinstance(mu, bool) or not isinstance(mu, int):
+        raise DomainError(f"mu must be an integer, got {mu!r}")
     if not 1 <= mu <= MU_MAX:
         raise DomainError(f"mu must lie in 1..{MU_MAX}, got {mu}")
     passing = []

@@ -190,42 +190,76 @@ def weight_enumerator(code: EvenSetCode) -> dict[tuple[int, str], int]:
 # the classifier shares one across all the codes of a single run.  A search
 # that needs more than _MEMO_CAP states (a large code with many distinct
 # columns or a big automorphism group) stops with a ResourceError.
+#
+# A pivot on a column of value f at bit t sends each column value to an
+# image that depends on f and t alone, so the memo also holds, under the
+# one key _PIVOT_MAPS, a table of images per (f, t), filled on first use.
+# A pivot is then one lookup per column and a sort.  The tables hold
+# column values, not states, and do not count toward _MEMO_CAP.
 
 _MEMO_CAP = 100_000
+_PIVOT_MAPS = "pivot maps"
 
 
-def _pivot(cols: Iterable[int], f: int, t: int) -> tuple[int, ...]:
-    # pivot on a column of value f at bit t: move f's highest free bit h to
-    # bit t (a row swap), clear f's other bits from the rows (XOR f ^ 1 << h
-    # into every column with bit t), then drop the pivot column and re-sort
-    h = (f & ((2 << t) - 1)).bit_length() - 1
-    bit, x = 1 << t, f ^ (1 << h)
-    if h != t:
-        swap = (1 << h) | bit
-        cols = [c ^ swap if (c >> h ^ c >> t) & 1 else c for c in cols]
-    out = [c ^ x if c & bit else c for c in cols]
-    out.remove(bit)
-    out.sort()
+class _Pivot(dict):
+    """Column value -> its value after the pivot on a column of value f at
+    bit t: move f's highest free bit h to bit t (a row swap), then clear
+    f's other bits from the rows (XOR f ^ 1 << h into every column with
+    bit t).  The pivot column itself maps to 1 << t."""
+
+    __slots__ = ("h", "t", "swap", "bit", "x")
+
+    def __init__(self, f: int, t: int):
+        super().__init__()
+        self.h = (f & ((2 << t) - 1)).bit_length() - 1
+        self.t = t
+        self.bit = 1 << t
+        self.swap = (1 << self.h) | self.bit
+        self.x = f ^ (1 << self.h)
+
+    def __missing__(self, c: int) -> int:
+        d = c ^ self.swap if (c >> self.h ^ c >> self.t) & 1 else c
+        self[c] = image = d ^ self.x if d & self.bit else d
+        return image
+
+
+class _PivotMaps(dict):
+    """(f, t) -> its ``_Pivot``, built on first use."""
+
+    def __missing__(self, key: tuple[int, int]) -> _Pivot:
+        self[key] = table = _Pivot(*key)
+        return table
+
+
+def _pivoted(cols: Iterable[int], table: _Pivot) -> tuple[int, ...]:
+    # the columns after the pivot, sorted, with the pivot column dropped
+    out = sorted(map(table.__getitem__, cols))
+    out.remove(table.bit)
     return tuple(out)
 
 
-def _min_completion(cols: tuple[int, ...], npiv: int, k: int, memo: dict) -> tuple:
+def _min_completion(
+    cols: tuple[int, ...], npiv: int, k: int, memo: dict, maps: _PivotMaps
+) -> tuple:
     if npiv == k:  # every row is a pivot row, so every column keeps its value
         return cols
     if cols[0] == 0:
-        return (0,) + _min_completion(cols[1:], npiv, k, memo)
+        return (0,) + _min_completion(cols[1:], npiv, k, memo, maps)
     key = (k, npiv, cols)
     best = memo.get(key)
     if best is not None:
         return best
-    if len(memo) >= _MEMO_CAP:
+    if len(memo) > _MEMO_CAP:  # the states, plus the entry that holds the maps
         raise ResourceError(f"canonical-form search exceeded its cap of {_MEMO_CAP} states")
     t = k - 1 - npiv
     free = (2 << t) - 1
-    best = (1 << t,) + min(
-        _min_completion(_pivot(cols, f, t), npiv + 1, k, memo)
-        for f in {c for c in cols if c & free}
-    )
+    for f in {c for c in cols if c & free}:
+        tail = _pivoted(cols, maps[f, t])
+        if t:  # rows remain: complete the child, read from the memo if it is there
+            tail = memo.get((k, npiv + 1, tail)) or _min_completion(tail, npiv + 1, k, memo, maps)
+        if best is None or tail < best:
+            best = tail
+    best = (1 << t,) + best
     memo[key] = best
     return best
 
@@ -237,14 +271,15 @@ def _canonical_encoding(mu: int, basis: Sequence[int], memo: dict) -> tuple[int,
     k = len(basis)
     if k == 0:
         return (mu, 0)
+    maps = memo.setdefault(_PIVOT_MAPS, _PivotMaps())
     cols = [0] * (mu + 1)  # the support columns, then the parity column
     for g in basis:
         cols = [c << 1 | (g >> j) & 1 for j, c in enumerate(cols)]
     parity = cols[mu]
     if parity:
-        tail = _min_completion(_pivot(cols, parity, k - 1), 1, k, memo)
+        tail = _min_completion(_pivoted(cols, maps[parity, k - 1]), 1, k, memo, maps)
         return (mu, k, 1 << (k - 1)) + tail
-    return (mu, k, 0) + _min_completion(tuple(sorted(cols[:mu])), 0, k, memo)
+    return (mu, k, 0) + _min_completion(tuple(sorted(cols[:mu])), 0, k, memo, maps)
 
 
 def _canonical_form(mu: int, basis: Sequence[int], memo: dict) -> bytes:

@@ -1,4 +1,5 @@
-"""Row-based canonical-form search, kept for tests only.
+"""Row-based canonical-form search and the list-based pivot, kept for
+tests only.
 
 The library searches on the sorted values of the remaining support
 columns.  This older search keeps the generator rows instead: after each
@@ -10,8 +11,26 @@ unique.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from nodalcodes.codes import EvenSetCode
 from nodalcodes.linalg import bit_rref
+
+
+def pivot(cols: Iterable[int], f: int, t: int) -> tuple[int, ...]:
+    """The sorted remaining column values after the pivot on a column of
+    value f at bit t, rebuilt from the columns: move f's highest free bit h
+    to bit t (a row swap), clear f's other bits from the rows (XOR
+    f ^ 1 << h into every column with bit t), then drop the pivot column."""
+    h = (f & ((2 << t) - 1)).bit_length() - 1
+    bit, x = 1 << t, f ^ (1 << h)
+    if h != t:
+        swap = (1 << h) | bit
+        cols = [c ^ swap if (c >> h ^ c >> t) & 1 else c for c in cols]
+    out = [c ^ x if c & bit else c for c in cols]
+    out.remove(bit)
+    out.sort()
+    return tuple(out)
 
 
 def _freeze_free(rows: list[int], npiv: int) -> list[int]:

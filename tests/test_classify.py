@@ -83,10 +83,10 @@ def test_small_mu_empty():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        classify_quartic_codes(0)
-    with pytest.raises(DomainError):
-        classify_quartic_codes(17)
+    # a bool is an int but not a node count; a float or a string is neither
+    for mu in (0, 17, -1, True, False, 16.0, 12.5, "12", None):
+        with pytest.raises(DomainError):
+            classify_quartic_codes(mu)
 
 
 # the nonzero even sets a nodal quartic allows

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nodalcodes import codes as codes_mod
 from nodalcodes.codes import (
     STRICT,
     WEAK,
     EvenSetCode,
     EvenSetWord,
     _canonical_encoding,
+    _Pivot,
+    _pivoted,
     canonical_form,
     code_from_dict,
     code_to_dict,
@@ -329,6 +332,56 @@ def test_shared_memo_gives_the_fresh_memo_encodings():
             code.mu, code.basis, {}
         )
     assert memo
+
+
+@st.composite
+def _pivots(draw):
+    # a pivot column f at bit t whose highest free bit h is drawn at or
+    # below t, so row swaps (h < t) are common, and columns among which f
+    # and f with bits h and t swapped are frequent
+    k = draw(st.integers(1, 12))
+    t = draw(st.integers(0, k - 1))
+    h = draw(st.integers(0, t))
+    pivoted_rows = draw(st.integers(0, (1 << k) - 1)) & ~((2 << t) - 1)
+    f = pivoted_rows | 1 << h | draw(st.integers(0, (1 << h) - 1))
+    words = st.integers(0, (1 << k) - 1)
+    cols = draw(st.lists(st.one_of(words, st.just(f), st.just(f ^ (1 << h | 1 << t))), max_size=24))
+    return k, t, f, draw(st.permutations([f, *cols]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_pivots())
+def test_pivot_map_matches_the_list_pivot(pivot):
+    k, t, f, cols = pivot
+    table = _Pivot(f, t)
+    # every k-bit value, each read after the table has filled the ones
+    # below it: the image of c alone is what the list pivot leaves of [f, c]
+    for c in range(1 << k):
+        assert (table[c],) == canonical_oracle.pivot([f, c], f, t), c
+    assert _pivoted(cols, table) == canonical_oracle.pivot(cols, f, t)
+    assert _pivoted(cols, _Pivot(f, t)) == canonical_oracle.pivot(cols, f, t)
+
+
+def _quadratic_residue_basis():
+    # the 23 cyclic shifts of {0} and the squares mod 23, all strict: 11
+    # dimensions over 24 columns, column 23 empty (the CLI cap test's code)
+    support = {0} | {i * i % 23 for i in range(1, 23)}
+    return bit_rref([sum(1 << (x + s) % 23 for x in support) for s in range(23)])
+
+
+@pytest.mark.parametrize("cap", [1, 40])
+def test_the_state_cap_counts_states_only(monkeypatch, cap):
+    # the memo also holds the pivot tables, under one key of its own; the
+    # search stops when it would store state cap + 1, whatever they hold
+    monkeypatch.setattr(codes_mod, "_MEMO_CAP", cap)
+    basis = _quadratic_residue_basis()
+    assert len(basis) == 11
+    memo: dict = {}
+    with pytest.raises(ResourceError, match=f"cap of {cap} states"):
+        _canonical_encoding(24, basis, memo)
+    states = [key for key in memo if key != codes_mod._PIVOT_MAPS]
+    assert len(states) == cap
+    assert sum(map(len, memo[codes_mod._PIVOT_MAPS].values())) > cap
 
 
 def _rref_column_encoding(code, order):
