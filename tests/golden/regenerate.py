@@ -1,8 +1,10 @@
-"""Pinned CLI answers: the exit code and stdout digest of ~200 fixed calls.
+"""Pinned CLI answers: the exit code and stdout of ~200 fixed calls.
 
 ``answers.json`` next to this file holds, for each call, its argv, its exit
-code and the SHA-256 of its stdout; for exit 2 it also records that stderr
-is a single ``error:`` line (the wording is not pinned).  Input files are
+code and its stdout: the full text when it is at most ``TEXT_LIMIT`` bytes,
+so a changed answer shows as a diff, else its SHA-256 with its byte and
+line counts.  For exit 2 it also records that stderr is a single
+``error:`` line (the wording is not pinned).  Input files are
 built here from fixed ``random.Random`` seeds, and argv slots that name one
 read ``@name``.  ``tests/test_golden.py`` replays every call in-process.
 
@@ -26,6 +28,7 @@ from fractions import Fraction
 from nodalcodes.cli import main
 
 ANSWERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "answers.json")
+TEXT_LIMIT = 4096  # bytes of stdout stored as text; a larger stdout is pinned by digest
 
 # upper-triangle entry order: (0,0),(0,1),(0,2),(0,3),(1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
 MATRICES = {
@@ -255,10 +258,18 @@ def answer(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    result = {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    text = out.getvalue()
+    data = text.encode()
+    result = {"exit": code}
+    if len(data) <= TEXT_LIMIT:
+        result["stdout"] = text
+    else:
+        result["stdout_sha256"] = hashlib.sha256(data).hexdigest()
+        result["stdout_bytes"] = len(data)
+        result["stdout_lines"] = text.count("\n")
     if code == 2:
-        text = err.getvalue()
-        result["one_error_line"] = text.startswith("error:") and text.count("\n") == 1
+        err_text = err.getvalue()
+        result["one_error_line"] = err_text.startswith("error:") and err_text.count("\n") == 1
     return result
 
 
@@ -271,5 +282,5 @@ def regenerate() -> list[dict]:
 if __name__ == "__main__":
     entries = regenerate()
     with open(ANSWERS, "w", encoding="utf-8") as fh:  # one call per line
-        fh.write("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+        fh.write("[\n" + ",\n".join(json.dumps(e, ensure_ascii=False) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} answers to {ANSWERS}", file=sys.stderr)

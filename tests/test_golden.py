@@ -1,7 +1,7 @@
 """Every pinned CLI answer in ``golden/answers.json`` still holds.
 
-A mismatch means an answer changed.  See ``golden/regenerate.py`` for when
-the file may be regenerated.
+A mismatch means an answer changed; a stored stdout text fails with a
+diff.  See ``golden/regenerate.py`` for when the file may be regenerated.
 """
 
 import json
@@ -24,4 +24,6 @@ def input_dir(tmp_path_factory):
 @pytest.mark.parametrize("entry", PINNED, ids=[" ".join(e["argv"]) for e in PINNED])
 def test_pinned_answer(entry, input_dir):
     want = {k: v for k, v in entry.items() if k != "argv"}
-    assert answer(resolve(entry["argv"], input_dir)) == want, entry["argv"]
+    got = answer(resolve(entry["argv"], input_dir))
+    assert got.get("stdout") == want.get("stdout"), entry["argv"]
+    assert got == want, entry["argv"]
