@@ -21,7 +21,10 @@ candidate words are reduced to one per orbit under the permutations of
 identical support columns; the orbit of a word is read off a key (its
 parity bit and its popcount inside each class of identical columns,
 packed into one int and looked up from two tables of subset sums), so
-no permutation is ever applied.  After extension, the enlarged codes are
+no permutation is ever applied.  After extension, an enlarged code whose
+span was already reached is skipped; its reduced row echelon basis
+(``bit_rref``) depends only on the span, so that tuple is the key, and it
+is also what the canonical search reads.  The remaining codes are
 deduplicated by canonical form at each level, so each equivalence class
 is visited once.  All canonical forms of one ``classify_quartic_codes``
 call share a single completion memo, keyed by the pivot count and the
@@ -29,9 +32,8 @@ sorted values of the remaining columns (the unpivoted rows are never
 re-reduced), with the pivot maps it fills, and dropped when the call
 returns.
 
-The search works on bases of ints in extended encoding (see ``codes``)
-and hands each enlarged basis, reduced by ``bit_rref``, straight to the
-canonical search; an ``EvenSetCode`` is built only for a table entry.
+The search works on reduced bases of ints in extended encoding (see
+``codes``); an ``EvenSetCode`` is built only for a table entry.
 
 Two dimension lower bounds (due to Beauville) cut the weight-admissible
 list down to the codes that actually occur: dim of the full code is at
@@ -51,7 +53,6 @@ from .codes import (
     EvenSetCode,
     _canonical_form,
     code_to_dict,
-    span_words,
     weight_enumerator,
 )
 from .errors import DomainError
@@ -171,7 +172,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
     admissible = admissible_words_ext(mu)
     is_admissible = _marks(admissible, mu)
     memo: dict = {}  # canonical-form completions, shared by this run's codes
-    seen_word_sets: set[frozenset[int]] = set()
+    seen_spans: set[tuple[int, ...]] = set()  # reduced bases
     found: list[tuple[bytes, tuple[int, ...]]] = []
 
     # canonical form -> (basis, its candidate words)
@@ -189,15 +190,13 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         found.extend((enc, basis) for enc, (basis, _) in level.items())
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, candidates in level.values():
-            span = span_words(basis)
             is_candidate = _marks(candidates, mu)
             for w in _orbit_representatives(candidates, basis, mu):
-                new_words = frozenset(span + [s ^ w for s in span])
-                if new_words in seen_word_sets:
+                new_basis = tuple(bit_rref(basis + (w,)))
+                if new_basis in seen_spans:
                     continue
-                seen_word_sets.add(new_words)
-                new_basis = basis + (w,)
-                enc = _canonical_form(mu, bit_rref(new_basis), memo)
+                seen_spans.add(new_basis)
+                enc = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
                     next_level[enc] = (
                         new_basis,

@@ -8,7 +8,7 @@ hyperplane subcode.
 
 Inside the library a word is a plain int: bits 0..mu-1 carry the support,
 bit mu the parity (set = weakly even), so the sum of two words is their
-XOR.  A code is the ``bit_rref`` basis of such ints that spans it, and
+XOR.  A code is the reduced row echelon basis (``bit_rref``) of its span, and
 ``EvenSetWord`` is the tagged form for code files and printing.
 ``QUARTIC_WORD_CLASSES`` lists the weights and parities a nodal quartic
 allows.  The canonical form minimizes the column-wise reduced generator
@@ -105,9 +105,9 @@ QUARTIC_WORD_CLASSES = ((6, True), (8, False), (10, True), (16, False))
 
 @dataclass(frozen=True)
 class EvenSetCode:
-    """F2-span of even-set words, stored as the ``bit_rref`` basis of the
-    words given, in extended encoding.  That basis depends on their order,
-    so compare spans by ``words_ext``, not by ``==``."""
+    """F2-span of even-set words, stored as its reduced row echelon basis
+    (``bit_rref``) in extended encoding.  That basis depends only on the
+    span, so ``==`` and ``hash`` compare codes, whatever words were given."""
 
     mu: int
     basis: tuple[int, ...]
@@ -117,9 +117,10 @@ class EvenSetCode:
             if not 0 <= w < 2 << self.mu:
                 raise DataError(f"word {w} has bits outside the {self.mu + 1}-bit range")
         basis = tuple(bit_rref(self.basis))
-        if len(bit_rref([*basis, 1 << self.mu])) == len(basis):
+        if 1 << self.mu in basis:
             # the empty weakly even set is in the span: two sums of words
-            # with equal support but opposite parity
+            # with equal support but opposite parity (in an RREF, the row
+            # that leads at bit mu is 1 << mu exactly when the span holds it)
             raise DataError("parity is not a linear functional of the support")
         object.__setattr__(self, "basis", basis)
 
@@ -249,8 +250,6 @@ def _min_completion(
     best = memo.get(key)
     if best is not None:
         return best
-    if len(memo) > _MEMO_CAP:  # the states, plus the entry that holds the maps
-        raise ResourceError(f"canonical-form search exceeded its cap of {_MEMO_CAP} states")
     t = k - 1 - npiv
     free = (2 << t) - 1
     for f in {c for c in cols if c & free}:
@@ -260,6 +259,8 @@ def _min_completion(
         if best is None or tail < best:
             best = tail
     best = (1 << t,) + best
+    if len(memo) > _MEMO_CAP:  # the states, plus the entry that holds the maps
+        raise ResourceError(f"canonical-form search exceeded its cap of {_MEMO_CAP} states")
     memo[key] = best
     return best
 

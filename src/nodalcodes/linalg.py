@@ -349,21 +349,18 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[int, ...]]:
 
 
 def bit_rref(rows: Iterable[int]) -> list[int]:
-    """An F2 basis of the span, one row per leading bit, sorted by leading
-    bit descending.  A new row's leading bit is cleared from the rows kept
-    so far, but the new row is reduced only until its leading bit is new,
-    so the result is not the RREF and depends on the order of ``rows``."""
+    """The reduced row echelon form of the F2 span of ``rows``: one row per
+    leading bit, each leading bit set in no other row, sorted by leading
+    bit descending.  It depends only on the span, not on the rows given."""
     basis: dict[int, int] = {}
     for v in rows:
-        cur = v
-        while cur:
-            lead = cur.bit_length() - 1
-            if lead in basis:
-                cur ^= basis[lead]
-            else:
-                for lb, row in basis.items():
-                    if (row >> lead) & 1:
-                        basis[lb] = row ^ cur
-                basis[lead] = cur
-                break
+        for lead, row in basis.items():
+            if (v >> lead) & 1:
+                v ^= row
+        if v:
+            lead = v.bit_length() - 1
+            for lb, row in basis.items():
+                if (row >> lead) & 1:
+                    basis[lb] = row ^ v
+            basis[lead] = v
     return sorted(basis.values(), reverse=True)

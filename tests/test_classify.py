@@ -259,7 +259,7 @@ def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
 # SHA-256 over the profile, dimension, canonical bytes, basis and weight
 # enumerator of every entry and exclusion for mu = 6..16; a change to the
 # search that picks another representative or alters an answer changes it
-CLASSIFICATION_DIGEST = "29ac5ac8158f44ecc873b2eee7cd638888447c6c92c4f9a8a2c2530644b30c17"
+CLASSIFICATION_DIGEST = "defe1eb17d3c4b761a809313799b09769860590f620a32d47f824ac662be1354"
 
 
 def test_classification_output_is_pinned(audited_classification_tables):

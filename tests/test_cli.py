@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON payloads, format round-trips."""
 
 import io
+import itertools
 import json
 import os
 import re
@@ -194,6 +195,32 @@ def test_code_info_and_isomorphic(tmp_path, capsys):
     assert code == 0
     code, out2, _ = run(capsys, "code", "canonical", str(pb))
     assert out1 == out2
+
+
+def test_every_generator_order_gives_one_code(tmp_path, capsys):
+    # a code is its span: every order of four generators, with or without
+    # a redundant fifth (the sum of two of them), gives one EvenSetCode,
+    # one hash and byte-identical `code info --json` output
+    gens = [
+        {"parity": "weak", "support": [0, 1, 2, 3, 4, 5]},
+        {"parity": "strict", "support": [0, 1, 2, 3, 4, 5, 6, 7]},
+        {"parity": "strict", "support": [4, 5, 6, 7, 8, 9, 10, 11]},
+        {"parity": "weak", "support": [0, 1, 2, 3, 8, 9]},
+    ]
+    redundant = {"parity": "weak", "support": [0, 1, 2, 3, 6, 7, 8, 9, 10, 11]}
+    orders = [list(order) for order in itertools.permutations(gens)]
+    orders += [order[:i] + [redundant] + order[i:] for i, order in enumerate(orders[::5])]
+    codes, outputs = set(), set()
+    for order in orders:
+        data = {"mu": 12, "generators": order}
+        codes.add(code_from_dict(data))
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "code", "info", str(path), "--json")
+        assert code == 0 and json.loads(out)["dim"] == 4
+        outputs.add(out)
+    assert len(codes) == 1 and len({hash(c) for c in codes}) == 1
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("action", ["info", "canonical"])

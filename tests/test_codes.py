@@ -164,10 +164,10 @@ class TestIntBasis:
         assert a.basis == tuple(bit_rref(self.RAW_14)) and a.dim == b.dim == 4
         assert sorted(a.words_ext()) == sorted(b.words_ext())
         assert canonical_form(a) == canonical_form(b)
-        # the rows of a fully reduced basis, in any order, give one code
-        x, y = 0b1000000111111, 0b0111100001111  # leads 12 and 11, each clear at the other's
-        c, d = EvenSetCode(13, (x, y)), EvenSetCode(13, (y, x))
-        assert c == d and hash(c) == hash(d) and c.generators == d.generators
+        # a code is its span: both bases give one basis, so one code
+        assert a == b and hash(a) == hash(b) and a.generators == b.generators
+        c, d = EvenSetCode(6, (3, 6)), EvenSetCode(6, (6, 3))
+        assert c == d and hash(c) == hash(d) and c.basis == (5, 3)
 
 
 class TestWeightEnumerator:
@@ -369,10 +369,11 @@ def _quadratic_residue_basis():
     return bit_rref([sum(1 << (x + s) % 23 for x in support) for s in range(23)])
 
 
-@pytest.mark.parametrize("cap", [1, 40])
+@pytest.mark.parametrize("cap", range(1, 201))
 def test_the_state_cap_counts_states_only(monkeypatch, cap):
     # the memo also holds the pivot tables, under one key of its own; the
-    # search stops when it would store state cap + 1, whatever they hold
+    # search stops when it would store state cap + 1, whatever they hold,
+    # also when that state's children were all memo hits
     monkeypatch.setattr(codes_mod, "_MEMO_CAP", cap)
     basis = _quadratic_residue_basis()
     assert len(basis) == 11

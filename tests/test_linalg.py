@@ -4,7 +4,9 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -763,3 +765,47 @@ def test_bit_rank_against_naive_oracle():
         dense = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
         rows = [sum(b << i for i, b in enumerate(row)) for row in dense]
         assert len(bit_rref(rows)) == _naive_mod2_rank(dense, ncols)
+
+
+def _dense_rref_mod2(rows, ncols):
+    """Gauss-Jordan on lists of bits, highest bit first: the nonzero rows
+    of the reduced row echelon form, read back as ints."""
+    mat = [[(r >> c) & 1 for c in reversed(range(ncols))] for r in rows]
+    rank = 0
+    for j in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][j]:
+                mat[i] = [a ^ b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return [sum(b << (ncols - 1 - j) for j, b in enumerate(row)) for row in mat[:rank]]
+
+
+def _span(rows):
+    words = {0}
+    for r in rows:
+        words |= {w ^ r for w in words}
+    return words
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))),
+    st.randoms(use_true_random=False))
+def test_bit_rref_is_the_reduced_row_echelon_form(case, rng):
+    ncols, rows = case
+    rref = bit_rref(rows)
+    assert rref == _dense_rref_mod2(rows, ncols)
+    for row in rref:  # each leading bit is set in exactly one row
+        lead = row.bit_length() - 1
+        assert [(r >> lead) & 1 for r in rref].count(1) == 1
+    # any shuffle of the rows, with random sums of them appended, gives the
+    # same list, and the span is the span of the rows
+    more = rows + [reduce(xor, rng.sample(rows, rng.randint(1, len(rows))))
+                   for _ in range(rng.randint(0, 4)) if rows]
+    rng.shuffle(more)
+    assert bit_rref(more) == rref
+    assert _span(rref) == _span(rows)
