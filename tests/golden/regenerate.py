@@ -28,7 +28,7 @@ from fractions import Fraction
 from nodalcodes.cli import main
 
 ANSWERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "answers.json")
-TEXT_LIMIT = 4096  # bytes of stdout stored as text; a larger stdout is pinned by digest
+TEXT_LIMIT = 40 * 1024  # bytes of stdout stored as text; a larger stdout is pinned by digest
 
 # upper-triangle entry order: (0,0),(0,1),(0,2),(0,3),(1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
 MATRICES = {
