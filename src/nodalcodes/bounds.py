@@ -6,10 +6,10 @@ vacuous and is reported as-is, never clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError, InconsistencyError
+from .record import Record
 
 
 def _require_even_degree(b: int) -> None:
@@ -87,8 +87,7 @@ def torsion_rank(dim_code: int, defect: int) -> tuple[int, int]:
     return h3, 2 * h3
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """All bounds for one (degree, node count) pair."""
 
     b: int

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .codes import (
     QUARTIC_WORD_CLASSES,
@@ -57,12 +56,12 @@ from .codes import (
 )
 from .errors import DomainError
 from .linalg import bit_rref
+from .record import Record
 
 MU_MAX = 16
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Record):
     """One equivalence class of codes: a representative, its dimension, and
     the profile string ``[n,k,{d1_m1,...}]`` (basis multiplicities as
     subscripts, omitted when zero)."""
@@ -85,8 +84,7 @@ class TableEntry:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
+class ClassificationTable(Record):
     mu: int
     entries: tuple[TableEntry, ...]
     excluded: tuple[TableEntry, ...] = ()  # weight-admissible, failing dimension bounds

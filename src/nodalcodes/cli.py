@@ -10,7 +10,6 @@ closed before the output was written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -87,7 +86,8 @@ def _cmd_verify_nodes(args) -> int:
                 text = fh.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read surface file: {exc}") from exc
-        cfg = dataclasses.replace(cfg, surface=parse_form(text, cfg.field))
+        surface = parse_form(text, cfg.field)
+        cfg = nodes_mod.NodeConfiguration(cfg.degree, cfg.field, cfg.points, surface)
     verdicts = nodes_mod.verify_configuration(cfg)
     payload = {
         "degree": cfg.degree,

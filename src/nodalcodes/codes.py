@@ -20,11 +20,11 @@ relabeling of the other.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DataError, ResourceError, json_fields, read_json
 from .linalg import bit_rref
+from .record import Record
 
 _MU_CAP_CANONICAL = 24
 _DIM_CAP_ENUMERATION = 20
@@ -36,8 +36,7 @@ WEAK = "weak"
 STRICT = "strict"
 
 
-@dataclass(frozen=True)
-class EvenSetWord:
+class EvenSetWord(Record):
     """A parity-tagged subset of the mu node positions."""
 
     mu: int
@@ -103,8 +102,7 @@ def span_words(basis: Iterable[int]) -> list[int]:
 QUARTIC_WORD_CLASSES = ((6, True), (8, False), (10, True), (16, False))
 
 
-@dataclass(frozen=True)
-class EvenSetCode:
+class EvenSetCode(Record):
     """F2-span of even-set words, stored as its reduced row echelon basis
     (``bit_rref``) in extended encoding.  That basis depends only on the
     span, so ``==`` and ``hash`` compare codes, whatever words were given."""

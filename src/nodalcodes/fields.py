@@ -14,11 +14,10 @@ already reduced mod p, so ``a == 0`` is the zero test in both fields.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .errors import DataError, DomainError
 
-Scalar = Union[Fraction, int]
+Scalar = Fraction | int
 
 
 # the prime bases of the Miller-Rabin test, and psi_13, the least strong
@@ -154,6 +153,6 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-Field = Union[RationalField, PrimeField]
+Field = RationalField | PrimeField
 
 QQ = RationalField()

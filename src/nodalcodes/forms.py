@@ -17,12 +17,12 @@ Grammar (ASCII, whitespace insignificant)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DataError, HomogeneityError, ParseError, ResourceError
 from .fields import Field, QQ, Scalar
 from .linalg import ExactMatrix, exact_rank
+from .record import Record
 
 VARIABLES = ("x", "y", "z", "w")
 
@@ -52,13 +52,12 @@ def _format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
+class HomogeneousForm(Record):
     """A homogeneous polynomial of fixed degree; zero coefficients never stored."""
 
     degree: int
     field: Field
-    terms: dict[Monomial, Scalar] = dc_field(default_factory=dict)
+    terms: dict[Monomial, Scalar]
 
     def __post_init__(self):
         for m, c in self.terms.items():

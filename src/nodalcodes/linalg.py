@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from math import isqrt, lcm, prod
-from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, DomainError
 from .fields import Field, PrimeField, Scalar, is_prime
+from .record import Record
 
 # the first prime of the certified rank over Q: at the largest matrices
 # ranked (2000 monomial columns), its worst-case slot p + 2000 (p-1)^2 is
@@ -38,8 +38,7 @@ from .fields import Field, PrimeField, Scalar, is_prime
 _Q_PRIME = 2**26 - 5
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Record):
     """Immutable dense matrix with entries in a single exact field.
 
     :meth:`from_rows` validates entries into the field's scalars.  A row

@@ -9,9 +9,8 @@ nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import comb, lcm
-from typing import Sequence
 
 from .errors import DataError, DomainError, ResourceError, json_fields, read_json
 from .fields import Field, PrimeField, QQ, Scalar
@@ -25,6 +24,7 @@ from .forms import (
     parse_form,
 )
 from .linalg import ExactMatrix, exact_rank
+from .record import Record
 
 Point = tuple[Scalar, Scalar, Scalar, Scalar]
 
@@ -46,8 +46,7 @@ def normalize_point(field: Field, coords: Sequence[Scalar]) -> Point:
     raise DataError("(0:0:0:0) is not a projective point")
 
 
-@dataclass(frozen=True)
-class NodeConfiguration:
+class NodeConfiguration(Record):
     """A set of distinct projective points, the ambient surface degree, and
     optionally the surface equation itself."""
 
@@ -154,8 +153,7 @@ def vanishing_dimension(cfg: NodeConfiguration, d: int) -> int:
     return total - exact_rank(evaluation_matrix(cfg, d))
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Record):
     """Defect computation breakdown.
 
     ``defect = dim_m - estimate`` with ``estimate = C(3b/2-1, 3) - mu``;

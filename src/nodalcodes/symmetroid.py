@@ -30,7 +30,6 @@ numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import DataError, DomainError, ResourceError, json_fields, read_json
@@ -38,6 +37,7 @@ from .fields import PrimeField
 from .forms import HomogeneousForm, parse_form
 from .linalg import ExactMatrix, _slot_codec, exact_rank, nullspace_basis
 from .nodes import NodeConfiguration, vanishing_dimension
+from .record import Record
 
 _PRIME_CAP = 1024
 
@@ -62,8 +62,7 @@ _TRIPLES = tuple(combinations(range(4), 3))
 _MINORS = tuple((rows, cols) for n, rows in enumerate(_TRIPLES) for cols in _TRIPLES[n:])
 
 
-@dataclass(frozen=True)
-class SymmetricLinearMatrix:
+class SymmetricLinearMatrix(Record):
     """Ten linear forms over F_p filling the upper triangle symmetrically."""
 
     prime: int
@@ -128,8 +127,7 @@ def load_matrix_file(path: str) -> SymmetricLinearMatrix:
     return matrix_from_dict(read_json(path, "matrix file"))
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     prime: int
     points: tuple[tuple[int, int, int, int], ...]
     degenerate: bool
@@ -399,8 +397,7 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
     return ScanResult(prime=p, points=tuple(points), degenerate=len(points) > MAX_FINITE_LOCUS)
 
 
-@dataclass(frozen=True)
-class QuadricCertificate:
+class QuadricCertificate(Record):
     prime: int
     rank: int
     certified: bool

@@ -141,6 +141,11 @@ def test_verify_nodes_surface_flag(tmp_path, capsys):
     code, _, _ = run(capsys, "verify-nodes", "--nodes", str(nodes),
                      "--surface", str(surface))
     assert code == 0
+    # the configuration built with the surface checks it: degree 3 against 2
+    surface.write_text("x^3 + y^3\n")
+    code, _, err = run(capsys, "verify-nodes", "--nodes", str(nodes), "--surface", str(surface))
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error:") and "surface has degree 3, configuration says 2" in err
 
 
 @pytest.mark.parametrize("degree, expected", [(100_000_000, 2), (DEGREE_CAP, 3)],

@@ -16,11 +16,11 @@ import nodalcodes
 from nodalcodes.cli import main
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 def test_package_imports_only_the_standard_library():
@@ -30,6 +30,21 @@ def test_package_imports_only_the_standard_library():
         "import nodalcodes, nodalcodes.cli, nodalcodes.symmetroid\n"
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(loaded - set(sys.stdlib_module_names) - {'nodalcodes'}))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """The records need no ``dataclasses``, whose import loads ``inspect``,
+    ``ast``, ``dis`` and ``tokenize``.  ``-S`` skips ``site``, so no ``.pth``
+    file can load any of them first; ``PYTHONPATH`` still applies."""
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize", "typing"]
+    proc = _python(
+        "import sys\n"
+        "import nodalcodes.cli\n"
+        f"print(sorted(set({heavy!r}) & set(sys.modules)))",
+        flags=("-S",),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
