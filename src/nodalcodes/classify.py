@@ -16,21 +16,28 @@ its sum with itself is 0, which is not admissible.  A child's list is
 therefore a subsequence of its parent's and equals a filter of all
 admissible words from scratch.
 
-Duplicates are cut in two steps.  Before a code is extended, its
-candidate words are reduced to one per orbit under the permutations of
-identical support columns; the orbit of a word is read off a key (its
-parity bit and its popcount inside each class of identical columns,
-packed into one int and looked up from two tables of subset sums), so
-no permutation is ever applied.  After extension, an enlarged code whose
-span was already reached is skipped; its reduced row echelon basis
-(``bit_rref``) depends only on the span, so that tuple is the key, and it
-is also what the canonical search reads.  The remaining codes are
-deduplicated by canonical form at each level, so each equivalence class
-is visited once.  All canonical forms of one ``classify_quartic_codes``
-call share a single completion memo, keyed by the pivot count and the
-sorted values of the remaining columns (the unpivoted rows are never
-re-reduced), with the pivot maps it fills, and dropped when the call
-returns.
+Duplicates are cut in three steps before a canonical search.  First, a
+code's candidate words are reduced to one per orbit under the
+permutations of identical support columns; the orbit of a word is read
+off a key (its parity bit and its popcount inside each class of
+identical columns, packed into one int and looked up from two tables of
+subset sums), so no permutation is ever applied.  Second, those
+permutations fix every span word, so they permute the cosets
+``w + span``, and two words whose cosets share an orbit give isomorphic
+children; only the first word of each orbit of cosets extends the code.
+A word dropped there would reach a class an earlier word already
+reached, so every class keeps the representative it had.  Third, an
+enlarged code whose span was already reached is skipped; its reduced row
+echelon basis depends only on the span, so that tuple is the key, and it
+is also what the canonical search reads.  A child's basis is built from
+its parent's without an elimination (``_extend``), and a parent marks
+its candidates only when a first child needs its list.  The remaining
+codes are deduplicated by canonical form at each level, so each
+equivalence class is visited once.  All canonical forms of one
+``classify_quartic_codes`` call share a single completion memo, keyed by
+the pivot count and the sorted values of the remaining columns (the
+unpivoted rows are never re-reduced), with the pivot maps it fills, and
+dropped when the call returns.
 
 The search works on reduced bases of ints in extended encoding (see
 ``codes``); an ``EvenSetCode`` is built only for a table entry.
@@ -52,6 +59,7 @@ from .codes import (
     EvenSetCode,
     _canonical_form,
     code_to_dict,
+    span_words,
     weight_enumerator,
 )
 from .errors import DomainError
@@ -114,12 +122,10 @@ def admissible_words_ext(mu: int) -> list[int]:
     return words
 
 
-def _orbit_representatives(
-    candidates: list[int], basis: tuple[int, ...], mu: int
-) -> list[int]:
-    """The first candidate of each orbit under permutations of the support
-    columns that are identical across ``basis``, in the order of first
-    occurrence.
+def _orbit_tables(basis: tuple[int, ...], mu: int) -> tuple[list[int], list[int], int]:
+    """The packed orbit key of a word under permutations of the support
+    columns that are identical across ``basis``: word ``w`` has the key
+    ``lo[w & (1 << half) - 1] + hi[w >> half]``; returns ``(lo, hi, half)``.
 
     Those permutations form a product of symmetric groups, one per class of
     identical columns, and such a product moves a word to exactly the words
@@ -131,10 +137,6 @@ def _orbit_representatives(
     equal ints mean equal counts.  The key is the sum over the low ``half``
     bits plus the sum over the rest, each read from a table of subset sums
     built by doubling; an even split keeps both tables small.
-
-    The first candidate of each orbit is kept, not another member, because
-    the candidate that represents an orbit becomes a basis word, and
-    through it decides the representative the table reports for its class.
     """
     width = mu.bit_length()
     slots: dict[tuple[int, ...], int] = {}
@@ -148,11 +150,73 @@ def _orbit_representatives(
     for sums, part in ((lo, steps[:half]), (hi, steps[half:])):
         for step in part:
             sums += [x + step for x in sums]
+    return lo, hi, half
+
+
+def _orbit_representatives(
+    candidates: list[int], basis: tuple[int, ...], mu: int
+) -> list[int]:
+    """The first candidate of each orbit under permutations of the support
+    columns that are identical across ``basis``, in the order of first
+    occurrence, keyed by ``_orbit_tables``.
+
+    The first candidate of each orbit is kept, not another member, because
+    the candidate that represents an orbit becomes a basis word, and
+    through it decides the representative the table reports for its class.
+    """
+    lo, hi, half = _orbit_tables(basis, mu)
     mask = (1 << half) - 1
     reps: dict[int, int] = {}
     for w in candidates:
         reps.setdefault(lo[w & mask] + hi[w >> half], w)
     return list(reps.values())
+
+
+def _coset_representatives(
+    words: list[int], basis: tuple[int, ...], mu: int
+) -> list[int]:
+    """The first of ``words`` in each orbit of cosets ``w + span`` under the
+    permutations of identical support columns, in the order of first
+    occurrence.
+
+    Every span word is constant on each class of identical columns, so
+    those permutations fix the span and permute its cosets.  A word ``v``
+    has the orbit key (``_orbit_tables``) of some ``w ^ s`` exactly when a
+    permutation p has ``p(w ^ s) = v``, that is ``p(w + span) = v + span``
+    (p fixes s).  So the keys of every word of each kept coset are marked,
+    and a later word whose own key is marked is dropped.
+    """
+    if len(words) < 2:
+        return words  # nothing to drop, so no tables to build
+    lo, hi, half = _orbit_tables(basis, mu)
+    mask = (1 << half) - 1
+    span = span_words(basis)
+    marked: set[int] = set()
+    reps = []
+    for w in words:
+        if lo[w & mask] + hi[w >> half] not in marked:
+            reps.append(w)
+            marked.update([lo[(v := w ^ s) & mask] + hi[v >> half] for s in span])
+    return reps
+
+
+def _extend(basis: tuple[int, ...], w: int) -> tuple[int, tuple[int, ...]]:
+    """For a reduced row echelon ``basis`` and a word ``w`` outside its
+    span: ``r``, which is ``w`` reduced at the basis's leading bits and so
+    lies in ``w + span``, and ``bit_rref(basis + (w,))``, built without an
+    elimination.
+
+    ``r`` sets no leading bit of ``basis``, so its own leading bit L is
+    new; clearing L from the rows that set it, by adding ``r``, leaves
+    every other leading bit where it was.
+    """
+    r = w
+    for g in basis:
+        if r >> g.bit_length() - 1 & 1:
+            r ^= g
+    lead = 1 << r.bit_length() - 1
+    rows = [g ^ r if g & lead else g for g in basis]
+    return r, tuple(sorted(rows + [r], reverse=True))
 
 
 def _marks(words: list[int], mu: int) -> bytearray:
@@ -188,17 +252,22 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         found.extend((enc, basis) for enc, (basis, _) in level.items())
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, candidates in level.values():
-            is_candidate = _marks(candidates, mu)
-            for w in _orbit_representatives(candidates, basis, mu):
-                new_basis = tuple(bit_rref(basis + (w,)))
+            is_candidate = None  # marked when the first new class needs it
+            words = _orbit_representatives(candidates, basis, mu)
+            for w in _coset_representatives(words, basis, mu):
+                # c ^ r and c ^ w differ by a span word, and candidates are
+                # closed under adding one, so r filters as w would
+                r, new_basis = _extend(basis, w)
                 if new_basis in seen_spans:
                     continue
                 seen_spans.add(new_basis)
                 enc = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
+                    if is_candidate is None:
+                        is_candidate = _marks(candidates, mu)
                     next_level[enc] = (
                         new_basis,
-                        [c for c in candidates if is_candidate[c ^ w]],
+                        [c for c in candidates if is_candidate[c ^ r]],
                     )
         level = next_level
     return found
@@ -256,11 +325,13 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
     passing = []
     excluded = []
     for canonical, basis in _enumerate_admissible(mu):
-        entry = _entry(mu, canonical, basis)
-        if entry.dim >= max(1, mu - 10) and entry.code.strict_dim() >= mu - 11:
-            passing.append(entry)
+        # the basis is reduced, so its length is the dimension, and the
+        # strictly even subcode drops one exactly when a row is weak
+        strict_dim = len(basis) - any(g >> mu for g in basis)
+        if len(basis) >= max(1, mu - 10) and strict_dim >= mu - 11:
+            passing.append(_entry(mu, canonical, basis))
         elif audit:
-            excluded.append(entry)
+            excluded.append(_entry(mu, canonical, basis))
 
     def order(e: TableEntry):
         return (e.dim, e.canonical)

@@ -4,7 +4,9 @@ The library never applies a permutation: canonical forms minimize over
 column orders, and the classifier reduces candidates by an orbit key packed
 into one int.  The tests still permute codes to check invariance.  Two
 oracles check the classifier's key: the explicit orbit search below, and
-the key as a tuple of popcounts, which cannot overflow at any mu.
+the key as a tuple of popcounts, which cannot overflow at any mu.  The
+same orbit search, applied to whole cosets, checks the classifier's coset
+key.
 """
 
 from __future__ import annotations
@@ -45,27 +47,48 @@ def column_transpositions(code: EvenSetCode) -> list[tuple[int, ...]]:
     return perms
 
 
+def orbit(word_ext: int, perms: list[tuple[int, ...]], mu: int) -> set[int]:
+    """The orbit of a word under the group ``perms`` generate, closed one
+    permutation at a time."""
+    seen = {word_ext}
+    frontier = [word_ext]
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = apply_node_permutation(x, p, mu)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def searched_orbit_representatives(
     candidates: list[int], perms: list[tuple[int, ...]], mu: int
 ) -> list[int]:
     """The first candidate of each orbit, found by closing every new
-    candidate's orbit under ``perms`` one permutation at a time."""
+    candidate's orbit under ``perms``."""
     seen: set[int] = set()
     reps = []
     for w in candidates:
-        if w in seen:
-            continue
-        orbit = {w}
-        frontier = [w]
-        while frontier:
-            x = frontier.pop()
-            for p in perms:
-                y = apply_node_permutation(x, p, mu)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        reps.append(w)
+        if w not in seen:
+            seen |= orbit(w, perms, mu)
+            reps.append(w)
+    return reps
+
+
+def searched_coset_representatives(
+    words: list[int], span: list[int], perms: list[tuple[int, ...]], mu: int
+) -> list[int]:
+    """The first word of each orbit of cosets ``w + span`` under ``perms``,
+    which must fix every word of ``span``.  The cosets in the orbit of
+    ``w + span`` cover exactly the words ``p(w) ^ s``, so a later word
+    shares the orbit iff it is one of them."""
+    seen: set[int] = set()
+    reps = []
+    for w in words:
+        if w not in seen:
+            seen |= {x ^ s for x in orbit(w, perms, mu) for s in span}
+            reps.append(w)
     return reps
 
 

@@ -1,9 +1,10 @@
 """Golden classification of quartic even-set codes, mu = 6..16."""
 
 import hashlib
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodalcodes import classify as classify_mod
@@ -13,12 +14,15 @@ from nodalcodes.classify import (
     classify_quartic_codes,
     render_table,
 )
-from nodalcodes.codes import STRICT, WEAK, EvenSetCode, canonical_form
+from nodalcodes.codes import STRICT, WEAK, EvenSetCode, canonical_form, span_words
 from nodalcodes.errors import DomainError
+from nodalcodes.linalg import bit_rref
+from classify_oracle import enumerate_admissible as per_word_enumeration
 from permutation_oracle import (
     apply_node_permutation,
     column_transpositions,
     popcount_orbit_representatives,
+    searched_coset_representatives,
     searched_orbit_representatives,
 )
 from test_codes import _griesmer_ok
@@ -173,11 +177,11 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
 
 
 @st.composite
-def _orbit_inputs(draw):
+def _orbit_inputs(draw, max_mu=16):
     # a random basis and words, with images of those words under random
     # permutations inside each class of identical columns inserted
     # anywhere, so orbits repeat and a later member may come first
-    mu = draw(st.integers(1, 16))
+    mu = draw(st.integers(1, max_mu))
     top = (1 << mu + 1) - 1
     basis = tuple(draw(st.lists(st.integers(0, top), max_size=4)))
     dense = st.integers(0, top).map(lambda x: x | x >> 1)
@@ -254,6 +258,117 @@ def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
         classify_quartic_codes(mu)
     assert {mu for _, mu in calls} == set(range(6, 17))
     assert max(len(basis) for basis, _ in calls) == 6
+
+
+def test_enumeration_matches_the_per_word_loop():
+    # one child per orbit of cosets, its basis built from its parent's and
+    # its parent's marks built on demand: the same classes, reached by the
+    # same spans in the same order, as trying every word-orbit
+    # representative with an elimination each
+    for mu in range(6, 17):
+        assert classify_mod._enumerate_admissible(mu) == per_word_enumeration(mu), mu
+
+
+def test_canonical_search_count_is_pinned(monkeypatch):
+    # the coset reduction's saving as a count: a weaker key (one that
+    # misses images under identical columns, or is not constant on a
+    # coset) keeps the answers but searches more
+    calls = Counter()
+    search = classify_mod._canonical_form
+
+    def counting(mu, basis, memo):
+        calls[mu] += 1
+        return search(mu, basis, memo)
+
+    monkeypatch.setattr(classify_mod, "_canonical_form", counting)
+    for mu in range(6, 17):
+        classify_mod._enumerate_admissible(mu)
+    assert sum(calls.values()) == 352
+    calls.clear()
+    for mu in range(6, 17):
+        per_word_enumeration(mu)
+    assert sum(calls.values()) == 814
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_extension_matches_bit_rref(data):
+    # a reduced basis of words of up to 17 bits (mu = 16 in extended
+    # encoding) and a word outside its span
+    bits = data.draw(st.integers(1, 17))
+    word = st.integers(1, (1 << bits) - 1)
+    basis = tuple(bit_rref(data.draw(st.lists(word, max_size=bits - 1))))
+    w = data.draw(word.filter(lambda w: len(bit_rref(basis + (w,))) > len(basis)))
+    r, child = classify_mod._extend(basis, w)
+    assert child == tuple(bit_rref(basis + (w,)))
+    # r lies in w + span, so it filters the child's candidates as w does
+    assert tuple(bit_rref(basis + (r ^ w,))) == basis
+
+
+@st.composite
+def _coset_inputs(draw):
+    # orbit inputs at mu <= 10 with translates by span words inserted
+    # anywhere, so one coset recurs under several of its words
+    candidates, basis, mu = draw(_orbit_inputs(max_mu=10))
+    span = span_words(basis)
+    assume(1 << mu not in span)
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 8))):
+        translate = rng.choice(candidates) ^ rng.choice(span)
+        candidates.insert(rng.randrange(len(candidates) + 1), translate)
+    return candidates, basis, mu
+
+
+@settings(deadline=None, max_examples=200)
+@given(_coset_inputs())
+def test_coset_key_matches_a_coset_orbit_search(inputs):
+    # the key is constant on each coset and on its images under identical
+    # columns (else a translate or an image would be kept), and it parts
+    # cosets no transposition of identical columns maps onto each other
+    # (else one would be lost)
+    candidates, basis, mu = inputs
+    perms = column_transpositions(EvenSetCode(mu, basis))
+    reps = classify_mod._coset_representatives(candidates, basis, mu)
+    assert reps == searched_coset_representatives(candidates, span_words(basis), perms, mu)
+
+
+def test_every_dropped_coset_is_the_image_of_a_kept_one(monkeypatch):
+    # in the classification at mu <= 13, each word the coset reduction
+    # drops lies in the orbit of an earlier kept word's coset, and no two
+    # kept words share one
+    calls = []
+    reduce = classify_mod._coset_representatives
+
+    def recording(words, basis, mu):
+        reps = reduce(words, basis, mu)
+        calls.append((words, basis, mu, reps))
+        return reps
+
+    monkeypatch.setattr(classify_mod, "_coset_representatives", recording)
+    for mu in range(6, 14):
+        classify_mod._enumerate_admissible(mu)
+    assert {mu for _, _, mu, _ in calls} == set(range(6, 14))
+    assert any(len(reps) < len(words) for words, *_, reps in calls)
+    for words, basis, mu, reps in calls:
+        perms = column_transpositions(EvenSetCode(mu, basis))
+        assert reps == searched_coset_representatives(words, span_words(basis), perms, mu)
+
+
+def test_entries_are_built_only_for_kept_codes(monkeypatch, audited_classification_tables):
+    # a plain table decides the dimension bounds from the basis before it
+    # builds a profile and an enumerator, and keeps what the audit keeps
+    built = Counter()
+    entry = classify_mod._entry
+
+    def counting(mu, canonical, basis):
+        built[mu] += 1
+        return entry(mu, canonical, basis)
+
+    monkeypatch.setattr(classify_mod, "_entry", counting)
+    for mu in range(6, 17):
+        table = classify_quartic_codes(mu)
+        assert built[mu] == len(table.entries) == EXPECTED_COUNTS[mu]
+        assert table.entries == audited_classification_tables[mu].entries
 
 
 # SHA-256 over the profile, dimension, canonical bytes, basis and weight
