@@ -16,28 +16,26 @@ its sum with itself is 0, which is not admissible.  A child's list is
 therefore a subsequence of its parent's and equals a filter of all
 admissible words from scratch.
 
-Duplicates are cut in three steps before a canonical search.  First, a
-code's candidate words are reduced to one per orbit under the
-permutations of identical support columns; the orbit of a word is read
-off a key (its parity bit and its popcount inside each class of
-identical columns, packed into one int and looked up from two tables of
-subset sums), so no permutation is ever applied.  Second, those
-permutations fix every span word, so they permute the cosets
-``w + span``, and two words whose cosets share an orbit give isomorphic
-children; only the first word of each orbit of cosets extends the code.
-A word dropped there would reach a class an earlier word already
-reached, so every class keeps the representative it had.  Third, an
-enlarged code whose span was already reached is skipped; its reduced row
-echelon basis depends only on the span, so that tuple is the key, and it
-is also what the canonical search reads.  A child's basis is built from
-its parent's without an elimination (``_extend``), and a parent marks
-its candidates only when a first child needs its list.  The remaining
-codes are deduplicated by canonical form at each level, so each
-equivalence class is visited once.  All canonical forms of one
-``classify_quartic_codes`` call share a single completion memo, keyed by
-the pivot count and the sorted values of the remaining columns (the
-unpivoted rows are never re-reduced), with the pivot maps it fills, and
-dropped when the call returns.
+Duplicates are cut in two steps before a canonical search.  First, the
+permutations of identical support columns fix every span word, so they
+permute the cosets ``w + span``, and two words whose cosets share an
+orbit give isomorphic children; only the first candidate of each orbit
+of cosets extends the code.  The orbit of a word is read off a key (its
+parity bit and its popcount inside each class of identical columns,
+packed into one int and looked up from two tables of subset sums), so no
+permutation is ever applied.  A word dropped there would reach a class
+an earlier word already reached, so every class keeps the representative
+it had.  Second, an enlarged code whose span was already reached is
+skipped; its reduced row echelon basis depends only on the span, so that
+tuple is the key, and it is also what the canonical search reads.  A
+child's basis is built from its parent's without an elimination
+(``_extend``), and a parent marks its candidates only when a first child
+needs its list.  The remaining codes are deduplicated by canonical form
+at each level, so each equivalence class is visited once.  All canonical
+forms of one ``classify_quartic_codes`` call share a single completion
+memo, keyed by the pivot count and the sorted values of the remaining
+columns (the unpivoted rows are never re-reduced), with the pivot maps
+it fills, and dropped when the call returns.
 
 The search works on reduced bases of ints in extended encoding (see
 ``codes``); an ``EvenSetCode`` is built only for a table entry.
@@ -153,31 +151,12 @@ def _orbit_tables(basis: tuple[int, ...], mu: int) -> tuple[list[int], list[int]
     return lo, hi, half
 
 
-def _orbit_representatives(
+def _coset_representatives(
     candidates: list[int], basis: tuple[int, ...], mu: int
 ) -> list[int]:
-    """The first candidate of each orbit under permutations of the support
-    columns that are identical across ``basis``, in the order of first
-    occurrence, keyed by ``_orbit_tables``.
-
-    The first candidate of each orbit is kept, not another member, because
-    the candidate that represents an orbit becomes a basis word, and
-    through it decides the representative the table reports for its class.
-    """
-    lo, hi, half = _orbit_tables(basis, mu)
-    mask = (1 << half) - 1
-    reps: dict[int, int] = {}
-    for w in candidates:
-        reps.setdefault(lo[w & mask] + hi[w >> half], w)
-    return list(reps.values())
-
-
-def _coset_representatives(
-    words: list[int], basis: tuple[int, ...], mu: int
-) -> list[int]:
-    """The first of ``words`` in each orbit of cosets ``w + span`` under the
-    permutations of identical support columns, in the order of first
-    occurrence.
+    """The first of ``candidates`` in each orbit of cosets ``w + span``
+    under the permutations of identical support columns, in the order of
+    first occurrence.
 
     Every span word is constant on each class of identical columns, so
     those permutations fix the span and permute its cosets.  A word ``v``
@@ -185,15 +164,21 @@ def _coset_representatives(
     permutation p has ``p(w ^ s) = v``, that is ``p(w + span) = v + span``
     (p fixes s).  So the keys of every word of each kept coset are marked,
     and a later word whose own key is marked is dropped.
+
+    This pass alone also keeps at most one word per word orbit.  Take a
+    candidate whose key equals an earlier candidate's key.  That earlier
+    word was either kept, and then marked its own key (s = 0 is in the
+    span), or dropped because its key was already marked.  Either way the
+    later word is dropped.  The first candidate of an orbit is kept, not
+    another member, because the kept word becomes a basis word, and through
+    it decides the representative the table reports for its class.
     """
-    if len(words) < 2:
-        return words  # nothing to drop, so no tables to build
     lo, hi, half = _orbit_tables(basis, mu)
     mask = (1 << half) - 1
     span = span_words(basis)
     marked: set[int] = set()
     reps = []
-    for w in words:
+    for w in candidates:
         if lo[w & mask] + hi[w >> half] not in marked:
             reps.append(w)
             marked.update([lo[(v := w ^ s) & mask] + hi[v >> half] for s in span])
@@ -253,8 +238,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, candidates in level.values():
             is_candidate = None  # marked when the first new class needs it
-            words = _orbit_representatives(candidates, basis, mu)
-            for w in _coset_representatives(words, basis, mu):
+            for w in _coset_representatives(candidates, basis, mu):
                 # c ^ r and c ^ w differ by a span word, and candidates are
                 # closed under adding one, so r filters as w would
                 r, new_basis = _extend(basis, w)

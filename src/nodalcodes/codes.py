@@ -20,7 +20,7 @@ relabeling of the other.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DataError, ResourceError, json_fields, read_json
 from .linalg import bit_rref
@@ -144,12 +144,6 @@ class EvenSetCode(Record):
                 f"refusing to enumerate 2^{self.dim} words (cap {_DIM_CAP_ENUMERATION})"
             )
         return span_words(self.basis)
-
-    def words(self) -> Iterator[EvenSetWord]:
-        """All nonzero words of the code."""
-        for ext in self.words_ext():
-            if ext:
-                yield EvenSetWord.from_ext(self.mu, ext)
 
     def strict_dim(self) -> int:
         """Dimension of the strictly even subcode (index at most 2)."""

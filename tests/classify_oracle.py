@@ -3,11 +3,13 @@ tests only.
 
 Every word-orbit representative extends its parent: the child's reduced
 basis is ``bit_rref`` of the enlarged basis, and every parent marks its
-candidates.  The library keeps one representative per orbit of cosets
-and builds each child's basis from its parent's; it must return the same
-(canonical form, basis) list, order included.  The library's helpers are
-read through the module, so a test that counts ``_canonical_form`` calls
-counts this loop's too.
+candidates.  The word orbits come from the popcount-tuple key of
+``permutation_oracle``, not from the library's packed key.  The library
+keeps one representative per orbit of cosets and builds each child's
+basis from its parent's; it must return the same (canonical form, basis)
+list, order included.  The library's helpers are read through the
+module, so a test that counts ``_canonical_form`` calls counts this
+loop's too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from nodalcodes import classify
 from nodalcodes.codes import QUARTIC_WORD_CLASSES
 from nodalcodes.linalg import bit_rref
+from permutation_oracle import popcount_orbit_representatives
 
 
 def enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
@@ -39,7 +42,7 @@ def enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, candidates in level.values():
             is_candidate = classify._marks(candidates, mu)
-            for w in classify._orbit_representatives(candidates, basis, mu):
+            for w in popcount_orbit_representatives(candidates, basis, mu):
                 new_basis = tuple(bit_rref(basis + (w,)))
                 if new_basis in seen_spans:
                     continue

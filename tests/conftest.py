@@ -13,6 +13,23 @@ SCAN_PRIME = 101
 SCAN_SEEDS = range(20)
 
 
+def pytest_addoption(parser):
+    parser.addoption("--slow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: takes seconds to minutes; runs only with --slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def classification_tables():
     return {mu: classify_quartic_codes(mu) for mu in range(6, 17)}

@@ -5,8 +5,9 @@ column orders, and the classifier reduces candidates by an orbit key packed
 into one int.  The tests still permute codes to check invariance.  Two
 oracles check the classifier's key: the explicit orbit search below, and
 the key as a tuple of popcounts, which cannot overflow at any mu.  The
-same orbit search, applied to whole cosets, checks the classifier's coset
-key.
+popcount key also picks the word orbits of the per-word loop in
+``classify_oracle``.  The same orbit search, applied to whole cosets,
+checks the classifier's coset key.
 """
 
 from __future__ import annotations

@@ -120,7 +120,8 @@ def test_criterion_7_property_suites(classification_tables):
     admissible = {(6, WEAK), (10, WEAK), (8, STRICT), (16, STRICT)}
     for table in classification_tables.values():
         for entry in table.entries:
-            assert all((w.weight, w.parity) in admissible for w in entry.code.words())
+            words = [EvenSetWord.from_ext(entry.code.mu, w) for w in entry.code.words_ext() if w]
+            assert all((w.weight, w.parity) in admissible for w in words)
 
     # canonical form is invariant under 500 random node permutations
     rng = random.Random(9001)

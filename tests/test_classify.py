@@ -14,9 +14,18 @@ from nodalcodes.classify import (
     classify_quartic_codes,
     render_table,
 )
-from nodalcodes.codes import STRICT, WEAK, EvenSetCode, canonical_form, span_words
+from nodalcodes.codes import (
+    STRICT,
+    WEAK,
+    EvenSetCode,
+    EvenSetWord,
+    canonical_form,
+    span_words,
+)
 from nodalcodes.errors import DomainError
 from nodalcodes.linalg import bit_rref
+from canonical_oracle import canonical_encoding
+from classify_brute import class_encodings
 from classify_oracle import enumerate_admissible as per_word_enumeration
 from permutation_oracle import (
     apply_node_permutation,
@@ -72,11 +81,15 @@ def test_uniqueness_for_large_mu(classification_tables):
         assert len(classification_tables[mu].entries) == 1
 
 
+def _nonzero_words(code):
+    return [EvenSetWord.from_ext(code.mu, w) for w in code.words_ext() if w]
+
+
 def test_sixteen_node_code_contains_the_full_support_word(classification_tables):
     (entry,) = classification_tables[16].entries
-    weights = {w.weight for w in entry.code.words()}
+    weights = {w.weight for w in _nonzero_words(entry.code)}
     assert 16 in weights
-    full = [w for w in entry.code.words() if w.weight == 16]
+    full = [w for w in _nonzero_words(entry.code) if w.weight == 16]
     assert len(full) == 1 and full[0].parity == STRICT
 
 
@@ -100,7 +113,7 @@ ADMISSIBLE = {(6, WEAK), (10, WEAK), (8, STRICT), (16, STRICT)}
 def test_every_word_admissible_exhaustively(classification_tables):
     for table in classification_tables.values():
         for entry in table.entries:
-            for w in entry.code.words():
+            for w in _nonzero_words(entry.code):
                 assert (w.weight, w.parity) in ADMISSIBLE
 
 
@@ -113,7 +126,7 @@ def test_entries_pairwise_non_isomorphic(classification_tables):
 def test_basis_regenerates_the_code(classification_tables):
     for table in classification_tables.values():
         for entry in table.entries:
-            regenerated = {w.to_ext() for w in entry.code.words()}
+            regenerated = {w for w in entry.code.words_ext() if w}
             assert len(regenerated) == 2**entry.dim - 1
 
 
@@ -142,7 +155,7 @@ def test_every_searched_code_satisfies_griesmer(audited_classification_tables):
     # subcode obey the Griesmer bound
     for mu, table in audited_classification_tables.items():
         for entry in table.entries + table.excluded:
-            words = list(entry.code.words())
+            words = _nonzero_words(entry.code)
             assert _griesmer_ok(mu, entry.dim, _min_weight(words))
             strict = [w for w in words if w.parity == STRICT]
             if strict:
@@ -151,29 +164,43 @@ def test_every_searched_code_satisfies_griesmer(audited_classification_tables):
                 assert _griesmer_ok(mu, k_strict, _min_weight(strict))
 
 
+def _first_per_packed_key(candidates, basis, mu):
+    # the first candidate of each word orbit, keyed by _orbit_tables
+    lo, hi, half = classify_mod._orbit_tables(basis, mu)
+    reps = {}
+    for w in candidates:
+        reps.setdefault(lo[w & (1 << half) - 1] + hi[w >> half], w)
+    return list(reps.values())
+
+
 def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
     # every basis the search extends: the packed orbit key keeps exactly the
     # candidates the popcount-tuple key keeps, and at mu <= 13 exactly those
     # an explicit orbit search under the transpositions of identical columns
-    # keeps
+    # keeps; the coset pass over all candidates returns what it returns
+    # over those word-orbit representatives
     calls = []
-    reduce = classify_mod._orbit_representatives
+    reduce = classify_mod._coset_representatives
 
     def recording(candidates, basis, mu):
         reps = reduce(candidates, basis, mu)
         calls.append((candidates, basis, mu, reps))
         return reps
 
-    monkeypatch.setattr(classify_mod, "_orbit_representatives", recording)
+    monkeypatch.setattr(classify_mod, "_coset_representatives", recording)
     for mu in range(6, 17):
         classify_quartic_codes(mu)
-    assert {mu for *_, mu, _ in calls} == set(range(6, 17))
-    assert any(len(reps) < len(candidates) for candidates, *_, reps in calls)
+    assert {mu for _, _, mu, _ in calls} == set(range(6, 17))
+    shrunk = False
     for candidates, basis, mu, reps in calls:
-        assert reps == popcount_orbit_representatives(candidates, basis, mu)
+        orbit_reps = _first_per_packed_key(candidates, basis, mu)
+        shrunk |= len(orbit_reps) < len(candidates)
+        assert orbit_reps == popcount_orbit_representatives(candidates, basis, mu)
         if mu <= 13:
             perms = column_transpositions(EvenSetCode(mu, basis))
-            assert reps == searched_orbit_representatives(candidates, perms, mu)
+            assert orbit_reps == searched_orbit_representatives(candidates, perms, mu)
+        assert reduce(orbit_reps, basis, mu) == reps
+    assert shrunk
 
 
 @st.composite
@@ -204,7 +231,12 @@ def _orbit_inputs(draw, max_mu=16):
 @settings(deadline=None, max_examples=300)
 @given(_orbit_inputs())
 def test_orbit_key_matches_the_popcount_key(inputs):
-    assert classify_mod._orbit_representatives(*inputs) == popcount_orbit_representatives(*inputs)
+    orbit_reps = _first_per_packed_key(*inputs)
+    assert orbit_reps == popcount_orbit_representatives(*inputs)
+    # one coset pass drops every later member of a word orbit by itself
+    candidates, basis, mu = inputs
+    reps = classify_mod._coset_representatives(candidates, basis, mu)
+    assert reps == classify_mod._coset_representatives(orbit_reps, basis, mu)
 
 
 @pytest.mark.parametrize("mu", [8, 16])
@@ -220,7 +252,7 @@ def test_orbit_key_slot_holds_a_count_of_mu(mu, reverse):
     candidates = [s | parity for parity in (0, 1 << mu) for s in supports]
     if reverse:
         candidates.reverse()
-    reps = classify_mod._orbit_representatives(candidates, (1 << mu,), mu)
+    reps = _first_per_packed_key(candidates, (1 << mu,), mu)
     # the two half-weight supports share an orbit, with either parity
     assert len(reps) == 8
     assert reps == popcount_orbit_representatives(candidates, (1 << mu,), mu)
@@ -241,19 +273,19 @@ def _scratch_candidates(basis, mu, admissible):
 
 def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
     # each basis inherits its candidate words from its parent; the list it
-    # hands to the orbit reduction equals the full filter, order included.
+    # hands to the coset reduction equals the full filter, order included.
     # Checked inside the hook, so a wrong list fails before the search
     # grows from it.
     admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
     calls = []
-    reduce = classify_mod._orbit_representatives
+    reduce = classify_mod._coset_representatives
 
     def checking(candidates, basis, mu):
         assert candidates == _scratch_candidates(basis, mu, admissible[mu]), (mu, basis)
         calls.append((basis, mu))
         return reduce(candidates, basis, mu)
 
-    monkeypatch.setattr(classify_mod, "_orbit_representatives", checking)
+    monkeypatch.setattr(classify_mod, "_coset_representatives", checking)
     for mu in range(6, 17):
         classify_quartic_codes(mu)
     assert {mu for _, mu in calls} == set(range(6, 17))
@@ -267,6 +299,29 @@ def test_enumeration_matches_the_per_word_loop():
     # representative with an elimination each
     for mu in range(6, 17):
         assert classify_mod._enumerate_admissible(mu) == per_word_enumeration(mu), mu
+
+
+# labeled codes whose nonzero words are all admissible, by dimension 1, 2, ...
+LABELED_COUNTS = {
+    6: [1],
+    7: [7],
+    8: [29],
+    9: [93],
+    10: [256, 1575],
+    11: [638, 17325],
+}
+
+
+# mu = 11 enumerates 17 963 labeled codes in several seconds: run with --slow
+@pytest.mark.parametrize("mu", [*range(6, 11), pytest.param(11, marks=pytest.mark.slow)])
+def test_every_labeled_code_has_its_class_in_the_table(mu):
+    # the brute force uses no symmetry: its classes are exactly the
+    # classifier's, one table code (kept or excluded) per class
+    counts, encodings = class_encodings(mu)
+    assert counts == LABELED_COUNTS[mu]
+    table = classify_quartic_codes(mu, audit=True)
+    codes = [e.code for e in table.entries + table.excluded]
+    assert sorted(map(canonical_encoding, codes)) == sorted(encodings)
 
 
 def test_canonical_search_count_is_pinned(monkeypatch):
@@ -288,6 +343,27 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     for mu in range(6, 17):
         per_word_enumeration(mu)
     assert sum(calls.values()) == 814
+
+
+def test_orbit_tables_are_built_once_per_parent(monkeypatch):
+    # one coset pass per parent reads the packed keys, so the subset-sum
+    # tables are built once for each of the 87 codes the search extends;
+    # a second pass over the same basis builds them again
+    calls = []
+    build = classify_mod._orbit_tables
+
+    def counting(basis, mu):
+        calls.append((mu, basis))
+        return build(basis, mu)
+
+    monkeypatch.setattr(classify_mod, "_orbit_tables", counting)
+    found = [
+        (mu, basis)
+        for mu in range(6, 17)
+        for _, basis in classify_mod._enumerate_admissible(mu)
+    ]
+    assert len(calls) == 87
+    assert sorted(calls) == sorted(found)
 
 
 @settings(deadline=None, max_examples=300)
