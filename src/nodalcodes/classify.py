@@ -5,16 +5,22 @@ The search grows codes one basis word at a time, in weight order
 every word of the enlarged span stays admissible for a quartic, which
 mechanizes the whole weight-addition case analysis.
 
-Candidate lists are inherited.  Each basis carries the words that may
-extend it: exactly those ``c`` with ``c + span`` admissible, in the order
-of ``admissible_words_ext``.  A child ``basis + (w,)`` needs ``c + span``
-and ``c + w + span`` admissible, that is ``c`` and ``c ^ w`` both parent
-candidates; so one pass over the parent's list, against a bytearray that
-marks it, gives the child's list.  The zero code's candidates are the
-admissible words themselves.  No span word is ever a candidate, since
-its sum with itself is 0, which is not admissible.  A child's list is
-therefore a subsequence of its parent's and equals a filter of all
-admissible words from scratch.
+Candidate sets are kept as orbits.  A basis may be extended by the words
+``c`` with ``c + span`` admissible.  They form a union of orbits of G,
+the permutations of support columns identical across the basis, kept as
+each orbit's first word in the order of the admissible words (word
+class, then ``itertools.combinations`` order).  An orbit is a parity and
+a count n_j on each class K_j of identical columns; its first word takes
+the n_j smallest columns of each K_j, as then its i-th smallest column is
+at most that of any other member.  A child ``basis + (w,)`` needs ``c``
+and ``c ^ w`` both parent candidates, and ``r`` of ``_extend`` may stand
+for ``w`` (they differ by a span word, and candidates are closed under
+adding one).  ``r`` cuts each K_j in two, and each parent orbit splits
+into the child orbits that share n_j between the parts in every way; a
+split is kept when the key of ``c ^ r`` (parity and counts on each K_j)
+is a parent orbit's key (``_split_orbits``).  The zero code's orbits are
+the four word classes.  No span word is ever a candidate, since its sum
+with itself is 0, which is not admissible.
 
 Duplicates are cut in two steps before a canonical search.  First, the
 permutations of identical support columns fix every span word, so they
@@ -29,8 +35,7 @@ it had.  Second, an enlarged code whose span was already reached is
 skipped; its reduced row echelon basis depends only on the span, so that
 tuple is the key, and it is also what the canonical search reads.  A
 child's basis is built from its parent's without an elimination
-(``_extend``), and a parent marks its candidates only when a first child
-needs its list.  The remaining codes are deduplicated by canonical form
+(``_extend``).  The remaining codes are deduplicated by canonical form
 at each level, so each equivalence class is visited once.  All canonical
 forms of one ``classify_quartic_codes`` call share a single completion
 memo, keyed by the pivot count and the sorted values of the remaining
@@ -105,19 +110,6 @@ class ClassificationTable(Record):
         if self.audit:
             out["excluded_by_dimension_bounds"] = [e.to_dict() for e in self.excluded]
         return out
-
-
-def admissible_words_ext(mu: int) -> list[int]:
-    """Every nonzero word a quartic allows: weak of weight 6 or 10,
-    strict of weight 8 or 16."""
-    bits = [1 << i for i in range(mu)]
-    words = []
-    for weight, weak in QUARTIC_WORD_CLASSES:
-        if weight > mu:
-            continue
-        parity_bit = 1 << mu if weak else 0
-        words += [s | parity_bit for s in map(sum, itertools.combinations(bits, weight))]
-    return words
 
 
 def _orbit_tables(basis: tuple[int, ...], mu: int) -> tuple[list[int], list[int], int]:
@@ -204,55 +196,63 @@ def _extend(basis: tuple[int, ...], w: int) -> tuple[int, tuple[int, ...]]:
     return r, tuple(sorted(rows + [r], reverse=True))
 
 
-def _marks(words: list[int], mu: int) -> bytearray:
-    """A byte per word of the extended range, 1 at each of ``words``."""
-    mask = bytearray(2 << mu)
+def _split_orbits(words: list[int], basis: tuple[int, ...], r: int, mu: int) -> list[int]:
+    """A child's candidates, as in the module docstring, from its parent's
+    ``words`` and the reduced new word ``r``."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c in range(mu):
+        classes.setdefault(tuple(g >> c & 1 for g in basis), []).append(1 << c)
+    masks = [sum(bits) for bits in classes.values()] + [1 << mu]
+    # a key holds the counts on each class and the parity, a slot each, above
+    # the mu + 1 bits of a word; a count is at most mu < 2^mu.bit_length()
+    slots = [mu + 1 + mu.bit_length() * j for j in range(len(masks))]
+    keys = {sum((w & m).bit_count() << s for m, s in zip(masks, slots)) for w in words}
+    # per class and count n: the first word of each split of n into a of
+    # the z columns r sets and n - a of the rest, with the count of c ^ r
+    splits = []
+    for bits, slot in zip(classes.values(), slots):
+        ins = [0, *itertools.accumulate(b for b in bits if b & r)]
+        out = [0, *itertools.accumulate(b for b in bits if not b & r)]
+        z = len(ins) - 1
+        splits.append([[ins[a] | out[n - a] | (n + z - 2 * a) << slot
+                        for a in range(max(0, n - len(bits) + z), min(n, z) + 1)]
+                       for n in range(len(bits) + 1)])
+    kept = []
     for w in words:
-        mask[w] = 1
-    return mask
+        top = w & 1 << mu | ((w ^ r) >> mu) << slots[-1]  # parity of c, of c ^ r
+        counts = [(w & m).bit_count() for m in masks]
+        for parts in itertools.product(*[s[n] for s, n in zip(splits, counts)]):
+            c = top + sum(parts)
+            if c >> mu + 1 << mu + 1 in keys:
+                kept.append(c & (2 << mu) - 1)
+    # bit counts 7, 8, 11 and 16 order the word classes; inside one, the
+    # word that holds the least column two words differ on comes first
+    return sorted(kept, key=lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2)))
 
 
 def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
     """All codes with every nonzero word admissible, one (canonical form,
     basis) pair per permutation class, found by isomorph-rejected basis
-    extension."""
-    admissible = admissible_words_ext(mu)
-    is_admissible = _marks(admissible, mu)
+    extension from the zero code."""
     memo: dict = {}  # canonical-form completions, shared by this run's codes
     seen_spans: set[tuple[int, ...]] = set()  # reduced bases
     found: list[tuple[bytes, tuple[int, ...]]] = []
 
-    # canonical form -> (basis, its candidate words)
-    level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
-    for weight, weak in QUARTIC_WORD_CLASSES:
-        if weight > mu:
-            continue
-        w = (1 << weight) - 1 | ((1 << mu) if weak else 0)
-        level[_canonical_form(mu, (w,), memo)] = (
-            (w,),
-            [c for c in admissible if is_admissible[c ^ w]],
-        )
-
+    # canonical form -> (basis, its candidate orbits' first words); b"" is the zero code
+    zero = [(1 << wt) - 1 | weak << mu for wt, weak in QUARTIC_WORD_CLASSES if wt <= mu]
+    level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {b"": ((), zero)}
     while level:
-        found.extend((enc, basis) for enc, (basis, _) in level.items())
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
-        for basis, candidates in level.values():
-            is_candidate = None  # marked when the first new class needs it
-            for w in _coset_representatives(candidates, basis, mu):
-                # c ^ r and c ^ w differ by a span word, and candidates are
-                # closed under adding one, so r filters as w would
+        for basis, words in level.values():
+            for w in _coset_representatives(words, basis, mu):
                 r, new_basis = _extend(basis, w)
                 if new_basis in seen_spans:
                     continue
                 seen_spans.add(new_basis)
                 enc = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
-                    if is_candidate is None:
-                        is_candidate = _marks(candidates, mu)
-                    next_level[enc] = (
-                        new_basis,
-                        [c for c in candidates if is_candidate[c ^ r]],
-                    )
+                    next_level[enc] = (new_basis, _split_orbits(words, basis, r, mu))
+        found.extend((enc, basis) for enc, (basis, _) in next_level.items())
         level = next_level
     return found
 

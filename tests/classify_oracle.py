@@ -1,18 +1,22 @@
-"""The classifier's extension loop before cosets were reduced, kept for
-tests only.
+"""The classifier's extension loop before cosets were reduced and before
+candidate sets were kept as orbits, kept for tests only.
 
-Every word-orbit representative extends its parent: the child's reduced
-basis is ``bit_rref`` of the enlarged basis, and every parent marks its
-candidates.  The word orbits come from the popcount-tuple key of
-``permutation_oracle``, not from the library's packed key.  The library
-keeps one representative per orbit of cosets and builds each child's
-basis from its parent's; it must return the same (canonical form, basis)
-list, order included.  The library's helpers are read through the
-module, so a test that counts ``_canonical_form`` calls counts this
-loop's too.
+Each basis carries every candidate word, in the order of
+``admissible_words_ext``, and every word-orbit representative extends
+it: the child's reduced basis is ``bit_rref`` of the enlarged basis, and
+the child's candidates are filtered word by word against a bytearray
+that marks the parent's.  The word orbits come from the popcount-tuple
+key of ``permutation_oracle``, not from the library's packed key.  The
+library keeps one representative per orbit of cosets, builds each
+child's basis from its parent's and each child's orbits from its
+parent's; it must return the same (canonical form, basis) list, order
+included.  The library's helpers are read through the module, so a test
+that counts ``_canonical_form`` calls counts this loop's too.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from nodalcodes import classify
 from nodalcodes.codes import QUARTIC_WORD_CLASSES
@@ -20,9 +24,31 @@ from nodalcodes.linalg import bit_rref
 from permutation_oracle import popcount_orbit_representatives
 
 
+def admissible_words_ext(mu: int) -> list[int]:
+    """Every nonzero word a quartic allows: weak of weight 6 or 10,
+    strict of weight 8 or 16, by word class and then in
+    ``itertools.combinations`` order."""
+    bits = [1 << i for i in range(mu)]
+    words = []
+    for weight, weak in QUARTIC_WORD_CLASSES:
+        if weight > mu:
+            continue
+        parity_bit = 1 << mu if weak else 0
+        words += [s | parity_bit for s in map(sum, itertools.combinations(bits, weight))]
+    return words
+
+
+def marks(words: list[int], mu: int) -> bytearray:
+    """A byte per word of the extended range, 1 at each of ``words``."""
+    mask = bytearray(2 << mu)
+    for w in words:
+        mask[w] = 1
+    return mask
+
+
 def enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
-    admissible = classify.admissible_words_ext(mu)
-    is_admissible = classify._marks(admissible, mu)
+    admissible = admissible_words_ext(mu)
+    is_admissible = marks(admissible, mu)
     memo: dict = {}
     seen_spans: set[tuple[int, ...]] = set()
     found: list[tuple[bytes, tuple[int, ...]]] = []
@@ -41,7 +67,7 @@ def enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
         found.extend((enc, basis) for enc, (basis, _) in level.items())
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, candidates in level.values():
-            is_candidate = classify._marks(candidates, mu)
+            is_candidate = marks(candidates, mu)
             for w in popcount_orbit_representatives(candidates, basis, mu):
                 new_basis = tuple(bit_rref(basis + (w,)))
                 if new_basis in seen_spans:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nodalcodes import classify as classify_mod
 from nodalcodes.classify import (
     ClassificationTable,
-    admissible_words_ext,
     classify_quartic_codes,
     render_table,
 )
@@ -26,10 +25,12 @@ from nodalcodes.errors import DomainError
 from nodalcodes.linalg import bit_rref
 from canonical_oracle import canonical_encoding
 from classify_brute import class_encodings
+from classify_oracle import admissible_words_ext
 from classify_oracle import enumerate_admissible as per_word_enumeration
 from permutation_oracle import (
     apply_node_permutation,
     column_transpositions,
+    orbit,
     popcount_orbit_representatives,
     searched_coset_representatives,
     searched_orbit_representatives,
@@ -174,11 +175,13 @@ def _first_per_packed_key(candidates, basis, mu):
 
 
 def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
-    # every basis the search extends: the packed orbit key keeps exactly the
-    # candidates the popcount-tuple key keeps, and at mu <= 13 exactly those
-    # an explicit orbit search under the transpositions of identical columns
-    # keeps; the coset pass over all candidates returns what it returns
-    # over those word-orbit representatives
+    # every basis the search extends, on its full candidate list filtered
+    # from scratch: the packed orbit key keeps exactly the candidates the
+    # popcount-tuple key keeps, and at mu <= 13 exactly those an explicit
+    # orbit search under the transpositions of identical columns keeps; the
+    # coset pass over all candidates returns what it returns over those
+    # word-orbit representatives, which is what the search handed it
+    admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
     calls = []
     reduce = classify_mod._coset_representatives
 
@@ -192,14 +195,16 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
         classify_quartic_codes(mu)
     assert {mu for _, _, mu, _ in calls} == set(range(6, 17))
     shrunk = False
-    for candidates, basis, mu, reps in calls:
+    for words, basis, mu, reps in calls:
+        candidates = _scratch_candidates(basis, mu, admissible[mu])
         orbit_reps = _first_per_packed_key(candidates, basis, mu)
         shrunk |= len(orbit_reps) < len(candidates)
         assert orbit_reps == popcount_orbit_representatives(candidates, basis, mu)
         if mu <= 13:
             perms = column_transpositions(EvenSetCode(mu, basis))
             assert orbit_reps == searched_orbit_representatives(candidates, perms, mu)
-        assert reduce(orbit_reps, basis, mu) == reps
+        assert orbit_reps == words
+        assert reduce(candidates, basis, mu) == reps
     assert shrunk
 
 
@@ -272,16 +277,17 @@ def _scratch_candidates(basis, mu, admissible):
 
 
 def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
-    # each basis inherits its candidate words from its parent; the list it
-    # hands to the coset reduction equals the full filter, order included.
-    # Checked inside the hook, so a wrong list fails before the search
-    # grows from it.
+    # each basis inherits its candidate orbits from its parent; the list it
+    # hands to the coset reduction is the first word of each orbit of the
+    # full filter, order included.  Checked inside the hook, so a wrong list
+    # fails before the search grows from it.
     admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
     calls = []
     reduce = classify_mod._coset_representatives
 
     def checking(candidates, basis, mu):
-        assert candidates == _scratch_candidates(basis, mu, admissible[mu]), (mu, basis)
+        full = _scratch_candidates(basis, mu, admissible[mu])
+        assert candidates == popcount_orbit_representatives(full, basis, mu), (mu, basis)
         calls.append((basis, mu))
         return reduce(candidates, basis, mu)
 
@@ -292,11 +298,47 @@ def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
     assert max(len(basis) for basis, _ in calls) == 6
 
 
+@st.composite
+def _split_inputs(draw):
+    # a basis (maybe empty, maybe with weak rows, parity linear on its span),
+    # a candidate set P closed under the transpositions of its identical
+    # columns, in the order of the admissible words, and r outside the span:
+    # often the sum of two words of P, so the child keeps some of P
+    mu = draw(st.integers(6, 12))
+    top = (1 << mu + 1) - 1
+    basis = tuple(draw(st.lists(st.integers(1, top), max_size=4)))
+    span = span_words(basis)
+    assume(1 << mu not in span)
+    perms = column_transpositions(EvenSetCode(mu, basis))
+    admissible = admissible_words_ext(mu)
+    seeds = draw(st.lists(st.sampled_from(admissible), min_size=1, max_size=8))
+    closed = set().union(*(orbit(w, perms, mu) for w in seeds))
+    candidates = [c for c in admissible if c in closed]
+    rng = draw(st.randoms(use_true_random=False))
+    paired = rng.choice(candidates) ^ rng.choice(candidates)
+    r = draw(st.one_of(st.just(paired), st.integers(1, top)))
+    assume(r not in span)
+    return candidates, basis, r, mu
+
+
+@settings(deadline=None, max_examples=150)
+@given(_split_inputs())
+def test_split_orbits_match_a_word_level_filter(inputs):
+    # a child's orbits, split from its parent's first words, are the first
+    # words of the orbits of the word-by-word filter, order included
+    candidates, basis, r, mu = inputs
+    words = popcount_orbit_representatives(candidates, basis, mu)
+    closed = set(candidates)
+    child = [c for c in candidates if c ^ r in closed]
+    expected = popcount_orbit_representatives(child, basis + (r,), mu)
+    assert classify_mod._split_orbits(words, basis, r, mu) == expected
+
+
 def test_enumeration_matches_the_per_word_loop():
-    # one child per orbit of cosets, its basis built from its parent's and
-    # its parent's marks built on demand: the same classes, reached by the
-    # same spans in the same order, as trying every word-orbit
-    # representative with an elimination each
+    # one child per orbit of cosets, its basis and its candidate orbits
+    # built from its parent's: the same classes, reached by the same spans
+    # in the same order, as trying every word-orbit representative with an
+    # elimination each and filtering every candidate word
     for mu in range(6, 17):
         assert classify_mod._enumerate_admissible(mu) == per_word_enumeration(mu), mu
 
@@ -309,11 +351,16 @@ LABELED_COUNTS = {
     9: [93],
     10: [256, 1575],
     11: [638, 17325],
+    12: [1485, 123585, 311850],
 }
 
 
-# mu = 11 enumerates 17 963 labeled codes in several seconds: run with --slow
-@pytest.mark.parametrize("mu", [*range(6, 11), pytest.param(11, marks=pytest.mark.slow)])
+# mu = 11 enumerates 17 963 labeled codes in several seconds, and mu = 12,
+# where parents first keep two or three cosets, 436 920 in minutes: run
+# with --slow
+@pytest.mark.parametrize(
+    "mu", [*range(6, 11), *(pytest.param(mu, marks=pytest.mark.slow) for mu in (11, 12))]
+)
 def test_every_labeled_code_has_its_class_in_the_table(mu):
     # the brute force uses no symmetry: its classes are exactly the
     # classifier's, one table code (kept or excluded) per class
@@ -347,7 +394,8 @@ def test_canonical_search_count_is_pinned(monkeypatch):
 
 def test_orbit_tables_are_built_once_per_parent(monkeypatch):
     # one coset pass per parent reads the packed keys, so the subset-sum
-    # tables are built once for each of the 87 codes the search extends;
+    # tables are built once for each of the 87 codes the search extends and
+    # for the zero code of each mu, whose children are the one-word codes;
     # a second pass over the same basis builds them again
     calls = []
     build = classify_mod._orbit_tables
@@ -360,10 +408,28 @@ def test_orbit_tables_are_built_once_per_parent(monkeypatch):
     found = [
         (mu, basis)
         for mu in range(6, 17)
-        for _, basis in classify_mod._enumerate_admissible(mu)
+        for basis in [(), *(basis for _, basis in classify_mod._enumerate_admissible(mu))]
     ]
-    assert len(calls) == 87
+    assert len(calls) == 98
     assert sorted(calls) == sorted(found)
+
+
+def test_coset_pass_reads_one_word_per_orbit(monkeypatch):
+    # the coset pass reads the first word of each orbit of candidates: 3 254
+    # over the 87 codes the search extends, and the four word classes (or
+    # those that fit) at each zero code.  The counts are those of the
+    # orbits, whatever builds them; a full candidate list reads 190 932.
+    read = Counter()
+    reduce = classify_mod._coset_representatives
+
+    def counting(words, basis, mu):
+        read[bool(basis)] += len(words)
+        return reduce(words, basis, mu)
+
+    monkeypatch.setattr(classify_mod, "_coset_representatives", counting)
+    for mu in range(6, 17):
+        classify_mod._enumerate_admissible(mu)
+    assert read == {True: 3254, False: 28}
 
 
 @settings(deadline=None, max_examples=300)

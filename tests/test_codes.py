@@ -24,10 +24,10 @@ from nodalcodes.codes import (
     span_words,
     weight_enumerator,
 )
-from nodalcodes.classify import admissible_words_ext
 from nodalcodes.errors import DataError, ResourceError
 from nodalcodes.linalg import bit_rref
 import canonical_oracle
+from classify_oracle import admissible_words_ext
 from permutation_oracle import permuted_code
 
 
