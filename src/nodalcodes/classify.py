@@ -18,7 +18,7 @@ for ``w`` (they differ by a span word, and candidates are closed under
 adding one).  ``r`` cuts each K_j in two, and each parent orbit splits
 into the child orbits that share n_j between the parts in every way; a
 split is kept when the key of ``c ^ r`` (parity and counts on each K_j)
-is a parent orbit's key (``_split_orbits``).  The zero code's orbits are
+is a parent orbit's key (``_orbit_splitter``).  The zero code's orbits are
 the four word classes.  No span word is ever a candidate, since its sum
 with itself is 0, which is not admissible.
 
@@ -196,9 +196,10 @@ def _extend(basis: tuple[int, ...], w: int) -> tuple[int, tuple[int, ...]]:
     return r, tuple(sorted(rows + [r], reverse=True))
 
 
-def _split_orbits(words: list[int], basis: tuple[int, ...], r: int, mu: int) -> list[int]:
-    """A child's candidates, as in the module docstring, from its parent's
-    ``words`` and the reduced new word ``r``."""
+def _orbit_splitter(words: list[int], basis: tuple[int, ...], mu: int):
+    """``split(r)``: a child's candidates, as in the module docstring, from
+    its parent's ``words`` and the reduced new word ``r``; the parent's
+    column classes, orbit keys and word counts are built once for all."""
     classes: dict[tuple[int, ...], list[int]] = {}
     for c in range(mu):
         classes.setdefault(tuple(g >> c & 1 for g in basis), []).append(1 << c)
@@ -206,28 +207,32 @@ def _split_orbits(words: list[int], basis: tuple[int, ...], r: int, mu: int) -> 
     # a key holds the counts on each class and the parity, a slot each, above
     # the mu + 1 bits of a word; a count is at most mu < 2^mu.bit_length()
     slots = [mu + 1 + mu.bit_length() * j for j in range(len(masks))]
-    keys = {sum((w & m).bit_count() << s for m, s in zip(masks, slots)) for w in words}
-    # per class and count n: the first word of each split of n into a of
-    # the z columns r sets and n - a of the rest, with the count of c ^ r
-    splits = []
-    for bits, slot in zip(classes.values(), slots):
-        ins = [0, *itertools.accumulate(b for b in bits if b & r)]
-        out = [0, *itertools.accumulate(b for b in bits if not b & r)]
-        z = len(ins) - 1
-        splits.append([[ins[a] | out[n - a] | (n + z - 2 * a) << slot
-                        for a in range(max(0, n - len(bits) + z), min(n, z) + 1)]
-                       for n in range(len(bits) + 1)])
-    kept = []
-    for w in words:
-        top = w & 1 << mu | ((w ^ r) >> mu) << slots[-1]  # parity of c, of c ^ r
-        counts = [(w & m).bit_count() for m in masks]
-        for parts in itertools.product(*[s[n] for s, n in zip(splits, counts)]):
-            c = top + sum(parts)
-            if c >> mu + 1 << mu + 1 in keys:
-                kept.append(c & (2 << mu) - 1)
-    # bit counts 7, 8, 11 and 16 order the word classes; inside one, the
-    # word that holds the least column two words differ on comes first
-    return sorted(kept, key=lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2)))
+    counts = [[(w & m).bit_count() for m in masks] for w in words]
+    keys = {sum(n << s for n, s in zip(ns, slots)) for ns in counts}
+
+    def split(r: int) -> list[int]:
+        # per class and count n: the first word of each split of n into a of
+        # the z columns r sets and n - a of the rest, with the count of c ^ r
+        splits = []
+        for bits, slot in zip(classes.values(), slots):
+            ins = [0, *itertools.accumulate(b for b in bits if b & r)]
+            out = [0, *itertools.accumulate(b for b in bits if not b & r)]
+            z = len(ins) - 1
+            splits.append([[ins[a] | out[n - a] | (n + z - 2 * a) << slot
+                            for a in range(max(0, n - len(bits) + z), min(n, z) + 1)]
+                           for n in range(len(bits) + 1)])
+        kept = []
+        for w, ns in zip(words, counts):
+            top = w & 1 << mu | ((w ^ r) >> mu) << slots[-1]  # parity of c, of c ^ r
+            for parts in itertools.product(*[s[n] for s, n in zip(splits, ns)]):
+                c = top + sum(parts)
+                if c >> mu + 1 << mu + 1 in keys:
+                    kept.append(c & (2 << mu) - 1)
+        # bit counts 7, 8, 11 and 16 order the word classes; inside one, the
+        # word that holds the least column two words differ on comes first
+        return sorted(kept, key=lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2)))
+
+    return split
 
 
 def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
@@ -244,6 +249,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
     while level:
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, words in level.values():
+            split = None
             for w in _coset_representatives(words, basis, mu):
                 r, new_basis = _extend(basis, w)
                 if new_basis in seen_spans:
@@ -251,7 +257,8 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
                 seen_spans.add(new_basis)
                 enc = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
-                    next_level[enc] = (new_basis, _split_orbits(words, basis, r, mu))
+                    split = split or _orbit_splitter(words, basis, mu)
+                    next_level[enc] = (new_basis, split(r))
         found.extend((enc, basis) for enc, (basis, _) in next_level.items())
         level = next_level
     return found

@@ -3,21 +3,22 @@
 One elimination, :func:`_echelon_mod_p`, serves ranks over both fields
 and kernels over F_p, on plain Python integers.  It takes rows of any
 ints and reduces them mod p itself, so no caller reduces first.  Over
-F_p it runs echelon elimination on rows packed into one int each, in
-slots of one array item (8 to 64 bits) or whole words, wide enough that
-the unreduced updates never carry from one column into the next; rows
-move in and out of that form through bytes, in linear time, and
-back-substitution gives the kernel.  Over Q, int rows are taken as they
-are and rational rows have their denominators cleared; the rank is then
-taken mod the prime 2^26 - 5, whose slots fit one 64-bit word.  That
-rank is a lower bound, and when it is min(rows, cols) it is the answer.
-Otherwise the kernel vectors found mod the prime are lifted to Q by
-rational reconstruction and checked exactly over Z, which proves the
-matching upper bound; when the lift or the check fails, more primes are
-combined by CRT.  Over Q the library needs ranks only, so
-:func:`nullspace_basis` is F_p-only.  :func:`bit_rref` reduces
-generator matrices of binary codes, one int per row.  Everything is
-pure: operations never mutate their inputs.
+F_p it inserts rows one at a time, packed into one int each in slots of
+8, 16 or 32 bits, whole bytes up to 64 or whole words, wide enough that
+the unreduced updates never carry from one column into the next; it
+stops once every column has a pivot, so a matrix with fewer rows than
+columns is ranked on its transpose.  Rows move in and out of the packed
+form through bytes, in linear time, and back-substitution gives the
+kernel.  Over Q, int rows are taken as they are and rational rows have
+their denominators cleared; the rank is then taken mod the prime
+2^26 - 5, whose slots fit one 64-bit word.  That rank is a lower bound,
+and when it is min(rows, cols) it is the answer.  Otherwise the kernel
+vectors found mod the prime are lifted to Q by rational reconstruction
+and checked exactly over Z, which proves the matching upper bound; when
+the lift or the check fails, more primes are combined by CRT.  Over Q
+the library needs ranks only, so :func:`nullspace_basis` is F_p-only.
+:func:`bit_rref` reduces generator matrices of binary codes, one int
+per row.  Everything is pure: operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -76,12 +77,13 @@ def _slot_width(p: int, nrows: int, ncols: int) -> int:
     """Bits per column slot of :func:`_echelon_mod_p` on an nrows x ncols matrix.
 
     The worst-case slot value p + min(nrows, ncols) * (p-1)^2 must fit.
-    The width is rounded up to 8, 16, 32 or 64 bits, one native array
-    item, or above a word to whole 64-bit words.
+    Up to 32 bits the width is rounded up to 8, 16 or 32, one native array
+    item; above that to whole bytes up to 64, then to whole 64-bit words.
     """
     bits = (p + min(nrows, ncols) * (p - 1) ** 2).bit_length()
-    if bits > 64:
-        return -(-bits // 64) * 64
+    if bits > 32:
+        step = 8 if bits <= 64 else 64
+        return -(-bits // step) * step
     return max(8, 1 << (bits - 1).bit_length())
 
 
@@ -98,12 +100,27 @@ def _slot_codec(w: int):
     ``pack(values)`` lays the values out as little-endian bytes, the first
     lowest, and ``unpack(data)`` reads them back; ``int.from_bytes`` and
     ``int.to_bytes`` move between those bytes and a packed int.  A slot of
-    one array item converts in C, a multi-word slot one slot at a time, so
-    a row converts in linear time either way.
+    one array item converts in C, and so does one of 3 to 7 bytes, by
+    extended-slice copies through 64-bit items; a multi-word slot, or any
+    slot without items, converts one by one: in linear time either way.
     """
     if w in _ITEM_CODECS:
         return _ITEM_CODECS[w]
     k = w >> 3
+    if k < 8 and _ITEM_CODECS:
+        def pack(values):
+            items, data = array("Q", values).tobytes(), bytearray(k * len(values))
+            for j in range(k):
+                data[j::k] = items[j::8]
+            return data
+
+        def unpack(data):
+            items = bytearray(len(data) // k * 8)
+            for j in range(k):
+                items[j::8] = data[j::k]
+            return array("Q", items)
+
+        return pack, unpack
 
     def pack(values):
         return b"".join(a.to_bytes(k, "little") for a in values)
@@ -115,22 +132,22 @@ def _slot_codec(w: int):
 
 
 def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
-    """Echelon form mod p of rows of ints, one pair per pivot.
+    """Echelon form mod p of rows of ints, one pair per pivot, by column.
 
     Each pair is the pivot's column c and ``prow``, the pivot row's entries
     right of c scaled by -1/lead mod p and packed in w-bit slots, column
     c + 1 lowest, with ``w = _slot_width(p, m, n)``; so every kernel vector
     x has ``x[c] = sum(prow[t] * x[c + 1 + t])``.  The rank mod p is the
-    number of pivots.  Each row is packed into one Python int, column j in
-    the w-bit slot at bit j*w, and the current column is always the lowest
-    slot.  Every other row with lead f is updated by the single big-int
-    step ``(u >> w) + f * prow``.  Each row is reduced mod p as it is
-    packed, so entries may be any ints, negative or past p.  Slots are
-    never reduced after that: one starts below p and gains at most (p-1)^2
-    per pivot, so with this w no slot carries into the next, and only
-    ``(u & mask) % p`` is ever read.  Rows are packed, and each pivot row
-    unpacked and packed again, through bytes (:func:`_slot_codec`), in
-    time linear in the row.
+    number of pivots.  Rows are inserted in turn, each packed into one int,
+    column j in the slot at bit j*w, and reduced mod p as it is packed, so
+    entries may be any ints.  Its lowest slot is always the current column:
+    the step ``(u >> w) + f * prow`` clears a lead f at a pivot's column,
+    and the first nonzero lead at a column with no pivot makes the row its
+    pivot row.  The loop stops once every column has a pivot.  A slot
+    starts below p and gains at most (p-1)^2 per pivot, so with this w no
+    slot carries into the next, and only ``(u & mask) % p`` is ever read.
+    Rows are packed, and pivot rows unpacked and packed again, through
+    bytes (:func:`_slot_codec`), in time linear in the row.
     """
     ncols = len(rows[0]) if rows else 0
     if not ncols:
@@ -139,24 +156,24 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int
     k, mask = w >> 3, (1 << w) - 1
     pack, unpack = _slot_codec(w)
     from_bytes = int.from_bytes
-    packed = [from_bytes(pack([a % p for a in row]), "little") for row in rows]
-    pivots = []
-    for c in range(ncols):
-        leads = [(u & mask) % p for u in packed]
-        for i, f in enumerate(leads):
-            if f:
+    prows, pivots = [None] * ncols, []
+    for row in rows:
+        u = from_bytes(pack([a % p for a in row]), "little")
+        for c, prow in enumerate(prows):
+            f = (u & mask) % p
+            if not f:
+                u >>= w
+            elif prow is not None:
+                u = (u >> w) + f * prow
+            else:
+                scale = p - pow(f, -1, p)
+                tail = (u >> w).to_bytes(k * (ncols - c - 1), "little")
+                prows[c] = from_bytes(pack([a * scale % p for a in unpack(tail)]), "little")
+                pivots.append(c)
                 break
-        else:
-            packed = [u >> w for u in packed]
-            continue
-        scale = p - pow(leads.pop(i), -1, p)
-        tail = (packed.pop(i) >> w).to_bytes(k * (ncols - c - 1), "little")
-        prow = from_bytes(pack([a * scale % p for a in unpack(tail)]), "little")
-        pivots.append((c, prow))
-        if not packed:
+        if len(pivots) == ncols:
             break
-        packed = [(u >> w) + f * prow if f else u >> w for u, f in zip(packed, leads)]
-    return pivots
+    return [(c, prows[c]) for c in sorted(pivots)]
 
 
 def _kernel_images(pivots: list[tuple[int, int]], nrows: int, ncols: int,
@@ -311,15 +328,19 @@ def exact_rank(m: ExactMatrix) -> int:
     """Exact rank on plain integers.
 
     Over F_p: packed-row elimination mod p, which reduces the entries
-    itself, so they may be any ints.  Over Q: take int rows as they
-    are and clear each rational row's denominators, so none can vanish mod
-    a prime, and take the rank of the integer rows mod :data:`_Q_PRIME`,
-    on one-word slots.  When that lower bound reaches min(rows, cols) it is
-    the rank; otherwise lifted kernel vectors, checked exactly over Z,
-    certify it from above, with more primes when one is not enough.
+    itself, so they may be any ints, on the columns when they outnumber
+    the rows, so that it stops early.  Over Q: take int rows as they are
+    and clear each rational row's denominators, so none can vanish mod a
+    prime, and take the rank of the integer rows mod :data:`_Q_PRIME`, on
+    one-word slots, as given: the transpose's kernel vectors would be
+    relations among the points, with large entries.
+    When that lower bound reaches min(rows, cols) it is the rank; otherwise
+    lifted kernel vectors, checked exactly over Z, certify it from above,
+    with more primes when one is not enough.
     """
     if isinstance(m.field, PrimeField):
-        return len(_echelon_mod_p(m.entries, m.field.p))
+        rows = m.entries if m.nrows >= m.ncols else list(zip(*m.entries))
+        return len(_echelon_mod_p(rows, m.field.p))
     return _rational_kernel(_integer_rows(m.entries), m.ncols)[0]
 
 

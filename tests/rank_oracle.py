@@ -1,12 +1,13 @@
 """Reference paths of the rank pipeline, kept for tests only.
 
-The library packs each row mod p into one int, certifies ranks and
-kernels over Q with lifted kernel vectors, and builds evaluation matrices
-from powers of integer coordinates.  Gauss-Jordan (for the rank, the
-reduced row echelon form and the kernel basis), fraction-free Bareiss
-elimination over Z, the elimination on lists of residues and the builder
-below, one product at a time, are the slow paths the tests check the
-fast ones against.
+The library packs each row mod p into one int and inserts the rows one
+at a time, certifies ranks and kernels over Q with lifted kernel vectors,
+and builds evaluation matrices from powers of integer coordinates.
+Gauss-Jordan (for the rank, the reduced row echelon form and the kernel
+basis), fraction-free Bareiss elimination over Z, the elimination on
+lists of residues, the packed column sweep that the row insertion
+replaced, and the builder below, one product at a time, are the slow
+paths the tests check the fast ones against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from nodalcodes.fields import Scalar
-from nodalcodes.linalg import ExactMatrix
+from nodalcodes.linalg import ExactMatrix, _slot_codec, _slot_width
 from nodalcodes.nodes import NodeConfiguration, monomial_basis
 
 
@@ -118,6 +119,41 @@ def row_list_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
             rows[j] = [(a - f * b) % p for a, b in zip(row[1:], pivot_row)] if f else row[1:]
         rank += 1
     return rank
+
+
+def column_sweep_echelon(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
+    """The pivots of ``linalg._echelon_mod_p``, by a sweep over the columns.
+
+    All rows are packed at once, in the same slots.  At each column the
+    first remaining row with a nonzero lead becomes the pivot row, and
+    every other row is updated by ``(u >> w) + f * prow``, even after the
+    rank is settled.  Returns (column, prow) pairs in column order.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        return []
+    w = _slot_width(p, len(rows), ncols)
+    k, mask = w >> 3, (1 << w) - 1
+    pack, unpack = _slot_codec(w)
+    from_bytes = int.from_bytes
+    packed = [from_bytes(pack([a % p for a in row]), "little") for row in rows]
+    pivots = []
+    for c in range(ncols):
+        leads = [(u & mask) % p for u in packed]
+        for i, f in enumerate(leads):
+            if f:
+                break
+        else:
+            packed = [u >> w for u in packed]
+            continue
+        scale = p - pow(leads.pop(i), -1, p)
+        tail = (packed.pop(i) >> w).to_bytes(k * (ncols - c - 1), "little")
+        prow = from_bytes(pack([a * scale % p for a in unpack(tail)]), "little")
+        pivots.append((c, prow))
+        if not packed:
+            break
+        packed = [(u >> w) + f * prow if f else u >> w for u, f in zip(packed, leads)]
+    return pivots
 
 
 def field_evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:

@@ -331,7 +331,7 @@ def test_split_orbits_match_a_word_level_filter(inputs):
     closed = set(candidates)
     child = [c for c in candidates if c ^ r in closed]
     expected = popcount_orbit_representatives(child, basis + (r,), mu)
-    assert classify_mod._split_orbits(words, basis, r, mu) == expected
+    assert classify_mod._orbit_splitter(words, basis, mu)(r) == expected
 
 
 def test_enumeration_matches_the_per_word_loop():
@@ -412,6 +412,24 @@ def test_orbit_tables_are_built_once_per_parent(monkeypatch):
     ]
     assert len(calls) == 98
     assert sorted(calls) == sorted(found)
+
+
+def test_orbit_splitter_is_built_once_per_parent(monkeypatch):
+    # a parent's classes, keys and counts serve all its children: for
+    # mu = 6..16 the 87 extended codes are split from 45 distinct parents
+    builds, children = [], []
+    build = classify_mod._orbit_splitter
+
+    def counting(words, basis, mu):
+        builds.append((mu, basis))
+        split = build(words, basis, mu)
+        return lambda r: children.append(r) or split(r)
+
+    monkeypatch.setattr(classify_mod, "_orbit_splitter", counting)
+    for mu in range(6, 17):
+        classify_mod._enumerate_admissible(mu)
+    assert len(builds) == len(set(builds)) == 45
+    assert len(children) == 87
 
 
 def test_coset_pass_reads_one_word_per_orbit(monkeypatch):

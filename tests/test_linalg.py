@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from array import array
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt
@@ -34,7 +35,13 @@ from nodalcodes.nodes import (
     normalize_point,
     vanishing_dimension,
 )
-from rank_oracle import bareiss, gauss_jordan_nullspace, rank_and_rref, row_list_rank_mod_p
+from rank_oracle import (
+    bareiss,
+    column_sweep_echelon,
+    gauss_jordan_nullspace,
+    rank_and_rref,
+    row_list_rank_mod_p,
+)
 
 
 def _identity(field, n):
@@ -415,9 +422,12 @@ def test_slot_codec_round_trips_every_width(k, item_codecs, monkeypatch):
     assert int.from_bytes(data, "little") == sum(a << (8 * k * i) for i, a in enumerate(values))
     assert list(unpack(bytes(data))) == values
     assert list(unpack(b"")) == [] and len(pack([])) == 0
+    # slots of up to 8 bytes go through array items when there are any
+    # (k = 3, 5, 6 and 7 by strided copies), and slot by slot otherwise
+    assert isinstance(unpack(bytes(data)), array) == (item_codecs and k <= 8)
 
 
-@pytest.mark.parametrize("p", [3, 2**61 - 1, linalg._Q_PRIME, 2**29 - 3])
+@pytest.mark.parametrize("p", [3, 2**61 - 1, linalg._Q_PRIME, 2**29 - 3, 131071, 2097143])
 def test_packed_rank_mod_p_worst_case_slot_growth(p):
     n = 40
     # every entry p - 1: rank 1
@@ -440,6 +450,130 @@ def test_worst_case_slot_growth_fills_a_whole_word():
     p, n = 2**29 - 3, 40
     assert _slot_width(p, n, n) == 64
     assert 2**63 <= (n - 1) * (p - 1) ** 2 + (-(n - 1) % p) < 2**64
+
+
+@pytest.mark.parametrize("p, width", [(2**17 - 1, 40), (2097143, 48)])
+def test_worst_case_slot_growth_fills_whole_bytes(p, width):
+    # above 32 bits a slot is rounded up to whole bytes, and the staircase
+    # above ends with a last slot in its top byte's top bit, so a slot one
+    # byte narrower wraps it
+    n = 40
+    assert is_prime(p)
+    assert _slot_width(p, n, n) == width
+    assert 2 ** (width - 1) <= (n - 1) * (p - 1) ** 2 + (-(n - 1) % p) < 2**width
+
+
+_SWEEP_PRIMES = (3, 101, 32003, 2**31 - 1)
+
+
+@st.composite
+def _shaped_rows(draw, entry):
+    """Rows of ``entry`` values, m < n and m > n, as drawn or as a product
+    A B of rank at most k, with zero rows and repeated rows put in."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n)))
+        a, b = draw(_int_matrix((m, k), entry)), draw(_int_matrix((k, n), entry))
+        rows = [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(n)] for row in a]
+    else:
+        rows = draw(_int_matrix((m, n), entry))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows)))
+        copy = [0] * n if not rows or draw(st.booleans()) else list(draw(st.sampled_from(rows)))
+        rows.insert(i, copy)
+    return rows
+
+
+def _residues(p):
+    return st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+
+
+def _transpose(m):
+    return ExactMatrix(m.field, tuple(zip(*m.entries)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_SWEEP_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), _shaped_rows(_residues(p)))))
+def test_row_insertion_matches_the_column_sweep(case):
+    p, rows = case
+    rows = [[a % p for a in row] for row in rows]
+    pivots = _echelon_mod_p(rows, p)
+    # the same pivot columns and the same scaled pivot rows
+    assert pivots == column_sweep_echelon(rows, p)
+    if not rows:
+        return
+    m = ExactMatrix.from_rows(PrimeField(p), rows)
+    rank, rref = rank_and_rref(m)
+    leads = [next(c for c, a in enumerate(row) if a) for row in rref.entries if any(row)]
+    assert [c for c, _ in pivots] == leads and len(leads) == rank
+    assert exact_rank(m) == exact_rank(_transpose(m)) == rank
+    assert nullspace_basis(m) == gauss_jordan_nullspace(m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_shaped_rows(st.integers(-9, 9)))
+def test_exact_rank_of_the_transpose_over_q(rows):
+    m = ExactMatrix(QQ, tuple(map(tuple, rows)))
+    assert exact_rank(m) == exact_rank(_transpose(m)) == _q_rank_oracles(rows)
+
+
+class _Unread:
+    """A row that fails the test when the elimination reads it."""
+
+    def __len__(self):
+        raise AssertionError("a row past full column rank was read")
+
+    __iter__ = __len__
+
+
+def test_row_insertion_stops_at_full_column_rank():
+    # a zero row, a repeated row and then n independent rows: once every
+    # column has a pivot, no later row is read
+    p, n = 101, 5
+    rows = [[0] * n, [1] * n, [1] * n] + [[int(j >= i) for j in range(n)] for i in range(1, n)]
+    assert len(_echelon_mod_p(rows + [_Unread()] * 3, p)) == n
+
+
+def test_exact_rank_over_fp_eliminates_the_columns_of_a_wide_matrix(monkeypatch):
+    shapes = []
+
+    def logged_echelon(rows, p):
+        shapes.append((len(rows), len(rows[0])))
+        return echelon(rows, p)
+
+    echelon = linalg._echelon_mod_p
+    monkeypatch.setattr(linalg, "_echelon_mod_p", logged_echelon)
+    # a 3 x 7 Vandermonde matrix: over F_p its columns are eliminated,
+    # over Q its rows, whose kernel vectors the certificate lifts
+    wide = tuple(tuple((i + 1) ** j for j in range(7)) for i in range(3))
+    fp = ExactMatrix(PrimeField(101), wide)
+    assert exact_rank(fp) == exact_rank(_transpose(fp)) == exact_rank(ExactMatrix(QQ, wide)) == 3
+    assert shapes == [(7, 3), (7, 3), (3, 7)]
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_row_insertion_matches_the_column_sweep_up_to_200(data):
+    # rank-deficient by construction: r random rows and combinations of
+    # them, shuffled, in both orientations
+    p = data.draw(st.sampled_from(_SWEEP_PRIMES))
+    size = st.one_of(st.integers(150, 200), st.integers(1, 200))
+    m, n = data.draw(size), data.draw(size)
+    r = data.draw(st.integers(0, min(m, n) - 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    base = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    rows = list(base)
+    for _ in range(m - r):
+        terms = [(rng.randrange(p), row) for row in rng.sample(base, min(r, 3))]
+        rows.append([sum(a * row[j] for a, row in terms) % p for j in range(n)])
+    rng.shuffle(rows)
+    for matrix in (rows, [list(col) for col in zip(*rows)]):
+        pivots = _echelon_mod_p(matrix, p)
+        assert pivots == column_sweep_echelon(matrix, p)
+        assert len(pivots) <= r
+    assert exact_rank(ExactMatrix(PrimeField(p), tuple(map(tuple, rows)))) == len(pivots)
 
 
 def _distinct_points(field, draw, n):
