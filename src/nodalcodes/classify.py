@@ -10,37 +10,35 @@ Candidate sets are kept as orbits.  A basis may be extended by the words
 the permutations of support columns identical across the basis, kept as
 each orbit's first word in the order of the admissible words (word
 class, then ``itertools.combinations`` order).  An orbit is a parity and
-a count n_j on each class K_j of identical columns; its first word takes
-the n_j smallest columns of each K_j, as then its i-th smallest column is
-at most that of any other member.  A child ``basis + (w,)`` needs ``c``
-and ``c ^ w`` both parent candidates, and ``r`` of ``_extend`` may stand
-for ``w`` (they differ by a span word, and candidates are closed under
+a count n_j on each class K_j of identical columns, packed into one int,
+the orbit key (``_parent_orbits``); its first word takes the n_j
+smallest columns of each K_j, as then its i-th smallest column is at
+most that of any other member.  A child ``basis + (w,)`` needs ``c`` and
+``c ^ w`` both parent candidates, and ``r`` of ``_extend`` may stand for
+``w`` (they differ by a span word, and candidates are closed under
 adding one).  ``r`` cuts each K_j in two, and each parent orbit splits
 into the child orbits that share n_j between the parts in every way; a
-split is kept when the key of ``c ^ r`` (parity and counts on each K_j)
-is a parent orbit's key (``_orbit_splitter``).  The zero code's orbits are
-the four word classes.  No span word is ever a candidate, since its sum
-with itself is 0, which is not admissible.
+split is kept when the key of ``c ^ r`` is a parent orbit's key.  The
+zero code's orbits are the four word classes.  No span word is ever a
+candidate, since its sum with itself is 0, which is not admissible.
 
-Duplicates are cut in two steps before a canonical search.  First, the
-permutations of identical support columns fix every span word, so they
-permute the cosets ``w + span``, and two words whose cosets share an
-orbit give isomorphic children; only the first candidate of each orbit
-of cosets extends the code.  The orbit of a word is read off a key (its
-parity bit and its popcount inside each class of identical columns,
-packed into one int and looked up from two tables of subset sums), so no
-permutation is ever applied.  A word dropped there would reach a class
-an earlier word already reached, so every class keeps the representative
-it had.  Second, an enlarged code whose span was already reached is
-skipped; its reduced row echelon basis depends only on the span, so that
-tuple is the key, and it is also what the canonical search reads.  A
-child's basis is built from its parent's without an elimination
-(``_extend``).  The remaining codes are deduplicated by canonical form
-at each level, so each equivalence class is visited once.  All canonical
-forms of one ``classify_quartic_codes`` call share a single completion
-memo, keyed by the pivot count and the sorted values of the remaining
-columns (the unpivoted rows are never re-reduced), with the pivot maps
-it fills, and dropped when the call returns.
+Duplicates are cut in two steps before a canonical search.  First, G
+fixes every span word, so it permutes the cosets ``w + span``, and two
+words whose cosets share an orbit give isomorphic children; only the
+first candidate of each orbit of cosets extends the code.  That orbit is
+read off the same keys the split reads, so no permutation is ever
+applied.  A word dropped there would reach a class an earlier word
+already reached, so every class keeps the representative it had.
+Second, an enlarged code whose span was already reached is skipped; its
+reduced row echelon basis depends only on the span, so that tuple is the
+key, and it is also what the canonical search reads.  A child's basis is
+built from its parent's without an elimination (``_extend``).  The
+remaining codes are deduplicated by canonical form at each level, so
+each equivalence class is visited once.  All canonical forms of one
+``classify_quartic_codes`` call share a single completion memo, keyed by
+the pivot count and the sorted values of the remaining columns (the
+unpivoted rows are never re-reduced), with the pivot maps it fills, and
+dropped when the call returns.
 
 The search works on reduced bases of ints in extended encoding (see
 ``codes``); an ``EvenSetCode`` is built only for a table entry.
@@ -112,71 +110,6 @@ class ClassificationTable(Record):
         return out
 
 
-def _orbit_tables(basis: tuple[int, ...], mu: int) -> tuple[list[int], list[int], int]:
-    """The packed orbit key of a word under permutations of the support
-    columns that are identical across ``basis``: word ``w`` has the key
-    ``lo[w & (1 << half) - 1] + hi[w >> half]``; returns ``(lo, hi, half)``.
-
-    Those permutations form a product of symmetric groups, one per class of
-    identical columns, and such a product moves a word to exactly the words
-    with the same parity bit and the same popcount inside each class; so
-    that vector of counts is a complete orbit invariant.  It is packed into
-    one int: each class has a slot of ``mu.bit_length()`` bits and the
-    parity bit one more slot, so bit ``c`` adds ``1 << width * slot(c)``.
-    A count is at most mu < 2^width, so no slot carries into the next and
-    equal ints mean equal counts.  The key is the sum over the low ``half``
-    bits plus the sum over the rest, each read from a table of subset sums
-    built by doubling; an even split keeps both tables small.
-    """
-    width = mu.bit_length()
-    slots: dict[tuple[int, ...], int] = {}
-    steps = []
-    for c in range(mu):
-        column = tuple((g >> c) & 1 for g in basis)
-        steps.append(1 << width * slots.setdefault(column, len(slots)))
-    steps.append(1 << width * len(slots))  # the parity bit
-    half = (mu + 2) // 2
-    lo, hi = [0], [0]
-    for sums, part in ((lo, steps[:half]), (hi, steps[half:])):
-        for step in part:
-            sums += [x + step for x in sums]
-    return lo, hi, half
-
-
-def _coset_representatives(
-    candidates: list[int], basis: tuple[int, ...], mu: int
-) -> list[int]:
-    """The first of ``candidates`` in each orbit of cosets ``w + span``
-    under the permutations of identical support columns, in the order of
-    first occurrence.
-
-    Every span word is constant on each class of identical columns, so
-    those permutations fix the span and permute its cosets.  A word ``v``
-    has the orbit key (``_orbit_tables``) of some ``w ^ s`` exactly when a
-    permutation p has ``p(w ^ s) = v``, that is ``p(w + span) = v + span``
-    (p fixes s).  So the keys of every word of each kept coset are marked,
-    and a later word whose own key is marked is dropped.
-
-    This pass alone also keeps at most one word per word orbit.  Take a
-    candidate whose key equals an earlier candidate's key.  That earlier
-    word was either kept, and then marked its own key (s = 0 is in the
-    span), or dropped because its key was already marked.  Either way the
-    later word is dropped.  The first candidate of an orbit is kept, not
-    another member, because the kept word becomes a basis word, and through
-    it decides the representative the table reports for its class.
-    """
-    lo, hi, half = _orbit_tables(basis, mu)
-    mask = (1 << half) - 1
-    span = span_words(basis)
-    marked: set[int] = set()
-    reps = []
-    for w in candidates:
-        if lo[w & mask] + hi[w >> half] not in marked:
-            reps.append(w)
-            marked.update([lo[(v := w ^ s) & mask] + hi[v >> half] for s in span])
-    return reps
-
-
 def _extend(basis: tuple[int, ...], w: int) -> tuple[int, tuple[int, ...]]:
     """For a reduced row echelon ``basis`` and a word ``w`` outside its
     span: ``r``, which is ``w`` reduced at the basis's leading bits and so
@@ -196,43 +129,93 @@ def _extend(basis: tuple[int, ...], w: int) -> tuple[int, tuple[int, ...]]:
     return r, tuple(sorted(rows + [r], reverse=True))
 
 
-def _orbit_splitter(words: list[int], basis: tuple[int, ...], mu: int):
-    """``split(r)``: a child's candidates, as in the module docstring, from
-    its parent's ``words`` and the reduced new word ``r``; the parent's
-    column classes, orbit keys and word counts are built once for all."""
+def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
+    """``(reps, split)`` for a parent ``basis`` and its candidate orbits'
+    first ``words``: ``reps`` are the first of ``words`` in each orbit of
+    cosets ``w + span`` under G, in order, and ``split(r)`` gives the
+    candidate orbits' first words of the child with reduced new word ``r``
+    (see the module docstring).  Both read one orbit key per word.
+
+    G is a product of symmetric groups, one per class of identical
+    columns, and moves a word to exactly the words with the same parity
+    bit and the same count inside each class; so that vector is a complete
+    orbit invariant.  The key packs it into one int: class j has the slot
+    at bit ``width * j``, of ``width = mu.bit_length()`` bits, and the
+    parity the slot after the last class, so bit ``c`` adds ``1 << slot(c)``.
+    A count is at most mu < 2^width, so no slot carries into the next,
+    equal ints mean equal counts, and ``key >> slot & ones`` reads a count
+    back.  The key is the sum over the low ``half`` bits of a word plus the
+    sum over the rest, each read from a table of subset sums built by
+    doubling; an even split keeps both tables small.
+
+    Every span word is constant on each class, so G fixes the span and
+    permutes its cosets.  A word ``v`` has the key of some ``w ^ s``
+    exactly when a permutation p has ``p(w ^ s) = v``, that is
+    ``p(w + span) = v + span`` (p fixes s).  So the keys of every word of
+    each kept coset are marked, and a later word whose own key is marked
+    is dropped.
+
+    This pass alone also keeps at most one word per word orbit.  Take a
+    word whose key equals an earlier word's key.  That earlier word was
+    either kept, and then marked its own key (s = 0 is in the span), or
+    dropped because its key was already marked.  Either way the later word
+    is dropped.  The first word of an orbit is kept, not another member,
+    because the kept word becomes a basis word, and through it decides the
+    representative the table reports for its class.
+    """
     classes: dict[tuple[int, ...], list[int]] = {}
     for c in range(mu):
         classes.setdefault(tuple(g >> c & 1 for g in basis), []).append(1 << c)
-    masks = [sum(bits) for bits in classes.values()] + [1 << mu]
-    # a key holds the counts on each class and the parity, a slot each, above
-    # the mu + 1 bits of a word; a count is at most mu < 2^mu.bit_length()
-    slots = [mu + 1 + mu.bit_length() * j for j in range(len(masks))]
-    counts = [[(w & m).bit_count() for m in masks] for w in words]
-    keys = {sum(n << s for n, s in zip(ns, slots)) for ns in counts}
+    width = mu.bit_length()
+    ones = (1 << width) - 1
+    slots = [width * j for j in range(len(classes) + 1)]  # the last is the parity's
+    steps = [0] * mu + [1 << slots[-1]]
+    for bits, slot in zip(classes.values(), slots):
+        for b in bits:
+            steps[b.bit_length() - 1] = 1 << slot
+    half = (mu + 2) // 2
+    lo, hi = [0], [0]
+    for sums, part in ((lo, steps[:half]), (hi, steps[half:])):
+        for step in part:
+            sums += [x + step for x in sums]
+    low = (1 << half) - 1
+    keys = [lo[w & low] + hi[w >> half] for w in words]
+
+    span = span_words(basis)
+    marked: set[int] = set()
+    reps = []
+    for w, key in zip(words, keys):
+        if key not in marked:
+            reps.append(w)
+            marked.update([lo[(v := w ^ s) & low] + hi[v >> half] for s in span])
+    parents = set(keys)
 
     def split(r: int) -> list[int]:
         # per class and count n: the first word of each split of n into a of
         # the z columns r sets and n - a of the rest, with the count of c ^ r
+        # in its key slot above the mu + 1 bits of the word
         splits = []
         for bits, slot in zip(classes.values(), slots):
             ins = [0, *itertools.accumulate(b for b in bits if b & r)]
             out = [0, *itertools.accumulate(b for b in bits if not b & r)]
             z = len(ins) - 1
-            splits.append([[ins[a] | out[n - a] | (n + z - 2 * a) << slot
+            splits.append([[ins[a] | out[n - a] | (n + z - 2 * a) << mu + 1 + slot
                             for a in range(max(0, n - len(bits) + z), min(n, z) + 1)]
                            for n in range(len(bits) + 1)])
         kept = []
-        for w, ns in zip(words, counts):
-            top = w & 1 << mu | ((w ^ r) >> mu) << slots[-1]  # parity of c, of c ^ r
-            for parts in itertools.product(*[s[n] for s, n in zip(splits, ns)]):
+        for w, key in zip(words, keys):
+            # the parity of c, and that of c ^ r in its key slot
+            top = w & 1 << mu | ((w ^ r) >> mu) << mu + 1 + slots[-1]
+            choices = [s[key >> slot & ones] for s, slot in zip(splits, slots)]
+            for parts in itertools.product(*choices):
                 c = top + sum(parts)
-                if c >> mu + 1 << mu + 1 in keys:
+                if c >> mu + 1 in parents:
                     kept.append(c & (2 << mu) - 1)
         # bit counts 7, 8, 11 and 16 order the word classes; inside one, the
         # word that holds the least column two words differ on comes first
         return sorted(kept, key=lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2)))
 
-    return split
+    return reps, split
 
 
 def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
@@ -249,15 +232,14 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
     while level:
         next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
         for basis, words in level.values():
-            split = None
-            for w in _coset_representatives(words, basis, mu):
+            reps, split = _parent_orbits(words, basis, mu)
+            for w in reps:
                 r, new_basis = _extend(basis, w)
                 if new_basis in seen_spans:
                     continue
                 seen_spans.add(new_basis)
                 enc = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
-                    split = split or _orbit_splitter(words, basis, mu)
                     next_level[enc] = (new_basis, split(r))
         found.extend((enc, basis) for enc, (basis, _) in next_level.items())
         level = next_level

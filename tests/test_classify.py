@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -166,12 +167,12 @@ def test_every_searched_code_satisfies_griesmer(audited_classification_tables):
 
 
 def _first_per_packed_key(candidates, basis, mu):
-    # the first candidate of each word orbit, keyed by _orbit_tables
-    lo, hi, half = classify_mod._orbit_tables(basis, mu)
-    reps = {}
-    for w in candidates:
-        reps.setdefault(lo[w & (1 << half) - 1] + hi[w >> half], w)
-    return list(reps.values())
+    # the first candidate of each word orbit, keyed by the library's packed
+    # orbit key: with the span cut to {0}, each coset is one word, so the
+    # coset pass of _parent_orbits keeps the first word of each key
+    with mock.patch.object(classify_mod, "span_words", lambda basis: [0]):
+        reps, _ = classify_mod._parent_orbits(candidates, basis, mu)
+    return reps
 
 
 def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
@@ -183,16 +184,17 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
     # word-orbit representatives, which is what the search handed it
     admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
     calls = []
-    reduce = classify_mod._coset_representatives
+    step = classify_mod._parent_orbits
 
     def recording(candidates, basis, mu):
-        reps = reduce(candidates, basis, mu)
+        reps, split = step(candidates, basis, mu)
         calls.append((candidates, basis, mu, reps))
-        return reps
+        return reps, split
 
-    monkeypatch.setattr(classify_mod, "_coset_representatives", recording)
+    monkeypatch.setattr(classify_mod, "_parent_orbits", recording)
     for mu in range(6, 17):
         classify_quartic_codes(mu)
+    monkeypatch.undo()  # the key below reads the unhooked step
     assert {mu for _, _, mu, _ in calls} == set(range(6, 17))
     shrunk = False
     for words, basis, mu, reps in calls:
@@ -204,7 +206,7 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
             perms = column_transpositions(EvenSetCode(mu, basis))
             assert orbit_reps == searched_orbit_representatives(candidates, perms, mu)
         assert orbit_reps == words
-        assert reduce(candidates, basis, mu) == reps
+        assert step(candidates, basis, mu)[0] == reps
     assert shrunk
 
 
@@ -240,8 +242,8 @@ def test_orbit_key_matches_the_popcount_key(inputs):
     assert orbit_reps == popcount_orbit_representatives(*inputs)
     # one coset pass drops every later member of a word orbit by itself
     candidates, basis, mu = inputs
-    reps = classify_mod._coset_representatives(candidates, basis, mu)
-    assert reps == classify_mod._coset_representatives(orbit_reps, basis, mu)
+    reps, _ = classify_mod._parent_orbits(candidates, basis, mu)
+    assert reps == classify_mod._parent_orbits(orbit_reps, basis, mu)[0]
 
 
 @pytest.mark.parametrize("mu", [8, 16])
@@ -283,15 +285,15 @@ def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
     # fails before the search grows from it.
     admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
     calls = []
-    reduce = classify_mod._coset_representatives
+    step = classify_mod._parent_orbits
 
     def checking(candidates, basis, mu):
         full = _scratch_candidates(basis, mu, admissible[mu])
         assert candidates == popcount_orbit_representatives(full, basis, mu), (mu, basis)
         calls.append((basis, mu))
-        return reduce(candidates, basis, mu)
+        return step(candidates, basis, mu)
 
-    monkeypatch.setattr(classify_mod, "_coset_representatives", checking)
+    monkeypatch.setattr(classify_mod, "_parent_orbits", checking)
     for mu in range(6, 17):
         classify_quartic_codes(mu)
     assert {mu for _, mu in calls} == set(range(6, 17))
@@ -299,12 +301,12 @@ def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
 
 
 @st.composite
-def _split_inputs(draw):
+def _split_inputs(draw, max_mu=12):
     # a basis (maybe empty, maybe with weak rows, parity linear on its span),
     # a candidate set P closed under the transpositions of its identical
     # columns, in the order of the admissible words, and r outside the span:
     # often the sum of two words of P, so the child keeps some of P
-    mu = draw(st.integers(6, 12))
+    mu = draw(st.integers(6, max_mu))
     top = (1 << mu + 1) - 1
     basis = tuple(draw(st.lists(st.integers(1, top), max_size=4)))
     span = span_words(basis)
@@ -321,17 +323,29 @@ def _split_inputs(draw):
     return candidates, basis, r, mu
 
 
-@settings(deadline=None, max_examples=150)
-@given(_split_inputs())
-def test_split_orbits_match_a_word_level_filter(inputs):
+def _check_split(candidates, basis, r, mu):
     # a child's orbits, split from its parent's first words, are the first
     # words of the orbits of the word-by-word filter, order included
-    candidates, basis, r, mu = inputs
     words = popcount_orbit_representatives(candidates, basis, mu)
     closed = set(candidates)
     child = [c for c in candidates if c ^ r in closed]
     expected = popcount_orbit_representatives(child, basis + (r,), mu)
-    assert classify_mod._orbit_splitter(words, basis, mu)(r) == expected
+    _, split = classify_mod._parent_orbits(words, basis, mu)
+    assert split(r) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(_split_inputs())
+def test_split_orbits_match_a_word_level_filter(inputs):
+    _check_split(*inputs)
+
+
+# the classifier's full range, mu up to 16
+@pytest.mark.slow
+@settings(deadline=None, max_examples=2000)
+@given(_split_inputs(max_mu=16))
+def test_split_orbits_match_a_word_level_filter_up_to_16(inputs):
+    _check_split(*inputs)
 
 
 def test_enumeration_matches_the_per_word_loop():
@@ -392,43 +406,27 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     assert sum(calls.values()) == 814
 
 
-def test_orbit_tables_are_built_once_per_parent(monkeypatch):
-    # one coset pass per parent reads the packed keys, so the subset-sum
-    # tables are built once for each of the 87 codes the search extends and
-    # for the zero code of each mu, whose children are the one-word codes;
-    # a second pass over the same basis builds them again
-    calls = []
-    build = classify_mod._orbit_tables
+def test_parent_orbits_are_built_once_per_parent(monkeypatch):
+    # a parent's classes and keys serve its coset pass and all its children:
+    # one build for each of the 87 codes the search extends and for the zero
+    # code of each mu, whose children are the one-word codes, and one split
+    # per extended code; a second build over the same basis would repeat
+    builds, children = [], []
+    build = classify_mod._parent_orbits
 
-    def counting(basis, mu):
-        calls.append((mu, basis))
-        return build(basis, mu)
+    def counting(words, basis, mu):
+        builds.append((mu, basis))
+        reps, split = build(words, basis, mu)
+        return reps, lambda r: children.append(r) or split(r)
 
-    monkeypatch.setattr(classify_mod, "_orbit_tables", counting)
+    monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
     found = [
         (mu, basis)
         for mu in range(6, 17)
         for basis in [(), *(basis for _, basis in classify_mod._enumerate_admissible(mu))]
     ]
-    assert len(calls) == 98
-    assert sorted(calls) == sorted(found)
-
-
-def test_orbit_splitter_is_built_once_per_parent(monkeypatch):
-    # a parent's classes, keys and counts serve all its children: for
-    # mu = 6..16 the 87 extended codes are split from 45 distinct parents
-    builds, children = [], []
-    build = classify_mod._orbit_splitter
-
-    def counting(words, basis, mu):
-        builds.append((mu, basis))
-        split = build(words, basis, mu)
-        return lambda r: children.append(r) or split(r)
-
-    monkeypatch.setattr(classify_mod, "_orbit_splitter", counting)
-    for mu in range(6, 17):
-        classify_mod._enumerate_admissible(mu)
-    assert len(builds) == len(set(builds)) == 45
+    assert len(builds) == 98
+    assert sorted(builds) == sorted(found)
     assert len(children) == 87
 
 
@@ -438,13 +436,13 @@ def test_coset_pass_reads_one_word_per_orbit(monkeypatch):
     # those that fit) at each zero code.  The counts are those of the
     # orbits, whatever builds them; a full candidate list reads 190 932.
     read = Counter()
-    reduce = classify_mod._coset_representatives
+    step = classify_mod._parent_orbits
 
     def counting(words, basis, mu):
         read[bool(basis)] += len(words)
-        return reduce(words, basis, mu)
+        return step(words, basis, mu)
 
-    monkeypatch.setattr(classify_mod, "_coset_representatives", counting)
+    monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
     for mu in range(6, 17):
         classify_mod._enumerate_admissible(mu)
     assert read == {True: 3254, False: 28}
@@ -466,10 +464,10 @@ def test_extension_matches_bit_rref(data):
 
 
 @st.composite
-def _coset_inputs(draw):
-    # orbit inputs at mu <= 10 with translates by span words inserted
-    # anywhere, so one coset recurs under several of its words
-    candidates, basis, mu = draw(_orbit_inputs(max_mu=10))
+def _coset_inputs(draw, max_mu=10):
+    # orbit inputs with translates by span words inserted anywhere, so one
+    # coset recurs under several of its words
+    candidates, basis, mu = draw(_orbit_inputs(max_mu=max_mu))
     span = span_words(basis)
     assume(1 << mu not in span)
     rng = draw(st.randoms(use_true_random=False))
@@ -479,17 +477,28 @@ def _coset_inputs(draw):
     return candidates, basis, mu
 
 
-@settings(deadline=None, max_examples=200)
-@given(_coset_inputs())
-def test_coset_key_matches_a_coset_orbit_search(inputs):
+def _check_coset_key(candidates, basis, mu):
     # the key is constant on each coset and on its images under identical
     # columns (else a translate or an image would be kept), and it parts
     # cosets no transposition of identical columns maps onto each other
     # (else one would be lost)
-    candidates, basis, mu = inputs
     perms = column_transpositions(EvenSetCode(mu, basis))
-    reps = classify_mod._coset_representatives(candidates, basis, mu)
+    reps, _ = classify_mod._parent_orbits(candidates, basis, mu)
     assert reps == searched_coset_representatives(candidates, span_words(basis), perms, mu)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_coset_inputs())
+def test_coset_key_matches_a_coset_orbit_search(inputs):
+    _check_coset_key(*inputs)
+
+
+# the classifier's full range, mu up to 16
+@pytest.mark.slow
+@settings(deadline=None, max_examples=2000)
+@given(_coset_inputs(max_mu=16))
+def test_coset_key_matches_a_coset_orbit_search_up_to_16(inputs):
+    _check_coset_key(*inputs)
 
 
 def test_every_dropped_coset_is_the_image_of_a_kept_one(monkeypatch):
@@ -497,14 +506,14 @@ def test_every_dropped_coset_is_the_image_of_a_kept_one(monkeypatch):
     # drops lies in the orbit of an earlier kept word's coset, and no two
     # kept words share one
     calls = []
-    reduce = classify_mod._coset_representatives
+    step = classify_mod._parent_orbits
 
     def recording(words, basis, mu):
-        reps = reduce(words, basis, mu)
+        reps, split = step(words, basis, mu)
         calls.append((words, basis, mu, reps))
-        return reps
+        return reps, split
 
-    monkeypatch.setattr(classify_mod, "_coset_representatives", recording)
+    monkeypatch.setattr(classify_mod, "_parent_orbits", recording)
     for mu in range(6, 14):
         classify_mod._enumerate_admissible(mu)
     assert {mu for _, _, mu, _ in calls} == set(range(6, 14))
