@@ -406,18 +406,17 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     assert sum(calls.values()) == 814
 
 
-def test_parent_orbits_are_built_once_per_parent(monkeypatch):
+def test_orbit_tables_are_built_once_per_parent(monkeypatch):
     # a parent's classes and keys serve its coset pass and all its children:
-    # one build for each of the 87 codes the search extends and for the zero
-    # code of each mu, whose children are the one-word codes, and one split
-    # per extended code; a second build over the same basis would repeat
-    builds, children = [], []
+    # they are built once for each of the 87 codes the search extends and
+    # for the zero code of each mu, whose children are the one-word codes;
+    # a second build over the same basis would repeat them
+    calls = []
     build = classify_mod._parent_orbits
 
     def counting(words, basis, mu):
-        builds.append((mu, basis))
-        reps, split = build(words, basis, mu)
-        return reps, lambda r: children.append(r) or split(r)
+        calls.append((mu, basis))
+        return build(words, basis, mu)
 
     monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
     found = [
@@ -425,9 +424,29 @@ def test_parent_orbits_are_built_once_per_parent(monkeypatch):
         for mu in range(6, 17)
         for basis in [(), *(basis for _, basis in classify_mod._enumerate_admissible(mu))]
     ]
-    assert len(builds) == 98
-    assert sorted(builds) == sorted(found)
+    assert len(calls) == 98
+    assert sorted(calls) == sorted(found)
+
+
+def test_orbit_splitter_is_built_once_per_parent(monkeypatch):
+    # the split comes with its parent's one build and serves all its
+    # children: for mu = 6..16 the 87 extended codes are split from 45
+    # distinct parents, none of them built twice
+    builds, children = [], []
+    build = classify_mod._parent_orbits
+
+    def counting(words, basis, mu):
+        builds.append((mu, basis))
+        reps, split = build(words, basis, mu)
+        return reps, lambda r: children.append((mu, basis)) or split(r)
+
+    monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
+    for mu in range(6, 17):
+        classify_mod._enumerate_admissible(mu)
+    assert len(builds) == len(set(builds))
     assert len(children) == 87
+    assert len(set(children)) == 45
+    assert set(children) <= set(builds)
 
 
 def test_coset_pass_reads_one_word_per_orbit(monkeypatch):
