@@ -6,12 +6,13 @@ matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
 nodes.  Over F_p that locus is found by kernel incidence (see
 :func:`scan_nodes_fp`): the kernels of the singular A(v) = [M_x v | M_y v |
 M_z v | M_w v] on the plane v_z = 0 hold every rank <= 2 point.  Packed
-sums evaluate det A on that whole plane in about p^2 slot reductions, not
-the p^3 points of P^3, and one principal 3x3 minor of M(x) decides each
-kernel point x.  When det A vanishes on the plane, a cubic 3x3 minor is
-solved on each of the p^2 + p + 1 lines through (0:0:0:1) instead.  The
-no-quadric certificate is the dimension of the quadrics through the ten
-nodes, the defect computation for b = 4.  More than ten points prove a
+ints give det A and its p^2 values on that whole plane, with no residue
+per value, not the p^3 points of P^3, and one principal 3x3 minor of
+M(x) decides each kernel point x.  When det A vanishes on the plane, a
+cubic 3x3 minor is solved on each of the p^2 + p + 1 lines through
+(0:0:0:1) instead.  The no-quadric certificate is the dimension of the
+quadrics through the ten nodes, the defect computation for b = 4.  More
+than ten points prove a
 positive-dimensional locus, by the Harris-Tu degree bound
 (:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence, labeled
 as such: nothing here claims a characteristic-0 proof.
@@ -161,47 +162,30 @@ def minors_vanish_at(matrix: SymmetricLinearMatrix, point) -> bool:
     return not any(_det3(m, rows, cols) % p for rows, cols in _MINORS)
 
 
-# --- polynomials in (x, y, z, w): {exponents: coefficient mod p} --------------
-
-
-def _linear(coefficients) -> dict:
-    return {e: c for e, c in zip(_VARIABLES, coefficients) if c}
-
-
-def _mul(f: dict, g: dict, p: int) -> dict:
-    h = {}
-    for e, a in f.items():
-        for d, b in g.items():
-            k = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
-            h[k] = (h.get(k, 0) + a * b) % p
-    return h
-
-
-def _det(rows, p: int) -> dict:
-    """The determinant of a square matrix of polynomials, by the first row."""
+def _signed_det(rows) -> tuple[int, int]:
+    """(P, N) of :func:`_packed_det`, by Laplace expansion along the first row."""
     if len(rows) == 1:
-        return rows[0][0]
-    total = {}
+        return rows[0][0], 0
+    plus = minus = 0
     for k, entry in enumerate(rows[0]):
         if entry:
-            minor = _det([r[:k] + r[k + 1:] for r in rows[1:]], p)
-            for e, c in _mul(entry, minor, p).items():
-                total[e] = (total.get(e, 0) - c if k % 2 else total.get(e, 0) + c) % p
-    return {e: c for e, c in total.items() if c}
+            even, odd = _signed_det([r[:k] + r[k + 1:] for r in rows[1:]])
+            plus += entry * (odd if k % 2 else even)
+            minus += entry * (even if k % 2 else odd)
+    return plus, minus
 
 
-def _by_power_of_w(form: dict, degree: int) -> list[list[tuple[int, int, int, int]]]:
-    """The terms (c, i, j, k) of c x^i y^j z^k w^l, one list per power l."""
-    terms = [[] for _ in range(degree + 1)]
-    for (i, j, k, l), c in form.items():
-        terms[l].append((c, i, j, k))
-    return terms
-
-
-def _on_line(terms, base, p: int) -> list[int]:
-    """The coefficients in u of a form on the line base + u (0:0:0:1)."""
-    a, b, c = base[:3]
-    return [sum(t * a**i * b**j * c**k for t, i, j, k in power) % p for power in terms]
+def _packed_det(rows, slots, p: int) -> list[int]:
+    """The coefficients mod p, by slot, of det = P - N of an n x n matrix of
+    linear forms packed with x, y, ... in the 64-bit slots ``slots``
+    (Kronecker): P and N sum the products over the even and the odd
+    permutations, so no slot borrows, and stay below n! n! (p-1)^n < 2^50
+    for n <= 4 and p <= _PRIME_CAP."""
+    _, unpack = _slot_codec(64)
+    size = 8 * (len(rows) * max(slots) + 1)
+    plus, minus = (unpack(q.to_bytes(size, "little")) for q in _signed_det(
+        [[sum(c << 64 * s for c, s in zip(f, slots)) for f in row] for row in rows]))
+    return [(s - t) % p for s, t in zip(plus, minus)]
 
 
 def _span_points(basis, p: int):
@@ -290,39 +274,49 @@ def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
     return None
 
 
+def _flag_roots(quartics, powers, p: int):
+    """(b, u) for each root u in F_p of each quartics[b] = (c_0, ..., c_4),
+    c_l < p, with powers[k] = t^k mod p in 64-bit slot t.  Each slot
+    s = sum_l c_l u^l < 5 (p-1)^2 < 2^32, and p | s iff s p^-1 mod 2^32 <=
+    (2^32 - 1) // p (Granlund and Montgomery, PLDI 1994): a bias carries
+    into bit 32 of every slot but the roots', with no residue computed."""
+    q0, q1, q2, q3, q4 = (q * pow(p, -1, 1 << 32) for q in powers)  # s p^-1 < 2^64: no carry
+    low, bias = powers[0] * 0xFFFFFFFF, powers[0] * (0xFFFFFFFF - 0xFFFFFFFF // p)
+    for b, (c0, c1, c2, c3, c4) in enumerate(quartics):
+        flags = ((c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3 + c4 * q4 & low) + bias >> 32).to_bytes(8 * p, "little")[::8]
+        u = flags.find(0)
+        while u >= 0:
+            yield b, u
+            u = flags.find(0, u + 1)
+
+
 def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
     """The distinct kernels of the singular A(v) on the plane v_z = 0, each
     a basis mapped to the first such v; None if det A vanishes on the plane.
 
     det A(a, b, 0, u) = sum_l u^l g_l(a, b), g_l of degree 4 - l.  With t^k
-    mod p for t = 0..p-1 packed in 32-bit slots, one int per k, one sum of
-    products gives g_l(1, b) at every b, and one more the quartic on the
-    line (1, b, 0) + u (0:0:0:1) at every u: its roots are the slots that
-    vanish mod p.  The line (0, 1, 0) takes the leading coefficients.  A
-    rank-3 A(v) has its kernel read off the adjugate (:func:`_cofactor_kernel`)."""
+    mod p for t = 0..p-1 in 64-bit slots, one int per k, one sum of products
+    gives g_l(1, b) at every b; :func:`_flag_roots` finds the roots of the
+    quartic on each line (1, b, 0) + u (0:0:0:1), and on the line (0, 1, 0)
+    from the leading coefficients.  A rank-3 A(v) has its kernel read off
+    the adjugate (:func:`_cofactor_kernel`)."""
     p = matrix.prime
-    det = _det([[_linear((forms[i][0][k], forms[i][1][k], 0, forms[i][3][k])) for k in range(4)]
-                for i in range(4)], p)
-    if not det:
-        return None
-    # every slot value sum_k c_k t^k stays below 5 (p-1)^2 < 2^32 up to _PRIME_CAP
-    pack, unpack = _slot_codec(32)
-    powers = [int.from_bytes(pack([pow(t, k, p) for t in range(p)]), "little") for k in range(5)]
-
-    def packed_values(coefficients):  # sum_k c_k t^k at every t, unreduced
-        return unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(4 * p, "little"))
-
-    g = [[det.get((4 - l - j, j, 0, l), 0) for j in range(5 - l)] for l in range(5)]
-    lines = list(zip(*([s % p for s in packed_values(c)] for c in g))) + [[c[-1] for c in g]]
     # A(e_j) flat, row-major: A(v)[i][k] = (M_k v)_i = sum_j forms[i][j][k] v_j
     a_x, a_y, _, a_w = ([forms[i][j][k] for i in range(4) for k in range(4)] for j in range(4))
-    singular = [] if det.get((0, 0, 0, 4)) else [(_W, a_w)]
-    for b, quartic in enumerate(lines):
-        roots = [u for u, s in enumerate(packed_values(quartic)) if not s % p]
-        if roots:
-            base = (1, b, 0) if b < p else (0, 1, 0)
-            a_base = [base[0] * s + base[1] * t for s, t in zip(a_x, a_y)]
-            singular += [(base + (u,), [(s + u * t) % p for s, t in zip(a_base, a_w)]) for u in roots]
+    entries = list(zip(a_x, a_y, a_w))
+    # x, y, w in slots 0, 1, 5: y^j w^l x^(4-j-l) of det A in slot j + 5l
+    det = _packed_det([entries[4 * i:4 * i + 4] for i in range(4)], (0, 1, 5), p)
+    if not any(det):
+        return None
+    pack, unpack = _slot_codec(64)
+    powers = [int.from_bytes(pack([pow(t, k, p) for t in range(p)]), "little") for k in range(5)]
+    g = [det[5 * l:5 * l + 5 - l] for l in range(5)]
+    lines = zip(*([s % p for s in unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(
+        8 * p, "little"))] for coefficients in g))
+    singular = [] if det[20] else [(_W, a_w)]
+    for b, u in _flag_roots([*lines, [c[-1] for c in g]], powers, p):
+        x, y = (1, b) if b < p else (0, 1)
+        singular.append(((x, y, 0, u), [(x * s + y * t + u * r) % p for s, t, r in entries]))
     field = PrimeField(p)
     kernels = {}
     for v, a in singular:
@@ -352,15 +346,19 @@ def _line_points(matrix: SymmetricLinearMatrix, forms) -> set:
     in u, and only its roots can be rank <= 2 points; when every minor
     vanishes on the line, all of it is."""
     p = matrix.prime
-    minors = [_det([[_linear(forms[i][j]) for j in cols] for i in rows], p) for rows, cols in _MINORS]
-    minors = [_by_power_of_w(m, 3) for m in minors if m]
+    # y^j z^k w^l x^i of a minor in slot j + 4k + 16l: its terms (c, i, j, k) by l
+    layout = [[(j + 4 * k + 16 * l, 3 - j - k - l, j, k) for j in range(4 - l) for k in range(4 - l - j)]
+              for l in range(4)]
+    minors = (_packed_det([[forms[i][j] for j in cols] for i in rows], (0, 1, 4, 16), p) for rows, cols in _MINORS)
+    minors = [[[(m[s], i, j, k) for s, i, j, k in power if m[s]] for power in layout] for m in minors if any(m)]
     tables = _root_tables(p)
     points = {_W} if minors_vanish_at(matrix, _W) else set()
     for base in _span_points(_VARIABLES[:3], p):
+        a, b, c, _ = base
         for terms in minors:
-            c = _on_line(terms, base, p)
-            if any(c):
-                line = (base[:3] + (u,) for u in _cubic_roots(c, p, tables))
+            cubic = [sum(t * a**i * b**j * c**k for t, i, j, k in power) % p for power in terms]
+            if any(cubic):
+                line = (base[:3] + (u,) for u in _cubic_roots(cubic, p, tables))
                 points.update(x for x in line if minors_vanish_at(matrix, x))
                 break
         else:

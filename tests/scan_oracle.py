@@ -1,0 +1,46 @@
+"""The scanner's dict polynomial ring and a root search, kept for tests only.
+
+The library packs each linear form of a matrix into one int, its
+variables at fixed 64-bit slots, and expands the determinant with the
+even and the odd permutations kept apart (``symmetroid._packed_det``).
+Here a polynomial is a dict ``{exponents: coefficient mod p}`` and the
+determinant is the cofactor expansion along the first row, one dict
+product at a time.  The library reads the roots of a quartic on a line
+off divisibility flags (``symmetroid._flag_roots``); here every u is
+tried.
+"""
+
+from __future__ import annotations
+
+
+def linear(coefficients) -> dict:
+    """The form sum_i c_i x_i, one exponent vector per variable."""
+    n = len(coefficients)
+    return {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coefficients) if c}
+
+
+def mul(f: dict, g: dict, p: int) -> dict:
+    h = {}
+    for e, a in f.items():
+        for d, b in g.items():
+            k = tuple(s + t for s, t in zip(e, d))
+            h[k] = (h.get(k, 0) + a * b) % p
+    return h
+
+
+def det(rows, p: int) -> dict:
+    """The determinant of a square matrix of polynomials, by the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = {}
+    for k, entry in enumerate(rows[0]):
+        if entry:
+            minor = det([r[:k] + r[k + 1:] for r in rows[1:]], p)
+            for e, c in mul(entry, minor, p).items():
+                total[e] = (total.get(e, 0) - c if k % 2 else total.get(e, 0) + c) % p
+    return {e: c for e, c in total.items() if c}
+
+
+def roots(coefficients, p: int) -> list[int]:
+    """The u in F_p where sum_l c_l u^l vanishes, by trying each."""
+    return [u for u in range(p) if not sum(c * u**l for l, c in enumerate(coefficients)) % p]

@@ -25,6 +25,7 @@ from nodalcodes.symmetroid import (
     random_symmetroid_matrix,
     scan_nodes_fp,
 )
+import scan_oracle
 from rank_oracle import gauss_jordan_nullspace, row_list_rank_mod_p
 
 # upper-triangle entry order: (0,0),(0,1),(0,2),(0,3),(1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
@@ -320,14 +321,15 @@ class TestPlaneKernels:
     def test_packed_quartic_slots_cannot_carry(self, monkeypatch):
         # the quartic in u and each of its coefficients g_l(b) are sums of at
         # most five terms c_k t^k with c_k and t^k mod p below p, so no slot
-        # reaches 2^32 up to the largest prime
+        # reaches 2^32 up to the largest prime: the premise of the
+        # divisibility flags
         assert 5 * (symmetroid._PRIME_CAP - 1) ** 2 < 2**32
         # every det A coefficient at p - 1, the largest slot values: the roots
         # found are those of sum a^i b^j u^l over the whole plane v_z = 0
         p = 101
         m = random_symmetroid_matrix(p, 0)
-        quartic = {(i, j, 0, 4 - i - j): p - 1 for i in range(5) for j in range(5 - i)}
-        monkeypatch.setattr(symmetroid, "_det", lambda rows, q: dict(quartic))
+        quartic = [p - 1 if s % 5 + s // 5 <= 4 else 0 for s in range(21)]
+        monkeypatch.setattr(symmetroid, "_packed_det", lambda rows, slots, q: quartic)
         seen = []
 
         def recording(a, q):
@@ -391,6 +393,109 @@ class TestPlaneKernels:
         TestScan._check_against_enumeration(m)
         assert seen.issuperset(line)
         assert len(scan_nodes_fp(m).points) == 10
+
+
+# every odd prime the scan accepts
+_CAP_PRIMES = [q for q in range(3, symmetroid._PRIME_CAP, 2)
+               if all(q % d for d in range(3, int(q**0.5) + 1, 2))]
+_TRIPLES = list(itertools.combinations(range(4), 3))
+
+
+def _extremes_or_any(p):
+    """0, p - 1 or any residue: runs of p - 1 reach the largest packed slots."""
+    return st.one_of(st.sampled_from([0, p - 1]), st.integers(0, p - 1))
+
+
+def _check_packed_determinants(m):
+    """The determinants the scan packs for m, the plane quartic det A(x, y,
+    0, w) and the ten 3x3 minors of M, equal the dict ring's, and each
+    layout puts distinct monomials in distinct slots."""
+    p, forms, calls = m.prime, _forms(m), []
+
+    def recording(rows, slots, q):
+        calls.append((rows, slots, packed_det(rows, slots, q)))
+        return calls[-1][2]
+
+    packed_det = symmetroid._packed_det
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmetroid, "_packed_det", recording)
+        patch.setattr(symmetroid, "_span_points", lambda basis, q: ())  # the minors, not the lines
+        symmetroid._plane_kernels(m, forms)
+        symmetroid._line_points(m, forms)
+    plane = [[(forms[i][0][k], forms[i][1][k], forms[i][3][k]) for k in range(4)] for i in range(4)]
+    minors = [[[forms[i][j] for j in cols] for i in rows]
+              for n, rows in enumerate(_TRIPLES) for cols in _TRIPLES[n:]]
+    assert [(rows, slots) for rows, slots, _ in calls] == \
+        [(plane, (0, 1, 5))] + [(rows, (0, 1, 4, 16)) for rows in minors]
+    for rows, slots, coefficients in calls:
+        n = len(rows)
+        monomials = [e for e in itertools.product(range(n + 1), repeat=len(slots)) if sum(e) == n]
+        assert len({sum(a * s for a, s in zip(e, slots)) for e in monomials}) == len(monomials)
+        expected = scan_oracle.det([[scan_oracle.linear(f) for f in row] for row in rows], p)
+        assert {s: c for s, c in enumerate(coefficients) if c} == \
+            {sum(a * s for a, s in zip(e, slots)): c for e, c in expected.items()}, (p, rows)
+
+
+def _packed_powers(p):
+    """powers[k]: t^k mod p in 64-bit slot t, for t = 0..p-1."""
+    return [sum(pow(t, k, p) << 64 * t for t in range(p)) for k in range(5)]
+
+
+def _check_flag_roots(quartics, p):
+    assert list(symmetroid._flag_roots(quartics, _packed_powers(p), p)) == \
+        [(b, u) for b, c in enumerate(quartics) for u in scan_oracle.roots(c, p)], p
+
+
+def _planted_quartic(lead, roots, p):
+    """lead (u - r_1) ... (u - r_k), k <= 4, as five coefficients."""
+    c = [lead]
+    for r in roots:
+        c = [(s - r * t) % p for s, t in zip([0] + c, c + [0])]
+    return c + [0] * (5 - len(c))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_packed_determinants_match_the_dict_ring(data):
+    p = data.draw(st.sampled_from([3, 5, 101, 1021]))
+    form = st.tuples(*[_extremes_or_any(p)] * 4)
+    forms = data.draw(st.lists(form, min_size=10, max_size=10))
+    _check_packed_determinants(SymmetricLinearMatrix(p, tuple(forms)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_flag_roots_match_the_search(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 31, 101, 211, 401, 1021]))
+    residue = st.integers(0, p - 1)
+    planted = st.builds(_planted_quartic, st.integers(1, p - 1), st.lists(residue, max_size=4), st.just(p))
+    quartic = st.one_of(st.lists(_extremes_or_any(p), min_size=5, max_size=5), planted)
+    quartics = data.draw(st.lists(quartic, max_size=8)) + [[0] * 5, [p - 1] * 5]
+    _check_flag_roots(data.draw(st.permutations(quartics)), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_flag_roots_of_every_quartic(p):
+    _check_flag_roots(list(itertools.product(range(p), repeat=5)), p)
+
+
+@pytest.mark.slow
+def test_scan_oracles_at_every_prime_up_to_the_cap():
+    # both oracles at each of the 171 odd primes below 1024
+    for p in _CAP_PRIMES:
+        rng = random.Random(p)
+
+        def residue():
+            return rng.choice((0, p - 1, rng.randrange(p)))
+
+        for _ in range(4):
+            _check_packed_determinants(SymmetricLinearMatrix(p, tuple(
+                tuple(residue() for _ in range(4)) for _ in range(10))))
+        quartics = [[0] * 5, [p - 1] * 5] + [[residue() for _ in range(5)] for _ in range(30)]
+        for _ in range(30):
+            roots = [rng.randrange(p) for _ in range(rng.randint(0, 4))]
+            quartics.append(_planted_quartic(rng.randrange(1, p), roots, p))
+        _check_flag_roots(quartics, p)
 
 
 def _cubic_roots_by_search(c, p):
