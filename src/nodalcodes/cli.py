@@ -37,14 +37,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
-def _cmd_defect(args) -> int:
+def _cmd_defect(args) -> tuple[dict, str, bool]:
     if args.nodes is not None:
         cfg = nodes_mod.load_node_file(args.nodes)
         if args.degree is not None and args.degree != cfg.degree:
@@ -63,22 +56,20 @@ def _cmd_defect(args) -> int:
         f"through the nodes form a space of dimension {report.dim_m}, "
         f"estimate {report.estimate}, defect = {report.defect}{note}"
     )
-    _emit(args, report.to_dict(), human)
-    return EXIT_OK
+    return report.to_dict(), human, True
 
 
-def _cmd_vanishing_dim(args) -> int:
+def _cmd_vanishing_dim(args) -> tuple[dict, str, bool]:
     cfg = nodes_mod.load_node_file(args.nodes)
     d = args.degree
     if d is None:
         d = 3 * cfg.degree // 2 - 4
     dim = nodes_mod.vanishing_dimension(cfg, d)
     payload = {"mu": cfg.mu, "form_degree": d, "dimension": dim}
-    _emit(args, payload, f"degree-{d} forms through the {cfg.mu} node(s): dimension {dim}")
-    return EXIT_OK
+    return payload, f"degree-{d} forms through the {cfg.mu} node(s): dimension {dim}", True
 
 
-def _cmd_verify_nodes(args) -> int:
+def _cmd_verify_nodes(args) -> tuple[dict, str, bool]:
     cfg = nodes_mod.load_node_file(args.nodes)
     if args.surface is not None:
         try:
@@ -102,11 +93,10 @@ def _cmd_verify_nodes(args) -> int:
         f"{'ok ' if ok else 'FAIL'} ({', '.join(map(str, pt))})"
         for pt, ok in zip(cfg.points, verdicts)
     ]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if all(verdicts) else EXIT_VERIFICATION
+    return payload, "\n".join(lines), all(verdicts)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[dict, str, bool]:
     report = bounds_mod.bound_report(args.degree, args.mu)
     beauville = report.beauville_printed if args.paper_closed_form else report.beauville
     human = (
@@ -116,17 +106,15 @@ def _cmd_bounds(args) -> int:
     )
     payload = report.to_dict()
     payload["beauville_form_used"] = "printed-closed-form" if args.paper_closed_form else "b2-based"
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human, True
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, str, bool]:
     table = classify_mod.classify_quartic_codes(args.mu, audit=args.audit)
-    _emit(args, table.to_dict(), classify_mod.render_table(table))
-    return EXIT_OK
+    return table.to_dict(), classify_mod.render_table(table), True
 
 
-def _cmd_code(args) -> int:
+def _cmd_code(args) -> tuple[dict, str, bool]:
     pair = args.action == "isomorphic"
     if len(args.files) != (2 if pair else 1):
         wanted = "two code files" if pair else "one code file"
@@ -148,18 +136,15 @@ def _cmd_code(args) -> int:
             f"length {code.mu}, dim {code.dim} (strict subcode dim {code.strict_dim()}); "
             + "; ".join(f"{c} x {par}-{w}" for (w, par), c in sorted(enum.items()))
         )
-        _emit(args, payload, human)
-        return EXIT_OK
+        return payload, human, True
     if args.action == "canonical":
         digest = canonical_form(codes[0]).hex()
-        _emit(args, {"canonical": digest}, digest)
-        return EXIT_OK
+        return {"canonical": digest}, digest, True
     same = is_isomorphic(*codes)
-    _emit(args, {"isomorphic": same}, "isomorphic" if same else "not isomorphic")
-    return EXIT_OK if same else EXIT_VERIFICATION
+    return {"isomorphic": same}, "isomorphic" if same else "not isomorphic", same
 
 
-def _cmd_symmetroid_scan(args) -> int:
+def _cmd_symmetroid_scan(args) -> tuple[dict, str, bool]:
     if args.matrix is not None:
         matrix = symmetroid_mod.load_matrix_file(args.matrix)
     elif args.seed is not None:
@@ -188,11 +173,10 @@ def _cmd_symmetroid_scan(args) -> int:
         lines.append("  (" + " : ".join(map(str, pt)) + ")")
     if len(result.points) > 50:
         lines.append(f"  ... {len(result.points) - 50} more")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if certified_ok else EXIT_VERIFICATION
+    return payload, "\n".join(lines), certified_ok
 
 
-def _cmd_hilbert_check(args) -> int:
+def _cmd_hilbert_check(args) -> tuple[dict, str, bool]:
     series_mod._check_order(args.order)
     coeffs = series_mod.symmetroid_hilbert_series(max(args.order, 5))
     ok = series_mod.symmetroid_hilbert_check()
@@ -206,73 +190,66 @@ def _cmd_hilbert_check(args) -> int:
         f"leading terms 0,0,0,10,25,46 {'confirmed' if ok else 'NOT confirmed'}"
         " (in particular no quadric: coefficient 0 at t^2)"
     )
-    _emit(args, payload, human)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return payload, human, ok
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nodalcodes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="print the JSON payload")
 
-    p = sub.add_parser("defect", help="defect of a double solid from nodes or counts")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[json_flag], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("defect", _cmd_defect, "defect of a double solid from nodes or counts")
     p.add_argument("--degree", type=int, help="even branch surface degree")
     p.add_argument("--nodes", help="node configuration JSON file")
     p.add_argument("--mu", type=int, help="node count (with --dim-m)")
     p.add_argument("--dim-m", type=int, dest="dim_m",
                    help="dimension of degree-(3b/2-4) forms through the nodes")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_defect)
 
-    p = sub.add_parser("vanishing-dim", help="dimension of forms vanishing at the nodes")
+    p = command("vanishing-dim", _cmd_vanishing_dim, "dimension of forms vanishing at the nodes")
     p.add_argument("--nodes", required=True, help="node configuration JSON file")
     p.add_argument("--degree", type=int,
                    help="form degree (default: 3b/2-4 for the file's surface degree)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_vanishing_dim)
 
-    p = sub.add_parser("verify-nodes", help="check each listed point is a node of the surface")
+    p = command("verify-nodes", _cmd_verify_nodes,
+                "check each listed point is a node of the surface")
     p.add_argument("--nodes", required=True, help="node configuration JSON file (with surface)")
     p.add_argument("--surface", help="text file with a polynomial, overriding the file's surface")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify_nodes)
 
-    p = sub.add_parser("bounds", help="code-dimension bounds and node caps")
+    p = command("bounds", _cmd_bounds, "code-dimension bounds and node caps")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--paper-closed-form", action="store_true",
                    help="print the classical closed form (2 below the b2-based value)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("classify-quartic", help="all even-set codes of a mu-nodal quartic")
+    p = command("classify-quartic", _cmd_classify, "all even-set codes of a mu-nodal quartic")
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--audit", action="store_true",
                    help="also list weight-admissible codes excluded by dimension bounds")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("code", help="inspect or compare even-set code files")
+    p = command("code", _cmd_code, "inspect or compare even-set code files")
     p.add_argument("action", choices=["info", "canonical", "isomorphic"])
     p.add_argument("files", nargs="+", help="one code JSON file (two for isomorphic)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_code)
 
-    p = sub.add_parser("symmetroid-scan", help="rank<=2 locus of a symmetric linear matrix over F_p")
+    p = command("symmetroid-scan", _cmd_symmetroid_scan,
+                "rank<=2 locus of a symmetric linear matrix over F_p")
     p.add_argument("--matrix", help="matrix JSON file")
     p.add_argument("--seed", type=int, help="generate a seeded random matrix instead")
     p.add_argument("--prime", type=int, default=101)
     p.add_argument("--uniform", action="store_true",
                    help="with --seed: uniform random coefficients instead of the "
                         "six-point web construction")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_symmetroid_scan)
 
-    p = sub.add_parser("hilbert-check", help="series expansion check for the ten-node symmetroid")
+    p = command("hilbert-check", _cmd_hilbert_check,
+                "series expansion check for the ten-node symmetroid")
     p.add_argument("--order", type=int, default=5,
                    help=f"last power of t to print, 0..{series_mod.ORDER_CAP} "
                         "(t^0..t^5 are always printed)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_hilbert_check)
 
     return parser
 
@@ -281,9 +258,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        # each handler returns its payload, its text and whether every check it ran passed
+        payload, human, ok = args.func(args)
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else human)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
-        return code
+        return EXIT_OK if ok else EXIT_VERIFICATION
     except SystemExit as exc:  # argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except InputError as exc:

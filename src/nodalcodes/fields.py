@@ -3,9 +3,10 @@
 Scalars are plain Python values: ``Fraction`` for Q, ``int`` in
 ``[0, p)`` for F_p.  Arithmetic on them is Python's operators followed by
 the field's ``reduce`` (``a % p`` over F_p, the value itself over Q), so
-``f.reduce(a * b)`` is a product in either field.  A field object holds
-only what differs between the two: its name, characteristic, zero and
-one, and how to parse, validate, reduce and invert a scalar.  Rationals
+``f.reduce(a * b)`` is a product in either field.  A field is a frozen
+:class:`~nodalcodes.record.Record` that holds only what differs between
+the two: its characteristic, zero and one, and how to parse, validate,
+reduce and invert a scalar.  Rationals
 are always in lowest terms with positive denominator (``Fraction``
 guarantees this), and every prime-field value the library stores is
 already reduced mod p, so ``a == 0`` is the zero test in both fields.
@@ -16,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DataError, DomainError
+from .record import Record
 
 Scalar = Fraction | int
 
@@ -55,10 +57,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RationalField:
+class RationalField(Record):
     """Arbitrary-precision rational arithmetic on ``Fraction`` values."""
 
-    name = "rational"
     characteristic = 0
 
     zero = Fraction(0)
@@ -84,33 +85,27 @@ class RationalField:
             raise DomainError("division by zero")
         return 1 / Fraction(a)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
 
-    def __hash__(self) -> int:
-        return hash("rational-field")
-
-    def __repr__(self) -> str:
-        return "RationalField()"
-
-
-class PrimeField:
+class PrimeField(Record):
     """Arithmetic modulo an odd prime, on ints reduced to ``[0, p)``."""
 
-    characteristic: int
+    p: int
 
-    def __init__(self, p: int):
+    zero = 0
+    one = 1
+
+    def __post_init__(self):
+        p = self.p
         if isinstance(p, bool) or not isinstance(p, int):
             raise DataError(f"prime must be an integer, got {p!r}")
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         if p == 2:
             raise DomainError(f"prime field needs an odd prime, got {p}")
-        self.p = p
-        self.characteristic = p
-        self.name = f"F_{p}"
-        self.zero = 0
-        self.one = 1
+
+    @property
+    def characteristic(self) -> int:
+        return self.p
 
     def parse(self, text: str) -> int:
         text = text.strip()
@@ -142,15 +137,6 @@ class PrimeField:
         if a % self.p == 0:
             raise DomainError("division by zero")
         return pow(a, -1, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("prime-field", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
 
 Field = RationalField | PrimeField

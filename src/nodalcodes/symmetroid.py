@@ -144,24 +144,6 @@ class ScanResult(Record):
         }
 
 
-def _det3(m, rows, cols) -> int:
-    """The 3x3 minor of an integer matrix on the given rows and columns, unreduced."""
-    (r1, r2, r3), (c1, c2, c3) = rows, cols
-    return (
-        m[r1][c1] * (m[r2][c2] * m[r3][c3] - m[r2][c3] * m[r3][c2])
-        - m[r1][c2] * (m[r2][c1] * m[r3][c3] - m[r2][c3] * m[r3][c1])
-        + m[r1][c3] * (m[r2][c1] * m[r3][c2] - m[r2][c2] * m[r3][c1])
-    )
-
-
-def minors_vanish_at(matrix: SymmetricLinearMatrix, point) -> bool:
-    """Pure-integer check that all sixteen 3x3 minors vanish at a point (the
-    matrix is symmetric, so ten of them decide)."""
-    p = matrix.prime
-    m = matrix.evaluate(point)
-    return not any(_det3(m, rows, cols) % p for rows, cols in _MINORS)
-
-
 def _signed_det(rows) -> tuple[int, int]:
     """(P, N) of :func:`_packed_det`, by Laplace expansion along the first row."""
     if len(rows) == 1:
@@ -247,15 +229,15 @@ _DELETE_ONE = _TRIPLES[::-1]
 
 
 def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
-    """The kernel of a singular 4x4 integer matrix mod p as its point with
-    first nonzero coordinate 1, or None when the rank is <= 2.
+    """For any 4x4 integer matrix A mod p: None exactly when rank A <= 2,
+    else a nonzero column of adj(A) scaled to first nonzero coordinate 1,
+    which at rank 3 is the kernel's point.
 
-    A adj(A) = det(A) I = 0, so every column of the adjugate lies in
-    ker A; at rank 3 the adjugate has rank 1 and any nonzero column spans
-    the kernel, while at rank <= 2 all sixteen cofactors vanish.  Column i
-    holds the signed 3x3 minors of A with row i deleted; its four minors,
-    expanded along their first row, share the six 2x2 minors of the other
-    two rows.
+    adj(A) is zero exactly when all sixteen 3x3 minors vanish.  At rank 3,
+    A adj(A) = det(A) I = 0 and adj(A) has rank 1, so it spans ker A.
+    Column i holds the signed 3x3 minors of A with row i deleted; its four
+    minors, expanded along their first row, share the six 2x2 minors of
+    the other two rows.
     """
     for r1, r2, r3 in _DELETE_ONE:
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = a[r1], a[r2], a[r3]
@@ -343,8 +325,8 @@ def _line_points(matrix: SymmetricLinearMatrix, forms) -> set:
     """The rank <= 2 points on the p^2 + p + 1 lines through (0:0:0:1).
 
     On each line the first 3x3 minor not identically zero there is a cubic
-    in u, and only its roots can be rank <= 2 points; when every minor
-    vanishes on the line, all of it is."""
+    in u, and only its roots, each decided by :func:`_cofactor_kernel`, can
+    be rank <= 2 points; when every minor vanishes on the line, all of it is."""
     p = matrix.prime
     # y^j z^k w^l x^i of a minor in slot j + 4k + 16l: its terms (c, i, j, k) by l
     layout = [[(j + 4 * k + 16 * l, 3 - j - k - l, j, k) for j in range(4 - l) for k in range(4 - l - j)]
@@ -352,14 +334,14 @@ def _line_points(matrix: SymmetricLinearMatrix, forms) -> set:
     minors = (_packed_det([[forms[i][j] for j in cols] for i in rows], (0, 1, 4, 16), p) for rows, cols in _MINORS)
     minors = [[[(m[s], i, j, k) for s, i, j, k in power if m[s]] for power in layout] for m in minors if any(m)]
     tables = _root_tables(p)
-    points = {_W} if minors_vanish_at(matrix, _W) else set()
+    points = {_W} if _cofactor_kernel(matrix.evaluate(_W), p) is None else set()
     for base in _span_points(_VARIABLES[:3], p):
         a, b, c, _ = base
         for terms in minors:
             cubic = [sum(t * a**i * b**j * c**k for t, i, j, k in power) % p for power in terms]
             if any(cubic):
                 line = (base[:3] + (u,) for u in _cubic_roots(cubic, p, tables))
-                points.update(x for x in line if minors_vanish_at(matrix, x))
+                points.update(x for x in line if _cofactor_kernel(matrix.evaluate(x), p) is None)
                 break
         else:
             points.update(base[:3] + (u,) for u in range(p))

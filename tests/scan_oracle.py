@@ -1,4 +1,5 @@
-"""The scanner's dict polynomial ring and a root search, kept for tests only.
+"""The scanner's dict polynomial ring, a root search and an all-minors
+rank test, kept for tests only.
 
 The library packs each linear form of a matrix into one int, its
 variables at fixed 64-bit slots, and expands the determinant with the
@@ -7,10 +8,19 @@ Here a polynomial is a dict ``{exponents: coefficient mod p}`` and the
 determinant is the cofactor expansion along the first row, one dict
 product at a time.  The library reads the roots of a quartic on a line
 off divisibility flags (``symmetroid._flag_roots``); here every u is
-tried.
+tried.  The library decides rank <= 2 from the adjugate's columns
+(``symmetroid._cofactor_kernel``); here each of the ten distinct 3x3
+minors of the symmetric matrix is expanded on its own.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+
+# (rows, cols) of the ten distinct 3x3 minors of a symmetric 4x4 matrix: the
+# minor on (rows, cols) equals the one on (cols, rows)
+_TRIPLES = tuple(combinations(range(4), 3))
+_MINORS = tuple((rows, cols) for n, rows in enumerate(_TRIPLES) for cols in _TRIPLES[n:])
 
 
 def linear(coefficients) -> dict:
@@ -44,3 +54,21 @@ def det(rows, p: int) -> dict:
 def roots(coefficients, p: int) -> list[int]:
     """The u in F_p where sum_l c_l u^l vanishes, by trying each."""
     return [u for u in range(p) if not sum(c * u**l for l, c in enumerate(coefficients)) % p]
+
+
+def _det3(m, rows, cols) -> int:
+    """The 3x3 minor of an integer matrix on the given rows and columns, unreduced."""
+    (r1, r2, r3), (c1, c2, c3) = rows, cols
+    return (
+        m[r1][c1] * (m[r2][c2] * m[r3][c3] - m[r2][c3] * m[r3][c2])
+        - m[r1][c2] * (m[r2][c1] * m[r3][c3] - m[r2][c3] * m[r3][c1])
+        + m[r1][c3] * (m[r2][c1] * m[r3][c2] - m[r2][c2] * m[r3][c1])
+    )
+
+
+def minors_vanish_at(matrix, point) -> bool:
+    """Pure-integer check that all sixteen 3x3 minors of a
+    ``SymmetricLinearMatrix`` vanish at a point (the matrix is symmetric,
+    so ten of them decide)."""
+    m = matrix.evaluate(point)
+    return not any(_det3(m, rows, cols) % matrix.prime for rows, cols in _MINORS)

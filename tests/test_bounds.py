@@ -72,6 +72,10 @@ class TestMiyaoka:
         for b in range(1, 50):
             assert miyaoka_max_nodes(b) == (4 * b * (b - 1) ** 2) // 9
 
+    def test_degree_must_be_positive(self):
+        with pytest.raises(DomainError):
+            miyaoka_max_nodes(0)
+
 
 class TestVacuousRegions:
     def test_improved_bound_vacuous_from_degree_24(self):

@@ -389,6 +389,12 @@ _NODES = [["1", "0", "0", "0"]]
      "surface degree must be positive, got 0"),
     (["vanishing-dim", "--nodes", "FILE", "--degree", "-1"], {"degree": 4, "nodes": _NODES},
      "degree must be non-negative, got -1"),
+    (["defect", "--degree", "0", "--mu", "1", "--dim-m", "0"], None,
+     "branch degree must be at least 2, got 0"),
+    (["defect", "--degree", "6", "--mu", "-1", "--dim-m", "0"], None,
+     "mu and dim_m must be non-negative"),
+    (["vanishing-dim", "--nodes", "FILE"], {"degree": 4, "field": "foo", "nodes": _NODES},
+     "bad field spec 'foo'; use \"rational\" or {\"prime\": p}"),
     (["bounds", "--degree", "2", "--mu", "5"], None, "branch degree must be at least 4, got 2"),
     (["bounds", "--degree", "8", "--mu", "-1"], None, "mu must be non-negative, got -1"),
     (["vanishing-dim", "--nodes", "FILE"],
@@ -415,7 +421,8 @@ _NODES = [["1", "0", "0", "0"]]
     (["code", "info", "FILE"], {"mu": 6, "generators": [
         {"parity": "strict", "support": [0, 1, 2]}, {"parity": "weak", "support": [0, 1, 2]}]},
      "parity is not a linear functional of the support"),
-], ids=["odd-degree", "degree-0", "form-degree-negative", "bounds-degree-2", "bounds-mu-negative",
+], ids=["odd-degree", "degree-0", "form-degree-negative", "defect-degree-0", "defect-mu-negative",
+        "field-foo", "bounds-degree-2", "bounds-mu-negative",
         "f7-denominator-7", "f7-abc", "f7-over-x", "rational-nan", "rational-over-0",
         "field-prime-string", "matrix-prime-string", "code-without-mu", "generator-is-a-list",
         "weak-empty-set-in-span"])

@@ -81,6 +81,10 @@ class TestWordSum:
         with pytest.raises(DataError):
             EvenSetWord(6, True, 0)
 
+    def test_words_must_have_the_code_length(self):
+        with pytest.raises(DataError):
+            EvenSetCode.from_words(6, [EvenSetWord(6, False, 0b1111), EvenSetWord(8, False, 0b1111)])
+
     def test_parity_must_be_a_functional_of_support(self):
         # same support under both parities puts the empty weak set in the span
         with pytest.raises(DataError):

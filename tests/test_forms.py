@@ -272,6 +272,12 @@ class TestGradient:
         g = gradient(parse_form("5"))
         assert all(v.is_zero() for v in g)
 
+    def test_exponent_divisible_by_the_characteristic_drops_the_term(self):
+        # d/dx x^7 = 7 x^6, which is zero over F_7
+        dx = partial(parse_form("x^7 + y^7", PrimeField(7)), 0)
+        assert dx.is_zero() and dx.degree == 6
+        assert str(partial(parse_form("x^7", PrimeField(11)), 0)) == "7*x^6"
+
     def test_degree_drops_by_one(self):
         rng = random.Random(3)
         for _ in range(20):

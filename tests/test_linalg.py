@@ -614,6 +614,14 @@ def test_rank_mod_the_q_prime_takes_a_second_prime(rows):
     assert exact_rank(m) == rank_and_rref(m)[0] == bareiss(int_rows)[0] == 2
 
 
+def test_field_inverse_and_validate_refuse_what_has_no_value():
+    for field, zero in ((QQ, 0), (PrimeField(7), 7)):
+        with pytest.raises(DomainError, match="division by zero"):
+            field.inverse(zero)
+    with pytest.raises(DataError, match="not a prime-field scalar"):
+        PrimeField(7).validate(1.5)
+
+
 def test_q_primes_descend_from_a_one_word_prime():
     primes = list(itertools.islice(linalg._q_primes(), 4))
     assert primes[0] == linalg._Q_PRIME == 2**26 - 5

@@ -19,13 +19,13 @@ from nodalcodes.symmetroid import (
     SymmetricLinearMatrix,
     load_matrix_file,
     matrix_from_dict,
-    minors_vanish_at,
     no_quadric_certificate,
     random_symmetric_matrix,
     random_symmetroid_matrix,
     scan_nodes_fp,
 )
 import scan_oracle
+from scan_oracle import minors_vanish_at
 from rank_oracle import gauss_jordan_nullspace, row_list_rank_mod_p
 
 # upper-triangle entry order: (0,0),(0,1),(0,2),(0,3),(1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
@@ -288,19 +288,20 @@ class TestPlaneKernels:
     @given(st.data())
     def test_cofactor_kernel_is_the_nullspace_point(self, data):
         # B C with B 4 x r and C r x 4 has rank <= r; the rank oracle decides
-        # which answer is due
+        # which answer is due: None exactly at rank <= 2, which the fallback
+        # scan relies on, and a point at ranks 3 and 4
         p = data.draw(st.sampled_from([3, 5, 7, 13, 101, 1021]))
-        r = data.draw(st.integers(0, 3))
+        r = data.draw(st.integers(0, 4))
         residue = st.integers(0, p - 1)
         b = data.draw(st.lists(st.lists(residue, min_size=r, max_size=r), min_size=4, max_size=4))
         c = data.draw(st.lists(st.lists(residue, min_size=4, max_size=4), min_size=r, max_size=r))
         a = [[sum(b[i][t] * c[t][j] for t in range(r)) % p for j in range(4)] for i in range(4)]
         point = symmetroid._cofactor_kernel(a, p)
-        if row_list_rank_mod_p(a, p) == 3:
+        rank = row_list_rank_mod_p(a, p)
+        assert (point is None) == (rank <= 2)
+        if rank == 3:
             (vec,) = nullspace_basis(ExactMatrix.from_rows(PrimeField(p), a))
             assert point == _projective_key(vec, p)
-        else:
-            assert point is None
 
     def test_rank_two_fallback_is_reached_on_the_coplanar_web(self, monkeypatch):
         # the line of plane pairs gives rank-2 matrices A(v), whose kernels
