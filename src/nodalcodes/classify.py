@@ -22,19 +22,19 @@ split is kept when the key of ``c ^ r`` is a parent orbit's key.  The
 zero code's orbits are the four word classes.  No span word is ever a
 candidate, since its sum with itself is 0, which is not admissible.
 
-Duplicates are cut in two steps before a canonical search.  First, G
-fixes every span word, so it permutes the cosets ``w + span``, and two
-words whose cosets share an orbit give isomorphic children; only the
-first candidate of each orbit of cosets extends the code.  That orbit is
-read off the same keys the split reads, so no permutation is ever
+Duplicates are cut in one step before a canonical search, the coset
+pass.  G fixes every span word, so it permutes the cosets ``w + span``,
+and two words whose cosets share an orbit give isomorphic children; only
+the first candidate of each orbit of cosets extends the code.  That orbit
+is read off the same keys the split reads, so no permutation is ever
 applied.  A word dropped there would reach a class an earlier word
-already reached, so every class keeps the representative it had.
-Second, an enlarged code whose span was already reached is skipped; its
-reduced row echelon basis depends only on the span, so that tuple is the
-key, and it is also what the canonical search reads.  A child's basis is
-built from its parent's without an elimination (``_extend``).  The
-remaining codes are deduplicated by canonical form at each level, so
-each equivalence class is visited once.  All canonical forms of one
+already reached, so every class keeps the representative it had.  A span
+reached twice, from two parents, is searched twice, and the memo answers
+the second search at its root.  A child's basis is built from its
+parent's without an elimination (``_extend``); it is the span's reduced
+row echelon basis, which is what the canonical search reads.  The codes
+are deduplicated by canonical form at each level, so each equivalence
+class is visited once.  All canonical forms of one
 ``classify_quartic_codes`` call share a single completion memo, keyed by
 the pivot count and the sorted values of the remaining columns (the
 unpivoted rows are never re-reduced), with the pivot maps it fills, and
@@ -53,7 +53,6 @@ carries the weight-admissible codes they exclude, and says so itself.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .codes import (
     QUARTIC_WORD_CLASSES,
@@ -223,7 +222,6 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
     basis) pair per permutation class, found by isomorph-rejected basis
     extension from the zero code."""
     memo: dict = {}  # canonical-form completions, shared by this run's codes
-    seen_spans: set[tuple[int, ...]] = set()  # reduced bases
     found: list[tuple[bytes, tuple[int, ...]]] = []
 
     # canonical form -> (basis, its candidate orbits' first words); b"" is the zero code
@@ -235,9 +233,6 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
             reps, split = _parent_orbits(words, basis, mu)
             for w in reps:
                 r, new_basis = _extend(basis, w)
-                if new_basis in seen_spans:
-                    continue
-                seen_spans.add(new_basis)
                 enc = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
                     next_level[enc] = (new_basis, split(r))
@@ -246,30 +241,21 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
     return found
 
 
-def _greedy_profile(code: EvenSetCode) -> str:
-    """Profile string with basis chosen greedily by ascending weight, which
-    maximizes the number of minimum-weight basis words."""
-    mu, k = code.mu, code.dim
-    mask = (1 << mu) - 1
-    words = sorted(
-        (w for w in code.words_ext() if w),
-        key=lambda w: ((w & mask).bit_count(), w),
-    )
-    chosen_weights: list[int] = []
-    basis: list[int] = []
-    for w in words:
-        enlarged = bit_rref(basis + [w])
-        if len(enlarged) > len(basis):
-            basis = enlarged
-            chosen_weights.append((w & mask).bit_count())
-        if len(basis) == k:
-            break
-    multiplicity = Counter(chosen_weights)
-    weights = sorted({(w & mask).bit_count() for w in words})
-    parts = [
-        f"{d}_{multiplicity[d]}" if multiplicity.get(d) else str(d) for d in weights
-    ]
-    return f"[{mu},{k},{{{','.join(parts)}}}]"
+def _profile(code: EvenSetCode) -> str:
+    """The profile string: each distinct nonzero weight d, subscripted by
+    rank(words of weight <= d) - rank(words of weight < d) when positive.
+    A basis chosen greedily by ascending weight keeps a word exactly when it
+    is independent of the words before it, so it takes that many words of
+    weight d (Edmonds 1971), the most minimum-weight basis words possible."""
+    mask = (1 << code.mu) - 1
+    words = code.words_ext()
+    weights = sorted({(w & mask).bit_count() for w in words if w})
+    parts, rank = [], 0
+    for d in weights:
+        m = len(bit_rref(w for w in words if (w & mask).bit_count() <= d)) - rank
+        rank += m
+        parts.append(f"{d}_{m}" if m else str(d))
+    return f"[{code.mu},{code.dim},{{{','.join(parts)}}}]"
 
 
 def _entry(mu: int, canonical: bytes, basis: tuple[int, ...]) -> TableEntry:
@@ -277,7 +263,7 @@ def _entry(mu: int, canonical: bytes, basis: tuple[int, ...]) -> TableEntry:
     return TableEntry(
         code=code,
         dim=code.dim,
-        profile=_greedy_profile(code),
+        profile=_profile(code),
         enumerator=weight_enumerator(code),
         canonical=canonical,
     )

@@ -12,14 +12,19 @@ child's basis from its parent's and each child's orbits from its
 parent's; it must return the same (canonical form, basis) list, order
 included.  The library's helpers are read through the module, so a test
 that counts ``_canonical_form`` calls counts this loop's too.
+
+``greedy_profile`` is the profile string as the library once built it,
+by choosing a basis greedily by ascending weight; the library reads the
+same multiplicities off ranks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from nodalcodes import classify
-from nodalcodes.codes import QUARTIC_WORD_CLASSES
+from nodalcodes.codes import QUARTIC_WORD_CLASSES, EvenSetCode
 from nodalcodes.linalg import bit_rref
 from permutation_oracle import popcount_orbit_representatives
 
@@ -81,3 +86,29 @@ def enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
                     )
         level = next_level
     return found
+
+
+def greedy_profile(code: EvenSetCode) -> str:
+    """Profile string with basis chosen greedily by ascending weight, which
+    maximizes the number of minimum-weight basis words."""
+    mu, k = code.mu, code.dim
+    mask = (1 << mu) - 1
+    words = sorted(
+        (w for w in code.words_ext() if w),
+        key=lambda w: ((w & mask).bit_count(), w),
+    )
+    chosen_weights: list[int] = []
+    basis: list[int] = []
+    for w in words:
+        enlarged = bit_rref(basis + [w])
+        if len(enlarged) > len(basis):
+            basis = enlarged
+            chosen_weights.append((w & mask).bit_count())
+        if len(basis) == k:
+            break
+    multiplicity = Counter(chosen_weights)
+    weights = sorted({(w & mask).bit_count() for w in words})
+    parts = [
+        f"{d}_{multiplicity[d]}" if multiplicity.get(d) else str(d) for d in weights
+    ]
+    return f"[{mu},{k},{{{','.join(parts)}}}]"

@@ -26,7 +26,7 @@ from nodalcodes.errors import DomainError
 from nodalcodes.linalg import bit_rref
 from canonical_oracle import canonical_encoding
 from classify_brute import class_encodings
-from classify_oracle import admissible_words_ext
+from classify_oracle import admissible_words_ext, greedy_profile
 from classify_oracle import enumerate_admissible as per_word_enumeration
 from permutation_oracle import (
     apply_node_permutation,
@@ -388,7 +388,8 @@ def test_every_labeled_code_has_its_class_in_the_table(mu):
 def test_canonical_search_count_is_pinned(monkeypatch):
     # the coset reduction's saving as a count: a weaker key (one that
     # misses images under identical columns, or is not constant on a
-    # coset) keeps the answers but searches more
+    # coset) keeps the answers but searches more.  A span reached from two
+    # parents is searched twice (ten times at mu = 16).
     calls = Counter()
     search = classify_mod._canonical_form
 
@@ -399,7 +400,8 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     monkeypatch.setattr(classify_mod, "_canonical_form", counting)
     for mu in range(6, 17):
         classify_mod._enumerate_admissible(mu)
-    assert sum(calls.values()) == 352
+    assert [calls[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 5, 5, 11, 14, 35, 80, 206]
+    assert sum(calls.values()) == 362
     calls.clear()
     for mu in range(6, 17):
         per_word_enumeration(mu)
@@ -557,6 +559,38 @@ def test_entries_are_built_only_for_kept_codes(monkeypatch, audited_classificati
         table = classify_quartic_codes(mu)
         assert built[mu] == len(table.entries) == EXPECTED_COUNTS[mu]
         assert table.entries == audited_classification_tables[mu].entries
+
+
+@st.composite
+def _random_codes(draw, max_mu=14, max_dim=7):
+    # random supports, the parity a random linear functional of the support
+    mu = draw(st.integers(1, max_mu))
+    support = st.integers(0, (1 << mu) - 1)
+    functional = draw(support)
+    supports = draw(st.lists(support, max_size=max_dim))
+    return EvenSetCode(mu, tuple(s | ((s & functional).bit_count() & 1) << mu for s in supports))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_random_codes())
+def test_rank_profile_matches_the_greedy_basis(code):
+    assert classify_mod._profile(code) == greedy_profile(code)
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=2000)
+@given(_random_codes(max_mu=16, max_dim=10))
+def test_rank_profile_matches_the_greedy_basis_up_to_dimension_10(code):
+    assert classify_mod._profile(code) == greedy_profile(code)
+
+
+def test_rank_profile_matches_the_greedy_basis_on_the_table(audited_classification_tables):
+    # 23 entries and 64 exclusions, the mixed multiplicities at mu = 16 included
+    tables = audited_classification_tables.values()
+    codes = [e for table in tables for e in table.entries + table.excluded]
+    assert len(codes) == 87
+    for e in codes:
+        assert e.profile == greedy_profile(e.code)
 
 
 # SHA-256 over the profile, dimension, canonical bytes, basis and weight

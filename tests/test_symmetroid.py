@@ -527,6 +527,69 @@ def test_cubic_roots_of_random_and_planted_cubics(p):
             assert sorted(symmetroid._cubic_roots(c, p, tables)) == _cubic_roots_by_search(c, p), c
 
 
+# Above the brute-force primes, a scan is checked against a congruent one.
+# The rank-one pencil stays out: its locus is all of P^3.
+_CONGRUENCE_FAMILIES = {
+    "web": lambda p, rng: random_symmetroid_matrix(p, rng.randrange(1 << 30)),
+    "uniform": lambda p, rng: random_symmetric_matrix(p, rng.randrange(1 << 30)),
+    "x identity": lambda p, rng: SymmetricLinearMatrix.from_strings(p, X_IDENTITY),
+    "diag xyzw": lambda p, rng: SymmetricLinearMatrix.from_strings(p, DIAG_XYZW),
+    "common kernel": lambda p, rng: SymmetricLinearMatrix.from_strings(p, COMMON_KERNEL),
+    # no entry involves w, so det A vanishes and the scan takes the lines
+    # through (0:0:0:1)
+    "free of w": lambda p, rng: SymmetricLinearMatrix(
+        p, tuple((rng.randrange(p), rng.randrange(p), rng.randrange(p), 0) for _ in range(10))),
+}
+
+
+def _invertible(p, rng):
+    while True:
+        m = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+        if row_list_rank_mod_p(m, p) == 4:
+            return m
+
+
+def _congruent(matrix, g, q):
+    """M'(x) = q^T M(g x) q: the x_l coefficient of M'_ij is
+    sum_{a,b} q_ai q_bj sum_k (M_ab)_k g_kl."""
+    forms = {}
+    for (a, b), row in zip(QUADRIC_MONOMIALS, matrix.coefficients):
+        forms[a, b] = forms[b, a] = [sum(row[k] * g[k][l] for k in range(4)) for l in range(4)]
+    return SymmetricLinearMatrix(matrix.prime, tuple(
+        tuple(sum(q[a][i] * q[b][j] * forms[a, b][l] for a in range(4) for b in range(4))
+              for l in range(4))
+        for i, j in QUADRIC_MONOMIALS))
+
+
+def _check_congruence(family, p):
+    # rank M'(x) = rank M(g x), so g maps the locus of M' onto that of M.
+    # The plane pass, the singular plane points and the fallback all depend
+    # on coordinates, so a random (g, q) moves each of them.
+    for seed in range(4):
+        rng = random.Random(f"{family} {p} {seed}")
+        matrix = _CONGRUENCE_FAMILIES[family](p, rng)
+        g, q = _invertible(p, rng), _invertible(p, rng)
+        scan, moved = scan_nodes_fp(matrix), scan_nodes_fp(_congruent(matrix, g, q))
+        mapped = sorted({_projective_key([sum(g[k][l] * x[l] for l in range(4)) for k in range(4)], p)
+                         for x in moved.points})
+        assert mapped == list(scan.points), (family, p, seed)
+        assert moved.degenerate == scan.degenerate
+
+
+@pytest.mark.parametrize("family, p", [
+    *((family, p) for family in ("web", "uniform") for p in (37, 101)),
+    *((family, 37) for family in ("x identity", "diag xyzw", "common kernel", "free of w")),
+])
+def test_congruent_matrices_scan_to_the_same_locus(family, p):
+    _check_congruence(family, p)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", list(_CONGRUENCE_FAMILIES))
+def test_congruent_matrices_scan_to_the_same_locus_at_211(family):
+    _check_congruence(family, 211)
+
+
 class TestCertificate:
     def test_points_on_a_common_quadric_fail(self):
         # ten points on the Segre quadric xw = yz over F_7
