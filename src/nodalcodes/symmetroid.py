@@ -7,13 +7,14 @@ nodes.  Over F_p that locus is found by kernel incidence (see
 :func:`scan_nodes_fp`): the kernels of the singular A(v) = [M_x v | M_y v |
 M_z v | M_w v] on the plane v_z = 0 hold every rank <= 2 point.  Packed
 ints give det A and its p^2 values on that whole plane, with no residue
-per value, not the p^3 points of P^3, and one principal 3x3 minor of
-M(x) decides each kernel point x.  When det A vanishes on the plane, a
-cubic 3x3 minor is solved on each of the p^2 + p + 1 lines through
-(0:0:0:1) instead.  The no-quadric certificate is the dimension of the
-quadrics through the ten nodes, the defect computation for b = 4.  More
-than ten points prove a
-positive-dimensional locus, by the Harris-Tu degree bound
+per value, not the p^3 points of P^3.  One principal 3x3 minor of M(x)
+decides each kernel point x, and the same minor at a column of adj A(v),
+one packed degree-9 polynomial on the plane, screens the about p singular
+points v before any 4x4 work.  When det A vanishes on the plane, a cubic
+3x3 minor is solved on each of the p^2 + p + 1 lines through (0:0:0:1)
+instead.  The no-quadric certificate is the dimension of the quadrics
+through the ten nodes, the defect computation for b = 4.  More than ten
+points prove a positive-dimensional locus, by the Harris-Tu degree bound
 (:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence, labeled
 as such: nothing here claims a characteristic-0 proof.
 
@@ -230,8 +231,8 @@ _DELETE_ONE = _TRIPLES[::-1]
 
 def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
     """For any 4x4 integer matrix A mod p: None exactly when rank A <= 2,
-    else a nonzero column of adj(A) scaled to first nonzero coordinate 1,
-    which at rank 3 is the kernel's point.
+    else a nonzero column of adj(A), unscaled, which at rank 3 spans the
+    kernel.
 
     adj(A) is zero exactly when all sixteen 3x3 minors vanish.  At rank 3,
     A adj(A) = det(A) I = 0 and adj(A) has rank 1, so it spans ker A.
@@ -249,10 +250,8 @@ def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
             (a0 * m13 - a1 * m03 + a3 * m01) % p,
             -(a0 * m12 - a1 * m02 + a2 * m01) % p,
         )
-        for s in x:
-            if s:
-                inv = pow(s, -1, p)
-                return tuple(t * inv % p for t in x)
+        if any(x):
+            return x
     return None
 
 
@@ -272,31 +271,82 @@ def _flag_roots(quartics, powers, p: int):
             u = flags.find(0, u + 1)
 
 
+def _node_filter(a, forms, p: int) -> list[int]:
+    """The coefficients mod p of R(1, b, u), b^j u^l in slot j + 10 l: the
+    principal 3x3 minor off index 0 of M(x) at x = column 0 of adj A(v),
+    v = (1, b, 0, u), with A(x, y, 0, w) given as rows ``a`` of (x, y, w)
+    coefficients.
+
+    x_j is (-1)^j times the minor of rows 1..3 of A off column j, a cubic
+    form packed at slots (0, 1, 10).  Each entry m_rc = sum_j M_rc,j x_j
+    of M(x) is reduced mod p before the symmetric minor m11 m22 m33 +
+    2 m12 m13 m23 - (m11 m23^2 + m12^2 m33 + m13^2 m22) is expanded, its
+    two signs summed apart as in :func:`_packed_det`, so that each slot of
+    either sum stays below 3 * 100 * (p-1)^3 < 2^39 for p <= _PRIME_CAP:
+    three products of three cubics of ten slots, whose first two slots fix
+    the third.  Where det A(v) = 0, x lies in ker A(v): R(v) = 0 if x = 0,
+    else ker A(v) is the point x and, as v_0 = 1, R(v) = 0 exactly when
+    M(x) has rank <= 2 (:func:`_rank_two_in_kernel`).  So R(v) != 0 proves
+    that ker A(v) holds no rank <= 2 point."""
+    x_by_slot = list(zip(*(_packed_det([r[:j] + r[j + 1:] for r in a[1:]], (0, 1, 10), p) for j in range(4))))
+    pack, unpack = _slot_codec(64)
+    m11, m12, m13, m22, m23, m33 = (
+        int.from_bytes(pack([(f0 * x0 - f1 * x1 + f2 * x2 - f3 * x3) % p for x0, x1, x2, x3 in x_by_slot]), "little")
+        for f0, f1, f2, f3 in (forms[1][1], forms[1][2], forms[1][3], forms[2][2], forms[2][3], forms[3][3]))
+    plus = m11 * m22 * m33 + 2 * m12 * m13 * m23
+    minus = m11 * m23 * m23 + m12 * m12 * m33 + m13 * m13 * m22
+    return [(s - t) % p for s, t in zip(*(unpack(q.to_bytes(8 * 91, "little")) for q in (plus, minus)))]
+
+
+def _on_every_line(polynomials, powers, p: int) -> list[tuple[int, ...]]:
+    """For each b = 0..p-1, the values mod p at b of the polynomials, each a
+    list of at most ten coefficients c_k of b^k, c_k < p, with powers[k] =
+    t^k mod p in 64-bit slot t: each slot stays below 10 (p-1)^2 < 2^64."""
+    _, unpack = _slot_codec(64)
+    return list(zip(*([s % p for s in unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(
+        8 * p, "little"))] for coefficients in polynomials)))
+
+
 def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
-    """The distinct kernels of the singular A(v) on the plane v_z = 0, each
-    a basis mapped to the first such v; None if det A vanishes on the plane.
+    """The distinct kernels of the singular A(v) on the plane v_z = 0 that
+    may hold a rank <= 2 point, each a basis mapped to the first such v;
+    None if det A vanishes on the plane.
 
     det A(a, b, 0, u) = sum_l u^l g_l(a, b), g_l of degree 4 - l.  With t^k
     mod p for t = 0..p-1 in 64-bit slots, one int per k, one sum of products
     gives g_l(1, b) at every b; :func:`_flag_roots` finds the roots of the
     quartic on each line (1, b, 0) + u (0:0:0:1), and on the line (0, 1, 0)
-    from the leading coefficients.  A rank-3 A(v) has its kernel read off
-    the adjugate (:func:`_cofactor_kernel`)."""
+    from the leading coefficients.  A root (1, b, 0, u) goes on only where
+    the degree-9 polynomial of :func:`_node_filter` vanishes, its
+    coefficients in u on every line taken in the same way; the line
+    (0, 1, 0) and (0:0:0:1) always go on.  A rank-3 A(v) has its kernel
+    read off the adjugate (:func:`_cofactor_kernel`)."""
     p = matrix.prime
     # A(e_j) flat, row-major: A(v)[i][k] = (M_k v)_i = sum_j forms[i][j][k] v_j
     a_x, a_y, _, a_w = ([forms[i][j][k] for i in range(4) for k in range(4)] for j in range(4))
     entries = list(zip(a_x, a_y, a_w))
+    plane = [entries[4 * i:4 * i + 4] for i in range(4)]
     # x, y, w in slots 0, 1, 5: y^j w^l x^(4-j-l) of det A in slot j + 5l
-    det = _packed_det([entries[4 * i:4 * i + 4] for i in range(4)], (0, 1, 5), p)
+    det = _packed_det(plane, (0, 1, 5), p)
     if not any(det):
         return None
-    pack, unpack = _slot_codec(64)
-    powers = [int.from_bytes(pack([pow(t, k, p) for t in range(p)]), "little") for k in range(5)]
+    node = _node_filter(plane, forms, p)
+    pack, _ = _slot_codec(64)
+    powers, values = [], [1] * p
+    for _ in range(10):
+        powers.append(int.from_bytes(pack(values), "little"))
+        values = [s * t % p for s, t in zip(values, range(p))]
     g = [det[5 * l:5 * l + 5 - l] for l in range(5)]
-    lines = zip(*([s % p for s in unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(
-        8 * p, "little"))] for coefficients in g))
+    # R(1, b, u) on line b as its coefficients of u^9, ..., u^0, for Horner
+    node_lines = _on_every_line([node[10 * l:10 * l + 10 - l] for l in range(9, -1, -1)], powers, p)
     singular = [] if det[20] else [(_W, a_w)]
-    for b, u in _flag_roots([*lines, [c[-1] for c in g]], powers, p):
+    for b, u in _flag_roots([*_on_every_line(g, powers, p), [c[-1] for c in g]], powers[:5], p):
+        if b < p:
+            value = 0
+            for c in node_lines[b]:
+                value = value * u + c
+            if value % p:
+                continue
         x, y = (1, b) if b < p else (0, 1)
         singular.append(((x, y, 0, u), [(x * s + y * t + u * r) % p for s, t, r in entries]))
     field = PrimeField(p)
@@ -304,7 +354,9 @@ def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
     for v, a in singular:
         rows = (a[:4], a[4:8], a[8:12], a[12:])
         point = _cofactor_kernel(rows, p)
-        kernels.setdefault((point,) if point else tuple(nullspace_basis(ExactMatrix(field, rows))), v)
+        # a rank-3 kernel as its one point, scaled to first nonzero coordinate 1
+        basis = tuple(_span_points([point], p)) if point else tuple(nullspace_basis(ExactMatrix(field, rows)))
+        kernels.setdefault(basis, v)
     return kernels
 
 

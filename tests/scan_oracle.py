@@ -8,7 +8,10 @@ Here a polynomial is a dict ``{exponents: coefficient mod p}`` and the
 determinant is the cofactor expansion along the first row, one dict
 product at a time.  The library reads the roots of a quartic on a line
 off divisibility flags (``symmetroid._flag_roots``); here every u is
-tried.  The library decides rank <= 2 from the adjugate's columns
+tried.  The library packs the degree-9 polynomial that screens the roots
+of the plane pass (``symmetroid._node_filter``); here it is the same
+adjugate column and minor, expanded in the dict ring.  The library
+decides rank <= 2 from the adjugate's columns
 (``symmetroid._cofactor_kernel``); here each of the ten distinct 3x3
 minors of the symmetric matrix is expanded on its own.
 """
@@ -49,6 +52,24 @@ def det(rows, p: int) -> dict:
             for e, c in mul(entry, minor, p).items():
                 total[e] = (total.get(e, 0) - c if k % 2 else total.get(e, 0) + c) % p
     return {e: c for e, c in total.items() if c}
+
+
+def node_filter(plane, forms, p: int) -> dict:
+    """R(a, b, u), the principal 3x3 minor off index 0 of M(x) at x =
+    column 0 of adj A(a, b, 0, u): ``plane`` is A(x, y, 0, w) as rows of
+    (x, y, w) coefficients and ``forms[i][j]`` holds the (x, y, z, w)
+    coefficients of M's entry (i, j)."""
+    rows = [[linear(f) for f in row] for row in plane[1:]]
+    column = [det([r[:j] + r[j + 1:] for r in rows], p) for j in range(4)]
+
+    def entry(f):
+        total = {}
+        for j, (c, x) in enumerate(zip(f, column)):
+            for e, t in mul({(0, 0, 0): (-1) ** j * c}, x, p).items():
+                total[e] = (total.get(e, 0) + t) % p
+        return {e: t for e, t in total.items() if t}
+
+    return det([[entry(forms[r][c]) for c in (1, 2, 3)] for r in (1, 2, 3)], p)
 
 
 def roots(coefficients, p: int) -> list[int]:

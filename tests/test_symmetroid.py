@@ -289,7 +289,7 @@ class TestPlaneKernels:
     def test_cofactor_kernel_is_the_nullspace_point(self, data):
         # B C with B 4 x r and C r x 4 has rank <= r; the rank oracle decides
         # which answer is due: None exactly at rank <= 2, which the fallback
-        # scan relies on, and a point at ranks 3 and 4
+        # scan relies on, and an unscaled column at ranks 3 and 4
         p = data.draw(st.sampled_from([3, 5, 7, 13, 101, 1021]))
         r = data.draw(st.integers(0, 4))
         residue = st.integers(0, p - 1)
@@ -301,7 +301,7 @@ class TestPlaneKernels:
         assert (point is None) == (rank <= 2)
         if rank == 3:
             (vec,) = nullspace_basis(ExactMatrix.from_rows(PrimeField(p), a))
-            assert point == _projective_key(vec, p)
+            assert _projective_key(point, p) == _projective_key(vec, p)
 
     def test_rank_two_fallback_is_reached_on_the_coplanar_web(self, monkeypatch):
         # the line of plane pairs gives rank-2 matrices A(v), whose kernels
@@ -331,6 +331,7 @@ class TestPlaneKernels:
         m = random_symmetroid_matrix(p, 0)
         quartic = [p - 1 if s % 5 + s // 5 <= 4 else 0 for s in range(21)]
         monkeypatch.setattr(symmetroid, "_packed_det", lambda rows, slots, q: quartic)
+        monkeypatch.setattr(symmetroid, "_node_filter", lambda a, forms, q: [0] * 91)  # every root goes on
         seen = []
 
         def recording(a, q):
@@ -345,6 +346,47 @@ class TestPlaneKernels:
             v[0] ** i * v[1] ** j * v[3] ** (4 - i - j) for i in range(5) for j in range(5 - i)) % p]
         assert roots
         assert sorted(seen) == sorted(_kernel_incidence_matrix(m, v) for v in roots)
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 37, 101])
+    def test_node_filter_drops_no_point(self, p, monkeypatch):
+        # with R patched to zero every singular plane point takes the exact
+        # path; the points must not change.  The all-(p - 1) matrix is
+        # rank one, its locus all of P^3, so it stays at small p
+        rng = random.Random(p)
+
+        def extreme():
+            return SymmetricLinearMatrix(p, tuple(tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(4))
+                                                  for _ in range(10)))
+
+        matrices = [random_symmetroid_matrix(p, seed) for seed in range(3)]
+        matrices += [random_symmetric_matrix(p, seed) for seed in range(3)]
+        matrices += [_web_through(p, COPLANAR_SIX), _CONGRUENCE_FAMILIES["free of w"](p, rng)]
+        matrices += [extreme() for _ in range(3)]
+        if p <= 37:
+            matrices.append(SymmetricLinearMatrix(p, ((p - 1,) * 4,) * 10))
+        filtered = [scan_nodes_fp(m) for m in matrices]
+        monkeypatch.setattr(symmetroid, "_node_filter", lambda a, forms, q: [0] * 91)
+        assert [scan_nodes_fp(m) for m in matrices] == filtered
+
+    def test_node_filter_leaves_few_plane_points(self, monkeypatch):
+        # about p singular plane points of a ten-point web; R passes the
+        # nodes' own, the line (0, 1, 0) and few more
+        p = 101
+        m = random_symmetroid_matrix(p, 0)
+        calls = []
+
+        def counting(a, q):
+            calls.append(a)
+            return cofactor_kernel(a, q)
+
+        cofactor_kernel = symmetroid._cofactor_kernel
+        monkeypatch.setattr(symmetroid, "_cofactor_kernel", counting)
+        assert len(scan_nodes_fp(m).points) == 10
+        filtered = len(calls)
+        monkeypatch.setattr(symmetroid, "_node_filter", lambda a, forms, q: [0] * 91)
+        calls.clear()
+        assert len(scan_nodes_fp(m).points) == 10
+        assert 10 <= filtered <= 30 < p // 2 < len(calls)
 
     @pytest.mark.parametrize("p", [5, 7, 13])
     def test_one_principal_minor_decides_every_kernel_point(self, p):
@@ -407,10 +449,17 @@ def _extremes_or_any(p):
     return st.one_of(st.sampled_from([0, p - 1]), st.integers(0, p - 1))
 
 
+def _plane(forms):
+    """A(x, y, 0, w) as rows of (x, y, w) coefficients, as the plane pass packs it."""
+    return [[(forms[i][0][k], forms[i][1][k], forms[i][3][k]) for k in range(4)] for i in range(4)]
+
+
 def _check_packed_determinants(m):
     """The determinants the scan packs for m, the plane quartic det A(x, y,
-    0, w) and the ten 3x3 minors of M, equal the dict ring's, and each
-    layout puts distinct monomials in distinct slots."""
+    0, w), the four minors of rows 1..3 of A that make column 0 of its
+    adjugate (when the quartic is not zero) and the ten 3x3 minors of M,
+    equal the dict ring's, and each layout puts distinct monomials in
+    distinct slots."""
     p, forms, calls = m.prime, _forms(m), []
 
     def recording(rows, slots, q):
@@ -423,11 +472,12 @@ def _check_packed_determinants(m):
         patch.setattr(symmetroid, "_span_points", lambda basis, q: ())  # the minors, not the lines
         symmetroid._plane_kernels(m, forms)
         symmetroid._line_points(m, forms)
-    plane = [[(forms[i][0][k], forms[i][1][k], forms[i][3][k]) for k in range(4)] for i in range(4)]
+    plane = _plane(forms)
     minors = [[[forms[i][j] for j in cols] for i in rows]
               for n, rows in enumerate(_TRIPLES) for cols in _TRIPLES[n:]]
+    adjugate = [[row[:j] + row[j + 1:] for row in plane[1:]] for j in range(4)] if any(calls[0][2]) else []
     assert [(rows, slots) for rows, slots, _ in calls] == \
-        [(plane, (0, 1, 5))] + [(rows, (0, 1, 4, 16)) for rows in minors]
+        [(plane, (0, 1, 5))] + [(rows, (0, 1, 10)) for rows in adjugate] + [(rows, (0, 1, 4, 16)) for rows in minors]
     for rows, slots, coefficients in calls:
         n = len(rows)
         monomials = [e for e in itertools.product(range(n + 1), repeat=len(slots)) if sum(e) == n]
@@ -435,6 +485,17 @@ def _check_packed_determinants(m):
         expected = scan_oracle.det([[scan_oracle.linear(f) for f in row] for row in rows], p)
         assert {s: c for s, c in enumerate(coefficients) if c} == \
             {sum(a * s for a, s in zip(e, slots)): c for e, c in expected.items()}, (p, rows)
+
+
+def _check_node_filter(m):
+    """The packed R(1, b, u) of the plane pass equals the dict ring's
+    R(a, b, u), b^j u^l in slot j + 10 l."""
+    p, forms = m.prime, _forms(m)
+    plane = _plane(forms)
+    expected = scan_oracle.node_filter(plane, forms, p)
+    assert all(sum(e) == 9 for e in expected)
+    assert {s: c for s, c in enumerate(symmetroid._node_filter(plane, forms, p)) if c} == \
+        {j + 10 * l: c for (_, j, l), c in expected.items()}, (p, m.coefficients)
 
 
 def _packed_powers(p):
@@ -464,6 +525,19 @@ def test_packed_determinants_match_the_dict_ring(data):
     _check_packed_determinants(SymmetricLinearMatrix(p, tuple(forms)))
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_node_filter_matches_the_dict_ring(data):
+    # the premise of the packed minor: each reduced entry of M(x) is a cubic
+    # with ten slots, so a slot of P or N sums at most 3 * 10 * 10 products
+    # of three residues, and a slot of R on a line at most ten
+    assert 3 * 100 * (symmetroid._PRIME_CAP - 1) ** 3 < 2**39
+    assert 10 * (symmetroid._PRIME_CAP - 1) ** 2 < 2**64
+    p = data.draw(st.sampled_from([3, 5, 101, 1021]))
+    form = st.tuples(*[_extremes_or_any(p)] * 4)
+    _check_node_filter(SymmetricLinearMatrix(p, tuple(data.draw(st.lists(form, min_size=10, max_size=10)))))
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_flag_roots_match_the_search(data):
@@ -482,7 +556,7 @@ def test_flag_roots_of_every_quartic(p):
 
 @pytest.mark.slow
 def test_scan_oracles_at_every_prime_up_to_the_cap():
-    # both oracles at each of the 171 odd primes below 1024
+    # the three oracles at each of the 171 odd primes below 1024
     for p in _CAP_PRIMES:
         rng = random.Random(p)
 
@@ -490,8 +564,9 @@ def test_scan_oracles_at_every_prime_up_to_the_cap():
             return rng.choice((0, p - 1, rng.randrange(p)))
 
         for _ in range(4):
-            _check_packed_determinants(SymmetricLinearMatrix(p, tuple(
-                tuple(residue() for _ in range(4)) for _ in range(10))))
+            m = SymmetricLinearMatrix(p, tuple(tuple(residue() for _ in range(4)) for _ in range(10)))
+            _check_packed_determinants(m)
+            _check_node_filter(m)
         quartics = [[0] * 5, [p - 1] * 5] + [[residue() for _ in range(5)] for _ in range(30)]
         for _ in range(30):
             roots = [rng.randrange(p) for _ in range(rng.randint(0, 4))]
