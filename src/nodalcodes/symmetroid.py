@@ -6,17 +6,18 @@ matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
 nodes.  Over F_p that locus is found by kernel incidence (see
 :func:`scan_nodes_fp`): the kernels of the singular A(v) = [M_x v | M_y v |
 M_z v | M_w v] on the plane v_z = 0 hold every rank <= 2 point.  Packed
-ints give det A and its p^2 values on that whole plane, with no residue
-per value, not the p^3 points of P^3.  One principal 3x3 minor of M(x)
-decides each kernel point x, and the same minor at a column of adj A(v),
-one packed degree-9 polynomial on the plane, screens the about p singular
-points v before any 4x4 work.  When det A vanishes on the plane, a cubic
-3x3 minor is solved on each of the p^2 + p + 1 lines through (0:0:0:1)
-instead.  The no-quadric certificate is the dimension of the quadrics
-through the ten nodes, the defect computation for b = 4.  More than ten
-points prove a positive-dimensional locus, by the Harris-Tu degree bound
-(:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence, labeled
-as such: nothing here claims a characteristic-0 proof.
+ints give column 0 of adj A, det A off it and its p^2 values on that
+whole plane, in slots sized to p, with no residue per value, not the p^3
+points of P^3.  One principal 3x3 minor of M(x) decides each kernel point
+x, and the same minor at that column, one packed degree-9 polynomial on
+the plane, screens the about p singular points v before any 4x4 work.
+When det A vanishes on the plane, a cubic 3x3 minor is solved on each of
+the p^2 + p + 1 lines through (0:0:0:1) instead.  The no-quadric
+certificate is the dimension of the quadrics through the ten nodes, the
+defect computation for b = 4.  More than ten points prove a
+positive-dimensional locus, by the Harris-Tu degree bound
+(:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence,
+labeled as such: nothing here claims a characteristic-0 proof.
 
 Uniformly random coefficient matrices are the wrong distribution for this
 experiment: Frobenius permutes the ten geometric rank-2 points, so almost
@@ -146,26 +147,19 @@ class ScanResult(Record):
 
 
 def _signed_det(rows) -> tuple[int, int]:
-    """(P, N) of :func:`_packed_det`, by Laplace expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0], 0
-    plus = minus = 0
-    for k, entry in enumerate(rows[0]):
-        if entry:
-            even, odd = _signed_det([r[:k] + r[k + 1:] for r in rows[1:]])
-            plus += entry * (odd if k % 2 else even)
-            minus += entry * (even if k % 2 else odd)
-    return plus, minus
+    """(P, N) of :func:`_packed_det` for a 3x3 matrix, in closed form."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * e * i + b * f * g + c * d * h, c * e * g + a * f * h + b * d * i
 
 
 def _packed_det(rows, slots, p: int) -> list[int]:
-    """The coefficients mod p, by slot, of det = P - N of an n x n matrix of
+    """The coefficients mod p, by slot, of det = P - N of a 3x3 matrix of
     linear forms packed with x, y, ... in the 64-bit slots ``slots``
     (Kronecker): P and N sum the products over the even and the odd
-    permutations, so no slot borrows, and stay below n! n! (p-1)^n < 2^50
-    for n <= 4 and p <= _PRIME_CAP."""
+    permutations, so no slot borrows, and stay below 3! 3! (p-1)^3 < 2^36
+    for p <= _PRIME_CAP."""
     _, unpack = _slot_codec(64)
-    size = 8 * (len(rows) * max(slots) + 1)
+    size = 8 * (3 * max(slots) + 1)
     plus, minus = (unpack(q.to_bytes(size, "little")) for q in _signed_det(
         [[sum(c << 64 * s for c, s in zip(f, slots)) for f in row] for row in rows]))
     return [(s - t) % p for s, t in zip(plus, minus)]
@@ -255,40 +249,60 @@ def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
     return None
 
 
+def _flag_slots(p: int) -> tuple[int, int]:
+    """(k, w) of :func:`_flag_roots`."""
+    k = (5 * (p - 1) ** 2).bit_length()
+    return k, (5 * p * p << k).bit_length() + 7 & -8
+
+
 def _flag_roots(quartics, powers, p: int):
     """(b, u) for each root u in F_p of each quartics[b] = (c_0, ..., c_4),
-    c_l < p, with powers[k] = t^k mod p in 64-bit slot t.  Each slot
-    s = sum_l c_l u^l < 5 (p-1)^2 < 2^32, and p | s iff s p^-1 mod 2^32 <=
-    (2^32 - 1) // p (Granlund and Montgomery, PLDI 1994): a bias carries
-    into bit 32 of every slot but the roots', with no residue computed."""
-    q0, q1, q2, q3, q4 = (q * pow(p, -1, 1 << 32) for q in powers)  # s p^-1 < 2^64: no carry
-    low, bias = powers[0] * 0xFFFFFFFF, powers[0] * (0xFFFFFFFF - 0xFFFFFFFF // p)
+    c_l < p, with powers[l] the list of t^l mod p for t = 0..p-1.  Slot t
+    of w bits holds s p^-1, s = sum_l c_l u^l and p^-1 mod 2^k, (k, w) =
+    :func:`_flag_slots` (p).  Premises: s <= 5 (p-1)^2 < 2^k, so p | s iff
+    s p^-1 mod 2^k <= (2^k - 1) // p (Granlund and Montgomery, PLDI 1994);
+    and s p^-1 < 5 p^2 2^k <= 2^w with w - k >= 8, so no slot carries, a
+    bias carries into bit k of every slot but the roots', and after >> k
+    byte 0 of each slot is that flag, with no residue computed."""
+    k, w = _flag_slots(p)
+    pack, _ = _slot_codec(w)
+    inverse, top, ones = pow(p, -1, 1 << k), (1 << k) - 1, int.from_bytes(pack(powers[0]), "little")
+    q0, q1, q2, q3, q4 = (int.from_bytes(pack(values), "little") * inverse for values in powers)
+    low, bias, n = ones * top, ones * (top - top // p), w // 8
     for b, (c0, c1, c2, c3, c4) in enumerate(quartics):
-        flags = ((c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3 + c4 * q4 & low) + bias >> 32).to_bytes(8 * p, "little")[::8]
+        flags = ((c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3 + c4 * q4 & low) + bias >> k).to_bytes(n * p, "little")[::n]
         u = flags.find(0)
         while u >= 0:
             yield b, u
             u = flags.find(0, u + 1)
 
 
-def _node_filter(a, forms, p: int) -> list[int]:
+def _plane_det(row, minors, p: int) -> list[int]:
+    """det A(x, y, 0, w) mod p, y^j w^l x^(4-j-l) in slot j + 10 l, off column
+    0 of adj A: sum_j a_0j x_j, ``row`` = a_0 as (x, y, w) coefficients and
+    x_j = (-1)^j minors[j], the minor of rows 1..3 off column j at slots
+    (0, 1, 10).  Odd a_0j are negated mod p, so each 32-bit slot sums at
+    most 4 * 3 nonnegative products of two residues."""
+    pack, unpack = _slot_codec(32)
+    total = sum((f0 | f1 << 32 | f2 << 320) * int.from_bytes(pack(m), "little") for (f0, f1, f2), m in zip(
+        (row[0], [-c % p for c in row[1]], row[2], [-c % p for c in row[3]]), minors))
+    return [c % p for c in unpack(total.to_bytes(4 * 41, "little"))]
+
+
+def _node_filter(minors, forms, p: int) -> list[int]:
     """The coefficients mod p of R(1, b, u), b^j u^l in slot j + 10 l: the
     principal 3x3 minor off index 0 of M(x) at x = column 0 of adj A(v),
-    v = (1, b, 0, u), with A(x, y, 0, w) given as rows ``a`` of (x, y, w)
-    coefficients.
-
-    x_j is (-1)^j times the minor of rows 1..3 of A off column j, a cubic
-    form packed at slots (0, 1, 10).  Each entry m_rc = sum_j M_rc,j x_j
-    of M(x) is reduced mod p before the symmetric minor m11 m22 m33 +
-    2 m12 m13 m23 - (m11 m23^2 + m12^2 m33 + m13^2 m22) is expanded, its
-    two signs summed apart as in :func:`_packed_det`, so that each slot of
-    either sum stays below 3 * 100 * (p-1)^3 < 2^39 for p <= _PRIME_CAP:
+    v = (1, b, 0, u), with x_j = (-1)^j minors[j] as in :func:`_plane_det`.
+    Each entry m_rc = sum_j M_rc,j x_j of M(x) is reduced mod p before the
+    minor m11 m22 m33 + 2 m12 m13 m23 - (m11 m23^2 + m12^2 m33 + m13^2 m22)
+    is expanded, its signs summed apart as in :func:`_packed_det`: a slot of
+    either sum stays below 3 * 100 * (p-1)^3 < 2^39 for p <= _PRIME_CAP,
     three products of three cubics of ten slots, whose first two slots fix
     the third.  Where det A(v) = 0, x lies in ker A(v): R(v) = 0 if x = 0,
-    else ker A(v) is the point x and, as v_0 = 1, R(v) = 0 exactly when
-    M(x) has rank <= 2 (:func:`_rank_two_in_kernel`).  So R(v) != 0 proves
-    that ker A(v) holds no rank <= 2 point."""
-    x_by_slot = list(zip(*(_packed_det([r[:j] + r[j + 1:] for r in a[1:]], (0, 1, 10), p) for j in range(4))))
+    else ker A(v) is the point x and, as v_0 = 1, R(v) = 0 exactly when M(x)
+    has rank <= 2 (:func:`_rank_two_in_kernel`).  So R(v) != 0 proves that
+    ker A(v) holds no rank <= 2 point."""
+    x_by_slot = list(zip(*minors))
     pack, unpack = _slot_codec(64)
     m11, m12, m13, m22, m23, m33 = (
         int.from_bytes(pack([(f0 * x0 - f1 * x1 + f2 * x2 - f3 * x3) % p for x0, x1, x2, x3 in x_by_slot]), "little")
@@ -301,10 +315,10 @@ def _node_filter(a, forms, p: int) -> list[int]:
 def _on_every_line(polynomials, powers, p: int) -> list[tuple[int, ...]]:
     """For each b = 0..p-1, the values mod p at b of the polynomials, each a
     list of at most ten coefficients c_k of b^k, c_k < p, with powers[k] =
-    t^k mod p in 64-bit slot t: each slot stays below 10 (p-1)^2 < 2^64."""
-    _, unpack = _slot_codec(64)
+    t^k mod p in 32-bit slot t: each slot stays below 10 (p-1)^2 < 2^32."""
+    _, unpack = _slot_codec(32)
     return list(zip(*([s % p for s in unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(
-        8 * p, "little"))] for coefficients in polynomials)))
+        4 * p, "little"))] for coefficients in polynomials)))
 
 
 def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
@@ -312,35 +326,36 @@ def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
     may hold a rank <= 2 point, each a basis mapped to the first such v;
     None if det A vanishes on the plane.
 
-    det A(a, b, 0, u) = sum_l u^l g_l(a, b), g_l of degree 4 - l.  With t^k
-    mod p for t = 0..p-1 in 64-bit slots, one int per k, one sum of products
-    gives g_l(1, b) at every b; :func:`_flag_roots` finds the roots of the
-    quartic on each line (1, b, 0) + u (0:0:0:1), and on the line (0, 1, 0)
-    from the leading coefficients.  A root (1, b, 0, u) goes on only where
-    the degree-9 polynomial of :func:`_node_filter` vanishes, its
-    coefficients in u on every line taken in the same way; the line
-    (0, 1, 0) and (0:0:0:1) always go on.  A rank-3 A(v) has its kernel
-    read off the adjugate (:func:`_cofactor_kernel`)."""
+    The minors of rows 1..3 of A give det A (:func:`_plane_det`) and R
+    (:func:`_node_filter`).  det A(a, b, 0, u) = sum_l u^l g_l(a, b), g_l of
+    degree 4 - l.  With t^k mod p for t = 0..p-1 in 32-bit slots, one int
+    per k, one sum of products gives g_l(1, b) at every b; :func:`_flag_roots`
+    finds the roots of the quartic on each line (1, b, 0) + u (0:0:0:1), and
+    on the line (0, 1, 0) from the leading coefficients.  A root (1, b, 0, u)
+    goes on only where R vanishes, its coefficients in u on every line taken
+    in the same way; the line (0, 1, 0) and (0:0:0:1) always go on.  A rank-3
+    A(v) has its kernel read off the adjugate (:func:`_cofactor_kernel`)."""
     p = matrix.prime
     # A(e_j) flat, row-major: A(v)[i][k] = (M_k v)_i = sum_j forms[i][j][k] v_j
     a_x, a_y, _, a_w = ([forms[i][j][k] for i in range(4) for k in range(4)] for j in range(4))
     entries = list(zip(a_x, a_y, a_w))
     plane = [entries[4 * i:4 * i + 4] for i in range(4)]
-    # x, y, w in slots 0, 1, 5: y^j w^l x^(4-j-l) of det A in slot j + 5l
-    det = _packed_det(plane, (0, 1, 5), p)
+    # x, y, w in slots 0, 1, 10: y^j w^l x^(3-j-l) of each minor in slot j + 10l
+    minors = [_packed_det([r[:j] + r[j + 1:] for r in plane[1:]], (0, 1, 10), p) for j in range(4)]
+    det = _plane_det(plane[0], minors, p)
     if not any(det):
         return None
-    node = _node_filter(plane, forms, p)
-    pack, _ = _slot_codec(64)
-    powers, values = [], [1] * p
-    for _ in range(10):
-        powers.append(int.from_bytes(pack(values), "little"))
-        values = [s * t % p for s, t in zip(values, range(p))]
-    g = [det[5 * l:5 * l + 5 - l] for l in range(5)]
+    node = _node_filter(minors, forms, p)
+    powers = [[1] * p]
+    for _ in range(9):
+        powers.append([s * t % p for t, s in enumerate(powers[-1])])
+    pack, _ = _slot_codec(32)
+    packed = [int.from_bytes(pack(values), "little") for values in powers]
+    g = [det[10 * l:10 * l + 5 - l] for l in range(5)]
     # R(1, b, u) on line b as its coefficients of u^9, ..., u^0, for Horner
-    node_lines = _on_every_line([node[10 * l:10 * l + 10 - l] for l in range(9, -1, -1)], powers, p)
-    singular = [] if det[20] else [(_W, a_w)]
-    for b, u in _flag_roots([*_on_every_line(g, powers, p), [c[-1] for c in g]], powers[:5], p):
+    node_lines = _on_every_line([node[10 * l:10 * l + 10 - l] for l in range(9, -1, -1)], packed, p)
+    singular = [] if det[40] else [(_W, a_w)]
+    for b, u in _flag_roots([*_on_every_line(g, packed, p), [c[-1] for c in g]], powers[:5], p):
         if b < p:
             value = 0
             for c in node_lines[b]:

@@ -125,6 +125,24 @@ class QuadricCertificate:
     certified: bool
 
 
+TWINS = (RationalField, PrimeField, BoundReport, TableEntry, ClassificationTable, EvenSetWord, EvenSetCode,
+         HomogeneousForm, ExactMatrix, NodeConfiguration, DefectReport, SymmetricLinearMatrix, ScanResult,
+         QuadricCertificate)
+
+
+@pytest.fixture(scope="session")
+def samples() -> dict:
+    """One record of each class, by twin, built at the first test that asks,
+    so that a fault in the classifier or the scan fails those tests and
+    leaves the module's other tests running."""
+    return {twin: record for record, twin in _samples()}
+
+
+@pytest.fixture
+def record(samples, twin):
+    return samples[twin]
+
+
 def _samples() -> list:
     table = classify.classify_quartic_codes(12, audit=True)
     matrix = symmetroid.random_symmetroid_matrix(13, 0)
@@ -148,10 +166,6 @@ def _samples() -> list:
     ]
 
 
-SAMPLES = _samples()
-IDS = [twin.__name__ for _, twin in SAMPLES]
-
-
 def _args(record, twin) -> list:
     """The record's field values, in the order of the twin's fields."""
     return [getattr(record, f.name) for f in dataclasses.fields(twin)]
@@ -164,13 +178,14 @@ def _hash(obj):
         return TypeError
 
 
-def test_every_record_class_has_a_twin():
-    assert len({type(record) for record, _ in SAMPLES}) == 14
-    for record, twin in SAMPLES:
+def test_every_record_class_has_a_twin(samples):
+    assert tuple(samples) == TWINS
+    assert len({type(record) for record in samples.values()}) == 14
+    for twin, record in samples.items():
         assert type(record).__qualname__ == twin.__qualname__
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_fields_in_order(record, twin):
     args = _args(record, twin)
     assert list(vars(record)) == [f.name for f in dataclasses.fields(twin)]
@@ -179,7 +194,7 @@ def test_fields_in_order(record, twin):
     assert type(record)(**{f.name: a for f, a in zip(dataclasses.fields(twin), args)}) == record
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_repr(record, twin):
     if "__repr__" in vars(type(record)):
         assert repr(record) == vars(type(record))["__repr__"](record)
@@ -192,7 +207,7 @@ def test_own_repr_wins():
     assert repr(linalg.ExactMatrix(fields.PrimeField(7), ((1, 2, 3),))) == "ExactMatrix(PrimeField(p=7), 1x3)"
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_equality(record, twin):
     args = _args(record, twin)
     other_class = twin(*args)
@@ -235,7 +250,7 @@ def test_a_subclass_appends_its_own_fields():
         assert list(vars(table)) == ["mu", "entries", "excluded", "audit", "note"]
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_hash(record, twin):
     assert _hash(record) == _hash(twin(*_args(record, twin)))
 
@@ -248,7 +263,7 @@ def test_unhashable_fields_make_an_unhashable_record():
     assert {codes.EvenSetCode(6, (3, 6)), codes.EvenSetCode(6, (6, 3))} == {codes.EvenSetCode(6, (5, 3))}
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_defaults(record, twin):
     fields = dataclasses.fields(twin)
     required = [f for f in fields if f.default is dataclasses.MISSING]
@@ -260,7 +275,7 @@ def test_defaults(record, twin):
             assert getattr(built, f.name) == f.default
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_argument_errors(record, twin):
     args = _args(record, twin)
     names = [f.name for f in dataclasses.fields(twin)]
@@ -280,7 +295,7 @@ def test_argument_errors(record, twin):
                 call()
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_frozen(record, twin):
     for obj in (record, twin(*_args(record, twin))):
         for name in [f.name for f in dataclasses.fields(twin)] + ["not_a_field"]:
@@ -291,7 +306,7 @@ def test_frozen(record, twin):
                 delattr(obj, name)
 
 
-@pytest.mark.parametrize("record, twin", SAMPLES, ids=IDS)
+@pytest.mark.parametrize("twin", TWINS, ids=lambda twin: twin.__name__)
 def test_pickle_and_copy(record, twin):
     for obj in (record, twin(*_args(record, twin))):
         for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):

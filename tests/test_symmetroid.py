@@ -320,18 +320,14 @@ class TestPlaneKernels:
         assert all(row_list_rank_mod_p([list(r) for r in a.entries], p) <= 2 for a in calls)
 
     def test_packed_quartic_slots_cannot_carry(self, monkeypatch):
-        # the quartic in u and each of its coefficients g_l(b) are sums of at
-        # most five terms c_k t^k with c_k and t^k mod p below p, so no slot
-        # reaches 2^32 up to the largest prime: the premise of the
-        # divisibility flags
-        assert 5 * (symmetroid._PRIME_CAP - 1) ** 2 < 2**32
-        # every det A coefficient at p - 1, the largest slot values: the roots
-        # found are those of sum a^i b^j u^l over the whole plane v_z = 0
+        # every det A coefficient at p - 1, the largest slot values (the
+        # premises are test_packed_slots_fit_at_every_prime): the roots found
+        # are those of sum a^i b^j u^l over the whole plane v_z = 0
         p = 101
         m = random_symmetroid_matrix(p, 0)
-        quartic = [p - 1 if s % 5 + s // 5 <= 4 else 0 for s in range(21)]
-        monkeypatch.setattr(symmetroid, "_packed_det", lambda rows, slots, q: quartic)
-        monkeypatch.setattr(symmetroid, "_node_filter", lambda a, forms, q: [0] * 91)  # every root goes on
+        quartic = [p - 1 if s % 10 + s // 10 <= 4 else 0 for s in range(41)]
+        monkeypatch.setattr(symmetroid, "_plane_det", lambda row, minors, q: quartic)
+        monkeypatch.setattr(symmetroid, "_node_filter", lambda minors, forms, q: [0] * 91)  # every root goes on
         seen = []
 
         def recording(a, q):
@@ -365,7 +361,7 @@ class TestPlaneKernels:
         if p <= 37:
             matrices.append(SymmetricLinearMatrix(p, ((p - 1,) * 4,) * 10))
         filtered = [scan_nodes_fp(m) for m in matrices]
-        monkeypatch.setattr(symmetroid, "_node_filter", lambda a, forms, q: [0] * 91)
+        monkeypatch.setattr(symmetroid, "_node_filter", lambda minors, forms, q: [0] * 91)
         assert [scan_nodes_fp(m) for m in matrices] == filtered
 
     def test_node_filter_leaves_few_plane_points(self, monkeypatch):
@@ -383,7 +379,7 @@ class TestPlaneKernels:
         monkeypatch.setattr(symmetroid, "_cofactor_kernel", counting)
         assert len(scan_nodes_fp(m).points) == 10
         filtered = len(calls)
-        monkeypatch.setattr(symmetroid, "_node_filter", lambda a, forms, q: [0] * 91)
+        monkeypatch.setattr(symmetroid, "_node_filter", lambda minors, forms, q: [0] * 91)
         calls.clear()
         assert len(scan_nodes_fp(m).points) == 10
         assert 10 <= filtered <= 30 < p // 2 < len(calls)
@@ -455,30 +451,35 @@ def _plane(forms):
 
 
 def _check_packed_determinants(m):
-    """The determinants the scan packs for m, the plane quartic det A(x, y,
-    0, w), the four minors of rows 1..3 of A that make column 0 of its
-    adjugate (when the quartic is not zero) and the ten 3x3 minors of M,
-    equal the dict ring's, and each layout puts distinct monomials in
-    distinct slots."""
-    p, forms, calls = m.prime, _forms(m), []
+    """The determinants the scan packs for m, the four minors of rows 1..3
+    of A(x, y, 0, w) that make column 0 of its adjugate, the plane quartic
+    det A read off that column and the ten 3x3 minors of M, equal the dict
+    ring's, and each layout puts distinct monomials in distinct slots."""
+    p, forms, calls, dets = m.prime, _forms(m), [], []
 
     def recording(rows, slots, q):
         calls.append((rows, slots, packed_det(rows, slots, q)))
         return calls[-1][2]
 
-    packed_det = symmetroid._packed_det
+    def recording_det(row, minors, q):
+        dets.append(plane_det(row, minors, q))
+        return dets[-1]
+
+    packed_det, plane_det = symmetroid._packed_det, symmetroid._plane_det
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(symmetroid, "_packed_det", recording)
+        patch.setattr(symmetroid, "_plane_det", recording_det)
         patch.setattr(symmetroid, "_span_points", lambda basis, q: ())  # the minors, not the lines
         symmetroid._plane_kernels(m, forms)
         symmetroid._line_points(m, forms)
     plane = _plane(forms)
     minors = [[[forms[i][j] for j in cols] for i in rows]
               for n, rows in enumerate(_TRIPLES) for cols in _TRIPLES[n:]]
-    adjugate = [[row[:j] + row[j + 1:] for row in plane[1:]] for j in range(4)] if any(calls[0][2]) else []
+    adjugate = [[row[:j] + row[j + 1:] for row in plane[1:]] for j in range(4)]
     assert [(rows, slots) for rows, slots, _ in calls] == \
-        [(plane, (0, 1, 5))] + [(rows, (0, 1, 10)) for rows in adjugate] + [(rows, (0, 1, 4, 16)) for rows in minors]
-    for rows, slots, coefficients in calls:
+        [(rows, (0, 1, 10)) for rows in adjugate] + [(rows, (0, 1, 4, 16)) for rows in minors]
+    assert len(dets) == 1
+    for rows, slots, coefficients in [(plane, (0, 1, 10), dets[0])] + calls:
         n = len(rows)
         monomials = [e for e in itertools.product(range(n + 1), repeat=len(slots)) if sum(e) == n]
         assert len({sum(a * s for a, s in zip(e, slots)) for e in monomials}) == len(monomials)
@@ -494,17 +495,18 @@ def _check_node_filter(m):
     plane = _plane(forms)
     expected = scan_oracle.node_filter(plane, forms, p)
     assert all(sum(e) == 9 for e in expected)
-    assert {s: c for s, c in enumerate(symmetroid._node_filter(plane, forms, p)) if c} == \
+    minors = [symmetroid._packed_det([r[:j] + r[j + 1:] for r in plane[1:]], (0, 1, 10), p) for j in range(4)]
+    assert {s: c for s, c in enumerate(symmetroid._node_filter(minors, forms, p)) if c} == \
         {j + 10 * l: c for (_, j, l), c in expected.items()}, (p, m.coefficients)
 
 
-def _packed_powers(p):
-    """powers[k]: t^k mod p in 64-bit slot t, for t = 0..p-1."""
-    return [sum(pow(t, k, p) << 64 * t for t in range(p)) for k in range(5)]
+def _powers(p):
+    """powers[k]: the list of t^k mod p for t = 0..p-1."""
+    return [[pow(t, k, p) for t in range(p)] for k in range(5)]
 
 
 def _check_flag_roots(quartics, p):
-    assert list(symmetroid._flag_roots(quartics, _packed_powers(p), p)) == \
+    assert list(symmetroid._flag_roots(quartics, _powers(p), p)) == \
         [(b, u) for b, c in enumerate(quartics) for u in scan_oracle.roots(c, p)], p
 
 
@@ -532,7 +534,6 @@ def test_node_filter_matches_the_dict_ring(data):
     # with ten slots, so a slot of P or N sums at most 3 * 10 * 10 products
     # of three residues, and a slot of R on a line at most ten
     assert 3 * 100 * (symmetroid._PRIME_CAP - 1) ** 3 < 2**39
-    assert 10 * (symmetroid._PRIME_CAP - 1) ** 2 < 2**64
     p = data.draw(st.sampled_from([3, 5, 101, 1021]))
     form = st.tuples(*[_extremes_or_any(p)] * 4)
     _check_node_filter(SymmetricLinearMatrix(p, tuple(data.draw(st.lists(form, min_size=10, max_size=10)))))
@@ -541,12 +542,31 @@ def test_node_filter_matches_the_dict_ring(data):
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_flag_roots_match_the_search(data):
-    p = data.draw(st.sampled_from([3, 5, 7, 31, 101, 211, 401, 1021]))
+    # flag slots of 16, 24, 32, 40 and 48 bits
+    p = data.draw(st.sampled_from([3, 5, 7, 13, 31, 101, 211, 401, 1021]))
     residue = st.integers(0, p - 1)
     planted = st.builds(_planted_quartic, st.integers(1, p - 1), st.lists(residue, max_size=4), st.just(p))
     quartic = st.one_of(st.lists(_extremes_or_any(p), min_size=5, max_size=5), planted)
     quartics = data.draw(st.lists(quartic, max_size=8)) + [[0] * 5, [p - 1] * 5]
     _check_flag_roots(data.draw(st.permutations(quartics)), p)
+
+
+def test_packed_slots_fit_at_every_prime():
+    # the premises of the packed slots at each of the 171 odd primes below
+    # the cap, checked without a scan: the flag sums s <= 5 (p-1)^2 of
+    # _flag_roots stay below 2^k, their slot values s p^-1 (p^-1 < 2^k)
+    # below 2^w, and the flag bit k lands in byte 0 of a slot after >> k;
+    # the line sums of _on_every_line, the adjugate sums of _plane_det and
+    # the P and N of _packed_det fit their 32-, 32- and 64-bit slots
+    widths = collections.defaultdict(list)
+    for p in _CAP_PRIMES:
+        k, w = symmetroid._flag_slots(p)
+        assert 5 * (p - 1) ** 2 < 2**k and 5 * p * p * 2**k <= 2**w and w % 8 == 0 and w - k >= 8, p
+        assert 10 * (p - 1) ** 2 < 2**32 and 4 * 3 * (p - 1) ** 2 < 2**32 and 36 * (p - 1) ** 3 < 2**64, p
+        widths[w].append(p)
+    assert len(_CAP_PRIMES) == 171
+    assert {w: (ps[0], ps[-1]) for w, ps in widths.items()} == \
+        {16: (3, 7), 24: (11, 23), 32: (29, 113), 40: (127, 457), 48: (461, 1021)}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
