@@ -40,6 +40,22 @@ the pivot count and the sorted values of the remaining columns (the
 unpivoted rows are never re-reduced), with the pivot maps it fills, and
 dropped when the call returns.
 
+Each level ends on a double count (Kaski and Oestergaard, *Classification
+Algorithms for Codes and Designs*, 2006, ch. 10) of the pairs C < D of
+labeled admissible codes with dim C = k and dim D = k + 1.  A class C holds
+mu!/|Aut C| labeled codes (``codes`` gives |Aut| with each canonical form),
+and each of them lies in |cand C| / 2^k codes D, since the 2^k words of
+D outside C are candidates of C; |cand C| is the sum over C's candidate
+orbits of prod_j C(|K_j|, n_j) (``_candidate_count``).  Each labeled D has
+2^(k+1) - 1 hyperplanes, all of them admissible.  So the level's total is
+known from its parents before its first search, each new class D adds
+(mu!/|Aut D|)(2^(k+1) - 1), and the level stops the moment the two sides
+agree: no class is left to find.  The first child that reaches each class
+is the same as in a search run to the end, so no representative changes.
+A level whose classes count more than the total, or whose cosets run out
+short of it, raises ``ArithmeticError``; the check runs in every call, on
+exact integers.
+
 The search works on reduced bases of ints in extended encoding (see
 ``codes``); an ``EvenSetCode`` is built only for a table entry.
 
@@ -53,6 +69,7 @@ carries the weight-admissible codes they exclude, and says so itself.
 from __future__ import annotations
 
 import itertools
+from math import comb, factorial
 
 from .codes import (
     QUARTIC_WORD_CLASSES,
@@ -72,13 +89,16 @@ MU_MAX = 16
 class TableEntry(Record):
     """One equivalence class of codes: a representative, its dimension, and
     the profile string ``[n,k,{d1_m1,...}]`` (basis multiplicities as
-    subscripts, omitted when zero)."""
+    subscripts, omitted when zero).  ``aut`` is |Aut|, the number of node
+    permutations that fix the code, so the class holds mu!/aut labeled
+    codes."""
 
     code: EvenSetCode
     dim: int
     profile: str
     enumerator: dict[tuple[int, str], int]
     canonical: bytes
+    aut: int
 
     def to_dict(self) -> dict:
         return {
@@ -128,6 +148,33 @@ def _extend(basis: tuple[int, ...], w: int) -> tuple[int, tuple[int, ...]]:
     return r, tuple(sorted(rows + [r], reverse=True))
 
 
+def _column_classes(basis: tuple[int, ...], mu: int) -> list[list[int]]:
+    """The support columns, each as its bit ``1 << c``, in the classes of
+    columns identical across ``basis``, by first column."""
+    cols = [0] * mu  # each column's entries, read as an int
+    for g in basis:
+        cols = [col << 1 | g >> c & 1 for c, col in enumerate(cols)]
+    classes: dict[int, list[int]] = {}
+    for c, col in enumerate(cols):
+        classes.setdefault(col, []).append(1 << c)
+    return list(classes.values())
+
+
+def _candidate_count(words: list[int], basis: tuple[int, ...], mu: int) -> int:
+    """The number of candidates of ``basis``, from its candidate orbits'
+    first ``words``: the orbit of a word with n_j columns in the class K_j
+    holds prod_j C(|K_j|, n_j) words.  A one-column class adds the factor
+    C(1, n) = 1, so only the larger classes are read."""
+    classes = [(len(bits), sum(bits)) for bits in _column_classes(basis, mu) if len(bits) > 1]
+    total = 0
+    for w in words:
+        n = 1
+        for size, mask in classes:
+            n *= comb(size, (w & mask).bit_count())
+        total += n
+    return total
+
+
 def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
     """``(reps, split)`` for a parent ``basis`` and its candidate orbits'
     first ``words``: ``reps`` are the first of ``words`` in each orbit of
@@ -162,14 +209,12 @@ def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
     because the kept word becomes a basis word, and through it decides the
     representative the table reports for its class.
     """
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for c in range(mu):
-        classes.setdefault(tuple(g >> c & 1 for g in basis), []).append(1 << c)
+    classes = _column_classes(basis, mu)
     width = mu.bit_length()
     ones = (1 << width) - 1
     slots = [width * j for j in range(len(classes) + 1)]  # the last is the parity's
     steps = [0] * mu + [1 << slots[-1]]
-    for bits, slot in zip(classes.values(), slots):
+    for bits, slot in zip(classes, slots):
         for b in bits:
             steps[b.bit_length() - 1] = 1 << slot
     half = (mu + 2) // 2
@@ -194,7 +239,7 @@ def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
         # the z columns r sets and n - a of the rest, with the count of c ^ r
         # in its key slot above the mu + 1 bits of the word
         splits = []
-        for bits, slot in zip(classes.values(), slots):
+        for bits, slot in zip(classes, slots):
             ins = [0, *itertools.accumulate(b for b in bits if b & r)]
             out = [0, *itertools.accumulate(b for b in bits if not b & r)]
             z = len(ins) - 1
@@ -217,27 +262,49 @@ def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
     return reps, split
 
 
-def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
+def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...], int]]:
     """All codes with every nonzero word admissible, one (canonical form,
-    basis) pair per permutation class, found by isomorph-rejected basis
-    extension from the zero code."""
+    basis, |Aut|) triple per permutation class, found by isomorph-rejected
+    basis extension from the zero code.  Each level stops once its classes
+    meet the double count, and raises ``ArithmeticError`` if they cannot
+    (see the module docstring)."""
     memo: dict = {}  # canonical-form completions, shared by this run's codes
-    found: list[tuple[bytes, tuple[int, ...]]] = []
+    found: list[tuple[bytes, tuple[int, ...], int]] = []
+    labelings = factorial(mu)
 
-    # canonical form -> (basis, its candidate orbits' first words); b"" is the zero code
+    # canonical form -> (basis, its candidate orbits' first words, |Aut|);
+    # b"" is the zero code
     zero = [(1 << wt) - 1 | weak << mu for wt, weak in QUARTIC_WORD_CLASSES if wt <= mu]
-    level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {b"": ((), zero)}
+    level: dict[bytes, tuple[tuple[int, ...], list[int], int]] = {b"": ((), zero, labelings)}
+    k = 0
     while level:
-        next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
-        for basis, words in level.values():
+        # both sides of the double count at this level, times 2^k
+        pairs = sum(labelings // aut * _candidate_count(words, basis, mu)
+                    for basis, words, aut in level.values())
+        hyperplanes = ((2 << k) - 1) << k
+        met = 0
+        next_level: dict[bytes, tuple[tuple[int, ...], list[int], int]] = {}
+        for basis, words, _ in level.values():
+            if met >= pairs:
+                break
             reps, split = _parent_orbits(words, basis, mu)
             for w in reps:
                 r, new_basis = _extend(basis, w)
-                enc = _canonical_form(mu, new_basis, memo)
+                enc, aut = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
-                    next_level[enc] = (new_basis, split(r))
-        found.extend((enc, basis) for enc, (basis, _) in next_level.items())
+                    next_level[enc] = (new_basis, split(r), aut)
+                    met += labelings // aut * hyperplanes
+                    if met >= pairs:
+                        break
+        if met != pairs:
+            raise ArithmeticError(
+                f"mu = {mu}, dimension {k} -> {k + 1}: the codes of dimension {k} "
+                f"count {pairs} labeled pairs (times 2^{k}), those of dimension "
+                f"{k + 1} count {met}"
+            )
+        found.extend((enc, basis, aut) for enc, (basis, _, aut) in next_level.items())
         level = next_level
+        k += 1
     return found
 
 
@@ -258,7 +325,7 @@ def _profile(code: EvenSetCode) -> str:
     return f"[{code.mu},{code.dim},{{{','.join(parts)}}}]"
 
 
-def _entry(mu: int, canonical: bytes, basis: tuple[int, ...]) -> TableEntry:
+def _entry(mu: int, canonical: bytes, basis: tuple[int, ...], aut: int) -> TableEntry:
     code = EvenSetCode(mu, basis)
     return TableEntry(
         code=code,
@@ -266,6 +333,7 @@ def _entry(mu: int, canonical: bytes, basis: tuple[int, ...]) -> TableEntry:
         profile=_profile(code),
         enumerator=weight_enumerator(code),
         canonical=canonical,
+        aut=aut,
     )
 
 
@@ -283,14 +351,14 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
         raise DomainError(f"mu must lie in 1..{MU_MAX}, got {mu}")
     passing = []
     excluded = []
-    for canonical, basis in _enumerate_admissible(mu):
+    for canonical, basis, aut in _enumerate_admissible(mu):
         # the basis is reduced, so its length is the dimension, and the
         # strictly even subcode drops one exactly when a row is weak
         strict_dim = len(basis) - any(g >> mu for g in basis)
         if len(basis) >= max(1, mu - 10) and strict_dim >= mu - 11:
-            passing.append(_entry(mu, canonical, basis))
+            passing.append(_entry(mu, canonical, basis, aut))
         elif audit:
-            excluded.append(_entry(mu, canonical, basis))
+            excluded.append(_entry(mu, canonical, basis, aut))
 
     def order(e: TableEntry):
         return (e.dim, e.canonical)

@@ -19,7 +19,9 @@ relabeling of the other.
 
 from __future__ import annotations
 
+import math
 import struct
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from .errors import DataError, ResourceError, json_fields, read_json
@@ -184,6 +186,18 @@ def weight_enumerator(code: EvenSetCode) -> dict[tuple[int, str], int]:
 # that needs more than _MEMO_CAP states (a large code with many distinct
 # columns or a big automorphism group) stops with a ResourceError.
 #
+# With each completion the memo holds a count: the number of value
+# sequences that reach it, summed over the tied pivot branches (a zero
+# column and the sorted tail after the last pivot add one sequence each).
+# Two column orders give the same encoding exactly when they differ by a
+# permutation that fixes the code, so |Aut| (the support-column
+# permutations that fix the code; the parity column stays put) is the
+# number of orders that reach the minimum.  A pivot is an invertible row
+# operation, so identical columns stay identical and distinct ones stay
+# distinct: each value in a sequence is the value of one class of
+# identical support columns, and the m_v columns of value v fill its m_v
+# places in m_v! ways.  So |Aut| = count * prod m_v!.
+#
 # A pivot on a column of value f at bit t sends each column value to an
 # image that depends on f and t alone, so the memo also holds, under the
 # one key _PIVOT_MAPS, a table of images per (f, t), filled on first use.
@@ -233,57 +247,69 @@ def _pivoted(cols: Iterable[int], table: _Pivot) -> tuple[int, ...]:
 
 def _min_completion(
     cols: tuple[int, ...], npiv: int, k: int, memo: dict, maps: _PivotMaps
-) -> tuple:
+) -> tuple[tuple[int, ...], int]:
+    # (the least completion, the number of value sequences that reach it)
     if npiv == k:  # every row is a pivot row, so every column keeps its value
-        return cols
+        return cols, 1
     if cols[0] == 0:
-        return (0,) + _min_completion(cols[1:], npiv, k, memo, maps)
+        best, count = _min_completion(cols[1:], npiv, k, memo, maps)
+        return (0,) + best, count
     key = (k, npiv, cols)
-    best = memo.get(key)
-    if best is not None:
-        return best
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     t = k - 1 - npiv
     free = (2 << t) - 1
+    best, count = None, 0
     for f in {c for c in cols if c & free}:
-        tail = _pivoted(cols, maps[f, t])
+        tail, n = _pivoted(cols, maps[f, t]), 1
         if t:  # rows remain: complete the child, read from the memo if it is there
-            tail = memo.get((k, npiv + 1, tail)) or _min_completion(tail, npiv + 1, k, memo, maps)
+            tail, n = memo.get((k, npiv + 1, tail)) or _min_completion(tail, npiv + 1, k, memo, maps)
         if best is None or tail < best:
-            best = tail
-    best = (1 << t,) + best
+            best, count = tail, n
+        elif tail == best:
+            count += n
     if len(memo) > _MEMO_CAP:  # the states, plus the entry that holds the maps
         raise ResourceError(f"canonical-form search exceeded its cap of {_MEMO_CAP} states")
-    memo[key] = best
-    return best
+    memo[key] = result = (1 << t,) + best, count
+    return result
 
 
-def _canonical_encoding(mu: int, basis: Sequence[int], memo: dict) -> tuple[int, ...]:
-    # basis: independent words in extended encoding, reduced or not
+def _canonical_encoding(
+    mu: int, basis: Sequence[int], memo: dict
+) -> tuple[tuple[int, ...], int]:
+    # basis: independent words in extended encoding, reduced or not;
+    # returns the canonical encoding and |Aut| of the code
     if mu > _MU_CAP_CANONICAL:
         raise ResourceError(f"canonical form is capped at mu = {_MU_CAP_CANONICAL}")
     k = len(basis)
     if k == 0:
-        return (mu, 0)
+        return (mu, 0), math.factorial(mu)
     maps = memo.setdefault(_PIVOT_MAPS, _PivotMaps())
     cols = [0] * (mu + 1)  # the support columns, then the parity column
     for g in basis:
         cols = [c << 1 | (g >> j) & 1 for j, c in enumerate(cols)]
     parity = cols[mu]
     if parity:
-        tail = _min_completion(_pivoted(cols, maps[parity, k - 1]), 1, k, memo, maps)
-        return (mu, k, 1 << (k - 1)) + tail
-    return (mu, k, 0) + _min_completion(tuple(sorted(cols[:mu])), 0, k, memo, maps)
+        tail, count = _min_completion(_pivoted(cols, maps[parity, k - 1]), 1, k, memo, maps)
+        enc = (mu, k, 1 << (k - 1)) + tail
+    else:
+        tail, count = _min_completion(tuple(sorted(cols[:mu])), 0, k, memo, maps)
+        enc = (mu, k, 0) + tail
+    for m in Counter(cols[:mu]).values():  # the classes of identical support columns
+        count *= math.factorial(m)
+    return enc, count
 
 
-def _canonical_form(mu: int, basis: Sequence[int], memo: dict) -> bytes:
-    enc = _canonical_encoding(mu, basis, memo)
-    return struct.pack(f">{len(enc)}I", *enc)
+def _canonical_form(mu: int, basis: Sequence[int], memo: dict) -> tuple[bytes, int]:
+    enc, aut = _canonical_encoding(mu, basis, memo)
+    return struct.pack(f">{len(enc)}I", *enc), aut
 
 
 def canonical_form(code: EvenSetCode) -> bytes:
     """Permutation-invariant fingerprint; equal bytes iff codes are
     equivalent up to a permutation of node positions."""
-    return _canonical_form(code.mu, code.basis, {})
+    return _canonical_form(code.mu, code.basis, {})[0]
 
 
 def is_isomorphic(a: EvenSetCode, b: EvenSetCode) -> bool:
@@ -291,7 +317,7 @@ def is_isomorphic(a: EvenSetCode, b: EvenSetCode) -> bool:
     if a.mu != b.mu:
         raise DataError(f"length mismatch: {a.mu} != {b.mu}")
     memo: dict = {}
-    return _canonical_form(a.mu, a.basis, memo) == _canonical_form(b.mu, b.basis, memo)
+    return _canonical_form(a.mu, a.basis, memo)[0] == _canonical_form(b.mu, b.basis, memo)[0]
 
 
 # --- code file format ---------------------------------------------------------

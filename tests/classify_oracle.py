@@ -10,7 +10,9 @@ key of ``permutation_oracle``, not from the library's packed key.  The
 library keeps one representative per orbit of cosets, builds each
 child's basis from its parent's and each child's orbits from its
 parent's; it must return the same (canonical form, basis) list, order
-included.  The library's helpers are read through the module, so a test
+included, and the same |Aut| for each class.  This loop searches every
+level to its end, where the library stops a level once the double count
+is met.  The library's helpers are read through the module, so a test
 that counts ``_canonical_form`` calls counts this loop's too.
 
 ``greedy_profile`` is the profile string as the library once built it,
@@ -51,38 +53,37 @@ def marks(words: list[int], mu: int) -> bytearray:
     return mask
 
 
-def enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...]]]:
+def enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...], int]]:
     admissible = admissible_words_ext(mu)
     is_admissible = marks(admissible, mu)
     memo: dict = {}
     seen_spans: set[tuple[int, ...]] = set()
-    found: list[tuple[bytes, tuple[int, ...]]] = []
+    found: list[tuple[bytes, tuple[int, ...], int]] = []
 
-    level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
+    level: dict[bytes, tuple[tuple[int, ...], list[int], int]] = {}
     for weight, weak in QUARTIC_WORD_CLASSES:
         if weight > mu:
             continue
         w = (1 << weight) - 1 | ((1 << mu) if weak else 0)
-        level[classify._canonical_form(mu, (w,), memo)] = (
-            (w,),
-            [c for c in admissible if is_admissible[c ^ w]],
-        )
+        enc, aut = classify._canonical_form(mu, (w,), memo)
+        level[enc] = ((w,), [c for c in admissible if is_admissible[c ^ w]], aut)
 
     while level:
-        found.extend((enc, basis) for enc, (basis, _) in level.items())
-        next_level: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
-        for basis, candidates in level.values():
+        found.extend((enc, basis, aut) for enc, (basis, _, aut) in level.items())
+        next_level: dict[bytes, tuple[tuple[int, ...], list[int], int]] = {}
+        for basis, candidates, _ in level.values():
             is_candidate = marks(candidates, mu)
             for w in popcount_orbit_representatives(candidates, basis, mu):
                 new_basis = tuple(bit_rref(basis + (w,)))
                 if new_basis in seen_spans:
                     continue
                 seen_spans.add(new_basis)
-                enc = classify._canonical_form(mu, new_basis, memo)
+                enc, aut = classify._canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
                     next_level[enc] = (
                         new_basis,
                         [c for c in candidates if is_candidate[c ^ w]],
+                        aut,
                     )
         level = next_level
     return found

@@ -2,6 +2,8 @@
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -279,25 +281,35 @@ def _scratch_candidates(basis, mu, admissible):
 
 
 def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
-    # each basis inherits its candidate orbits from its parent; the list it
-    # hands to the coset reduction is the first word of each orbit of the
-    # full filter, order included.  Checked inside the hook, so a wrong list
-    # fails before the search grows from it.
+    # each basis inherits its candidate orbits from its parent's split; the
+    # list is the first word of each orbit of the full filter, order
+    # included.  Every class is checked as its split returns, the last
+    # classes of a level included, whose level ends before their own
+    # coset pass; the zero code's list is checked as its coset pass reads
+    # it.  Checked inside the hook, so a wrong list fails before the
+    # search grows from it.
     admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
-    calls = []
+    checked = []
     step = classify_mod._parent_orbits
 
-    def checking(candidates, basis, mu):
+    def check(candidates, basis, mu):
         full = _scratch_candidates(basis, mu, admissible[mu])
         assert candidates == popcount_orbit_representatives(full, basis, mu), (mu, basis)
-        calls.append((basis, mu))
-        return step(candidates, basis, mu)
+        checked.append((mu, basis))
+        return candidates
+
+    def checking(candidates, basis, mu):
+        if not basis:
+            check(candidates, basis, mu)
+        reps, split = step(candidates, basis, mu)
+        return reps, lambda r: check(split(r), classify_mod._extend(basis, r)[1], mu)
 
     monkeypatch.setattr(classify_mod, "_parent_orbits", checking)
+    found = []
     for mu in range(6, 17):
-        classify_quartic_codes(mu)
-    assert {mu for _, mu in calls} == set(range(6, 17))
-    assert max(len(basis) for basis, _ in calls) == 6
+        found += [(mu, basis) for _, basis, _ in classify_mod._enumerate_admissible(mu)]
+    assert sorted(checked) == sorted(found + [(mu, ()) for mu in range(6, 17)])
+    assert max(len(basis) for _, basis in checked) == 6
 
 
 @st.composite
@@ -381,15 +393,80 @@ def test_every_labeled_code_has_its_class_in_the_table(mu):
     counts, encodings = class_encodings(mu)
     assert counts == LABELED_COUNTS[mu]
     table = classify_quartic_codes(mu, audit=True)
-    codes = [e.code for e in table.entries + table.excluded]
-    assert sorted(map(canonical_encoding, codes)) == sorted(encodings)
+    entries = table.entries + table.excluded
+    assert sorted(canonical_encoding(e.code) for e in entries) == sorted(encodings)
+    # a class of |Aut| = a holds mu!/a labeled codes
+    labeled = [0] * len(counts)
+    for e in entries:
+        assert factorial(mu) % e.aut == 0
+        labeled[e.dim - 1] += factorial(mu) // e.aut
+    assert labeled == LABELED_COUNTS[mu]
+
+
+def _double_count(mu, classes):
+    # both sides of the double count at each level k, times 2^k, from the
+    # (dimension, |Aut|, number of candidates) of each class and the zero
+    # code: the labeled codes of dimension k + 1 over each labeled code of
+    # dimension k, 2^k candidates to each, and the hyperplanes of each
+    # labeled code of dimension k + 1
+    top = max(dim for dim, _, _ in classes)
+    sides = []
+    for k in range(top + 1):
+        left = sum(Fraction(factorial(mu), aut) * n for dim, aut, n in classes if dim == k)
+        right = sum(Fraction(factorial(mu), aut) * ((2 << k) - 1 << k)
+                    for dim, aut, _ in classes if dim == k + 1)
+        sides.append((left, right))
+    return sides
+
+
+def test_every_level_meets_the_double_count(audited_classification_tables):
+    # the identity on the table's classes, kept and excluded, with each
+    # number of candidates filtered from all admissible words: no
+    # candidate count of the library's is read.  It fails with any one
+    # mu = 16 class left out, or with one |Aut| doubled.
+    for mu, table in audited_classification_tables.items():
+        admissible = admissible_words_ext(mu)
+        classes = [(0, factorial(mu), len(admissible))]
+        for e in table.entries + table.excluded:
+            assert factorial(mu) % e.aut == 0
+            classes.append((e.dim, e.aut, len(_scratch_candidates(e.code.basis, mu, admissible))))
+        sides = _double_count(mu, classes)
+        assert all(left == right for left, right in sides), (mu, sides)
+        assert sides[-1] == (0, 0)
+    assert mu == 16 and len(classes) == 31  # the zero code and 30 classes
+    assert [aut for dim, aut, _ in classes if dim == 6] == [11520]
+    for i in range(1, len(classes)):
+        dropped = classes[:i] + classes[i + 1:]
+        assert any(left != right for left, right in _double_count(16, dropped)), i
+        dim, aut, n = classes[i]
+        doubled = classes[:i] + [(dim, 2 * aut, n)] + classes[i + 1:]
+        assert any(left != right for left, right in _double_count(16, doubled)), i
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), 2])
+def test_a_failed_double_count_raises(monkeypatch, factor):
+    # every |Aut| halved, the classes of dimension 1 at mu = 8 count more
+    # pairs than the zero code has (56 against 29), and the level must not
+    # stop on them; doubled, they count fewer (14), and the level runs out
+    # of cosets short of the count
+    search = classify_mod._canonical_form
+
+    def scaled(mu, basis, memo):
+        enc, aut = search(mu, basis, memo)
+        return enc, int(aut * factor)
+
+    monkeypatch.setattr(classify_mod, "_canonical_form", scaled)
+    with pytest.raises(ArithmeticError, match="dimension 0 -> 1"):
+        classify_quartic_codes(8)
 
 
 def test_canonical_search_count_is_pinned(monkeypatch):
-    # the coset reduction's saving as a count: a weaker key (one that
-    # misses images under identical columns, or is not constant on a
-    # coset) keeps the answers but searches more.  A span reached from two
-    # parents is searched twice (ten times at mu = 16).
+    # the coset reduction's saving and the double count's stop as a count:
+    # a weaker key (one that misses images under identical columns, or is
+    # not constant on a coset) keeps the answers but searches more, and so
+    # does a level that runs on after its count is met (362 searches).  A
+    # span reached from two parents is searched twice.  The per-word loop
+    # runs every level to its end.
     calls = Counter()
     search = classify_mod._canonical_form
 
@@ -400,8 +477,8 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     monkeypatch.setattr(classify_mod, "_canonical_form", counting)
     for mu in range(6, 17):
         classify_mod._enumerate_admissible(mu)
-    assert [calls[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 5, 5, 11, 14, 35, 80, 206]
-    assert sum(calls.values()) == 362
+    assert [calls[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 4, 4, 9, 10, 21, 47, 103]
+    assert sum(calls.values()) == 204
     calls.clear()
     for mu in range(6, 17):
         per_word_enumeration(mu)
@@ -410,9 +487,10 @@ def test_canonical_search_count_is_pinned(monkeypatch):
 
 def test_orbit_tables_are_built_once_per_parent(monkeypatch):
     # a parent's classes and keys serve its coset pass and all its children:
-    # they are built once for each of the 87 codes the search extends and
-    # for the zero code of each mu, whose children are the one-word codes;
-    # a second build over the same basis would repeat them
+    # they are built at most once for each of the 87 codes the search finds
+    # and for the zero code of each mu, whose children are the one-word
+    # codes, and only until the level's double count is met (98 builds
+    # without the stop); a second build over the same basis would repeat them
     calls = []
     build = classify_mod._parent_orbits
 
@@ -424,10 +502,12 @@ def test_orbit_tables_are_built_once_per_parent(monkeypatch):
     found = [
         (mu, basis)
         for mu in range(6, 17)
-        for basis in [(), *(basis for _, basis in classify_mod._enumerate_admissible(mu))]
+        for basis in [(), *(basis for _, basis, _ in classify_mod._enumerate_admissible(mu))]
     ]
-    assert len(calls) == 98
-    assert sorted(calls) == sorted(found)
+    assert len(calls) == 56
+    assert len(set(calls)) == len(calls)
+    assert set(calls) <= set(found)
+    assert {(mu, ()) for mu in range(6, 17)} <= set(calls)
 
 
 def test_orbit_splitter_is_built_once_per_parent(monkeypatch):
@@ -452,10 +532,11 @@ def test_orbit_splitter_is_built_once_per_parent(monkeypatch):
 
 
 def test_coset_pass_reads_one_word_per_orbit(monkeypatch):
-    # the coset pass reads the first word of each orbit of candidates: 3 254
-    # over the 87 codes the search extends, and the four word classes (or
-    # those that fit) at each zero code.  The counts are those of the
-    # orbits, whatever builds them; a full candidate list reads 190 932.
+    # the coset pass reads the first word of each orbit of candidates: 816
+    # over the codes the search extends before each level's double count
+    # is met (3 254 without the stop), and the four word classes (or those
+    # that fit) at each zero code.  The counts are those of the orbits,
+    # whatever builds them; a full candidate list reads 190 932.
     read = Counter()
     step = classify_mod._parent_orbits
 
@@ -466,7 +547,7 @@ def test_coset_pass_reads_one_word_per_orbit(monkeypatch):
     monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
     for mu in range(6, 17):
         classify_mod._enumerate_admissible(mu)
-    assert read == {True: 3254, False: 28}
+    assert read == {True: 816, False: 28}
 
 
 @settings(deadline=None, max_examples=300)
@@ -550,9 +631,9 @@ def test_entries_are_built_only_for_kept_codes(monkeypatch, audited_classificati
     built = Counter()
     entry = classify_mod._entry
 
-    def counting(mu, canonical, basis):
+    def counting(mu, canonical, basis, aut):
         built[mu] += 1
-        return entry(mu, canonical, basis)
+        return entry(mu, canonical, basis, aut)
 
     monkeypatch.setattr(classify_mod, "_entry", counting)
     for mu in range(6, 17):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -301,7 +302,8 @@ def _codes_with_repeated_columns(draw):
 @settings(deadline=None, max_examples=300)
 @given(_codes_with_repeated_columns())
 def test_canonical_encoding_matches_the_row_based_search(code):
-    assert _canonical_encoding(code.mu, code.basis, {}) == canonical_oracle.canonical_encoding(code)
+    encoding, _ = _canonical_encoding(code.mu, code.basis, {})
+    assert encoding == canonical_oracle.canonical_encoding(code)
 
 
 @settings(deadline=None, max_examples=200)
@@ -415,14 +417,16 @@ def test_canonical_encoding_matches_brute_force_over_all_column_orders():
         mu = rng.randint(2, 6)
         codes.append(_random_code(rng, mu=mu, max_dim=mu))
     for code in codes:
+        # |Aut| is the number of support-column orders that reach the minimum
         if code.dim == 0:
-            expected = (code.mu, 0)
+            expected = (code.mu, 0), math.factorial(code.mu)
         else:
-            best = min(
+            encodings = [
                 _rref_column_encoding(code, order)
                 for order in itertools.permutations(range(code.mu))
-            )
-            expected = (code.mu, code.dim, *best)
+            ]
+            best = min(encodings)
+            expected = (code.mu, code.dim, *best), encodings.count(best)
         assert _canonical_encoding(code.mu, code.basis, {}) == expected, code
 
 

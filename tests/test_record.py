@@ -51,6 +51,7 @@ class TableEntry:
     profile: str
     enumerator: dict
     canonical: bytes
+    aut: int
 
 
 @dataclass(frozen=True)
