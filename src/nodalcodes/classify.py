@@ -13,14 +13,16 @@ class, then ``itertools.combinations`` order).  An orbit is a parity and
 a count n_j on each class K_j of identical columns, packed into one int,
 the orbit key (``_parent_orbits``); its first word takes the n_j
 smallest columns of each K_j, as then its i-th smallest column is at
-most that of any other member.  A child ``basis + (w,)`` needs ``c`` and
-``c ^ w`` both parent candidates, and ``r`` of ``_extend`` may stand for
-``w`` (they differ by a span word, and candidates are closed under
-adding one).  ``r`` cuts each K_j in two, and each parent orbit splits
+most that of any other member, and it holds prod_j C(|K_j|, n_j) words.
+A child ``basis + (w,)`` needs ``c`` and ``c ^ w`` both parent
+candidates.  ``w`` cuts each K_j in two, and each parent orbit splits
 into the child orbits that share n_j between the parts in every way; a
-split is kept when the key of ``c ^ r`` is a parent orbit's key.  The
-zero code's orbits are the four word classes.  No span word is ever a
-candidate, since its sum with itself is 0, which is not admissible.
+split is kept when the key of ``c ^ w`` is a parent orbit's key, and the
+split counts the words of the orbits it keeps over the cut classes.  A
+span word is constant on each K_j, so any word of ``w + span`` cuts the
+classes into the same two parts.  The zero code's orbits are the four
+word classes.  No span word is ever a candidate, since its sum with
+itself is 0, which is not admissible.
 
 Duplicates are cut in one step before a canonical search, the coset
 pass.  G fixes every span word, so it permutes the cosets ``w + span``,
@@ -30,31 +32,29 @@ is read off the same keys the split reads, so no permutation is ever
 applied.  A word dropped there would reach a class an earlier word
 already reached, so every class keeps the representative it had.  A span
 reached twice, from two parents, is searched twice, and the memo answers
-the second search at its root.  A child's basis is built from its
-parent's without an elimination (``_extend``); it is the span's reduced
-row echelon basis, which is what the canonical search reads.  The codes
-are deduplicated by canonical form at each level, so each equivalence
-class is visited once.  All canonical forms of one
-``classify_quartic_codes`` call share a single completion memo, keyed by
-the pivot count and the sorted values of the remaining columns (the
-unpivoted rows are never re-reduced), with the pivot maps it fills, and
-dropped when the call returns.
+the second search at its root.  A child's basis is ``bit_rref`` of its
+parent's basis and ``w``, the span's reduced row echelon basis, which is
+what the canonical search reads.  The codes are deduplicated by canonical
+form at each level, so each equivalence class is visited once.  All
+canonical forms of one ``classify_quartic_codes`` call share a single
+completion memo, keyed by the pivot count and the sorted values of the
+remaining columns (the unpivoted rows are never re-reduced), with the
+pivot maps it fills, and dropped when the call returns.
 
 Each level ends on a double count (Kaski and Oestergaard, *Classification
 Algorithms for Codes and Designs*, 2006, ch. 10) of the pairs C < D of
 labeled admissible codes with dim C = k and dim D = k + 1.  A class C holds
 mu!/|Aut C| labeled codes (``codes`` gives |Aut| with each canonical form),
 and each of them lies in |cand C| / 2^k codes D, since the 2^k words of
-D outside C are candidates of C; |cand C| is the sum over C's candidate
-orbits of prod_j C(|K_j|, n_j) (``_candidate_count``).  Each labeled D has
-2^(k+1) - 1 hyperplanes, all of them admissible.  So the level's total is
-known from its parents before its first search, each new class D adds
-(mu!/|Aut D|)(2^(k+1) - 1), and the level stops the moment the two sides
-agree: no class is left to find.  The first child that reaches each class
-is the same as in a search run to the end, so no representative changes.
-A level whose classes count more than the total, or whose cosets run out
-short of it, raises ``ArithmeticError``; the check runs in every call, on
-exact integers.
+D outside C are candidates of C; the split that lists C's candidate
+orbits also counts |cand C|.  Each labeled D has 2^(k+1) - 1 hyperplanes,
+all of them admissible.  So the level's total is known from its parents
+before its first search, each new class D adds (mu!/|Aut D|)(2^(k+1) - 1),
+and the level stops the moment the two sides agree: no class is left to
+find.  The first child that reaches each class is the same as in a search
+run to the end, so no representative changes.  A level whose classes
+count more than the total, or whose cosets run out short of it, raises
+``ArithmeticError``; the check runs in every call, on exact integers.
 
 The search works on reduced bases of ints in extended encoding (see
 ``codes``); an ``EvenSetCode`` is built only for a table entry.
@@ -78,6 +78,7 @@ from .codes import (
     code_to_dict,
     span_words,
     weight_enumerator,
+    weight_rows,
 )
 from .errors import DomainError
 from .linalg import bit_rref
@@ -105,10 +106,7 @@ class TableEntry(Record):
             "profile": self.profile,
             "dim": self.dim,
             "code": code_to_dict(self.code),
-            "weights": [
-                {"weight": w, "parity": par, "count": c}
-                for (w, par), c in sorted(self.enumerator.items())
-            ],
+            "weights": weight_rows(self.enumerator)[0],
         }
 
 
@@ -129,25 +127,6 @@ class ClassificationTable(Record):
         return out
 
 
-def _extend(basis: tuple[int, ...], w: int) -> tuple[int, tuple[int, ...]]:
-    """For a reduced row echelon ``basis`` and a word ``w`` outside its
-    span: ``r``, which is ``w`` reduced at the basis's leading bits and so
-    lies in ``w + span``, and ``bit_rref(basis + (w,))``, built without an
-    elimination.
-
-    ``r`` sets no leading bit of ``basis``, so its own leading bit L is
-    new; clearing L from the rows that set it, by adding ``r``, leaves
-    every other leading bit where it was.
-    """
-    r = w
-    for g in basis:
-        if r >> g.bit_length() - 1 & 1:
-            r ^= g
-    lead = 1 << r.bit_length() - 1
-    rows = [g ^ r if g & lead else g for g in basis]
-    return r, tuple(sorted(rows + [r], reverse=True))
-
-
 def _column_classes(basis: tuple[int, ...], mu: int) -> list[list[int]]:
     """The support columns, each as its bit ``1 << c``, in the classes of
     columns identical across ``basis``, by first column."""
@@ -160,27 +139,13 @@ def _column_classes(basis: tuple[int, ...], mu: int) -> list[list[int]]:
     return list(classes.values())
 
 
-def _candidate_count(words: list[int], basis: tuple[int, ...], mu: int) -> int:
-    """The number of candidates of ``basis``, from its candidate orbits'
-    first ``words``: the orbit of a word with n_j columns in the class K_j
-    holds prod_j C(|K_j|, n_j) words.  A one-column class adds the factor
-    C(1, n) = 1, so only the larger classes are read."""
-    classes = [(len(bits), sum(bits)) for bits in _column_classes(basis, mu) if len(bits) > 1]
-    total = 0
-    for w in words:
-        n = 1
-        for size, mask in classes:
-            n *= comb(size, (w & mask).bit_count())
-        total += n
-    return total
-
-
 def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
     """``(reps, split)`` for a parent ``basis`` and its candidate orbits'
     first ``words``: ``reps`` are the first of ``words`` in each orbit of
-    cosets ``w + span`` under G, in order, and ``split(r)`` gives the
-    candidate orbits' first words of the child with reduced new word ``r``
-    (see the module docstring).  Both read one orbit key per word.
+    cosets ``w + span`` under G, in order, and ``split(w)`` gives the
+    candidate orbits' first words of the child ``basis + (w,)`` and the
+    number of its candidates (see the module docstring).  Both read one
+    orbit key per word.
 
     G is a product of symmetric groups, one per class of identical
     columns, and moves a word to exactly the words with the same parity
@@ -234,30 +199,39 @@ def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
             marked.update([lo[(v := w ^ s) & low] + hi[v >> half] for s in span])
     parents = set(keys)
 
-    def split(r: int) -> list[int]:
+    def split(w: int) -> tuple[list[int], int]:
         # per class and count n: the first word of each split of n into a of
-        # the z columns r sets and n - a of the rest, with the count of c ^ r
+        # the z columns w sets and n - a of the rest, with the count of c ^ w
         # in its key slot above the mu + 1 bits of the word
-        splits = []
+        splits, parts = [], []
         for bits, slot in zip(classes, slots):
-            ins = [0, *itertools.accumulate(b for b in bits if b & r)]
-            out = [0, *itertools.accumulate(b for b in bits if not b & r)]
+            cut = [b for b in bits if b & w], [b for b in bits if not b & w]
+            parts += [(len(part), sum(part)) for part in cut if len(part) > 1]
+            ins, out = ([0, *itertools.accumulate(part)] for part in cut)
             z = len(ins) - 1
             splits.append([[ins[a] | out[n - a] | (n + z - 2 * a) << mu + 1 + slot
                             for a in range(max(0, n - len(bits) + z), min(n, z) + 1)]
                            for n in range(len(bits) + 1)])
         kept = []
-        for w, key in zip(words, keys):
-            # the parity of c, and that of c ^ r in its key slot
-            top = w & 1 << mu | ((w ^ r) >> mu) << mu + 1 + slots[-1]
+        for v, key in zip(words, keys):
+            # the parity of c, and that of c ^ w in its key slot
+            top = v & 1 << mu | ((v ^ w) >> mu) << mu + 1 + slots[-1]
             choices = [s[key >> slot & ones] for s, slot in zip(splits, slots)]
-            for parts in itertools.product(*choices):
-                c = top + sum(parts)
+            for choice in itertools.product(*choices):
+                c = top + sum(choice)
                 if c >> mu + 1 in parents:
                     kept.append(c & (2 << mu) - 1)
+        # the orbit of c holds prod C(|P|, |c & P|) words over the child's
+        # classes P; a one-column class adds the factor 1
+        count = 0
+        for c in kept:
+            n = 1
+            for size, mask in parts:
+                n *= comb(size, (c & mask).bit_count())
+            count += n
         # bit counts 7, 8, 11 and 16 order the word classes; inside one, the
         # word that holds the least column two words differ on comes first
-        return sorted(kept, key=lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2)))
+        return sorted(kept, key=lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2))), count
 
     return reps, split
 
@@ -272,27 +246,27 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...], int]]:
     found: list[tuple[bytes, tuple[int, ...], int]] = []
     labelings = factorial(mu)
 
-    # canonical form -> (basis, its candidate orbits' first words, |Aut|);
-    # b"" is the zero code
+    # canonical form -> (basis, its candidate orbits' first words, its number
+    # of candidates, |Aut|); b"" is the zero code
     zero = [(1 << wt) - 1 | weak << mu for wt, weak in QUARTIC_WORD_CLASSES if wt <= mu]
-    level: dict[bytes, tuple[tuple[int, ...], list[int], int]] = {b"": ((), zero, labelings)}
+    count = sum(comb(mu, wt) for wt, _ in QUARTIC_WORD_CLASSES if wt <= mu)
+    level: dict[bytes, tuple[tuple[int, ...], list[int], int, int]] = {b"": ((), zero, count, labelings)}
     k = 0
     while level:
         # both sides of the double count at this level, times 2^k
-        pairs = sum(labelings // aut * _candidate_count(words, basis, mu)
-                    for basis, words, aut in level.values())
+        pairs = sum(labelings // aut * n for _, _, n, aut in level.values())
         hyperplanes = ((2 << k) - 1) << k
         met = 0
-        next_level: dict[bytes, tuple[tuple[int, ...], list[int], int]] = {}
-        for basis, words, _ in level.values():
+        next_level: dict[bytes, tuple[tuple[int, ...], list[int], int, int]] = {}
+        for basis, words, _, _ in level.values():
             if met >= pairs:
                 break
             reps, split = _parent_orbits(words, basis, mu)
             for w in reps:
-                r, new_basis = _extend(basis, w)
+                new_basis = tuple(bit_rref(basis + (w,)))
                 enc, aut = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
-                    next_level[enc] = (new_basis, split(r), aut)
+                    next_level[enc] = (new_basis, *split(w), aut)
                     met += labelings // aut * hyperplanes
                     if met >= pairs:
                         break
@@ -302,7 +276,7 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...], int]]:
                 f"count {pairs} labeled pairs (times 2^{k}), those of dimension "
                 f"{k + 1} count {met}"
             )
-        found.extend((enc, basis, aut) for enc, (basis, _, aut) in next_level.items())
+        found.extend((enc, basis, aut) for enc, (basis, _, _, aut) in next_level.items())
         level = next_level
         k += 1
     return found
@@ -375,9 +349,7 @@ def render_table(table: ClassificationTable) -> str:
     """Human-readable listing, one line per code class."""
     lines = [f"mu = {table.mu}: {len(table.entries)} code(s)"]
     for e in table.entries:
-        weights = ", ".join(
-            f"{c} x {par}-{w}" for (w, par), c in sorted(e.enumerator.items())
-        )
+        weights = ", ".join(weight_rows(e.enumerator)[1])
         lines.append(f"  {e.profile}   dim {e.dim}   words: {weights}")
         for g in e.code.generators:
             lines.append(f"      {g}")

@@ -19,7 +19,7 @@ from . import classify as classify_mod
 from . import nodes as nodes_mod
 from . import series as series_mod
 from . import symmetroid as symmetroid_mod
-from .codes import canonical_form, code_to_dict, is_isomorphic, load_code_file, weight_enumerator
+from .codes import canonical_form, code_to_dict, is_isomorphic, load_code_file, weight_enumerator, weight_rows
 from .errors import InputError
 from .fields import QQ
 from .forms import parse_form
@@ -122,19 +122,16 @@ def _cmd_code(args) -> tuple[dict, str, bool]:
     codes = [load_code_file(path) for path in args.files]
     if args.action == "info":
         code = codes[0]
-        enum = weight_enumerator(code)
+        rows, texts = weight_rows(weight_enumerator(code))
         payload = {
             "code": code_to_dict(code),
             "dim": code.dim,
             "strict_dim": code.strict_dim(),
-            "weights": [
-                {"weight": w, "parity": par, "count": c}
-                for (w, par), c in sorted(enum.items())
-            ],
+            "weights": rows,
         }
         human = (
             f"length {code.mu}, dim {code.dim} (strict subcode dim {code.strict_dim()}); "
-            + "; ".join(f"{c} x {par}-{w}" for (w, par), c in sorted(enum.items()))
+            + "; ".join(texts)
         )
         return payload, human, True
     if args.action == "canonical":

@@ -164,6 +164,14 @@ def weight_enumerator(code: EvenSetCode) -> dict[tuple[int, str], int]:
     return counts
 
 
+def weight_rows(enumerator: dict[tuple[int, str], int]) -> tuple[list[dict], list[str]]:
+    """A weight enumerator's ``"weights"`` rows for JSON and the same counts
+    as ``c x parity-w`` texts, both sorted by (weight, parity)."""
+    items = sorted(enumerator.items())
+    return ([{"weight": w, "parity": par, "count": c} for (w, par), c in items],
+            [f"{c} x {par}-{w}" for (w, par), c in items])
+
+
 # --- canonical form ----------------------------------------------------------
 #
 # The encoding of a code under a support-column order is the sequence of

@@ -148,8 +148,6 @@ def vanishing_dimension(cfg: NodeConfiguration, d: int) -> int:
         raise ResourceError(
             f"degree-{d} forms have {total} monomials; capped at {MONOMIAL_CAP} (form degree <= 20)"
         )
-    if cfg.mu == 0:
-        return total
     return total - exact_rank(evaluation_matrix(cfg, d))
 
 

@@ -257,17 +257,17 @@ def _flag_slots(p: int) -> tuple[int, int]:
 
 def _flag_roots(quartics, powers, p: int):
     """(b, u) for each root u in F_p of each quartics[b] = (c_0, ..., c_4),
-    c_l < p, with powers[l] the list of t^l mod p for t = 0..p-1.  Slot t
-    of w bits holds s p^-1, s = sum_l c_l u^l and p^-1 mod 2^k, (k, w) =
-    :func:`_flag_slots` (p).  Premises: s <= 5 (p-1)^2 < 2^k, so p | s iff
-    s p^-1 mod 2^k <= (2^k - 1) // p (Granlund and Montgomery, PLDI 1994);
-    and s p^-1 < 5 p^2 2^k <= 2^w with w - k >= 8, so no slot carries, a
-    bias carries into bit k of every slot but the roots', and after >> k
-    byte 0 of each slot is that flag, with no residue computed."""
+    c_l < p, with powers[l] the values t^l mod p for t = 0..p-1 packed in
+    w-bit slots, (k, w) = :func:`_flag_slots` (p).  Slot t then holds
+    s p^-1, s = sum_l c_l u^l and p^-1 mod 2^k.  Premises: s <= 5 (p-1)^2 <
+    2^k, so p | s iff s p^-1 mod 2^k <= (2^k - 1) // p (Granlund and
+    Montgomery, PLDI 1994); and s p^-1 < 5 p^2 2^k <= 2^w with w - k >= 8,
+    so no slot carries, a bias carries into bit k of every slot but the
+    roots', and after >> k byte 0 of each slot is that flag, with no
+    residue computed."""
     k, w = _flag_slots(p)
-    pack, _ = _slot_codec(w)
-    inverse, top, ones = pow(p, -1, 1 << k), (1 << k) - 1, int.from_bytes(pack(powers[0]), "little")
-    q0, q1, q2, q3, q4 = (int.from_bytes(pack(values), "little") * inverse for values in powers)
+    inverse, top, ones = pow(p, -1, 1 << k), (1 << k) - 1, powers[0]
+    q0, q1, q2, q3, q4 = (q * inverse for q in powers)
     low, bias, n = ones * top, ones * (top - top // p), w // 8
     for b, (c0, c1, c2, c3, c4) in enumerate(quartics):
         flags = ((c0 * q0 + c1 * q1 + c2 * q2 + c3 * q3 + c4 * q4 & low) + bias >> k).to_bytes(n * p, "little")[::n]
@@ -314,27 +314,31 @@ def _node_filter(minors, forms, p: int) -> list[int]:
 
 def _on_every_line(polynomials, powers, p: int) -> list[tuple[int, ...]]:
     """For each b = 0..p-1, the values mod p at b of the polynomials, each a
-    list of at most ten coefficients c_k of b^k, c_k < p, with powers[k] =
-    t^k mod p in 32-bit slot t: each slot stays below 10 (p-1)^2 < 2^32."""
-    _, unpack = _slot_codec(32)
+    list of at most ten coefficients c_j of b^j, c_j < p, with powers[j] =
+    t^j mod p in slot t of w bits, (k, w) = :func:`_flag_slots` (p): each
+    slot stays below 10 (p-1)^2 < 2^(k+1) <= 2^w."""
+    w = _flag_slots(p)[1]
+    _, unpack = _slot_codec(w)
     return list(zip(*([s % p for s in unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(
-        4 * p, "little"))] for coefficients in polynomials)))
+        w // 8 * p, "little"))] for coefficients in polynomials)))
 
 
-def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
-    """The distinct kernels of the singular A(v) on the plane v_z = 0 that
-    may hold a rank <= 2 point, each a basis mapped to the first such v;
-    None if det A vanishes on the plane.
+def _plane_points(matrix: SymmetricLinearMatrix, forms) -> set | None:
+    """The rank <= 2 points in the kernels of the singular A(v) on the plane
+    v_z = 0 that the node filter passes; None if det A vanishes on the
+    plane.
 
     The minors of rows 1..3 of A give det A (:func:`_plane_det`) and R
     (:func:`_node_filter`).  det A(a, b, 0, u) = sum_l u^l g_l(a, b), g_l of
-    degree 4 - l.  With t^k mod p for t = 0..p-1 in 32-bit slots, one int
-    per k, one sum of products gives g_l(1, b) at every b; :func:`_flag_roots`
-    finds the roots of the quartic on each line (1, b, 0) + u (0:0:0:1), and
-    on the line (0, 1, 0) from the leading coefficients.  A root (1, b, 0, u)
-    goes on only where R vanishes, its coefficients in u on every line taken
-    in the same way; the line (0, 1, 0) and (0:0:0:1) always go on.  A rank-3
-    A(v) has its kernel read off the adjugate (:func:`_cofactor_kernel`)."""
+    degree 4 - l.  With t^k mod p for t = 0..p-1 packed once in the slots of
+    :func:`_flag_slots`, one int per k, one sum of products gives g_l(1, b)
+    at every b; :func:`_flag_roots` finds the roots of the quartic on each
+    line (1, b, 0) + u (0:0:0:1), and on the line (0, 1, 0) from the leading
+    coefficients.  A root (1, b, 0, u) goes on only where R vanishes, its
+    coefficients in u on every line taken in the same way; the line
+    (0, 1, 0) and (0:0:0:1) always go on.  A rank-3 A(v) has its kernel read
+    off the adjugate (:func:`_cofactor_kernel`), a rank <= 2 one by
+    elimination, and :func:`_rank_two_in_kernel` decides each point of it."""
     p = matrix.prime
     # A(e_j) flat, row-major: A(v)[i][k] = (M_k v)_i = sum_j forms[i][j][k] v_j
     a_x, a_y, _, a_w = ([forms[i][j][k] for i in range(4) for k in range(4)] for j in range(4))
@@ -346,16 +350,16 @@ def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
     if not any(det):
         return None
     node = _node_filter(minors, forms, p)
-    powers = [[1] * p]
-    for _ in range(9):
-        powers.append([s * t % p for t, s in enumerate(powers[-1])])
-    pack, _ = _slot_codec(32)
-    packed = [int.from_bytes(pack(values), "little") for values in powers]
+    pack, _ = _slot_codec(_flag_slots(p)[1])
+    values, powers = [1] * p, []
+    for _ in range(10):
+        powers.append(int.from_bytes(pack(values), "little"))
+        values = [s * t % p for t, s in enumerate(values)]
     g = [det[10 * l:10 * l + 5 - l] for l in range(5)]
     # R(1, b, u) on line b as its coefficients of u^9, ..., u^0, for Horner
-    node_lines = _on_every_line([node[10 * l:10 * l + 10 - l] for l in range(9, -1, -1)], packed, p)
+    node_lines = _on_every_line([node[10 * l:10 * l + 10 - l] for l in range(9, -1, -1)], powers, p)
     singular = [] if det[40] else [(_W, a_w)]
-    for b, u in _flag_roots([*_on_every_line(g, packed, p), [c[-1] for c in g]], powers[:5], p):
+    for b, u in _flag_roots([*_on_every_line(g, powers, p), [c[-1] for c in g]], powers[:5], p):
         if b < p:
             value = 0
             for c in node_lines[b]:
@@ -365,14 +369,13 @@ def _plane_kernels(matrix: SymmetricLinearMatrix, forms) -> dict | None:
         x, y = (1, b) if b < p else (0, 1)
         singular.append(((x, y, 0, u), [(x * s + y * t + u * r) % p for s, t, r in entries]))
     field = PrimeField(p)
-    kernels = {}
+    points = set()
     for v, a in singular:
         rows = (a[:4], a[4:8], a[8:12], a[12:])
         point = _cofactor_kernel(rows, p)
-        # a rank-3 kernel as its one point, scaled to first nonzero coordinate 1
-        basis = tuple(_span_points([point], p)) if point else tuple(nullspace_basis(ExactMatrix(field, rows)))
-        kernels.setdefault(basis, v)
-    return kernels
+        basis = [point] if point else nullspace_basis(ExactMatrix(field, rows))
+        points.update(_rank_two_in_kernel(forms, v, _span_points(basis, p), p))
+    return points
 
 
 def _rank_two_in_kernel(forms, v, candidates, p: int):
@@ -421,7 +424,7 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
     Kernel incidence: M(x) v = A(v) x with A(v) = [M_x v | M_y v | M_z v |
     M_w v].  The kernel of M(x) at a point x of rank <= 2 is at least a
     line, so it meets the plane v_z = 0 in some v with x in ker A(v)
-    (:func:`_plane_kernels`), and one principal minor of M(x) decides x
+    (:func:`_plane_points`), and one principal minor of M(x) decides x
     (:func:`_rank_two_in_kernel`).  When det A vanishes on that plane, a
     cubic minor is solved on each line through (0:0:0:1) instead
     (:func:`_line_points`).  ``degenerate`` means more than
@@ -434,12 +437,9 @@ def scan_nodes_fp(matrix: SymmetricLinearMatrix) -> ScanResult:
     forms = [[None] * 4 for _ in range(4)]  # forms[i][j]: entry (i, j) as (x, y, z, w) coefficients
     for (i, j), row in zip(UPPER_TRIANGLE, matrix.coefficients):
         forms[i][j] = forms[j][i] = row
-    kernels = _plane_kernels(matrix, forms)
-    if kernels is None:
+    points = _plane_points(matrix, forms)
+    if points is None:
         points = _line_points(matrix, forms)
-    else:
-        points = {x for basis, v in kernels.items() for x in _rank_two_in_kernel(
-            forms, v, basis if len(basis) == 1 else _span_points(basis, p), p)}
     points = sorted(points)
     return ScanResult(prime=p, points=tuple(points), degenerate=len(points) > MAX_FINITE_LOCUS)
 

@@ -283,7 +283,8 @@ def _scratch_candidates(basis, mu, admissible):
 def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
     # each basis inherits its candidate orbits from its parent's split; the
     # list is the first word of each orbit of the full filter, order
-    # included.  Every class is checked as its split returns, the last
+    # included, and the split's count is the number of words of that
+    # filter.  Every class is checked as its split returns, the last
     # classes of a level included, whose level ends before their own
     # coset pass; the zero code's list is checked as its coset pass reads
     # it.  Checked inside the hook, so a wrong list fails before the
@@ -296,13 +297,19 @@ def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
         full = _scratch_candidates(basis, mu, admissible[mu])
         assert candidates == popcount_orbit_representatives(full, basis, mu), (mu, basis)
         checked.append((mu, basis))
-        return candidates
+        return full
 
     def checking(candidates, basis, mu):
         if not basis:
             check(candidates, basis, mu)
         reps, split = step(candidates, basis, mu)
-        return reps, lambda r: check(split(r), classify_mod._extend(basis, r)[1], mu)
+
+        def checked_split(w):
+            words, count = split(w)
+            assert count == len(check(words, tuple(bit_rref(basis + (w,))), mu)), (mu, basis, w)
+            return words, count
+
+        return reps, checked_split
 
     monkeypatch.setattr(classify_mod, "_parent_orbits", checking)
     found = []
@@ -337,13 +344,16 @@ def _split_inputs(draw, max_mu=12):
 
 def _check_split(candidates, basis, r, mu):
     # a child's orbits, split from its parent's first words, are the first
-    # words of the orbits of the word-by-word filter, order included
+    # words of the orbits of the word-by-word filter, order included, and
+    # the split counts that filter's words
     words = popcount_orbit_representatives(candidates, basis, mu)
     closed = set(candidates)
     child = [c for c in candidates if c ^ r in closed]
     expected = popcount_orbit_representatives(child, basis + (r,), mu)
     _, split = classify_mod._parent_orbits(words, basis, mu)
-    assert split(r) == expected
+    kept, count = split(r)
+    assert kept == expected
+    assert count == len(child)
 
 
 @settings(deadline=None, max_examples=150)
@@ -548,21 +558,6 @@ def test_coset_pass_reads_one_word_per_orbit(monkeypatch):
     for mu in range(6, 17):
         classify_mod._enumerate_admissible(mu)
     assert read == {True: 816, False: 28}
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_extension_matches_bit_rref(data):
-    # a reduced basis of words of up to 17 bits (mu = 16 in extended
-    # encoding) and a word outside its span
-    bits = data.draw(st.integers(1, 17))
-    word = st.integers(1, (1 << bits) - 1)
-    basis = tuple(bit_rref(data.draw(st.lists(word, max_size=bits - 1))))
-    w = data.draw(word.filter(lambda w: len(bit_rref(basis + (w,))) > len(basis)))
-    r, child = classify_mod._extend(basis, w)
-    assert child == tuple(bit_rref(basis + (w,)))
-    # r lies in w + span, so it filters the child's candidates as w does
-    assert tuple(bit_rref(basis + (r ^ w,))) == basis
 
 
 @st.composite

@@ -70,7 +70,11 @@ def _config(points, degree=4, field=QQ, surface=None):
 
 class TestVanishingDimension:
     def test_no_nodes(self):
+        # an empty evaluation matrix has rank 0: every form vanishes
         assert vanishing_dimension(_config([]), 2) == 10
+        for field in (QQ, PrimeField(7)):
+            for d in (0, 2, 20):
+                assert vanishing_dimension(_config([], field=field), d) == comb(d + 3, 3), (field, d)
 
     def test_one_node(self):
         assert vanishing_dimension(_config([(1, 0, 0, 0)]), 2) == 9

@@ -336,7 +336,7 @@ class TestPlaneKernels:
 
         cofactor_kernel = symmetroid._cofactor_kernel
         monkeypatch.setattr(symmetroid, "_cofactor_kernel", recording)
-        symmetroid._plane_kernels(m, _forms(m))
+        symmetroid._plane_points(m, _forms(m))
         plane = [(1, b, 0, u) for b in range(p) for u in range(p)] + [(0, 1, 0, u) for u in range(p)]
         roots = [v for v in plane + [(0, 0, 0, 1)] if not sum(
             v[0] ** i * v[1] ** j * v[3] ** (4 - i - j) for i in range(5) for j in range(5 - i)) % p]
@@ -470,7 +470,7 @@ def _check_packed_determinants(m):
         patch.setattr(symmetroid, "_packed_det", recording)
         patch.setattr(symmetroid, "_plane_det", recording_det)
         patch.setattr(symmetroid, "_span_points", lambda basis, q: ())  # the minors, not the lines
-        symmetroid._plane_kernels(m, forms)
+        symmetroid._plane_points(m, forms)
         symmetroid._line_points(m, forms)
     plane = _plane(forms)
     minors = [[[forms[i][j] for j in cols] for i in rows]
@@ -501,8 +501,9 @@ def _check_node_filter(m):
 
 
 def _powers(p):
-    """powers[k]: the list of t^k mod p for t = 0..p-1."""
-    return [[pow(t, k, p) for t in range(p)] for k in range(5)]
+    """powers[k]: t^k mod p for t = 0..p-1, in slot t of the flag width w."""
+    w = symmetroid._flag_slots(p)[1]
+    return [sum(pow(t, k, p) << w * t for t in range(p)) for k in range(5)]
 
 
 def _check_flag_roots(quartics, p):
@@ -556,13 +557,14 @@ def test_packed_slots_fit_at_every_prime():
     # the cap, checked without a scan: the flag sums s <= 5 (p-1)^2 of
     # _flag_roots stay below 2^k, their slot values s p^-1 (p^-1 < 2^k)
     # below 2^w, and the flag bit k lands in byte 0 of a slot after >> k;
-    # the line sums of _on_every_line, the adjugate sums of _plane_det and
-    # the P and N of _packed_det fit their 32-, 32- and 64-bit slots
+    # the line sums of _on_every_line fit the same w-bit slots, and the
+    # adjugate sums of _plane_det and the P and N of _packed_det their 32-
+    # and 64-bit slots
     widths = collections.defaultdict(list)
     for p in _CAP_PRIMES:
         k, w = symmetroid._flag_slots(p)
         assert 5 * (p - 1) ** 2 < 2**k and 5 * p * p * 2**k <= 2**w and w % 8 == 0 and w - k >= 8, p
-        assert 10 * (p - 1) ** 2 < 2**32 and 4 * 3 * (p - 1) ** 2 < 2**32 and 36 * (p - 1) ** 3 < 2**64, p
+        assert 10 * (p - 1) ** 2 < 2**w and 4 * 3 * (p - 1) ** 2 < 2**32 and 36 * (p - 1) ** 3 < 2**64, p
         widths[w].append(p)
     assert len(_CAP_PRIMES) == 171
     assert {w: (ps[0], ps[-1]) for w, ps in widths.items()} == \
