@@ -8,17 +8,17 @@ F_p it inserts rows one at a time, packed into one int each in slots of
 the unreduced updates never carry from one column into the next; it
 stops once every column has a pivot, so a matrix with fewer rows than
 columns is ranked on its transpose.  Rows move in and out of the packed
-form through bytes, in linear time, and back-substitution gives the
-kernel.  Over Q, int rows are taken as they are and rational rows have
-their denominators cleared; the rank is then taken mod the prime
+form by :func:`_slot_codec`, in linear time, and back-substitution gives
+the kernel.  Over Q, int rows are taken as they are and rational rows
+have their denominators cleared; the rank is then taken mod the prime
 2^26 - 5, whose slots fit one 64-bit word.  That rank is a lower bound,
 and when it is min(rows, cols) it is the answer.  Otherwise the kernel
 vectors found mod the prime are lifted to Q by rational reconstruction
 and checked exactly over Z, which proves the matching upper bound; when
 the lift or the check fails, more primes are combined by CRT.  Over Q
 the library needs ranks only, so :func:`nullspace_basis` is F_p-only.
-:func:`bit_rref` reduces generator matrices of binary codes, one int
-per row.  Everything is pure: operations never mutate their inputs.
+:func:`bit_rref` reduces generator matrices of binary codes, one int per
+row.  Everything is pure: operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -87,46 +87,49 @@ def _slot_width(p: int, nrows: int, ncols: int) -> int:
     return max(8, 1 << (bits - 1).bit_length())
 
 
-# (pack, unpack) for the slot widths of one array item, in bits.  Array
-# items are native-endian and packed ints little-endian, so a big-endian
-# machine has none and converts slot by slot.
-_ITEM_CODECS = {} if sys.byteorder == "big" else {
-    8 * array(t).itemsize: (partial(array, t),) * 2 for t in "QIHB"}
+# the array constructor for each slot width of one array item, in bits.
+# Array items are native-endian and packed ints little-endian, so a
+# big-endian machine has none and converts slot by slot.
+_ITEM_CODECS = {} if sys.byteorder == "big" else {8 * array(t).itemsize: partial(array, t) for t in "QIHB"}
 
 
 def _slot_codec(w: int):
-    """``(pack, unpack)`` between slot values and bytes of w-bit slots.
+    """``(pack, unpack)`` between slot values and ints packed in w-bit slots.
 
-    ``pack(values)`` lays the values out as little-endian bytes, the first
-    lowest, and ``unpack(data)`` reads them back; ``int.from_bytes`` and
-    ``int.to_bytes`` move between those bytes and a packed int.  A slot of
-    one array item converts in C, and so does one of 3 to 7 bytes, by
+    ``pack(values)`` puts values[i] in the slot at bit i*w, and ``unpack(q,
+    n)`` reads n slots back: zeros above a short q, OverflowError for a
+    wider one, so no carry out of the top slot is lost.  A slot of one
+    array item converts in C, and so does one of 3 to 7 bytes, by
     extended-slice copies through 64-bit items; a multi-word slot, or any
     slot without items, converts one by one: in linear time either way.
     """
-    if w in _ITEM_CODECS:
-        return _ITEM_CODECS[w]
     k = w >> 3
-    if k < 8 and _ITEM_CODECS:
-        def pack(values):
+    if w in _ITEM_CODECS:
+        to_data = from_data = _ITEM_CODECS[w]
+    elif k < 8 and _ITEM_CODECS:
+        def to_data(values):
             items, data = array("Q", values).tobytes(), bytearray(k * len(values))
             for j in range(k):
                 data[j::k] = items[j::8]
             return data
 
-        def unpack(data):
+        def from_data(data):
             items = bytearray(len(data) // k * 8)
             for j in range(k):
                 items[j::8] = data[j::k]
             return array("Q", items)
+    else:
+        def to_data(values):
+            return b"".join(a.to_bytes(k, "little") for a in values)
 
-        return pack, unpack
+        def from_data(data):
+            return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
 
     def pack(values):
-        return b"".join(a.to_bytes(k, "little") for a in values)
+        return int.from_bytes(to_data(values), "little")
 
-    def unpack(data):
-        return [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
+    def unpack(q, n):
+        return from_data(q.to_bytes(k * n, "little"))
 
     return pack, unpack
 
@@ -146,19 +149,18 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int
     pivot row.  The loop stops once every column has a pivot.  A slot
     starts below p and gains at most (p-1)^2 per pivot, so with this w no
     slot carries into the next, and only ``(u & mask) % p`` is ever read.
-    Rows are packed, and pivot rows unpacked and packed again, through
-    bytes (:func:`_slot_codec`), in time linear in the row.
+    Rows are packed, and pivot rows unpacked and packed again, by
+    :func:`_slot_codec`, in time linear in the row.
     """
     ncols = len(rows[0]) if rows else 0
     if not ncols:
         return []
     w = _slot_width(p, len(rows), ncols)
-    k, mask = w >> 3, (1 << w) - 1
+    mask = (1 << w) - 1
     pack, unpack = _slot_codec(w)
-    from_bytes = int.from_bytes
     prows, pivots = [None] * ncols, []
     for row in rows:
-        u = from_bytes(pack([a % p for a in row]), "little")
+        u = pack([a % p for a in row])
         for c, prow in enumerate(prows):
             f = (u & mask) % p
             if not f:
@@ -167,8 +169,7 @@ def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, int
                 u = (u >> w) + f * prow
             else:
                 scale = p - pow(f, -1, p)
-                tail = (u >> w).to_bytes(k * (ncols - c - 1), "little")
-                prows[c] = from_bytes(pack([a * scale % p for a in unpack(tail)]), "little")
+                prows[c] = pack([a * scale % p for a in unpack(u >> w, ncols - c - 1)])
                 pivots.append(c)
                 break
         if len(pivots) == ncols:
@@ -191,18 +192,15 @@ def _kernel_images(pivots: list[tuple[int, int]], nrows: int, ncols: int,
     """
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
-    w, row_w = _slot_width(p, len(pivots), len(pivots)), _slot_width(p, nrows, ncols)
-    nbytes, row_k = (w >> 3) * len(free), row_w >> 3
+    w = _slot_width(p, len(pivots), len(pivots))
     pack, unpack = _slot_codec(w)
-    row_unpack = _slot_codec(row_w)[1]
-    from_bytes = int.from_bytes
+    row_unpack = _slot_codec(_slot_width(p, nrows, ncols))[1]
     packed = {c: 1 << (i * w) for i, c in enumerate(free)}
     images = []
     for c, prow in reversed(pivots):
-        vals = row_unpack(prow.to_bytes(row_k * (ncols - c - 1), "little"))
-        acc = sum(f * packed[j] for j, f in enumerate(vals, c + 1) if f)
-        image = [a % p for a in unpack(acc.to_bytes(nbytes, "little"))]
-        packed[c] = from_bytes(pack(image), "little")
+        acc = sum(f * packed[j] for j, f in enumerate(row_unpack(prow, ncols - c - 1), c + 1) if f)
+        image = [a % p for a in unpack(acc, len(free))]
+        packed[c] = pack(image)
         images.append(image)
     images.reverse()
     return free, images

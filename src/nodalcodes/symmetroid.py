@@ -6,18 +6,18 @@ matrix drops to rank <= 2 is the symmetroid's distinguished even set of ten
 nodes.  Over F_p that locus is found by kernel incidence (see
 :func:`scan_nodes_fp`): the kernels of the singular A(v) = [M_x v | M_y v |
 M_z v | M_w v] on the plane v_z = 0 hold every rank <= 2 point.  Packed
-ints give column 0 of adj A, det A off it and its p^2 values on that
-whole plane, in slots sized to p, with no residue per value, not the p^3
-points of P^3.  One principal 3x3 minor of M(x) decides each kernel point
-x, and the same minor at that column, one packed degree-9 polynomial on
-the plane, screens the about p singular points v before any 4x4 work.
-When det A vanishes on the plane, a cubic 3x3 minor is solved on each of
-the p^2 + p + 1 lines through (0:0:0:1) instead.  The no-quadric
-certificate is the dimension of the quadrics through the ten nodes, the
-defect computation for b = 4.  More than ten points prove a
-positive-dimensional locus, by the Harris-Tu degree bound
-(:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field evidence,
-labeled as such: nothing here claims a characteristic-0 proof.
+ints, all in slots of one width sized to p (:func:`_flag_slots`), give
+column 0 of adj A, det A off it and its p^2 values on that whole plane,
+with no residue per value, not the p^3 points of P^3.  One principal 3x3
+minor of M(x) decides each kernel point x, and the same minor at that
+column, one packed degree-9 polynomial on the plane, screens the about p
+singular points v before any 4x4 work.  When det A vanishes on the plane,
+a cubic 3x3 minor is solved on each of the p^2 + p + 1 lines through
+(0:0:0:1) instead.  The no-quadric certificate is the dimension of the
+quadrics through the ten nodes, the defect computation for b = 4.  More
+than ten points prove a positive-dimensional locus, by the Harris-Tu
+degree bound (:data:`MAX_FINITE_LOCUS`).  The outcome is finite-field
+evidence, labeled as such: nothing here claims a characteristic-0 proof.
 
 Uniformly random coefficient matrices are the wrong distribution for this
 experiment: Frobenius permutes the ten geometric rank-2 points, so almost
@@ -42,7 +42,7 @@ from .linalg import ExactMatrix, _slot_codec, exact_rank, nullspace_basis
 from .nodes import NodeConfiguration, vanishing_dimension
 from .record import Record
 
-_PRIME_CAP = 1024
+_PRIME_CAP = 1024  # bounds the line fallback's time; no slot width depends on it
 
 # Rank <= 2 symmetric 4x4 matrices form a variety of degree 10 (Harris-Tu,
 # Topology 23, 1984), so a finite rank <= 2 locus of M(x) has at most 10
@@ -154,14 +154,13 @@ def _signed_det(rows) -> tuple[int, int]:
 
 def _packed_det(rows, slots, p: int) -> list[int]:
     """The coefficients mod p, by slot, of det = P - N of a 3x3 matrix of
-    linear forms packed with x, y, ... in the 64-bit slots ``slots``
-    (Kronecker): P and N sum the products over the even and the odd
-    permutations, so no slot borrows, and stay below 3! 3! (p-1)^3 < 2^36
-    for p <= _PRIME_CAP."""
-    _, unpack = _slot_codec(64)
-    size = 8 * (3 * max(slots) + 1)
-    plus, minus = (unpack(q.to_bytes(size, "little")) for q in _signed_det(
-        [[sum(c << 64 * s for c, s in zip(f, slots)) for f in row] for row in rows]))
+    linear forms packed with x, y, ... in the w-bit slots ``slots`` of
+    :func:`_flag_slots` (Kronecker): P and N sum the products over the even
+    and the odd permutations, so no slot borrows, and stay below 3! 3! (p-1)^3."""
+    w = _flag_slots(p)[1]
+    _, unpack = _slot_codec(w)
+    plus, minus = (unpack(q, 3 * max(slots) + 1) for q in _signed_det(
+        [[sum(c << w * s for c, s in zip(f, slots)) for f in row] for row in rows]))
     return [(s - t) % p for s, t in zip(plus, minus)]
 
 
@@ -250,7 +249,9 @@ def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
 
 
 def _flag_slots(p: int) -> tuple[int, int]:
-    """(k, w) of :func:`_flag_roots`."""
+    """(k, w) of :func:`_flag_roots`; w sizes every packed slot of the scan:
+    2^w > 5 p^2 2^k > 25 p^2 (p-1)^2 bounds 12 (p-1)^2 (det A), 36 (p-1)^3
+    (the minors) and 300 (p-1)^3 (R) at p > 7, and w = 16 bounds R at p <= 7."""
     k = (5 * (p - 1) ** 2).bit_length()
     return k, (5 * p * p << k).bit_length() + 7 & -8
 
@@ -281,12 +282,13 @@ def _plane_det(row, minors, p: int) -> list[int]:
     """det A(x, y, 0, w) mod p, y^j w^l x^(4-j-l) in slot j + 10 l, off column
     0 of adj A: sum_j a_0j x_j, ``row`` = a_0 as (x, y, w) coefficients and
     x_j = (-1)^j minors[j], the minor of rows 1..3 off column j at slots
-    (0, 1, 10).  Odd a_0j are negated mod p, so each 32-bit slot sums at
-    most 4 * 3 nonnegative products of two residues."""
-    pack, unpack = _slot_codec(32)
-    total = sum((f0 | f1 << 32 | f2 << 320) * int.from_bytes(pack(m), "little") for (f0, f1, f2), m in zip(
+    (0, 1, 10).  Odd a_0j are negated mod p, so a slot (:func:`_flag_slots`)
+    sums at most 4 * 3 nonnegative products of two residues."""
+    w = _flag_slots(p)[1]
+    pack, unpack = _slot_codec(w)
+    total = sum((f0 | f1 << w | f2 << 10 * w) * pack(m) for (f0, f1, f2), m in zip(
         (row[0], [-c % p for c in row[1]], row[2], [-c % p for c in row[3]]), minors))
-    return [c % p for c in unpack(total.to_bytes(4 * 41, "little"))]
+    return [c % p for c in unpack(total, 41)]
 
 
 def _node_filter(minors, forms, p: int) -> list[int]:
@@ -296,20 +298,20 @@ def _node_filter(minors, forms, p: int) -> list[int]:
     Each entry m_rc = sum_j M_rc,j x_j of M(x) is reduced mod p before the
     minor m11 m22 m33 + 2 m12 m13 m23 - (m11 m23^2 + m12^2 m33 + m13^2 m22)
     is expanded, its signs summed apart as in :func:`_packed_det`: a slot of
-    either sum stays below 3 * 100 * (p-1)^3 < 2^39 for p <= _PRIME_CAP,
+    either sum stays below 3 * 100 * (p-1)^3 < 2^w (:func:`_flag_slots`),
     three products of three cubics of ten slots, whose first two slots fix
     the third.  Where det A(v) = 0, x lies in ker A(v): R(v) = 0 if x = 0,
     else ker A(v) is the point x and, as v_0 = 1, R(v) = 0 exactly when M(x)
     has rank <= 2 (:func:`_rank_two_in_kernel`).  So R(v) != 0 proves that
     ker A(v) holds no rank <= 2 point."""
     x_by_slot = list(zip(*minors))
-    pack, unpack = _slot_codec(64)
+    pack, unpack = _slot_codec(_flag_slots(p)[1])
     m11, m12, m13, m22, m23, m33 = (
-        int.from_bytes(pack([(f0 * x0 - f1 * x1 + f2 * x2 - f3 * x3) % p for x0, x1, x2, x3 in x_by_slot]), "little")
+        pack([(f0 * x0 - f1 * x1 + f2 * x2 - f3 * x3) % p for x0, x1, x2, x3 in x_by_slot])
         for f0, f1, f2, f3 in (forms[1][1], forms[1][2], forms[1][3], forms[2][2], forms[2][3], forms[3][3]))
     plus = m11 * m22 * m33 + 2 * m12 * m13 * m23
     minus = m11 * m23 * m23 + m12 * m12 * m33 + m13 * m13 * m22
-    return [(s - t) % p for s, t in zip(*(unpack(q.to_bytes(8 * 91, "little")) for q in (plus, minus)))]
+    return [(s - t) % p for s, t in zip(*(unpack(q, 91) for q in (plus, minus)))]
 
 
 def _on_every_line(polynomials, powers, p: int) -> list[tuple[int, ...]]:
@@ -317,10 +319,9 @@ def _on_every_line(polynomials, powers, p: int) -> list[tuple[int, ...]]:
     list of at most ten coefficients c_j of b^j, c_j < p, with powers[j] =
     t^j mod p in slot t of w bits, (k, w) = :func:`_flag_slots` (p): each
     slot stays below 10 (p-1)^2 < 2^(k+1) <= 2^w."""
-    w = _flag_slots(p)[1]
-    _, unpack = _slot_codec(w)
-    return list(zip(*([s % p for s in unpack(sum(c * q for c, q in zip(coefficients, powers)).to_bytes(
-        w // 8 * p, "little"))] for coefficients in polynomials)))
+    _, unpack = _slot_codec(_flag_slots(p)[1])
+    return list(zip(*([s % p for s in unpack(sum(c * q for c, q in zip(coefficients, powers)), p)]
+                      for coefficients in polynomials)))
 
 
 def _plane_points(matrix: SymmetricLinearMatrix, forms) -> set | None:
@@ -353,7 +354,7 @@ def _plane_points(matrix: SymmetricLinearMatrix, forms) -> set | None:
     pack, _ = _slot_codec(_flag_slots(p)[1])
     values, powers = [1] * p, []
     for _ in range(10):
-        powers.append(int.from_bytes(pack(values), "little"))
+        powers.append(pack(values))
         values = [s * t % p for t, s in enumerate(values)]
     g = [det[10 * l:10 * l + 5 - l] for l in range(5)]
     # R(1, b, u) on line b as its coefficients of u^9, ..., u^0, for Horner

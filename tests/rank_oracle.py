@@ -133,10 +133,9 @@ def column_sweep_echelon(rows: Sequence[Sequence[int]], p: int) -> list[tuple[in
     if not ncols:
         return []
     w = _slot_width(p, len(rows), ncols)
-    k, mask = w >> 3, (1 << w) - 1
+    mask = (1 << w) - 1
     pack, unpack = _slot_codec(w)
-    from_bytes = int.from_bytes
-    packed = [from_bytes(pack([a % p for a in row]), "little") for row in rows]
+    packed = [pack([a % p for a in row]) for row in rows]
     pivots = []
     for c in range(ncols):
         leads = [(u & mask) % p for u in packed]
@@ -147,8 +146,7 @@ def column_sweep_echelon(rows: Sequence[Sequence[int]], p: int) -> list[tuple[in
             packed = [u >> w for u in packed]
             continue
         scale = p - pow(leads.pop(i), -1, p)
-        tail = (packed.pop(i) >> w).to_bytes(k * (ncols - c - 1), "little")
-        prow = from_bytes(pack([a * scale % p for a in unpack(tail)]), "little")
+        prow = pack([a * scale % p for a in unpack(packed.pop(i) >> w, ncols - c - 1)])
         pivots.append((c, prow))
         if not packed:
             break

@@ -2,8 +2,9 @@
 rank test, kept for tests only.
 
 The library packs each linear form of a matrix into one int, its
-variables at fixed 64-bit slots, and expands the determinant with the
-even and the odd permutations kept apart (``symmetroid._packed_det``).
+variables at fixed slots of a width sized to p, and expands the
+determinant with the even and the odd permutations kept apart
+(``symmetroid._packed_det``).
 Here a polynomial is a dict ``{exponents: coefficient mod p}`` and the
 determinant is the cofactor expansion along the first row, one dict
 product at a time.  The library reads the roots of a quartic on a line

@@ -418,13 +418,18 @@ def test_slot_codec_round_trips_every_width(k, item_codecs, monkeypatch):
     top = 2 ** (8 * k) - 1
     values = [0, top, 1, top - 1] + [rng.randrange(top + 1) for _ in range(40)]
     pack, unpack = _slot_codec(8 * k)
-    data = pack(values)
-    assert int.from_bytes(data, "little") == sum(a << (8 * k * i) for i, a in enumerate(values))
-    assert list(unpack(bytes(data))) == values
-    assert list(unpack(b"")) == [] and len(pack([])) == 0
+    q, n = pack(values), len(values)
+    assert q == sum(a << (8 * k * i) for i, a in enumerate(values))
+    assert list(unpack(q, n)) == values
+    assert list(unpack(0, 0)) == [] and pack([]) == 0
+    # a short int reads as zeros in its high slots, and one wider than n
+    # slots raises, so a carry out of the top slot is never dropped
+    assert list(unpack(pack(values[:3]), n)) == values[:3] + [0] * (n - 3)
+    with pytest.raises(OverflowError):
+        unpack(q | 1 << (8 * k * n), n)
     # slots of up to 8 bytes go through array items when there are any
     # (k = 3, 5, 6 and 7 by strided copies), and slot by slot otherwise
-    assert isinstance(unpack(bytes(data)), array) == (item_codecs and k <= 8)
+    assert isinstance(unpack(q, n), array) == (item_codecs and k <= 8)
 
 
 @pytest.mark.parametrize("p", [3, 2**61 - 1, linalg._Q_PRIME, 2**29 - 3, 131071, 2097143])

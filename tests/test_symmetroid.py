@@ -522,7 +522,8 @@ def _planted_quartic(lead, roots, p):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_packed_determinants_match_the_dict_ring(data):
-    p = data.draw(st.sampled_from([3, 5, 101, 1021]))
+    # slots of 16 (3, 5, 7), 24 (13), 32 (101), 40 (211) and 48 bits (1021)
+    p = data.draw(st.sampled_from([3, 5, 7, 13, 101, 211, 1021]))
     form = st.tuples(*[_extremes_or_any(p)] * 4)
     forms = data.draw(st.lists(form, min_size=10, max_size=10))
     _check_packed_determinants(SymmetricLinearMatrix(p, tuple(forms)))
@@ -531,11 +532,8 @@ def test_packed_determinants_match_the_dict_ring(data):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_node_filter_matches_the_dict_ring(data):
-    # the premise of the packed minor: each reduced entry of M(x) is a cubic
-    # with ten slots, so a slot of P or N sums at most 3 * 10 * 10 products
-    # of three residues, and a slot of R on a line at most ten
-    assert 3 * 100 * (symmetroid._PRIME_CAP - 1) ** 3 < 2**39
-    p = data.draw(st.sampled_from([3, 5, 101, 1021]))
+    # p = 7 fills R's slots most: 300 (p-1)^3 = 64 800 of 2^16
+    p = data.draw(st.sampled_from([3, 5, 7, 13, 101, 211, 1021]))
     form = st.tuples(*[_extremes_or_any(p)] * 4)
     _check_node_filter(SymmetricLinearMatrix(p, tuple(data.draw(st.lists(form, min_size=10, max_size=10)))))
 
@@ -556,15 +554,17 @@ def test_packed_slots_fit_at_every_prime():
     # the premises of the packed slots at each of the 171 odd primes below
     # the cap, checked without a scan: the flag sums s <= 5 (p-1)^2 of
     # _flag_roots stay below 2^k, their slot values s p^-1 (p^-1 < 2^k)
-    # below 2^w, and the flag bit k lands in byte 0 of a slot after >> k;
-    # the line sums of _on_every_line fit the same w-bit slots, and the
-    # adjugate sums of _plane_det and the P and N of _packed_det their 32-
-    # and 64-bit slots
+    # below 2^w, and the flag bit k lands in byte 0 of a slot after >> k.
+    # Every other packed polynomial of the scan shares the w-bit slots: the
+    # line sums of _on_every_line, 10 (p-1)^2; the adjugate sums of
+    # _plane_det, 4 * 3 (p-1)^2; the P and N of _packed_det, 3! 3! (p-1)^3;
+    # and those of _node_filter, 3 * 10 * 10 (p-1)^3, as each reduced entry
+    # of M(x) is a cubic with ten slots
     widths = collections.defaultdict(list)
     for p in _CAP_PRIMES:
         k, w = symmetroid._flag_slots(p)
         assert 5 * (p - 1) ** 2 < 2**k and 5 * p * p * 2**k <= 2**w and w % 8 == 0 and w - k >= 8, p
-        assert 10 * (p - 1) ** 2 < 2**w and 4 * 3 * (p - 1) ** 2 < 2**32 and 36 * (p - 1) ** 3 < 2**64, p
+        assert max(10 * (p - 1) ** 2, 12 * (p - 1) ** 2, 36 * (p - 1) ** 3, 300 * (p - 1) ** 3) < 2**w, p
         widths[w].append(p)
     assert len(_CAP_PRIMES) == 171
     assert {w: (ps[0], ps[-1]) for w, ps in widths.items()} == \
