@@ -59,11 +59,11 @@ count more than the total, or whose cosets run out short of it, raises
 The search works on reduced bases of ints in extended encoding (see
 ``codes``); an ``EvenSetCode`` is built only for a table entry.
 
-Two dimension lower bounds (due to Beauville) cut the weight-admissible
-list down to the codes that actually occur: dim of the full code is at
-least mu - 10, dim of the strictly even subcode at least mu - 11.  They
-are applied as a post-filter, so a table built with ``audit=True`` also
-carries the weight-admissible codes they exclude, and says so itself.
+Beauville's bound dim >= mu - 10 (``bounds.beauville_bound``) cuts the
+weight-admissible list to the codes that occur.  It implies his mu - 11
+for the strictly even subcode, of index at most 2, and every enumerated
+code has dim >= 1.  It is a post-filter, so a table built with
+``audit=True`` also carries the codes it excludes, and says so itself.
 """
 
 from __future__ import annotations
@@ -71,9 +71,11 @@ from __future__ import annotations
 import itertools
 from math import comb, factorial
 
+from .bounds import beauville_bound
 from .codes import (
     QUARTIC_WORD_CLASSES,
     EvenSetCode,
+    _basis_columns,
     _canonical_form,
     code_to_dict,
     span_words,
@@ -130,11 +132,8 @@ class ClassificationTable(Record):
 def _column_classes(basis: tuple[int, ...], mu: int) -> list[list[int]]:
     """The support columns, each as its bit ``1 << c``, in the classes of
     columns identical across ``basis``, by first column."""
-    cols = [0] * mu  # each column's entries, read as an int
-    for g in basis:
-        cols = [col << 1 | g >> c & 1 for c, col in enumerate(cols)]
     classes: dict[int, list[int]] = {}
-    for c, col in enumerate(cols):
+    for c, col in enumerate(_basis_columns(basis, mu)):
         classes.setdefault(col, []).append(1 << c)
     return list(classes.values())
 
@@ -316,7 +315,7 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
     permutation.
 
     For mu <= 5 no admissible word fits and the table is empty.  With
-    ``audit=True`` the codes excluded only by the dimension lower bounds
+    ``audit=True`` the codes excluded only by the dimension lower bound
     are kept in ``excluded``, and the table's ``audit`` field says so.
     """
     if isinstance(mu, bool) or not isinstance(mu, int):
@@ -326,10 +325,7 @@ def classify_quartic_codes(mu: int, *, audit: bool = False) -> ClassificationTab
     passing = []
     excluded = []
     for canonical, basis, aut in _enumerate_admissible(mu):
-        # the basis is reduced, so its length is the dimension, and the
-        # strictly even subcode drops one exactly when a row is weak
-        strict_dim = len(basis) - any(g >> mu for g in basis)
-        if len(basis) >= max(1, mu - 10) and strict_dim >= mu - 11:
+        if len(basis) >= beauville_bound(4, mu):  # a reduced basis: its length is the dim
             passing.append(_entry(mu, canonical, basis, aut))
         elif audit:
             excluded.append(_entry(mu, canonical, basis, aut))

@@ -92,6 +92,14 @@ class EvenSetWord(Record):
         return f"{self.parity}{{{','.join(map(str, self.indices))}}}"
 
 
+def _basis_columns(basis: Iterable[int], n: int) -> list[int]:
+    """Columns 0..n-1 of the rows ``basis``, each an int, first row highest."""
+    cols = [0] * n
+    for g in basis:
+        cols = [c << 1 | g >> j & 1 for j, c in enumerate(cols)]
+    return cols
+
+
 def span_words(basis: Iterable[int]) -> list[int]:
     """All 2^k F2 combinations of k words, zero first."""
     words = [0]
@@ -294,9 +302,7 @@ def _canonical_encoding(
     if k == 0:
         return (mu, 0), math.factorial(mu)
     maps = memo.setdefault(_PIVOT_MAPS, _PivotMaps())
-    cols = [0] * (mu + 1)  # the support columns, then the parity column
-    for g in basis:
-        cols = [c << 1 | (g >> j) & 1 for j, c in enumerate(cols)]
+    cols = _basis_columns(basis, mu + 1)  # the support columns, then the parity column
     parity = cols[mu]
     if parity:
         tail, count = _min_completion(_pivoted(cols, maps[parity, k - 1]), 1, k, memo, maps)

@@ -4,7 +4,7 @@ One elimination, :func:`_echelon_mod_p`, serves ranks over both fields
 and kernels over F_p, on plain Python integers.  It takes rows of any
 ints and reduces them mod p itself, so no caller reduces first.  Over
 F_p it inserts rows one at a time, packed into one int each in slots of
-8, 16 or 32 bits, whole bytes up to 64 or whole words, wide enough that
+8, 16 or 32 bits or whole bytes (:func:`_slot_bits`), wide enough that
 the unreduced updates never carry from one column into the next; it
 stops once every column has a pivot, so a matrix with fewer rows than
 columns is ranked on its transpose.  Rows move in and out of the packed
@@ -73,18 +73,18 @@ class ExactMatrix(Record):
         return f"ExactMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _slot_width(p: int, nrows: int, ncols: int) -> int:
-    """Bits per column slot of :func:`_echelon_mod_p` on an nrows x ncols matrix.
-
-    The worst-case slot value p + min(nrows, ncols) * (p-1)^2 must fit.
-    Up to 32 bits the width is rounded up to 8, 16 or 32, one native array
-    item; above that to whole bytes up to 64, then to whole 64-bit words.
-    """
-    bits = (p + min(nrows, ncols) * (p - 1) ** 2).bit_length()
+def _slot_bits(bound: int) -> int:
+    """Bits of a packed slot for values up to ``bound``: 8, 16 or 32 (one
+    array item), above that whole bytes.  Every slot width is rounded here."""
+    bits = bound.bit_length()
     if bits > 32:
-        step = 8 if bits <= 64 else 64
-        return -(-bits // step) * step
+        return bits + 7 & -8
     return max(8, 1 << (bits - 1).bit_length())
+
+
+def _slot_width(p: int, nrows: int, ncols: int) -> int:
+    """Bits per slot of :func:`_echelon_mod_p`: its worst case p + min(nrows, ncols) (p-1)^2."""
+    return _slot_bits(p + min(nrows, ncols) * (p - 1) ** 2)
 
 
 # the array constructor for each slot width of one array item, in bits.
@@ -100,8 +100,8 @@ def _slot_codec(w: int):
     n)`` reads n slots back: zeros above a short q, OverflowError for a
     wider one, so no carry out of the top slot is lost.  A slot of one
     array item converts in C, and so does one of 3 to 7 bytes, by
-    extended-slice copies through 64-bit items; a multi-word slot, or any
-    slot without items, converts one by one: in linear time either way.
+    extended-slice copies through 64-bit items; a wider slot, or any slot
+    without items, converts one by one: in linear time either way.
     """
     k = w >> 3
     if w in _ITEM_CODECS:
@@ -184,21 +184,20 @@ def _kernel_images(pivots: list[tuple[int, int]], nrows: int, ncols: int,
     ``pivots`` come from :func:`_echelon_mod_p` on an nrows x ncols matrix.
     Image k holds the entry at the k-th pivot column of each free column's
     kernel vector, free columns in order.  Back-substitution runs from the
-    last pivot up on ints packed as in :func:`_echelon_mod_p`, one slot per
-    free column: a free column is the unit of its own slot, and a pivot
-    column the sum of its unpacked ``prow`` entries times the later
-    columns.  A slot gains less than p from its own free column and (p-1)^2
-    per later pivot, and is reduced mod p as soon as its pivot is done.
+    last pivot up in the elimination's slots, one per free column: a free
+    column is the unit of its own slot, and a pivot column the sum of its
+    ``prow`` entries times the later columns.  A slot gains less than p from
+    its own free column and (p-1)^2 per later pivot, so it stays below the
+    elimination's bound, and is reduced mod p as soon as its pivot is done.
     """
     pivot_cols = {c for c, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
-    w = _slot_width(p, len(pivots), len(pivots))
+    w = _slot_width(p, nrows, ncols)
     pack, unpack = _slot_codec(w)
-    row_unpack = _slot_codec(_slot_width(p, nrows, ncols))[1]
     packed = {c: 1 << (i * w) for i, c in enumerate(free)}
     images = []
     for c, prow in reversed(pivots):
-        acc = sum(f * packed[j] for j, f in enumerate(row_unpack(prow, ncols - c - 1), c + 1) if f)
+        acc = sum(f * packed[j] for j, f in enumerate(unpack(prow, ncols - c - 1), c + 1) if f)
         image = [a % p for a in unpack(acc, len(free))]
         packed[c] = pack(image)
         images.append(image)

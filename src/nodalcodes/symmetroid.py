@@ -38,8 +38,8 @@ from itertools import combinations, product
 from .errors import DataError, DomainError, ResourceError, json_fields, read_json
 from .fields import PrimeField
 from .forms import HomogeneousForm, parse_form
-from .linalg import ExactMatrix, _slot_codec, exact_rank, nullspace_basis
-from .nodes import NodeConfiguration, vanishing_dimension
+from .linalg import ExactMatrix, _slot_bits, _slot_codec, exact_rank, nullspace_basis
+from .nodes import NodeConfiguration, defect_from_nodes
 from .record import Record
 
 _PRIME_CAP = 1024  # bounds the line fallback's time; no slot width depends on it
@@ -147,7 +147,7 @@ class ScanResult(Record):
 
 
 def _signed_det(rows) -> tuple[int, int]:
-    """(P, N) of :func:`_packed_det` for a 3x3 matrix, in closed form."""
+    """det = P - N of a 3x3 matrix as (P, N), its even and odd terms summed apart."""
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * e * i + b * f * g + c * d * h, c * e * g + a * f * h + b * d * i
 
@@ -249,11 +249,11 @@ def _cofactor_kernel(a, p: int) -> tuple[int, ...] | None:
 
 
 def _flag_slots(p: int) -> tuple[int, int]:
-    """(k, w) of :func:`_flag_roots`; w sizes every packed slot of the scan:
-    2^w > 5 p^2 2^k > 25 p^2 (p-1)^2 bounds 12 (p-1)^2 (det A), 36 (p-1)^3
-    (the minors) and 300 (p-1)^3 (R) at p > 7, and w = 16 bounds R at p <= 7."""
+    """(k, w) of :func:`_flag_roots`; w = :func:`_slot_bits` (5 p^2 2^k) sizes
+    every packed slot of the scan: 2^w > 25 p^2 (p-1)^2 bounds 12 (p-1)^2
+    (det A), 36 (p-1)^3 (minors), 300 (p-1)^3 (R) at p > 7; 16 bits at p <= 7."""
     k = (5 * (p - 1) ** 2).bit_length()
-    return k, (5 * p * p << k).bit_length() + 7 & -8
+    return k, _slot_bits(5 * p * p << k)
 
 
 def _flag_roots(quartics, powers, p: int):
@@ -296,22 +296,20 @@ def _node_filter(minors, forms, p: int) -> list[int]:
     principal 3x3 minor off index 0 of M(x) at x = column 0 of adj A(v),
     v = (1, b, 0, u), with x_j = (-1)^j minors[j] as in :func:`_plane_det`.
     Each entry m_rc = sum_j M_rc,j x_j of M(x) is reduced mod p before the
-    minor m11 m22 m33 + 2 m12 m13 m23 - (m11 m23^2 + m12^2 m33 + m13^2 m22)
-    is expanded, its signs summed apart as in :func:`_packed_det`: a slot of
-    either sum stays below 3 * 100 * (p-1)^3 < 2^w (:func:`_flag_slots`),
-    three products of three cubics of ten slots, whose first two slots fix
-    the third.  Where det A(v) = 0, x lies in ker A(v): R(v) = 0 if x = 0,
-    else ker A(v) is the point x and, as v_0 = 1, R(v) = 0 exactly when M(x)
-    has rank <= 2 (:func:`_rank_two_in_kernel`).  So R(v) != 0 proves that
-    ker A(v) holds no rank <= 2 point."""
+    symmetric minor is expanded by :func:`_signed_det`, its signs summed
+    apart: a slot of either sum stays below 3 * 100 * (p-1)^3 < 2^w
+    (:func:`_flag_slots`), three products of three cubics of ten slots,
+    whose first two slots fix the third.  Where det A(v) = 0, x lies in
+    ker A(v): R(v) = 0 if x = 0, else ker A(v) is the point x and, as
+    v_0 = 1, R(v) = 0 exactly when rank M(x) <= 2 (:func:`_rank_two_in_kernel`).
+    So R(v) != 0 proves that ker A(v) holds no rank <= 2 point."""
     x_by_slot = list(zip(*minors))
     pack, unpack = _slot_codec(_flag_slots(p)[1])
     m11, m12, m13, m22, m23, m33 = (
         pack([(f0 * x0 - f1 * x1 + f2 * x2 - f3 * x3) % p for x0, x1, x2, x3 in x_by_slot])
         for f0, f1, f2, f3 in (forms[1][1], forms[1][2], forms[1][3], forms[2][2], forms[2][3], forms[3][3]))
-    plus = m11 * m22 * m33 + 2 * m12 * m13 * m23
-    minus = m11 * m23 * m23 + m12 * m12 * m33 + m13 * m13 * m22
-    return [(s - t) % p for s, t in zip(*(unpack(q, 91) for q in (plus, minus)))]
+    signed = _signed_det(((m11, m12, m13), (m12, m22, m23), (m13, m23, m33)))
+    return [(s - t) % p for s, t in zip(*(unpack(q, 91) for q in signed))]
 
 
 def _on_every_line(polynomials, powers, p: int) -> list[tuple[int, ...]]:
@@ -388,7 +386,8 @@ def _rank_two_in_kernel(forms, v, candidates, p: int):
     upper = [forms[r][c] for n, r in enumerate(rows) for c in rows[n:]]  # of the minor, row-major
     for x0, x1, x2, x3 in candidates:
         a, b, c, d, e, f = [s0 * x0 + s1 * x1 + s2 * x2 + s3 * x3 for s0, s1, s2, s3 in upper]
-        if not (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)) % p:
+        plus, minus = _signed_det(((a, b, c), (b, d, e), (c, e, f)))
+        if not (plus - minus) % p:
             yield x0, x1, x2, x3
 
 
@@ -472,7 +471,7 @@ def no_quadric_certificate(points, p: int) -> QuadricCertificate:
     points = tuple(points)
     if len(points) != 10:
         raise DomainError(f"expected exactly 10 points, got {len(points)}")
-    rank = 10 - vanishing_dimension(NodeConfiguration(4, PrimeField(p), points), 2)
+    rank = 10 - defect_from_nodes(NodeConfiguration(4, PrimeField(p), points)).dim_m
     return QuadricCertificate(prime=p, rank=rank, certified=rank == 10)
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodalcodes import classify as classify_mod
+from nodalcodes.bounds import beauville_bound
 from nodalcodes.classify import (
     ClassificationTable,
     classify_quartic_codes,
@@ -690,13 +691,17 @@ def test_classification_output_is_pinned(audited_classification_tables):
     assert h.hexdigest() == CLASSIFICATION_DIGEST
 
 
-def test_audit_reports_dimension_excluded_codes():
-    table = classify_quartic_codes(12, audit=True)
-    profiles = {e.profile for e in table.excluded}
+def test_audit_reports_dimension_excluded_codes(audited_classification_tables):
+    profiles = {e.profile for e in audited_classification_tables[12].excluded}
     # the three one-dimensional weight-admissible codes fail dim >= mu - 10
     assert {"[12,1,{6_1}]", "[12,1,{8_1}]", "[12,1,{10_1}]"} <= profiles
-    for e in table.excluded:
-        assert e.dim < max(1, 12 - 10) or e.code.strict_dim() < 12 - 11
+    for mu, table in audited_classification_tables.items():
+        # a code is kept exactly when it meets Beauville's bound, and that
+        # alone implies his bound on the strictly even subcode
+        least = beauville_bound(4, mu)
+        assert least == mu - 10
+        assert all(e.dim >= least and e.code.strict_dim() >= mu - 11 for e in table.entries), mu
+        assert all(e.dim < least for e in table.excluded), mu
 
 
 def test_only_an_audited_table_reports_exclusions(

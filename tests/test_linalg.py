@@ -432,7 +432,7 @@ def test_slot_codec_round_trips_every_width(k, item_codecs, monkeypatch):
     assert isinstance(unpack(q, n), array) == (item_codecs and k <= 8)
 
 
-@pytest.mark.parametrize("p", [3, 2**61 - 1, linalg._Q_PRIME, 2**29 - 3, 131071, 2097143])
+@pytest.mark.parametrize("p", [3, 2**61 - 1, linalg._Q_PRIME, 2**29 - 3, 131071, 2097143, 2**33 - 9])
 def test_packed_rank_mod_p_worst_case_slot_growth(p):
     n = 40
     # every entry p - 1: rank 1
@@ -457,11 +457,11 @@ def test_worst_case_slot_growth_fills_a_whole_word():
     assert 2**63 <= (n - 1) * (p - 1) ** 2 + (-(n - 1) % p) < 2**64
 
 
-@pytest.mark.parametrize("p, width", [(2**17 - 1, 40), (2097143, 48)])
+@pytest.mark.parametrize("p, width", [(2**17 - 1, 40), (2097143, 48), (2**33 - 9, 72)])
 def test_worst_case_slot_growth_fills_whole_bytes(p, width):
-    # above 32 bits a slot is rounded up to whole bytes, and the staircase
-    # above ends with a last slot in its top byte's top bit, so a slot one
-    # byte narrower wraps it
+    # above 32 bits a slot is rounded up to whole bytes, past 64 bits too,
+    # and the staircase above ends with a last slot in its top byte's top
+    # bit, so a slot one byte narrower wraps it
     n = 40
     assert is_prime(p)
     assert _slot_width(p, n, n) == width

@@ -522,7 +522,7 @@ def _planted_quartic(lead, roots, p):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_packed_determinants_match_the_dict_ring(data):
-    # slots of 16 (3, 5, 7), 24 (13), 32 (101), 40 (211) and 48 bits (1021)
+    # slots of 16 (3, 5, 7), 32 (13, 101), 40 (211) and 48 bits (1021)
     p = data.draw(st.sampled_from([3, 5, 7, 13, 101, 211, 1021]))
     form = st.tuples(*[_extremes_or_any(p)] * 4)
     forms = data.draw(st.lists(form, min_size=10, max_size=10))
@@ -541,7 +541,7 @@ def test_node_filter_matches_the_dict_ring(data):
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_flag_roots_match_the_search(data):
-    # flag slots of 16, 24, 32, 40 and 48 bits
+    # flag slots of 16, 32, 40 and 48 bits
     p = data.draw(st.sampled_from([3, 5, 7, 13, 31, 101, 211, 401, 1021]))
     residue = st.integers(0, p - 1)
     planted = st.builds(_planted_quartic, st.integers(1, p - 1), st.lists(residue, max_size=4), st.just(p))
@@ -568,7 +568,7 @@ def test_packed_slots_fit_at_every_prime():
         widths[w].append(p)
     assert len(_CAP_PRIMES) == 171
     assert {w: (ps[0], ps[-1]) for w, ps in widths.items()} == \
-        {16: (3, 7), 24: (11, 23), 32: (29, 113), 40: (127, 457), 48: (461, 1021)}
+        {16: (3, 7), 32: (11, 113), 40: (127, 457), 48: (461, 1021)}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
