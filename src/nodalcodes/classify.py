@@ -20,19 +20,26 @@ into the child orbits that share n_j between the parts in every way; a
 split is kept when the key of ``c ^ w`` is a parent orbit's key, and the
 split counts the words of the orbits it keeps over the cut classes.  A
 span word is constant on each K_j, so any word of ``w + span`` cuts the
-classes into the same two parts.  The zero code's orbits are the four
-word classes.  No span word is ever a candidate, since its sum with
-itself is 0, which is not admissible.
+classes into the same two parts.  The split lists a child's orbits in
+no set order, and the level sorts a parent's list just before its coset
+pass reads it, so the list of a class that is never extended is never
+sorted.  The zero code's orbits are the four word classes.  No span word
+is ever a candidate, since its sum with itself is 0, which is not
+admissible.
 
-Duplicates are cut in one step before a canonical search, the coset
-pass.  G fixes every span word, so it permutes the cosets ``w + span``,
-and two words whose cosets share an orbit give isomorphic children; only
-the first candidate of each orbit of cosets extends the code.  That orbit
-is read off the same keys the split reads, so no permutation is ever
-applied.  A word dropped there would reach a class an earlier word
-already reached, so every class keeps the representative it had.  A span
-reached twice, from two parents, is searched twice, and the memo answers
-the second search at its root.  A child's basis is ``bit_rref`` of its
+Duplicates are cut in two steps before a canonical search.  The first
+is the coset pass.  G fixes every span word, so it permutes the cosets
+``w + span``, and two words whose cosets share an orbit give isomorphic
+children; only the first candidate of each orbit of cosets extends the
+code.  That orbit is read off the same keys the split reads, so no
+permutation is ever applied.  A word dropped there would reach a class an
+earlier word already reached, so every class keeps the representative it
+had.  The second is the class key (``_class_key``), a node-permutation
+invariant of the child's span: its weight enumerator and the sizes of its
+classes of identical support columns.  A child whose key a class already
+found at its level has is not searched.  For mu = 6..16 no two classes
+of one level share a key, so the search runs once per class; were two to
+share one, the double count below would fall short and raise.  A child's basis is ``bit_rref`` of its
 parent's basis and ``w``, the span's reduced row echelon basis, which is
 what the canonical search reads.  The codes are deduplicated by canonical
 form at each level, so each equivalence class is visited once.  All
@@ -52,8 +59,13 @@ all of them admissible.  So the level's total is known from its parents
 before its first search, each new class D adds (mu!/|Aut D|)(2^(k+1) - 1),
 and the level stops the moment the two sides agree: no class is left to
 find.  The first child that reaches each class is the same as in a search
-run to the end, so no representative changes.  A level whose classes
-count more than the total, or whose cosets run out short of it, raises
+run to the end, so no representative changes.  The count also proves the
+key's skips exact.  A class all of whose children were skipped is missing,
+and its labeled codes leave the count short; so a level that closes has
+found every class, each through its first child (a class whose first
+child is skipped has all its children skipped, since they share its key),
+and every skipped child was a duplicate.  A level whose classes count
+more than the total, or whose cosets run out short of it, raises
 ``ArithmeticError``; the check runs in every call, on exact integers.
 
 The search works on reduced bases of ints in extended encoding (see
@@ -142,9 +154,9 @@ def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
     """``(reps, split)`` for a parent ``basis`` and its candidate orbits'
     first ``words``: ``reps`` are the first of ``words`` in each orbit of
     cosets ``w + span`` under G, in order, and ``split(w)`` gives the
-    candidate orbits' first words of the child ``basis + (w,)`` and the
-    number of its candidates (see the module docstring).  Both read one
-    orbit key per word.
+    candidate orbits' first words of the child ``basis + (w,)``, in no set
+    order, and the number of its candidates (see the module docstring).
+    Both read one orbit key per word.
 
     G is a product of symmetric groups, one per class of identical
     columns, and moves a word to exactly the words with the same parity
@@ -228,25 +240,43 @@ def _parent_orbits(words: list[int], basis: tuple[int, ...], mu: int):
             for size, mask in parts:
                 n *= comb(size, (c & mask).bit_count())
             count += n
-        # bit counts 7, 8, 11 and 16 order the word classes; inside one, the
-        # word that holds the least column two words differ on comes first
-        return sorted(kept, key=lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2))), count
+        return kept, count
 
     return reps, split
+
+
+def _admissible_order(mu: int):
+    """The sort key of the order of the admissible words: bit counts 7, 8,
+    11 and 16 order the word classes; inside one, the word that holds the
+    least column two words differ on comes first."""
+    return lambda c: (c.bit_count(), -int(f"{c:0{mu + 1}b}"[::-1], 2))
+
+
+def _class_key(basis: tuple[int, ...], mu: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An invariant of the span of ``basis`` under node permutations: the
+    sorted bit counts of its words in extended encoding (its weight
+    enumerator) and the sorted sizes of its classes of identical support
+    columns.  Both depend only on the span, not on the basis that gives it."""
+    return (
+        tuple(sorted(w.bit_count() for w in span_words(basis))),
+        tuple(sorted(map(len, _column_classes(basis, mu)))),
+    )
 
 
 def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...], int]]:
     """All codes with every nonzero word admissible, one (canonical form,
     basis, |Aut|) triple per permutation class, found by isomorph-rejected
     basis extension from the zero code.  Each level stops once its classes
-    meet the double count, and raises ``ArithmeticError`` if they cannot
-    (see the module docstring)."""
+    meet the double count, and raises ``ArithmeticError`` if they cannot.
+    A child whose ``_class_key`` a class of its level already has is not
+    searched (see the module docstring)."""
     memo: dict = {}  # canonical-form completions, shared by this run's codes
     found: list[tuple[bytes, tuple[int, ...], int]] = []
     labelings = factorial(mu)
+    order = _admissible_order(mu)
 
-    # canonical form -> (basis, its candidate orbits' first words, its number
-    # of candidates, |Aut|); b"" is the zero code
+    # canonical form -> (basis, its candidate orbits' first words, unsorted,
+    # its number of candidates, |Aut|); b"" is the zero code
     zero = [(1 << wt) - 1 | weak << mu for wt, weak in QUARTIC_WORD_CLASSES if wt <= mu]
     count = sum(comb(mu, wt) for wt, _ in QUARTIC_WORD_CLASSES if wt <= mu)
     level: dict[bytes, tuple[tuple[int, ...], list[int], int, int]] = {b"": ((), zero, count, labelings)}
@@ -256,15 +286,20 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...], int]]:
         pairs = sum(labelings // aut * n for _, _, n, aut in level.values())
         hyperplanes = ((2 << k) - 1) << k
         met = 0
+        keys = set()  # the keys of the classes found at this level
         next_level: dict[bytes, tuple[tuple[int, ...], list[int], int, int]] = {}
         for basis, words, _, _ in level.values():
             if met >= pairs:
                 break
-            reps, split = _parent_orbits(words, basis, mu)
+            reps, split = _parent_orbits(sorted(words, key=order), basis, mu)
             for w in reps:
+                key = _class_key(basis + (w,), mu)
+                if key in keys:
+                    continue
                 new_basis = tuple(bit_rref(basis + (w,)))
                 enc, aut = _canonical_form(mu, new_basis, memo)
                 if enc not in next_level:
+                    keys.add(key)
                     next_level[enc] = (new_basis, *split(w), aut)
                     met += labelings // aut * hyperplanes
                     if met >= pairs:

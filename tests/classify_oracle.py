@@ -11,8 +11,9 @@ library keeps one representative per orbit of cosets, builds each
 child's basis from its parent's and each child's orbits from its
 parent's; it must return the same (canonical form, basis) list, order
 included, and the same |Aut| for each class.  This loop searches every
-level to its end, where the library stops a level once the double count
-is met.  The library's helpers are read through the module, so a test
+level to its end, and every child, where the library stops a level once
+the double count is met and skips a child whose class key a class of its
+level already has.  The library's helpers are read through the module, so a test
 that counts ``_canonical_form`` calls counts this loop's too.
 
 ``greedy_profile`` is the profile string as the library once built it,

@@ -35,6 +35,7 @@ from permutation_oracle import (
     apply_node_permutation,
     column_transpositions,
     orbit,
+    permuted_code,
     popcount_orbit_representatives,
     searched_coset_representatives,
     searched_orbit_representatives,
@@ -283,31 +284,37 @@ def _scratch_candidates(basis, mu, admissible):
 
 def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
     # each basis inherits its candidate orbits from its parent's split; the
-    # list is the first word of each orbit of the full filter, order
-    # included, and the split's count is the number of words of that
-    # filter.  Every class is checked as its split returns, the last
-    # classes of a level included, whose level ends before their own
-    # coset pass; the zero code's list is checked as its coset pass reads
-    # it.  Checked inside the hook, so a wrong list fails before the
-    # search grows from it.
+    # list is the first word of each orbit of the full filter, and the
+    # split's count is the number of words of that filter.  Every class is
+    # checked as its split returns, the last classes of a level included,
+    # whose level ends before their own coset pass; the split lists its
+    # words unsorted, so there they are compared as a set.  Each parent's
+    # list, the zero code's included, is checked again, order included, in
+    # the order its coset pass reads it.  Checked inside the hook, so a
+    # wrong list fails before the search grows from it.
     admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
-    checked = []
+    oracle = {}
+    parents, children = [], []
     step = classify_mod._parent_orbits
 
-    def check(candidates, basis, mu):
-        full = _scratch_candidates(basis, mu, admissible[mu])
-        assert candidates == popcount_orbit_representatives(full, basis, mu), (mu, basis)
-        checked.append((mu, basis))
-        return full
+    def expected(basis, mu):
+        # the first words of the full filter's orbits, and the filter's size
+        if (mu, basis) not in oracle:
+            full = _scratch_candidates(basis, mu, admissible[mu])
+            oracle[mu, basis] = popcount_orbit_representatives(full, basis, mu), len(full)
+        return oracle[mu, basis]
 
     def checking(candidates, basis, mu):
-        if not basis:
-            check(candidates, basis, mu)
+        assert candidates == expected(basis, mu)[0], (mu, basis)
+        parents.append((mu, basis))
         reps, split = step(candidates, basis, mu)
 
         def checked_split(w):
             words, count = split(w)
-            assert count == len(check(words, tuple(bit_rref(basis + (w,))), mu)), (mu, basis, w)
+            child = tuple(bit_rref(basis + (w,)))
+            first, size = expected(child, mu)
+            assert (sorted(words), count) == (sorted(first), size), (mu, basis, w)
+            children.append((mu, child))
             return words, count
 
         return reps, checked_split
@@ -316,8 +323,10 @@ def test_inherited_candidates_match_a_filter_from_scratch(monkeypatch):
     found = []
     for mu in range(6, 17):
         found += [(mu, basis) for _, basis, _ in classify_mod._enumerate_admissible(mu)]
-    assert sorted(checked) == sorted(found + [(mu, ()) for mu in range(6, 17)])
-    assert max(len(basis) for _, basis in checked) == 6
+    zeros = {(mu, ()) for mu in range(6, 17)}
+    assert sorted(children) == sorted(found)
+    assert zeros <= set(parents) <= set(found) | zeros
+    assert max(len(basis) for _, basis in children) == 6
 
 
 @st.composite
@@ -345,15 +354,16 @@ def _split_inputs(draw, max_mu=12):
 
 def _check_split(candidates, basis, r, mu):
     # a child's orbits, split from its parent's first words, are the first
-    # words of the orbits of the word-by-word filter, order included, and
-    # the split counts that filter's words
+    # words of the orbits of the word-by-word filter, order included once
+    # sorted as the child's own coset pass reads them, and the split counts
+    # that filter's words
     words = popcount_orbit_representatives(candidates, basis, mu)
     closed = set(candidates)
     child = [c for c in candidates if c ^ r in closed]
     expected = popcount_orbit_representatives(child, basis + (r,), mu)
     _, split = classify_mod._parent_orbits(words, basis, mu)
     kept, count = split(r)
-    assert kept == expected
+    assert sorted(kept, key=classify_mod._admissible_order(mu)) == expected
     assert count == len(child)
 
 
@@ -472,28 +482,70 @@ def test_a_failed_double_count_raises(monkeypatch, factor):
 
 
 def test_canonical_search_count_is_pinned(monkeypatch):
-    # the coset reduction's saving and the double count's stop as a count:
-    # a weaker key (one that misses images under identical columns, or is
-    # not constant on a coset) keeps the answers but searches more, and so
-    # does a level that runs on after its count is met (362 searches).  A
-    # span reached from two parents is searched twice.  The per-word loop
-    # runs every level to its end.
-    calls = Counter()
-    search = classify_mod._canonical_form
+    # the coset reduction's saving, the double count's stop and the class
+    # key's skip as counts: 204 children visited, and one canonical search
+    # per class, 87.  A weaker coset key (one that misses images under
+    # identical columns, or is not constant on a coset), or a level that
+    # runs on after its count is met (362 children), keeps the answers but
+    # visits more children, which the class key then skips without a
+    # search; a class key that a node permutation changes searches more.
+    # The per-word loop runs every level to its end and searches every
+    # child.
+    calls, visited = Counter(), Counter()
+    search, key = classify_mod._canonical_form, classify_mod._class_key
 
     def counting(mu, basis, memo):
         calls[mu] += 1
         return search(mu, basis, memo)
 
+    def visiting(basis, mu):
+        visited[mu] += 1
+        return key(basis, mu)
+
     monkeypatch.setattr(classify_mod, "_canonical_form", counting)
+    monkeypatch.setattr(classify_mod, "_class_key", visiting)
     for mu in range(6, 17):
         classify_mod._enumerate_admissible(mu)
-    assert [calls[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 4, 4, 9, 10, 21, 47, 103]
-    assert sum(calls.values()) == 204
+    assert [calls[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 4, 4, 7, 8, 12, 16, 30]
+    assert sum(calls.values()) == 87
+    assert [visited[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 4, 4, 9, 10, 21, 47, 103]
+    assert sum(visited.values()) == 204
     calls.clear()
     for mu in range(6, 17):
         per_word_enumeration(mu)
     assert sum(calls.values()) == 814
+
+
+def test_class_key_parts_the_classes_of_each_level(audited_classification_tables):
+    # for mu = 6..16 no two classes of one dimension share a key, so no
+    # skip hides a class; the weight enumerator alone meets two classes at
+    # mu = 16, dimension 4, which the sizes of the column classes part
+    collisions = set()
+    for mu, table in audited_classification_tables.items():
+        levels = {}
+        for e in table.entries + table.excluded:
+            levels.setdefault(e.dim, []).append(e)
+        for dim, entries in levels.items():
+            keys = {classify_mod._class_key(e.code.basis, mu) for e in entries}
+            assert len(keys) == len(entries), (mu, dim)
+            enumerators = {frozenset(e.enumerator.items()) for e in entries}
+            if len(enumerators) < len(entries):
+                collisions.add((mu, dim))
+    assert collisions == {(16, 4)}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.randoms(use_true_random=False))
+def test_class_key_is_a_node_permutation_invariant(audited_classification_tables, rng):
+    # every table class, entries and exclusions, under a random relabeling
+    # of its nodes: the relabeled code's reduced basis gives the same key
+    tables = audited_classification_tables.values()
+    for e in (e for table in tables for e in table.entries + table.excluded):
+        mu = e.code.mu
+        perm = list(range(mu))
+        rng.shuffle(perm)
+        image = permuted_code(e.code, tuple(perm))
+        assert classify_mod._class_key(image.basis, mu) == classify_mod._class_key(e.code.basis, mu)
 
 
 def test_orbit_tables_are_built_once_per_parent(monkeypatch):
