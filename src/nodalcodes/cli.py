@@ -61,9 +61,7 @@ def _cmd_defect(args) -> tuple[dict, str, bool]:
 
 def _cmd_vanishing_dim(args) -> tuple[dict, str, bool]:
     cfg = nodes_mod.load_node_file(args.nodes)
-    d = args.degree
-    if d is None:
-        d = 3 * cfg.degree // 2 - 4
+    d = nodes_mod.form_degree(cfg.degree) if args.degree is None else args.degree
     dim = nodes_mod.vanishing_dimension(cfg, d)
     payload = {"mu": cfg.mu, "form_degree": d, "dimension": dim}
     return payload, f"degree-{d} forms through the {cfg.mu} node(s): dimension {dim}", True

@@ -177,29 +177,31 @@ class DefectReport(Record):
         }
 
 
+def form_degree(b: int) -> int:
+    """3b/2 - 4, the degree of the forms through the nodes (3b/2 rounded down)."""
+    return 3 * b // 2 - 4
+
+
 def defect(b: int, mu: int, dim_m: int) -> DefectReport:
     """Defect of the double solid branched over a degree-b surface with mu
-    nodes, given the dimension of the space of degree-(3b/2-4) forms
-    through the nodes."""
+    nodes, given the dimension of the forms of ``form_degree(b)`` through them."""
     if b % 2 != 0:
         raise DomainError(f"branch degree must be even, got {b}")
     if b < 2:
         raise DomainError(f"branch degree must be at least 2, got {b}")
     if mu < 0 or dim_m < 0:
         raise DomainError("mu and dim_m must be non-negative")
-    m_degree = 3 * b // 2 - 4
-    estimate = comb(3 * b // 2 - 1, 3) - mu
+    m_degree = form_degree(b)
+    estimate = comb(m_degree + 3, 3) - mu
     return DefectReport(b, mu, m_degree, dim_m, estimate, dim_m - estimate)
 
 
 def defect_from_nodes(cfg: NodeConfiguration) -> DefectReport:
     """Compute the defect directly from a node configuration."""
-    b = cfg.degree
+    b, m_degree = cfg.degree, form_degree(cfg.degree)
     if b % 2 != 0:
         raise DomainError(f"branch degree must be even, got {b}")
-    m_degree = 3 * b // 2 - 4
-    dim_m = vanishing_dimension(cfg, m_degree) if m_degree >= 0 else 0
-    return defect(b, cfg.mu, dim_m)
+    return defect(b, cfg.mu, vanishing_dimension(cfg, m_degree) if m_degree >= 0 else 0)
 
 
 # --- node file format --------------------------------------------------------

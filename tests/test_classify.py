@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -179,7 +180,62 @@ def _first_per_packed_key(candidates, basis, mu):
     return reps
 
 
-def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
+@pytest.fixture(scope="module")
+def recorded_run():
+    """One recorded ``classify_quartic_codes(mu)`` for mu = 6..16: each
+    ``_parent_orbits`` build as (words, basis, mu, reps), each split as its
+    parent's (mu, basis), and per mu the canonical searches, the children
+    whose class key is read and the entries built; then the per-word loop,
+    under the same search counter.  The work pins read this one run, through
+    ``_recorded``.  What the classifier raises at one mu is kept for the
+    tests that read that mu."""
+    run = SimpleNamespace(builds=[], splits=[], visited=Counter(), built=Counter(), tables={},
+                          raised={})
+    searched = Counter()
+    build, search = classify_mod._parent_orbits, classify_mod._canonical_form
+    key, entry = classify_mod._class_key, classify_mod._entry
+
+    def building(words, basis, mu):
+        reps, split = build(words, basis, mu)
+        run.builds.append((words, basis, mu, reps))
+        return reps, lambda w: run.splits.append((mu, basis)) or split(w)
+
+    def searching(mu, basis, memo):
+        searched[mu] += 1
+        return search(mu, basis, memo)
+
+    def visiting(basis, mu):
+        run.visited[mu] += 1
+        return key(basis, mu)
+
+    def entering(mu, canonical, basis, aut):
+        run.built[mu] += 1
+        return entry(mu, canonical, basis, aut)
+
+    with mock.patch.multiple(classify_mod, _parent_orbits=building, _canonical_form=searching,
+                             _class_key=visiting, _entry=entering):
+        for mu in range(6, 17):
+            try:
+                run.tables[mu] = classify_quartic_codes(mu)
+            except Exception as exc:
+                run.raised[mu] = exc
+        run.searches = Counter(searched)
+        for mu in range(6, 17):
+            per_word_enumeration(mu)
+    run.per_word_searches = searched.total() - run.searches.total()
+    return run
+
+
+def _recorded(run, last=16):
+    # the recorded run, once the classifier ran at mu = 6..last without
+    # raising; else what it raised
+    for mu in range(6, last + 1):
+        if mu in run.raised:
+            raise run.raised[mu]
+    return run
+
+
+def test_orbit_key_matches_transposition_orbit_search(recorded_run):
     # every basis the search extends, on its full candidate list filtered
     # from scratch: the packed orbit key keeps exactly the candidates the
     # popcount-tuple key keeps, and at mu <= 13 exactly those an explicit
@@ -187,18 +243,7 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
     # coset pass over all candidates returns what it returns over those
     # word-orbit representatives, which is what the search handed it
     admissible = {mu: admissible_words_ext(mu) for mu in range(6, 17)}
-    calls = []
-    step = classify_mod._parent_orbits
-
-    def recording(candidates, basis, mu):
-        reps, split = step(candidates, basis, mu)
-        calls.append((candidates, basis, mu, reps))
-        return reps, split
-
-    monkeypatch.setattr(classify_mod, "_parent_orbits", recording)
-    for mu in range(6, 17):
-        classify_quartic_codes(mu)
-    monkeypatch.undo()  # the key below reads the unhooked step
+    calls = _recorded(recorded_run).builds
     assert {mu for _, _, mu, _ in calls} == set(range(6, 17))
     shrunk = False
     for words, basis, mu, reps in calls:
@@ -210,7 +255,7 @@ def test_orbit_key_matches_transposition_orbit_search(monkeypatch):
             perms = column_transpositions(EvenSetCode(mu, basis))
             assert orbit_reps == searched_orbit_representatives(candidates, perms, mu)
         assert orbit_reps == words
-        assert step(candidates, basis, mu)[0] == reps
+        assert classify_mod._parent_orbits(candidates, basis, mu)[0] == reps
     assert shrunk
 
 
@@ -481,7 +526,7 @@ def test_a_failed_double_count_raises(monkeypatch, factor):
         classify_quartic_codes(8)
 
 
-def test_canonical_search_count_is_pinned(monkeypatch):
+def test_canonical_search_count_is_pinned(recorded_run):
     # the coset reduction's saving, the double count's stop and the class
     # key's skip as counts: 204 children visited, and one canonical search
     # per class, 87.  A weaker coset key (one that misses images under
@@ -491,29 +536,13 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     # search; a class key that a node permutation changes searches more.
     # The per-word loop runs every level to its end and searches every
     # child.
-    calls, visited = Counter(), Counter()
-    search, key = classify_mod._canonical_form, classify_mod._class_key
-
-    def counting(mu, basis, memo):
-        calls[mu] += 1
-        return search(mu, basis, memo)
-
-    def visiting(basis, mu):
-        visited[mu] += 1
-        return key(basis, mu)
-
-    monkeypatch.setattr(classify_mod, "_canonical_form", counting)
-    monkeypatch.setattr(classify_mod, "_class_key", visiting)
-    for mu in range(6, 17):
-        classify_mod._enumerate_admissible(mu)
+    run = _recorded(recorded_run)
+    calls, visited = run.searches, run.visited
     assert [calls[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 4, 4, 7, 8, 12, 16, 30]
     assert sum(calls.values()) == 87
     assert [visited[mu] for mu in range(6, 17)] == [1, 1, 2, 2, 4, 4, 9, 10, 21, 47, 103]
     assert sum(visited.values()) == 204
-    calls.clear()
-    for mu in range(6, 17):
-        per_word_enumeration(mu)
-    assert sum(calls.values()) == 814
+    assert run.per_word_searches == 814
 
 
 def test_class_key_parts_the_classes_of_each_level(audited_classification_tables):
@@ -548,68 +577,46 @@ def test_class_key_is_a_node_permutation_invariant(audited_classification_tables
         assert classify_mod._class_key(image.basis, mu) == classify_mod._class_key(e.code.basis, mu)
 
 
-def test_orbit_tables_are_built_once_per_parent(monkeypatch):
+def test_orbit_tables_are_built_once_per_parent(recorded_run, audited_classification_tables):
     # a parent's classes and keys serve its coset pass and all its children:
     # they are built at most once for each of the 87 codes the search finds
     # and for the zero code of each mu, whose children are the one-word
     # codes, and only until the level's double count is met (98 builds
     # without the stop); a second build over the same basis would repeat them
-    calls = []
-    build = classify_mod._parent_orbits
-
-    def counting(words, basis, mu):
-        calls.append((mu, basis))
-        return build(words, basis, mu)
-
-    monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
-    found = [
-        (mu, basis)
-        for mu in range(6, 17)
-        for basis in [(), *(basis for _, basis, _ in classify_mod._enumerate_admissible(mu))]
-    ]
+    calls = [(mu, basis) for _, basis, mu, _ in _recorded(recorded_run).builds]
+    found = {(mu, ()) for mu in range(6, 17)} | {
+        (mu, e.code.basis)
+        for mu, table in audited_classification_tables.items()
+        for e in table.entries + table.excluded
+    }
     assert len(calls) == 56
     assert len(set(calls)) == len(calls)
-    assert set(calls) <= set(found)
+    assert set(calls) <= found
     assert {(mu, ()) for mu in range(6, 17)} <= set(calls)
 
 
-def test_orbit_splitter_is_built_once_per_parent(monkeypatch):
+def test_orbit_splitter_is_built_once_per_parent(recorded_run):
     # the split comes with its parent's one build and serves all its
     # children: for mu = 6..16 the 87 extended codes are split from 45
     # distinct parents, none of them built twice
-    builds, children = [], []
-    build = classify_mod._parent_orbits
-
-    def counting(words, basis, mu):
-        builds.append((mu, basis))
-        reps, split = build(words, basis, mu)
-        return reps, lambda r: children.append((mu, basis)) or split(r)
-
-    monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
-    for mu in range(6, 17):
-        classify_mod._enumerate_admissible(mu)
+    run = _recorded(recorded_run)
+    builds = [(mu, basis) for _, basis, mu, _ in run.builds]
+    children = run.splits
     assert len(builds) == len(set(builds))
     assert len(children) == 87
     assert len(set(children)) == 45
     assert set(children) <= set(builds)
 
 
-def test_coset_pass_reads_one_word_per_orbit(monkeypatch):
+def test_coset_pass_reads_one_word_per_orbit(recorded_run):
     # the coset pass reads the first word of each orbit of candidates: 816
     # over the codes the search extends before each level's double count
     # is met (3 254 without the stop), and the four word classes (or those
     # that fit) at each zero code.  The counts are those of the orbits,
     # whatever builds them; a full candidate list reads 190 932.
     read = Counter()
-    step = classify_mod._parent_orbits
-
-    def counting(words, basis, mu):
+    for words, basis, _, _ in _recorded(recorded_run).builds:
         read[bool(basis)] += len(words)
-        return step(words, basis, mu)
-
-    monkeypatch.setattr(classify_mod, "_parent_orbits", counting)
-    for mu in range(6, 17):
-        classify_mod._enumerate_admissible(mu)
     assert read == {True: 816, False: 28}
 
 
@@ -651,21 +658,11 @@ def test_coset_key_matches_a_coset_orbit_search_up_to_16(inputs):
     _check_coset_key(*inputs)
 
 
-def test_every_dropped_coset_is_the_image_of_a_kept_one(monkeypatch):
+def test_every_dropped_coset_is_the_image_of_a_kept_one(recorded_run):
     # in the classification at mu <= 13, each word the coset reduction
     # drops lies in the orbit of an earlier kept word's coset, and no two
     # kept words share one
-    calls = []
-    step = classify_mod._parent_orbits
-
-    def recording(words, basis, mu):
-        reps, split = step(words, basis, mu)
-        calls.append((words, basis, mu, reps))
-        return reps, split
-
-    monkeypatch.setattr(classify_mod, "_parent_orbits", recording)
-    for mu in range(6, 14):
-        classify_mod._enumerate_admissible(mu)
+    calls = [call for call in _recorded(recorded_run, last=13).builds if call[2] <= 13]
     assert {mu for _, _, mu, _ in calls} == set(range(6, 14))
     assert any(len(reps) < len(words) for words, *_, reps in calls)
     for words, basis, mu, reps in calls:
@@ -673,20 +670,12 @@ def test_every_dropped_coset_is_the_image_of_a_kept_one(monkeypatch):
         assert reps == searched_coset_representatives(words, span_words(basis), perms, mu)
 
 
-def test_entries_are_built_only_for_kept_codes(monkeypatch, audited_classification_tables):
+def test_entries_are_built_only_for_kept_codes(recorded_run, audited_classification_tables):
     # a plain table decides the dimension bounds from the basis before it
     # builds a profile and an enumerator, and keeps what the audit keeps
-    built = Counter()
-    entry = classify_mod._entry
-
-    def counting(mu, canonical, basis, aut):
-        built[mu] += 1
-        return entry(mu, canonical, basis, aut)
-
-    monkeypatch.setattr(classify_mod, "_entry", counting)
-    for mu in range(6, 17):
-        table = classify_quartic_codes(mu)
-        assert built[mu] == len(table.entries) == EXPECTED_COUNTS[mu]
+    run = _recorded(recorded_run)
+    for mu, table in run.tables.items():
+        assert run.built[mu] == len(table.entries) == EXPECTED_COUNTS[mu]
         assert table.entries == audited_classification_tables[mu].entries
 
 

@@ -98,6 +98,18 @@ def test_vanishing_dim(tmp_path, capsys):
     assert json.loads(out)["dimension"] == 8
 
 
+@pytest.mark.parametrize("degree, form_degree, dimension", [(3, 0, 0), (4, 2, 8), (5, 3, 18)])
+def test_vanishing_dim_defaults_to_the_defect_form_degree(tmp_path, capsys, degree, form_degree,
+                                                          dimension):
+    # 3b/2 - 4, rounded down for an odd surface degree; the two nodes
+    # leave C(d + 3, 3) - 2 forms of degree d, none at d = 0
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"degree": degree, "nodes": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}))
+    code, out, _ = run(capsys, "vanishing-dim", "--nodes", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"mu": 2, "form_degree": form_degree, "dimension": dimension}
+
+
 def test_verify_nodes_pass_and_fail(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({
