@@ -41,8 +41,9 @@ found at its level has is not searched.  For mu = 6..16 no two classes
 of one level share a key, so the search runs once per class; were two to
 share one, the double count below would fall short and raise.  A child's basis is ``bit_rref`` of its
 parent's basis and ``w``, the span's reduced row echelon basis, which is
-what the canonical search reads.  The codes are deduplicated by canonical
-form at each level, so each equivalence class is visited once.  All
+what the canonical search reads.  Each level is keyed by canonical form.
+Isomorphic children share a key, so no search returns a form its level
+already holds; one that did would count twice in the double count.  All
 canonical forms of one ``classify_quartic_codes`` call share a single
 completion memo, keyed by the pivot count and the sorted values of the
 remaining columns (the unpivoted rows are never re-reduced), with the
@@ -298,12 +299,11 @@ def _enumerate_admissible(mu: int) -> list[tuple[bytes, tuple[int, ...], int]]:
                     continue
                 new_basis = tuple(bit_rref(basis + (w,)))
                 enc, aut = _canonical_form(mu, new_basis, memo)
-                if enc not in next_level:
-                    keys.add(key)
-                    next_level[enc] = (new_basis, *split(w), aut)
-                    met += labelings // aut * hyperplanes
-                    if met >= pairs:
-                        break
+                keys.add(key)
+                next_level[enc] = (new_basis, *split(w), aut)
+                met += labelings // aut * hyperplanes
+                if met >= pairs:
+                    break
         if met != pairs:
             raise ArithmeticError(
                 f"mu = {mu}, dimension {k} -> {k + 1}: the codes of dimension {k} "

@@ -28,19 +28,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_bounds_example(capsys):
-    code, out, _ = run(capsys, "bounds", "--degree", "8", "--mu", "168")
-    assert code == 0
-    assert "beauville 18" in out
-    assert "improved 19" in out
-
-
-def test_bounds_paper_closed_form(capsys):
-    code, out, _ = run(capsys, "bounds", "--degree", "8", "--mu", "168", "--paper-closed-form")
-    assert code == 0
-    assert "beauville 16" in out
-
-
 def test_classify_mu14_json(capsys):
     code, out, _ = run(capsys, "classify-quartic", "--mu", "14", "--json")
     assert code == 0
@@ -52,23 +39,10 @@ def test_classify_mu14_json(capsys):
     assert code_obj.dim == 4
 
 
-def test_classify_audit_lists_exclusions(capsys):
-    code, out, _ = run(capsys, "classify-quartic", "--mu", "12", "--audit", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["excluded_by_dimension_bounds"]) == 3
-
-
 def test_defect_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "defect", "--degree", "4", "--nodes", "missing.json")
     assert code == 2
     assert "error" in err
-
-
-def test_defect_from_counts(capsys):
-    code, out, _ = run(capsys, "defect", "--degree", "6", "--mu", "65", "--dim-m", "4", "--json")
-    assert code == 0
-    assert json.loads(out)["defect"] == 13
 
 
 def test_defect_incomplete_inputs_exit_2(capsys):
@@ -78,11 +52,6 @@ def test_defect_incomplete_inputs_exit_2(capsys):
 
 def test_unknown_subcommand_exits_1(capsys):
     code, _, _ = run(capsys, "no-such-command")
-    assert code == 1
-
-
-def test_missing_required_flag_exits_1(capsys):
-    code, _, _ = run(capsys, "bounds", "--degree", "8")
     assert code == 1
 
 
@@ -158,6 +127,18 @@ def test_verify_nodes_surface_flag(tmp_path, capsys):
     code, _, err = run(capsys, "verify-nodes", "--nodes", str(nodes), "--surface", str(surface))
     assert code == 2 and err.count("\n") == 1
     assert err.startswith("error:") and "surface has degree 3, configuration says 2" in err
+    # the Cayley cubic's four nodes, against a surface written with implicit
+    # products, spaces and a leading '+'
+    nodes.write_text(json.dumps({"degree": 3, "field": "rational", "nodes": [
+        ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}))
+    surface.write_text("+ y z w + 2 x z w + 3xyw + 5 x*y*z\n")
+    code, out, _ = run(capsys, "verify-nodes", "--nodes", str(nodes), "--surface", str(surface),
+                       "--json")
+    assert code == 0 and json.loads(out)["all_nodes"] is True
+    # a superscript digit is not an integer: exit 2 with one error line
+    surface.write_text("x^\u00b2\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify-nodes", "--nodes", str(nodes), "--surface", str(surface))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("degree, expected", [(100_000_000, 2), (DEGREE_CAP, 3)],
@@ -287,34 +268,14 @@ def test_symmetroid_scan_seeded(capsys):
     matrix_from_dict(payload["matrix"])
 
 
-def test_symmetroid_scan_requires_input(capsys):
-    code, _, err = run(capsys, "symmetroid-scan")
-    assert code == 2
-
-
 def _scan_matrix_file(tmp_path, capsys, payload):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(payload))
     return run(capsys, "symmetroid-scan", "--matrix", str(path))
 
 
-def test_symmetroid_scan_non_string_entry(tmp_path, capsys):
-    code, _, err = _scan_matrix_file(tmp_path, capsys, {"prime": 7, "upper_triangle": [1] * 10})
-    assert code == 2 and "Traceback" not in err and err.startswith("error:")
-
-
 def test_symmetroid_scan_non_list_entries(tmp_path, capsys):
     code, _, err = _scan_matrix_file(tmp_path, capsys, {"prime": 7, "upper_triangle": 5})
-    assert code == 2 and "Traceback" not in err and err.startswith("error:")
-
-
-def test_symmetroid_scan_non_integer_prime(tmp_path, capsys):
-    code, _, err = _scan_matrix_file(tmp_path, capsys, {"prime": "7", "upper_triangle": ["x"] * 10})
-    assert code == 2 and "Traceback" not in err and err.startswith("error:")
-
-
-def test_symmetroid_scan_negative_seed(capsys):
-    code, _, err = run(capsys, "symmetroid-scan", "--seed", "-1")
     assert code == 2 and "Traceback" not in err and err.startswith("error:")
 
 
@@ -528,15 +489,6 @@ def test_hilbert_check(capsys):
     payload = json.loads(out)
     assert payload["match"] is True
     assert payload["coefficients"][:6] == [0, 0, 0, 10, 25, 46]
-
-
-def test_json_output_is_byte_deterministic(capsys):
-    _, out1, _ = run(capsys, "classify-quartic", "--mu", "12", "--json")
-    _, out2, _ = run(capsys, "classify-quartic", "--mu", "12", "--json")
-    assert out1 == out2
-    _, out3, _ = run(capsys, "symmetroid-scan", "--seed", "2", "--prime", "13", "--json")
-    _, out4, _ = run(capsys, "symmetroid-scan", "--seed", "2", "--prime", "13", "--json")
-    assert out3 == out4
 
 
 @pytest.mark.parametrize("prime", [

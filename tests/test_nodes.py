@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nodalcodes.errors import DataError, DomainError, ResourceError
 from nodalcodes.fields import PrimeField, QQ
 from nodalcodes.forms import parse_form
+from nodalcodes.linalg import ExactMatrix
 from nodalcodes.nodes import (
     MONOMIAL_CAP,
     NodeConfiguration,
@@ -26,7 +27,7 @@ from nodalcodes.nodes import (
     verify_configuration,
     verify_node,
 )
-from rank_oracle import field_evaluation_matrix
+from rank_oracle import field_evaluation_matrix, rank_and_rref
 
 
 class TestVerifyNode:
@@ -101,7 +102,7 @@ class TestVanishingDimension:
 
     def test_matches_independent_oracle(self):
         # independent route: build the evaluation matrix directly from
-        # integer monomial powers and run a plain fraction elimination
+        # integer monomial powers and reduce it by the Gauss-Jordan oracle
         rng = random.Random(42)
         for _ in range(50):
             npts = rng.randint(1, 12)
@@ -129,8 +130,8 @@ class TestVanishingDimension:
                 ]
                 for pt in cfg.points
             ]
-            assert vanishing_dimension(cfg, d) == len(monos) - _plain_rank(rows)
-
+            rank, _ = rank_and_rref(ExactMatrix.from_rows(QQ, rows))
+            assert vanishing_dimension(cfg, d) == len(monos) - rank
 
     def test_monomial_cap(self):
         cfg = _config([(1, 2, 3, 4)])
@@ -225,22 +226,6 @@ class TestDeficientRanks:
         assert report.defect == cfg.mu - (3 * d + 1)
 
 
-def _plain_rank(rows):
-    mat = [list(r) for r in rows]
-    rank, ncols = 0, len(mat[0])
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                factor = mat[i][c] / mat[rank][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 class TestDefect:
     def test_quartic_ten_nodes(self):
         assert defect(4, 10, 0).defect == 0
@@ -279,8 +264,6 @@ class TestDefect:
             except DataError:
                 continue
             # generic-rank gate: the evaluation matrix must have full rank 10
-            from rank_oracle import rank_and_rref
-
             if rank_and_rref(evaluation_matrix(cfg, 2))[0] == 10:
                 break
         report = defect_from_nodes(cfg)
