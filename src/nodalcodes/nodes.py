@@ -209,7 +209,8 @@ def defect_from_nodes(cfg: NodeConfiguration) -> DefectReport:
 # { "degree": <even int>,
 #   "field": "rational" | {"prime": <int>},
 #   "surface": <optional polynomial string>,
-#   "nodes": [["c0","c1","c2","c3"], ...] }   (coordinates "p/q" allowed over Q)
+#   "nodes": [["c0","c1","c2","c3"], ...] }   (coordinates "p/q" allowed over Q;
+#                                               a coordinate is a string or an integer)
 
 
 def _field_from_json(spec) -> Field:
@@ -231,6 +232,9 @@ def config_from_dict(data: dict) -> NodeConfiguration:
     for raw in nodes:
         if not isinstance(raw, list) or len(raw) != 4:
             raise DataError(f"node {raw!r} is not a list of 4 coordinates")
+        for c in raw:  # a JSON float is not exact: 1e-400 reads as 0
+            if isinstance(c, bool) or not isinstance(c, (str, int)):
+                raise DataError(f"node coordinate must be a string or an integer, got {type(c).__name__}")
         points.append(tuple(field.parse(str(c)) for c in raw))
     surface = data.get("surface")
     if surface is not None:

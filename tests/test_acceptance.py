@@ -22,7 +22,7 @@ from nodalcodes.nodes import NodeConfiguration, defect, vanishing_dimension
 from nodalcodes.series import symmetroid_hilbert_series
 from nodalcodes.symmetroid import no_quadric_certificate
 from permutation_oracle import permuted_code
-from rank_oracle import rank_and_rref
+from rank_oracle import field_evaluation_matrix, rank_and_rref
 from series_oracle import symmetroid_series_by_division
 
 EXPECTED_TABLE = {
@@ -154,18 +154,9 @@ def test_criterion_7_property_suites(classification_tables):
             cfg = NodeConfiguration(4, QQ, tuple(pts))
         except DataError:
             continue
-        monos = [
-            (i, j, k, d - i - j - k)
-            for i in range(d + 1)
-            for j in range(d + 1 - i)
-            for k in range(d + 1 - i - j)
-        ]
-        rows = [
-            [pt[0] ** m[0] * pt[1] ** m[1] * pt[2] ** m[2] * pt[3] ** m[3] for m in monos]
-            for pt in cfg.points
-        ]
-        rank, _ = rank_and_rref(ExactMatrix.from_rows(QQ, rows))
-        assert vanishing_dimension(cfg, d) == len(monos) - rank
+        m = field_evaluation_matrix(cfg, d)
+        rank, _ = rank_and_rref(m)
+        assert vanishing_dimension(cfg, d) == m.ncols - rank
         sub = NodeConfiguration(4, QQ, cfg.points[:-1]) if cfg.mu > 1 else None
         if sub is not None:
             a, b = vanishing_dimension(sub, d), vanishing_dimension(cfg, d)

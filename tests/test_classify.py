@@ -1,4 +1,6 @@
-"""Golden classification of quartic even-set codes, mu = 6..16."""
+"""The classifier of quartic even-set codes, mu = 6..16: its work, its
+oracles and its output.  The golden table itself is criterion 1 of
+``test_acceptance.py``."""
 
 import hashlib
 from collections import Counter
@@ -13,11 +15,7 @@ from hypothesis import strategies as st
 
 from nodalcodes import classify as classify_mod
 from nodalcodes.bounds import beauville_bound
-from nodalcodes.classify import (
-    ClassificationTable,
-    classify_quartic_codes,
-    render_table,
-)
+from nodalcodes.classify import classify_quartic_codes, render_table
 from nodalcodes.codes import (
     STRICT,
     WEAK,
@@ -42,50 +40,6 @@ from permutation_oracle import (
     searched_orbit_representatives,
 )
 from test_codes import _griesmer_ok
-
-# the complete table: per mu the set of (dim, profile) rows
-EXPECTED = {
-    6: {(1, "[6,1,{6_1}]")},
-    7: {(1, "[7,1,{6_1}]")},
-    8: {(1, "[8,1,{6_1}]"), (1, "[8,1,{8_1}]")},
-    9: {(1, "[9,1,{6_1}]"), (1, "[9,1,{8_1}]")},
-    10: {
-        (1, "[10,1,{6_1}]"),
-        (1, "[10,1,{8_1}]"),
-        (1, "[10,1,{10_1}]"),
-        (2, "[10,2,{6_2,8}]"),
-    },
-    11: {
-        (1, "[11,1,{6_1}]"),
-        (1, "[11,1,{8_1}]"),
-        (1, "[11,1,{10_1}]"),
-        (2, "[11,2,{6_2,8}]"),
-    },
-    12: {
-        (2, "[12,2,{6_1,8_1,10}]"),
-        (2, "[12,2,{8_2}]"),
-        (3, "[12,3,{6_3,8}]"),
-        (2, "[12,2,{6_2,8}]"),
-    },
-    13: {(3, "[13,3,{6_3,8}]"), (3, "[13,3,{6_3,8,10}]")},
-    14: {(4, "[14,4,{6_4,8,10}]")},
-    15: {(5, "[15,5,{6_5,8,10}]")},
-    16: {(6, "[16,6,{6_6,8,10,16}]")},
-}
-
-EXPECTED_COUNTS = {6: 1, 7: 1, 8: 2, 9: 2, 10: 4, 11: 4, 12: 4, 13: 2, 14: 1, 15: 1, 16: 1}
-
-
-def test_full_golden_table(classification_tables):
-    for mu, table in classification_tables.items():
-        got = {(e.dim, e.profile) for e in table.entries}
-        assert got == EXPECTED[mu], f"mu={mu}: {sorted(got)}"
-        assert len(table.entries) == EXPECTED_COUNTS[mu]
-
-
-def test_uniqueness_for_large_mu(classification_tables):
-    for mu in (14, 15, 16):
-        assert len(classification_tables[mu].entries) == 1
 
 
 def _nonzero_words(code):
@@ -675,7 +629,7 @@ def test_entries_are_built_only_for_kept_codes(recorded_run, audited_classificat
     # builds a profile and an enumerator, and keeps what the audit keeps
     run = _recorded(recorded_run)
     for mu, table in run.tables.items():
-        assert run.built[mu] == len(table.entries) == EXPECTED_COUNTS[mu]
+        assert run.built[mu] == len(table.entries)
         assert table.entries == audited_classification_tables[mu].entries
 
 
@@ -775,14 +729,14 @@ def test_admissible_word_pool_sizes():
 
 
 def test_render_table_mentions_every_profile(classification_tables):
-    text = render_table(classification_tables[12])
-    for _, profile in EXPECTED[12]:
-        assert profile in text
+    table = classification_tables[12]
+    text = render_table(table)
+    for entry in table.entries:
+        assert entry.profile in text
 
 
 def test_table_to_dict_round_trip(classification_tables):
     import json
 
-    data = json.loads(json.dumps(classification_tables[14].to_dict()))
-    assert data["count"] == 1
-    assert data["entries"][0]["profile"] == "[14,4,{6_4,8,10}]"
+    data = classification_tables[14].to_dict()
+    assert json.loads(json.dumps(data)) == data
