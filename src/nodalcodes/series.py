@@ -17,7 +17,7 @@ from .errors import DomainError, ResourceError
 ORDER_CAP = 10_000
 
 # the first nonzero coefficients are 10, 25, 46 at t^3..t^5
-SYMMETROID_LEADING_COEFFICIENTS = [0, 0, 0, 10, 25, 46]
+SYMMETROID_LEADING_COEFFICIENTS = (0, 0, 0, 10, 25, 46)
 
 
 def _check_order(order: int) -> None:
@@ -45,4 +45,4 @@ def symmetroid_hilbert_check() -> bool:
     which is the series-expansion half of the no-quadric verification (the
     finite-field half lives in the symmetroid scanner).
     """
-    return symmetroid_hilbert_series(5) == SYMMETROID_LEADING_COEFFICIENTS
+    return tuple(symmetroid_hilbert_series(5)) == SYMMETROID_LEADING_COEFFICIENTS

@@ -73,11 +73,13 @@ def test_criterion_3_bounds():
     assert beauville_bound(4, 16) == 6
     assert beauville_bound(6, 65) == 13
     for b in range(4, 41, 2):
+        assert (b - 2) * (23 * b**2 - 38 * b + 24) % 48 == 0
         assert comb(3 * b // 2 - 1, 3) - 4 * comb(b // 2, 3) == (b - 2) * (
             23 * b**2 - 38 * b + 24
         ) // 48
     for b in range(24, 41, 2):
         assert improved_bound(b, miyaoka_max_nodes(b)) < 0
+    assert improved_bound(22, miyaoka_max_nodes(22)) >= 0  # not yet vacuous at 22
     print("\n[acceptance] 3 bounds (values, identity on 4..40, vacuous for b>=24): PASS")
 
 

@@ -67,17 +67,6 @@ def test_domain_errors():
             classify_quartic_codes(mu)
 
 
-# the nonzero even sets a nodal quartic allows
-ADMISSIBLE = {(6, WEAK), (10, WEAK), (8, STRICT), (16, STRICT)}
-
-
-def test_every_word_admissible_exhaustively(classification_tables):
-    for table in classification_tables.values():
-        for entry in table.entries:
-            for w in _nonzero_words(entry.code):
-                assert (w.weight, w.parity) in ADMISSIBLE
-
-
 def test_entries_pairwise_non_isomorphic(classification_tables):
     for table in classification_tables.values():
         digests = [canonical_form(e.code) for e in table.entries]

@@ -214,12 +214,6 @@ class TestDeficientRanks:
 
 
 class TestDefect:
-    def test_quartic_ten_nodes(self):
-        assert defect(4, 10, 0).defect == 0
-
-    def test_quartic_eleven_nodes(self):
-        assert defect(4, 11, 0).defect == 1
-
     def test_sextic_sixty_five_nodes(self):
         # the defect 13 itself is acceptance criterion 2
         report = defect(6, 65, 4)
