@@ -17,12 +17,8 @@ import sys
 import time
 
 from nodalcodes.errors import DomainError, InputError
-from nodalcodes.symmetroid import (
-    no_quadric_certificate,
-    random_symmetric_matrix,
-    random_symmetroid_matrix,
-    scan_nodes_fp,
-)
+from nodalcodes.seeded import random_symmetric_matrix, random_symmetroid_matrix
+from nodalcodes.symmetroid import no_quadric_certificate, scan_nodes_fp
 
 
 def survey(prime: int, seeds: int, uniform: bool) -> None:

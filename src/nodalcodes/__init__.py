@@ -43,13 +43,7 @@ from .nodes import (
     verify_node,
 )
 from .series import symmetroid_hilbert_check, symmetroid_hilbert_series
-from .symmetroid import (
-    ScanResult,
-    SymmetricLinearMatrix,
-    no_quadric_certificate,
-    random_symmetric_matrix,
-    random_symmetroid_matrix,
-    scan_nodes_fp,
-)
+from .seeded import random_symmetric_matrix, random_symmetroid_matrix
+from .symmetroid import ScanResult, SymmetricLinearMatrix, no_quadric_certificate, scan_nodes_fp
 
 __version__ = "0.1.0"

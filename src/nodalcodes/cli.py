@@ -17,6 +17,7 @@ import sys
 from . import bounds as bounds_mod
 from . import classify as classify_mod
 from . import nodes as nodes_mod
+from . import seeded
 from . import series as series_mod
 from . import symmetroid as symmetroid_mod
 from .codes import canonical_form, code_to_dict, is_isomorphic, load_code_file, weight_enumerator, weight_rows
@@ -144,9 +145,9 @@ def _cmd_symmetroid_scan(args) -> tuple[dict, str, bool]:
         matrix = symmetroid_mod.load_matrix_file(args.matrix)
     elif args.seed is not None:
         if args.uniform:
-            matrix = symmetroid_mod.random_symmetric_matrix(args.prime, args.seed)
+            matrix = seeded.random_symmetric_matrix(args.prime, args.seed)
         else:
-            matrix = symmetroid_mod.random_symmetroid_matrix(args.prime, args.seed)
+            matrix = seeded.random_symmetroid_matrix(args.prime, args.seed)
     else:
         raise InputError("need --matrix FILE or --seed N")
     result = symmetroid_mod.scan_nodes_fp(matrix)

@@ -1,16 +1,29 @@
 """Shared fixtures: the full classification run and the seeded scan survey
 are computed once per session because several test modules assert against
-them."""
+them.  ``child_env`` is the environment of every child interpreter the
+tests start."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import nodalcodes
 from nodalcodes.classify import classify_quartic_codes
-from nodalcodes.symmetroid import random_symmetroid_matrix, scan_nodes_fp
+from nodalcodes.seeded import random_symmetroid_matrix
+from nodalcodes.symmetroid import scan_nodes_fp
 
 SCAN_PRIME = 101
 SCAN_SEEDS = range(20)
+
+
+def child_env() -> dict[str, str]:
+    """The environment with the tested package's directory first on PYTHONPATH,
+    so a child interpreter imports the same ``nodalcodes`` as this session."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def pytest_addoption(parser):

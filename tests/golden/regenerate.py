@@ -1,10 +1,13 @@
-"""Pinned CLI answers: the exit code and stdout of ~200 fixed calls.
+"""Pinned CLI answers: the exit code and stdout of 240 fixed calls.
 
 ``answers.json`` next to this file holds, for each call, its argv, its exit
 code and its stdout: the full text when it is at most ``TEXT_LIMIT`` bytes,
 so a changed answer shows as a diff, else its SHA-256 with its byte and
 line counts.  For exit 2 it also records that stderr is a single
-``error:`` line (the wording is not pinned).  Input files are
+``error:`` line (the wording is not pinned).  Exits 0 and 3 write nothing
+to stderr; a call that does gets a ``stderr`` key with the text, which no
+pin has, so the stray line fails.  Exit 1 is left out: argparse prints its
+usage to stderr there.  Input files are
 built here from fixed ``random.Random`` seeds, and argv slots that name one
 read ``@name``.  ``tests/test_golden.py`` replays every call in-process.
 
@@ -267,9 +270,11 @@ def answer(argv: list[str]) -> dict:
         result["stdout_sha256"] = hashlib.sha256(data).hexdigest()
         result["stdout_bytes"] = len(data)
         result["stdout_lines"] = text.count("\n")
+    err_text = err.getvalue()
     if code == 2:
-        err_text = err.getvalue()
         result["one_error_line"] = err_text.startswith("error:") and err_text.count("\n") == 1
+    elif code in (0, 3) and err_text:
+        result["stderr"] = err_text
     return result
 
 

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nodalcodes
 from nodalcodes.cli import main
 from nodalcodes.codes import code_from_dict
 from nodalcodes.forms import DEGREE_CAP
 from nodalcodes.nodes import config_from_dict
 from nodalcodes.series import ORDER_CAP
+from conftest import child_env
 from golden.regenerate import resolve
 
 
@@ -212,13 +212,6 @@ def test_canonical_search_over_its_state_cap_exits_2(tmp_path, capsys, sub):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
-def _child_env():
-    """The environment with this package's source directory first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 @pytest.mark.parametrize("argv", [
     ["symmetroid-scan", "--seed", "1", "--prime", "101", "--json"],
     ["bounds", "--degree", "8", "--mu", "168"],
@@ -229,7 +222,7 @@ def test_closed_stdout_exits_141_quietly(argv):
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "nodalcodes.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120)
+                              stderr=subprocess.PIPE, text=True, env=child_env(), timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
@@ -243,7 +236,7 @@ def test_reader_that_stops_early_gets_exit_141_quietly(tmp_path):
                                                                    "0", "x", "0", "x"]}))
     with subprocess.Popen([sys.executable, "-m", "nodalcodes.cli", "symmetroid-scan", "--matrix",
                            str(matrix), "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=_child_env()) as proc:
+                          env=child_env()) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         stderr = proc.stderr.read()
@@ -257,7 +250,7 @@ _SURVEY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 def test_scan_survey_script_times_the_scan_and_refuses_bad_input():
     ok = subprocess.run([sys.executable, _SURVEY, "--prime", "13", "--seeds", "2"],
-                        capture_output=True, text=True, env=_child_env(), timeout=120)
+                        capture_output=True, text=True, env=child_env(), timeout=120)
     assert (ok.returncode, ok.stderr) == (0, "")
     lines = ok.stdout.splitlines()
     for seed in range(2):
@@ -267,7 +260,7 @@ def test_scan_survey_script_times_the_scan_and_refuses_bad_input():
     # p = 3 has no six points with no four coplanar; 2000 is above the scan's cap
     for argv in (["--prime", "3"], ["--prime", "2000"], ["--prime", "9"], ["--seeds", "-1"]):
         bad = subprocess.run([sys.executable, _SURVEY, *argv], capture_output=True, text=True,
-                             env=_child_env(), timeout=120)
+                             env=child_env(), timeout=120)
         assert (bad.returncode, bad.stdout) == (2, ""), argv
         assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, argv
 

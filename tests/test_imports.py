@@ -15,21 +15,20 @@ import sys
 import pytest
 
 import nodalcodes
+from conftest import child_env
 from golden.regenerate import ANSWERS
 
 
 def _python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nodalcodes.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          text=True, env=child_env(), timeout=120)
 
 
 def test_package_imports_only_the_standard_library():
     proc = _python(
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import nodalcodes, nodalcodes.cli, nodalcodes.symmetroid\n"
+        "import nodalcodes, nodalcodes.cli, nodalcodes.seeded, nodalcodes.symmetroid\n"
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(loaded - set(sys.stdlib_module_names) - {'nodalcodes'}))"
     )
@@ -61,9 +60,12 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     "scan_nodes_fp",
 ])
 def test_scanner_name_is_the_symmetroid_object(name):
-    from nodalcodes import symmetroid
+    from nodalcodes import seeded, symmetroid
 
-    assert vars(nodalcodes)[name] is getattr(symmetroid, name)
+    # the generators live in seeded alone; symmetroid never names them
+    generator = name.startswith("random_")
+    assert vars(nodalcodes)[name] is vars(seeded if generator else symmetroid)[name]
+    assert (name in vars(symmetroid)) is not generator
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from nodalcodes import bounds, classify, codes, fields, forms, linalg, nodes, symmetroid
+from nodalcodes import bounds, classify, codes, fields, forms, linalg, nodes, seeded, symmetroid
 from nodalcodes.errors import DataError, DomainError, HomogeneityError
 from nodalcodes.fields import QQ
 from nodalcodes.forms import parse_form
@@ -146,7 +146,7 @@ def record(samples, twin):
 
 def _samples() -> list:
     table = classify.classify_quartic_codes(12, audit=True)
-    matrix = symmetroid.random_symmetroid_matrix(13, 0)
+    matrix = seeded.random_symmetroid_matrix(13, 0)
     form = parse_form("x^2 + 3*y*z - 1/2*w^2")
     return [
         (QQ, RationalField),
@@ -341,6 +341,10 @@ def test_pickle_and_copy(record, twin):
     (lambda: symmetroid.SymmetricLinearMatrix(9, ((1, 0, 0, 0),) * 10), DomainError),
     (lambda: symmetroid.SymmetricLinearMatrix(7, ((1, 0, 0, 0),) * 9), DataError),
     (lambda: symmetroid.SymmetricLinearMatrix(7, ((1, 0, 0),) * 10), DataError),
+    # each coefficient is a prime-field scalar: no float, no bool, no fraction
+    (lambda: symmetroid.SymmetricLinearMatrix(7, ((1.0, 0, 0, 0),) + ((1, 0, 0, 0),) * 9), DataError),
+    (lambda: symmetroid.SymmetricLinearMatrix(7, ((True, 0, 0, 0),) + ((1, 0, 0, 0),) * 9), DataError),
+    (lambda: symmetroid.SymmetricLinearMatrix(7, ((1, Fraction(1, 2), 0, 0),) * 10), DataError),
 ])
 def test_post_init_checks_still_raise(build, error):
     with pytest.raises(error):

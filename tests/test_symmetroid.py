@@ -10,18 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodalcodes import symmetroid
+from nodalcodes import seeded, symmetroid
 from nodalcodes.errors import DataError, DomainError, ResourceError
 from nodalcodes.fields import PrimeField
 from nodalcodes.linalg import ExactMatrix, nullspace_basis
+from nodalcodes.seeded import random_symmetric_matrix, random_symmetroid_matrix
 from nodalcodes.symmetroid import (
     QUADRIC_MONOMIALS,
     SymmetricLinearMatrix,
     load_matrix_file,
     matrix_from_dict,
     no_quadric_certificate,
-    random_symmetric_matrix,
-    random_symmetroid_matrix,
     scan_nodes_fp,
 )
 import scan_oracle
@@ -209,7 +208,7 @@ class TestScan:
         # pair L1 L2, a quadric of the web, and its node is its coordinate
         # vector in the web basis, which nullspace_basis makes the identity on
         # its free columns: the pair's coefficients there
-        rng = symmetroid._PCG64(seed)
+        rng = seeded._PCG64(seed)
         while True:
             points = [tuple(rng.integers(p, 4)) for _ in range(6)]
             if all(row_list_rank_mod_p([list(q) for q in quad], p) == 4
@@ -784,6 +783,12 @@ class TestGenerators:
             random_symmetroid_matrix(101, -1)
         with pytest.raises(DomainError):
             random_symmetric_matrix(0, 1)
+        # a seed that is a bool or not an int is refused before any draw, as the prime is
+        for seed in (1.0, "3", True):
+            with pytest.raises(DataError):
+                random_symmetric_matrix(101, seed)
+            with pytest.raises(DataError):
+                random_symmetroid_matrix(101, seed)
 
     @pytest.mark.parametrize("p", [1031, 2**127 - 1])
     def test_generator_prime_cap(self, p):
@@ -799,7 +804,7 @@ def test_seeded_generators_match_numpy_draws(p, monkeypatch):
     numpy = pytest.importorskip("numpy")
     runs = []  # (seed, [(p, n, draws), ...]) of each generator run
 
-    class LoggedPCG64(symmetroid._PCG64):  # the port, recording every draw
+    class LoggedPCG64(seeded._PCG64):  # the port, recording every draw
         def __init__(self, seed):
             super().__init__(seed)
             self.calls = []
@@ -810,7 +815,7 @@ def test_seeded_generators_match_numpy_draws(p, monkeypatch):
             self.calls.append((p, n, out))
             return out
 
-    monkeypatch.setattr(symmetroid, "_PCG64", LoggedPCG64)
+    monkeypatch.setattr(seeded, "_PCG64", LoggedPCG64)
     seeds = list(range(200)) + [2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]
     for seed in seeds:
         random_symmetric_matrix(p, seed)
@@ -832,7 +837,7 @@ def test_bounded_draws_match_numpy_where_rejection_is_common(p, seed):
     # and 1/2 at 2^31 + 11, while at 2^32 - 5 nearly every draw takes the
     # threshold test; the pending high half carries over between the calls
     numpy = pytest.importorskip("numpy")
-    ours, theirs = symmetroid._PCG64(seed), numpy.random.default_rng(seed)
+    ours, theirs = seeded._PCG64(seed), numpy.random.default_rng(seed)
     for n in (500, 333):
         assert ours.integers(p, n) == [int(c) for c in theirs.integers(0, p, size=n)]
 
