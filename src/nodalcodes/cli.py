@@ -5,11 +5,17 @@ Exit codes: 0 success (including all requested certifications passing),
 1 usage error, 2 invalid data or parameters, 3 a certification or
 verification that was run and failed, 141 (128 + SIGPIPE) when stdout was
 closed before the output was written.
+
+``run()`` is the process entry (``python -m nodalcodes.cli`` and the
+``nodalcodes`` command): it calls ``main()``, then freezes the collector
+before exiting, so the collections at interpreter shutdown skip the objects
+of the finished call.  ``main()`` is the in-process API and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -190,13 +196,15 @@ def _cmd_hilbert_check(args) -> tuple[dict, str, bool]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="nodalcodes", description=__doc__)
+    # --help gives the docstring's first two paragraphs, the commands and the
+    # exit codes; -OO strips the docstring
+    description = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
+    parser = _Parser(prog="nodalcodes", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument("--json", action="store_true", help="print the JSON payload")
 
     def command(name, func, summary):
-        p = sub.add_parser(name, parents=[json_flag], help=summary)
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true", help="print the JSON payload")
         p.set_defaults(func=func)
         return p
 
@@ -271,5 +279,19 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
 
 
+def run() -> None:
+    """Run ``main()`` on ``sys.argv`` and exit the process with its code.
+
+    Every object still alive goes into the permanent generation first, which
+    the collections at interpreter shutdown skip; atexit handlers, the flush
+    of stdout and module teardown run as before.  A long-lived process must
+    not freeze its heap, or it never collects the cycles it drops later, so
+    only the process entry does.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

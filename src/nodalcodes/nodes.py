@@ -19,7 +19,6 @@ from .forms import (
     Monomial,
     evaluate_at,
     gradient,
-    grevlex_key,
     hessian_rank_at,
     parse_form,
 )
@@ -100,16 +99,19 @@ def verify_configuration(cfg: NodeConfiguration) -> list[bool]:
 
 
 def monomial_basis(d: int) -> list[Monomial]:
-    """All degree-d monomials in x, y, z, w in graded reverse-lex order."""
+    """All degree-d monomials in x, y, z, w in graded reverse-lex order.
+
+    That is ascending ``grevlex_key`` order: the exponent of w, then of z,
+    then of y ascending, so the list is built in order and never sorted.
+    """
     if d < 0:
         raise DomainError(f"degree must be non-negative, got {d}")
     monos = [
-        (i, j, k, d - i - j - k)
-        for i in range(d + 1)
-        for j in range(d + 1 - i)
-        for k in range(d + 1 - i - j)
+        (d - y - z - w, y, z, w)
+        for w in range(d + 1)
+        for z in range(d + 1 - w)
+        for y in range(d + 1 - w - z)
     ]
-    monos.sort(key=grevlex_key)
     assert len(monos) == comb(d + 3, 3)
     return monos
 

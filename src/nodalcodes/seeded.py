@@ -101,6 +101,9 @@ class _PCG64:
 
 
 def _seeded_rng(p: int, seed: int) -> _PCG64:
+    # the type first: the cap's comparison would raise TypeError on a str or None
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise DataError(f"prime must be an integer, got {p!r}")
     if p > _PRIME_CAP:
         raise ResourceError(f"the scan caps the prime at {_PRIME_CAP}, got {p}")
     PrimeField(p)  # refuses anything but an odd prime

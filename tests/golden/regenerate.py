@@ -9,7 +9,9 @@ to stderr; a call that does gets a ``stderr`` key with the text, which no
 pin has, so the stray line fails.  Exit 1 is left out: argparse prints its
 usage to stderr there.  Input files are
 built here from fixed ``random.Random`` seeds, and argv slots that name one
-read ``@name``.  ``tests/test_golden.py`` replays every call in-process.
+read ``@name``.  ``tests/test_golden.py`` replays every call in-process;
+``tests/test_cli.py`` replays one call of each exit code 0 to 3 through
+``python -m nodalcodes.cli``.
 
 Regenerate only in a change whose purpose is to alter a listed answer:
 
@@ -261,7 +263,11 @@ def answer(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    text = out.getvalue()
+    return summarize(code, out.getvalue(), err.getvalue())
+
+
+def summarize(code: int, text: str, err_text: str) -> dict:
+    """A call's exit code, stdout and stderr in the form ``answers.json`` pins."""
     data = text.encode()
     result = {"exit": code}
     if len(data) <= TEXT_LIMIT:
@@ -270,7 +276,6 @@ def answer(argv: list[str]) -> dict:
         result["stdout_sha256"] = hashlib.sha256(data).hexdigest()
         result["stdout_bytes"] = len(data)
         result["stdout_lines"] = text.count("\n")
-    err_text = err.getvalue()
     if code == 2:
         result["one_error_line"] = err_text.startswith("error:") and err_text.count("\n") == 1
     elif code in (0, 3) and err_text:

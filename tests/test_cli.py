@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON payloads, format round-trips."""
 
+import gc
+import importlib.metadata
 import io
 import itertools
 import json
@@ -15,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalcodes import cli
 from nodalcodes.cli import main
 from nodalcodes.codes import code_from_dict
 from nodalcodes.forms import DEGREE_CAP
 from nodalcodes.nodes import config_from_dict
 from nodalcodes.series import ORDER_CAP
 from conftest import child_env
-from golden.regenerate import resolve
+from golden.regenerate import ANSWERS, resolve, summarize, write_inputs
 
 
 def run(capsys, *argv):
@@ -242,6 +245,44 @@ def test_reader_that_stops_early_gets_exit_141_quietly(tmp_path):
         stderr = proc.stderr.read()
         proc.wait(timeout=120)
     assert (proc.returncode, stderr) == (141, b"")
+
+
+def test_process_entry_gives_the_pinned_answers(tmp_path):
+    # `python -m nodalcodes.cli` leaves through run(): one pinned call per exit
+    # code 0, 1, 2 and 3 (the tests above cover 141), summarized as the pins are
+    write_inputs(str(tmp_path))
+    with open(ANSWERS, encoding="utf-8") as fh:
+        pinned = {tuple(e["argv"]): e for e in json.load(fh)}
+    for argv in (["bounds", "--degree", "8", "--mu", "168"], ["frobnicate"],
+                 ["bounds", "--degree", "5", "--mu", "3"],
+                 ["verify-nodes", "--nodes", "@cayley_fail.json"]):
+        proc = subprocess.run([sys.executable, "-m", "nodalcodes.cli",
+                               *resolve(argv, str(tmp_path))],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        want = {k: v for k, v in pinned[tuple(argv)].items() if k != "argv"}
+        assert summarize(proc.returncode, proc.stdout, proc.stderr) == want, argv
+    try:
+        dist = importlib.metadata.distribution("nodalcodes")
+    except importlib.metadata.PackageNotFoundError:
+        return  # run from source: there is no console script
+    (script,) = [e for e in dist.entry_points
+                 if (e.group, e.name) == ("console_scripts", "nodalcodes")]
+    assert script.value == "nodalcodes.cli:run"
+
+
+def test_run_freezes_after_main_and_main_never_does(monkeypatch, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["bounds", "--degree", "8", "--mu", "168"]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+    # each freeze records what was printed before it
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["nodalcodes", "hilbert-check"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert len(freezes) == 1 and freezes[0].endswith("(in particular no quadric: coefficient 0 at t^2)\n")
 
 
 _SURVEY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

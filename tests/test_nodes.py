@@ -1,5 +1,6 @@
 """Node verification, evaluation matrices, vanishing dimensions, defects."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from nodalcodes.errors import DataError, DomainError, ResourceError
 from nodalcodes.fields import PrimeField, QQ
-from nodalcodes.forms import parse_form
+from nodalcodes.forms import grevlex_key, parse_form
 from nodalcodes.nodes import (
     MONOMIAL_CAP,
     NodeConfiguration,
@@ -58,6 +59,13 @@ class TestMonomialBasis:
         }
         got = [names[m] for m in monomial_basis(2)]
         assert got == ["x^2", "xy", "y^2", "xz", "yz", "z^2", "xw", "yw", "zw", "w^2"]
+
+    def test_built_in_grevlex_key_order(self):
+        # every monomial of degree d, each once, sorted by the key, at each
+        # form degree MONOMIAL_CAP allows
+        for d in range(21):
+            every = [m for m in itertools.product(range(d + 1), repeat=4) if sum(m) == d]
+            assert monomial_basis(d) == sorted(every, key=grevlex_key), d
 
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):

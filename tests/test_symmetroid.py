@@ -789,6 +789,12 @@ class TestGenerators:
                 random_symmetric_matrix(101, seed)
             with pytest.raises(DataError):
                 random_symmetroid_matrix(101, seed)
+        # so is a prime that is a bool or not an int, before the cap compares it
+        for p in (101.5, "3", None, True):
+            with pytest.raises(DataError):
+                random_symmetric_matrix(p, 0)
+            with pytest.raises(DataError):
+                random_symmetroid_matrix(p, 0)
 
     @pytest.mark.parametrize("p", [1031, 2**127 - 1])
     def test_generator_prime_cap(self, p):
