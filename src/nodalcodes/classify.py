@@ -90,13 +90,13 @@ from .codes import (
     EvenSetCode,
     _basis_columns,
     _canonical_form,
+    bit_rref,
     code_to_dict,
     span_words,
     weight_enumerator,
     weight_rows,
 )
 from .errors import DomainError
-from .linalg import bit_rref
 from .record import Record
 
 MU_MAX = 16

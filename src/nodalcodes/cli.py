@@ -10,6 +10,9 @@ closed before the output was written.
 ``nodalcodes`` command): it calls ``main()``, then freezes the collector
 before exiting, so the collections at interpreter shutdown skip the objects
 of the finished call.  ``main()`` is the in-process API and never freezes.
+
+A handler imports the node, field, form, scan and generator modules it
+uses itself, so a ``bounds`` or ``code`` call compiles none of them.
 """
 
 from __future__ import annotations
@@ -22,14 +25,9 @@ import sys
 
 from . import bounds as bounds_mod
 from . import classify as classify_mod
-from . import nodes as nodes_mod
-from . import seeded
 from . import series as series_mod
-from . import symmetroid as symmetroid_mod
 from .codes import canonical_form, code_to_dict, is_isomorphic, load_code_file, weight_enumerator, weight_rows
 from .errors import InputError
-from .fields import QQ
-from .forms import parse_form
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,6 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_defect(args) -> tuple[dict, str, bool]:
+    from . import nodes as nodes_mod
+    from .fields import QQ
+
     if args.nodes is not None:
         cfg = nodes_mod.load_node_file(args.nodes)
         if args.degree is not None and args.degree != cfg.degree:
@@ -67,6 +68,8 @@ def _cmd_defect(args) -> tuple[dict, str, bool]:
 
 
 def _cmd_vanishing_dim(args) -> tuple[dict, str, bool]:
+    from . import nodes as nodes_mod
+
     cfg = nodes_mod.load_node_file(args.nodes)
     d = nodes_mod.form_degree(cfg.degree) if args.degree is None else args.degree
     dim = nodes_mod.vanishing_dimension(cfg, d)
@@ -75,6 +78,9 @@ def _cmd_vanishing_dim(args) -> tuple[dict, str, bool]:
 
 
 def _cmd_verify_nodes(args) -> tuple[dict, str, bool]:
+    from . import nodes as nodes_mod
+    from .forms import parse_form
+
     cfg = nodes_mod.load_node_file(args.nodes)
     if args.surface is not None:
         try:
@@ -147,9 +153,13 @@ def _cmd_code(args) -> tuple[dict, str, bool]:
 
 
 def _cmd_symmetroid_scan(args) -> tuple[dict, str, bool]:
+    from . import symmetroid as symmetroid_mod
+
     if args.matrix is not None:
         matrix = symmetroid_mod.load_matrix_file(args.matrix)
     elif args.seed is not None:
+        from . import seeded
+
         if args.uniform:
             matrix = seeded.random_symmetric_matrix(args.prime, args.seed)
         else:

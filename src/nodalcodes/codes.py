@@ -8,7 +8,8 @@ hyperplane subcode.
 
 Inside the library a word is a plain int: bits 0..mu-1 carry the support,
 bit mu the parity (set = weakly even), so the sum of two words is their
-XOR.  A code is the reduced row echelon basis (``bit_rref``) of its span, and
+XOR.  A code is the reduced row echelon basis of its span, which
+:func:`bit_rref`, the F2 row reduction, computes from any spanning rows;
 ``EvenSetWord`` is the tagged form for code files and printing.
 ``QUARTIC_WORD_CLASSES`` lists the weights and parities a nodal quartic
 allows.  The canonical form minimizes the column-wise reduced generator
@@ -25,7 +26,6 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from .errors import DataError, ResourceError, json_fields, read_json
-from .linalg import bit_rref
 from .record import Record
 
 _MU_CAP_CANONICAL = 24
@@ -90,6 +90,24 @@ class EvenSetWord(Record):
 
     def __str__(self) -> str:
         return f"{self.parity}{{{','.join(map(str, self.indices))}}}"
+
+
+def bit_rref(rows: Iterable[int]) -> list[int]:
+    """The reduced row echelon form of the F2 span of ``rows``: one row per
+    leading bit, each leading bit set in no other row, sorted by leading
+    bit descending.  It depends only on the span, not on the rows given."""
+    basis: dict[int, int] = {}
+    for v in rows:
+        for lead, row in basis.items():
+            if (v >> lead) & 1:
+                v ^= row
+        if v:
+            lead = v.bit_length() - 1
+            for lb, row in basis.items():
+                if (row >> lead) & 1:
+                    basis[lb] = row ^ v
+            basis[lead] = v
+    return sorted(basis.values(), reverse=True)
 
 
 def _basis_columns(basis: Iterable[int], n: int) -> list[int]:

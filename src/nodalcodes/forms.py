@@ -147,14 +147,15 @@ def gradient(form: HomogeneousForm) -> tuple[HomogeneousForm, ...]:
     return tuple(partial(form, i) for i in range(4))
 
 
+def rank_at(rows: Sequence[Sequence[HomogeneousForm]], point: Sequence[Scalar]) -> int:
+    """Rank of a matrix of forms over one field, evaluated at a point."""
+    values = [[evaluate_at(g, point) for g in row] for row in rows]
+    return exact_rank(ExactMatrix.from_rows(rows[0][0].field, values))
+
+
 def hessian_rank_at(form: HomogeneousForm, point: Sequence[Scalar]) -> int:
     """Rank (0..4) of the symmetric matrix of second partials at a point."""
-    partials = gradient(form)
-    rows = []
-    for i in range(4):
-        second = gradient(partials[i])
-        rows.append([evaluate_at(second[j], point) for j in range(4)])
-    return exact_rank(ExactMatrix.from_rows(form.field, rows))
+    return rank_at([gradient(g) for g in gradient(form)], point)
 
 
 # --- parsing ---------------------------------------------------------------

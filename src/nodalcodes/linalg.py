@@ -1,4 +1,4 @@
-"""Exact matrix rank, kernels mod p, and F2 row reduction.
+"""Exact matrix rank and kernels mod p.
 
 One elimination, :func:`_echelon_mod_p`, serves ranks over both fields
 and kernels over F_p, on plain Python integers.  It takes rows of any
@@ -17,8 +17,7 @@ vectors found mod the prime are lifted to Q by rational reconstruction
 and checked exactly over Z, which proves the matching upper bound; when
 the lift or the check fails, more primes are combined by CRT.  Over Q
 the library needs ranks only, so :func:`nullspace_basis` is F_p-only.
-:func:`bit_rref` reduces generator matrices of binary codes, one int per
-row.  Everything is pure: operations never mutate their inputs.
+Everything is pure: operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -364,20 +363,3 @@ def nullspace_basis(m: ExactMatrix) -> list[tuple[int, ...]]:
         basis.append(tuple(vec))
     return basis
 
-
-def bit_rref(rows: Iterable[int]) -> list[int]:
-    """The reduced row echelon form of the F2 span of ``rows``: one row per
-    leading bit, each leading bit set in no other row, sorted by leading
-    bit descending.  It depends only on the span, not on the rows given."""
-    basis: dict[int, int] = {}
-    for v in rows:
-        for lead, row in basis.items():
-            if (v >> lead) & 1:
-                v ^= row
-        if v:
-            lead = v.bit_length() - 1
-            for lb, row in basis.items():
-                if (row >> lead) & 1:
-                    basis[lb] = row ^ v
-            basis[lead] = v
-    return sorted(basis.values(), reverse=True)

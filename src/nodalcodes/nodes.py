@@ -19,8 +19,8 @@ from .forms import (
     Monomial,
     evaluate_at,
     gradient,
-    hessian_rank_at,
     parse_form,
+    rank_at,
 )
 from .linalg import ExactMatrix, exact_rank
 from .record import Record
@@ -79,23 +79,33 @@ class NodeConfiguration(Record):
         return len(self.points)
 
 
+def _node_verdicts(f: HomogeneousForm, points: Sequence[Sequence[Scalar]]) -> list[bool]:
+    """:func:`verify_node` at each point, with the four first and the
+    sixteen second partials of f built once for all of them."""
+    first = gradient(f)
+    second = [gradient(g) for g in first]
+    verdicts = []
+    for point in points:
+        pt = normalize_point(f.field, point)
+        verdicts.append(
+            evaluate_at(f, pt) == 0
+            and all(evaluate_at(g, pt) == 0 for g in first)
+            and rank_at(second, pt) == 3
+        )
+    return verdicts
+
+
 def verify_node(f: HomogeneousForm, point: Sequence[Scalar]) -> bool:
     """True iff the point is an ordinary double point of {f = 0}:
     f and all four partials vanish there and the Hessian has rank exactly 3."""
-    pt = normalize_point(f.field, point)
-    if evaluate_at(f, pt) != 0:
-        return False
-    for g in gradient(f):
-        if evaluate_at(g, pt) != 0:
-            return False
-    return hessian_rank_at(f, pt) == 3
+    return _node_verdicts(f, [point])[0]
 
 
 def verify_configuration(cfg: NodeConfiguration) -> list[bool]:
     """Per-node verdict of :func:`verify_node` against the attached surface."""
     if cfg.surface is None:
         raise DataError("configuration has no surface attached")
-    return [verify_node(cfg.surface, pt) for pt in cfg.points]
+    return _node_verdicts(cfg.surface, cfg.points)
 
 
 def monomial_basis(d: int) -> list[Monomial]:

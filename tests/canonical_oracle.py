@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from nodalcodes.codes import EvenSetCode
-from nodalcodes.linalg import bit_rref
+from nodalcodes.codes import bit_rref
 
 
 def pivot(cols: Iterable[int], f: int, t: int) -> tuple[int, ...]:

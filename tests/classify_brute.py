@@ -18,7 +18,7 @@ import itertools
 
 from canonical_oracle import canonical_encoding
 from nodalcodes.codes import EvenSetCode
-from nodalcodes.linalg import bit_rref
+from nodalcodes.codes import bit_rref
 
 # (weight, parity bit) of the nonzero even sets a nodal quartic allows:
 # weakly even of weight 6 or 10, strictly even of weight 8 or 16

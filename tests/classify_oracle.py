@@ -28,7 +28,7 @@ from collections import Counter
 
 from nodalcodes import classify
 from nodalcodes.codes import QUARTIC_WORD_CLASSES, EvenSetCode
-from nodalcodes.linalg import bit_rref
+from nodalcodes.codes import bit_rref
 from permutation_oracle import popcount_orbit_representatives
 
 

@@ -21,11 +21,11 @@ from nodalcodes.codes import (
     WEAK,
     EvenSetCode,
     EvenSetWord,
+    bit_rref,
     canonical_form,
     span_words,
 )
 from nodalcodes.errors import DomainError
-from nodalcodes.linalg import bit_rref
 from canonical_oracle import canonical_encoding
 from classify_brute import class_encodings
 from classify_oracle import admissible_words_ext, greedy_profile

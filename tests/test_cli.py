@@ -249,13 +249,19 @@ def test_reader_that_stops_early_gets_exit_141_quietly(tmp_path):
 
 def test_process_entry_gives_the_pinned_answers(tmp_path):
     # `python -m nodalcodes.cli` leaves through run(): one pinned call per exit
-    # code 0, 1, 2 and 3 (the tests above cover 141), summarized as the pins are
+    # code 0, 1, 2 and 3 (the tests above cover 141), then one call through each
+    # handler that imports its modules itself, each in a fresh process,
+    # summarized as the pins are
     write_inputs(str(tmp_path))
     with open(ANSWERS, encoding="utf-8") as fh:
         pinned = {tuple(e["argv"]): e for e in json.load(fh)}
     for argv in (["bounds", "--degree", "8", "--mu", "168"], ["frobnicate"],
                  ["bounds", "--degree", "5", "--mu", "3"],
-                 ["verify-nodes", "--nodes", "@cayley_fail.json"]):
+                 ["verify-nodes", "--nodes", "@cayley_fail.json"],
+                 ["symmetroid-scan", "--seed", "1", "--prime", "101"],
+                 ["symmetroid-scan", "--matrix", "@x_identity_7.json"],
+                 ["defect", "--nodes", "@nodes_b6_q_cubic.json"],
+                 ["verify-nodes", "--nodes", "@cayley_no_surface.json", "--surface", "@surface_ok.txt"]):
         proc = subprocess.run([sys.executable, "-m", "nodalcodes.cli",
                                *resolve(argv, str(tmp_path))],
                               capture_output=True, text=True, env=child_env(), timeout=120)

@@ -18,6 +18,7 @@ from nodalcodes.codes import (
     _canonical_encoding,
     _Pivot,
     _pivoted,
+    bit_rref,
     canonical_form,
     code_from_dict,
     code_to_dict,
@@ -26,7 +27,6 @@ from nodalcodes.codes import (
     weight_enumerator,
 )
 from nodalcodes.errors import DataError, ResourceError
-from nodalcodes.linalg import bit_rref
 import canonical_oracle
 from classify_oracle import admissible_words_ext
 from permutation_oracle import permuted_code

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalcodes import linalg
+from nodalcodes.codes import bit_rref
 from nodalcodes.errors import DataError, DomainError
 from nodalcodes.fields import PrimeField, QQ, is_prime
 from nodalcodes.linalg import (
@@ -24,7 +25,6 @@ from nodalcodes.linalg import (
     _rational_kernel,
     _slot_codec,
     _slot_width,
-    bit_rref,
     exact_rank,
     nullspace_basis,
 )
