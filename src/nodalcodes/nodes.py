@@ -62,7 +62,7 @@ class NodeConfiguration(Record):
         for coords in self.points:
             pt = normalize_point(self.field, coords)
             if pt in seen:
-                raise DataError(f"duplicate projective point {pt}")
+                raise DataError(f"duplicate projective point ({', '.join(map(str, pt))})")
             seen.add(pt)
             normalized.append(pt)
         object.__setattr__(self, "points", tuple(normalized))

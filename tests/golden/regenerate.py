@@ -9,9 +9,12 @@ to stderr; a call that does gets a ``stderr`` key with the text, which no
 pin has, so the stray line fails.  Exit 1 is left out: argparse prints its
 usage to stderr there.  Input files are
 built here from fixed ``random.Random`` seeds, and argv slots that name one
-read ``@name``.  ``tests/test_golden.py`` replays every call in-process;
-``tests/test_cli.py`` replays one call of each exit code 0 to 3 through
-``python -m nodalcodes.cli``.
+read ``@name``.  Each call is replayed once warm and some once cold:
+``tests/test_golden.py`` replays every call in-process, with numpy made
+unimportable; ``tests/test_imports.py`` runs 13 of them, at least one
+per exit code 0 to 3 and per handler that imports its own modules, through
+the process entry in a fresh interpreter, and checks each answer and the
+modules it loaded.
 
 Regenerate only in a change whose purpose is to alter a listed answer:
 

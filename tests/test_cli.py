@@ -24,7 +24,7 @@ from nodalcodes.forms import DEGREE_CAP
 from nodalcodes.nodes import config_from_dict
 from nodalcodes.series import ORDER_CAP
 from conftest import child_env
-from golden.regenerate import ANSWERS, resolve, summarize, write_inputs
+from golden.regenerate import resolve
 
 
 def run(capsys, *argv):
@@ -247,26 +247,9 @@ def test_reader_that_stops_early_gets_exit_141_quietly(tmp_path):
     assert (proc.returncode, stderr) == (141, b"")
 
 
-def test_process_entry_gives_the_pinned_answers(tmp_path):
-    # `python -m nodalcodes.cli` leaves through run(): one pinned call per exit
-    # code 0, 1, 2 and 3 (the tests above cover 141), then one call through each
-    # handler that imports its modules itself, each in a fresh process,
-    # summarized as the pins are
-    write_inputs(str(tmp_path))
-    with open(ANSWERS, encoding="utf-8") as fh:
-        pinned = {tuple(e["argv"]): e for e in json.load(fh)}
-    for argv in (["bounds", "--degree", "8", "--mu", "168"], ["frobnicate"],
-                 ["bounds", "--degree", "5", "--mu", "3"],
-                 ["verify-nodes", "--nodes", "@cayley_fail.json"],
-                 ["symmetroid-scan", "--seed", "1", "--prime", "101"],
-                 ["symmetroid-scan", "--matrix", "@x_identity_7.json"],
-                 ["defect", "--nodes", "@nodes_b6_q_cubic.json"],
-                 ["verify-nodes", "--nodes", "@cayley_no_surface.json", "--surface", "@surface_ok.txt"]):
-        proc = subprocess.run([sys.executable, "-m", "nodalcodes.cli",
-                               *resolve(argv, str(tmp_path))],
-                              capture_output=True, text=True, env=child_env(), timeout=120)
-        want = {k: v for k, v in pinned[tuple(argv)].items() if k != "argv"}
-        assert summarize(proc.returncode, proc.stdout, proc.stderr) == want, argv
+def test_console_script_is_the_process_entry():
+    # an installed `nodalcodes` leaves through run(), as `python -m nodalcodes.cli`
+    # does; test_imports.py runs pinned calls through run() in fresh interpreters
     try:
         dist = importlib.metadata.distribution("nodalcodes")
     except importlib.metadata.PackageNotFoundError:
@@ -384,6 +367,10 @@ _REFUSALS = [
     ("q-bool-coordinate", "defect --nodes @in.json",
      {"in.json": {"degree": 4, "nodes": [["1", True, "0", "0"]]}},
      "node coordinate must be a string or an integer, got bool"),
+    # the point as verify-nodes prints it, not as Fraction reprs
+    ("q-duplicate-point", "defect --nodes @in.json",
+     {"in.json": {"degree": 4, "nodes": [["2", "1", "0", "0"], ["1", "1/2", "0", "0"]]}},
+     "duplicate projective point (1, 1/2, 0, 0)"),
     ("fp-float-coordinate", "vanishing-dim --nodes @in.json",
      {"in.json": {"degree": 4, "field": {"prime": 7}, "nodes": [[5.0, 1, 0, 0]]}},
      "node coordinate must be a string or an integer, got float"),

@@ -1,16 +1,19 @@
 """Import path: the package loads nothing outside the standard library,
-and a CLI call loads only the modules its subcommand uses.
+a CLI call loads only the modules its subcommand uses, and each public name
+is its defining module's object.
 
 Checks of what an import loads run in a fresh interpreter, because the
 test session itself has already imported the test tools and numpy, the
-oracle for the seeded generators' draws.  The numpy-blocked run replays
-every pinned CLI answer of ``golden/answers.json`` in such an interpreter,
-with numpy made unimportable, and compares each with its pin.
+oracle for the seeded generators' draws.  Such a child reports
+``sys.modules``, which also holds the modules that the package's
+``__getattr__`` loads through ``importlib.import_module`` (``-X importtime``
+does not log those).  Each CLI call here is a pinned call of
+``golden/answers.json``, run cold through the process entry and compared
+with its pin; ``test_golden.py`` replays every pin in-process.
 """
 
 import importlib
 import json
-import os
 import subprocess
 import sys
 
@@ -18,7 +21,7 @@ import pytest
 
 import nodalcodes
 from conftest import child_env
-from golden.regenerate import ANSWERS, resolve, write_inputs
+from golden.regenerate import ANSWERS, resolve, summarize, write_inputs
 
 # what `import nodalcodes` loads: the code side and the classifier
 EAGER = {"errors", "record", "bounds", "series", "codes", "classify"}
@@ -43,7 +46,9 @@ PUBLIC = {
     "symmetroid": ["ScanResult", "SymmetricLinearMatrix", "no_quadric_certificate", "scan_nodes_fp"],
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names}
-DEFERRED = sorted(name for name, module in HOME.items() if module not in EAGER)
+
+with open(ANSWERS, encoding="utf-8") as _fh:
+    PINNED = {tuple(e["argv"]): e for e in json.load(_fh)}
 
 
 def _python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
@@ -78,20 +83,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.stdout == "[]\n"
 
 
-def _imported(stderr: str) -> set[str]:
-    """Every module that ``-X importtime`` reports imported."""
-    return {line.rpartition("|")[2].strip() for line in stderr.splitlines()
-            if line.startswith("import time:")}
-
-
-def _submodules(imported: set[str]) -> set[str]:
-    return {name.partition(".")[2] for name in imported if name.startswith("nodalcodes.")}
+def _submodules(loaded: list[str]) -> set[str]:
+    return {name.partition(".")[2] for name in loaded if name.startswith("nodalcodes.")}
 
 
 def test_package_import_loads_the_eager_modules_only():
-    proc = _python("import nodalcodes", flags=("-X", "importtime"))
+    proc = _python("import sys\nimport nodalcodes\nprint(*sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert _submodules(_imported(proc.stderr)) == EAGER
+    assert _submodules(proc.stdout.split()) == EAGER
+
+
+# `python -m nodalcodes.cli` as a -c launcher: the first argument names the
+# file that gets ``sys.modules`` at exit, after run() has left through sys.exit
+_LAUNCHER = (
+    "import atexit, runpy, sys\n"
+    "path = sys.argv.pop(1)\n"
+    "def report():\n"
+    "    with open(path, 'w', encoding='utf-8') as fh:\n"
+    "        fh.write(' '.join(sys.modules))\n"
+    "atexit.register(report)\n"
+    "runpy.run_module('nodalcodes.cli', run_name='__main__', alter_sys=True)\n"
+)
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -103,26 +115,31 @@ def test_package_import_loads_the_eager_modules_only():
     pytest.param(["hilbert-check"], set(), id="hilbert-check"),
     pytest.param(["defect", "--degree", "6", "--mu", "65", "--dim-m", "4"], NODES, id="defect-counts"),
     pytest.param(["defect", "--nodes", "@nodes_b6_q_cubic.json"], NODES, id="defect-nodes"),
-    pytest.param(["vanishing-dim", "--nodes", "@nodes_b4_q_random.json"], NODES, id="vanishing-dim"),
+    pytest.param(["vanishing-dim", "--nodes", "@nodes_b4_q_random.json", "--json"], NODES,
+                 id="vanishing-dim"),
+    pytest.param(["verify-nodes", "--nodes", "@cayley_fail.json"], NODES, id="verify-nodes-fail"),
     pytest.param(["verify-nodes", "--nodes", "@cayley_no_surface.json", "--surface", "@surface_ok.txt"],
                  NODES, id="verify-nodes-surface"),
     pytest.param(["symmetroid-scan", "--matrix", "@x_identity_7.json"], NODES | {"symmetroid"},
                  id="scan-matrix"),
-    pytest.param(["symmetroid-scan", "--seed", "1", "--prime", "13"], NODES | {"symmetroid", "seeded"},
+    pytest.param(["symmetroid-scan", "--seed", "1", "--prime", "101"], NODES | {"symmetroid", "seeded"},
                  id="scan-seed"),
 ])
 def test_cli_call_loads_only_what_its_subcommand_uses(argv, extra, tmp_path):
-    """The process entry, as a user runs it; the ``cli`` module itself runs
-    as ``__main__``.  Only a call that loads ``fields`` loads ``fractions``."""
+    """A pinned call through the process entry, as a user runs it, with its
+    answer; the ``cli`` module itself runs as ``__main__``.  Only a call
+    that loads ``fields`` loads ``fractions``."""
     write_inputs(str(tmp_path))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "nodalcodes.cli",
+    report = tmp_path / "modules.txt"
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, str(report),
                            *resolve(argv, str(tmp_path))],
                           capture_output=True, text=True, env=child_env(), timeout=120)
-    assert proc.returncode in (0, 1, 2), proc.stderr
-    imported = _imported(proc.stderr)
-    assert _submodules(imported) == EAGER | extra
+    want = {k: v for k, v in PINNED[tuple(argv)].items() if k != "argv"}
+    assert summarize(proc.returncode, proc.stdout, proc.stderr) == want
+    loaded = report.read_text(encoding="utf-8").split()
+    assert _submodules(loaded) == EAGER | extra
     if "fields" not in extra:
-        assert not {"fractions", "decimal"} & imported
+        assert not {"fractions", "decimal"} & set(loaded)
 
 
 @pytest.mark.parametrize("name", sorted(HOME))
@@ -136,37 +153,22 @@ def test_public_name_is_the_defining_modules_object(name):
         assert (name in vars(symmetroid)) is (HOME[name] == "symmetroid")
 
 
-def test_deferred_names_import_in_a_fresh_interpreter():
-    # the test above checks each object; this checks `from` on a cold package
-    proc = _python(f"from nodalcodes import {', '.join(DEFERRED)}")
+def test_star_import_binds_every_public_name():
+    # a fresh interpreter, so the deferred names load through __all__; a
+    # name is printed only if it is its defining module's object
+    proc = _python(
+        "import sys\n"
+        "bound = {}\n"
+        "exec('from nodalcodes import *', bound)\n"
+        "del bound['__builtins__']\n"
+        "print(*sorted(name for name, obj in bound.items()\n"
+        "              if vars(sys.modules[obj.__module__]).get(name) is obj))"
+    )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(HOME)
 
 
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'nodalcodes' has no attribute 'no_such_name'"):
         nodalcodes.no_such_name
     assert not hasattr(nodalcodes, "minors_vanish_at")
-
-
-def test_subcommands_run_with_numpy_blocked():
-    tests = os.path.dirname(os.path.abspath(__file__))
-    proc = _python(
-        "import json, sys, tempfile\n"
-        "sys.modules['numpy'] = None\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "from golden.regenerate import ANSWERS, answer, resolve, write_inputs\n"
-        "with open(ANSWERS, encoding='utf-8') as fh:\n"
-        "    pinned = json.load(fh)\n"
-        "with tempfile.TemporaryDirectory() as directory:\n"
-        "    write_inputs(directory)\n"
-        "    got = [{'argv': e['argv'], **answer(resolve(e['argv'], directory))} for e in pinned]\n"
-        "print(json.dumps(got))",
-        tests,
-    )
-    assert proc.returncode == 0, proc.stderr
-    with open(ANSWERS, encoding="utf-8") as fh:
-        pinned = json.load(fh)
-    got = json.loads(proc.stdout)
-    assert len(got) == len(pinned)
-    for want, have in zip(pinned, got):
-        assert have == want, want["argv"]

@@ -104,7 +104,7 @@ class TestVanishingDimension:
             previous = dim
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^duplicate projective point \(1, 2, 3, 4\)$"):
             _config([(1, 2, 3, 4), (2, 4, 6, 8)])  # same projective point
 
     def test_matches_independent_oracle(self):
