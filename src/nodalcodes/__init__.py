@@ -20,8 +20,8 @@ from . import bounds, classify, codes, errors, series
 __version__ = "0.1.0"
 
 _PUBLIC = {
-    "bounds": ("BoundReport", "beauville_bound", "beauville_bound_printed", "bound_report",
-               "improved_bound", "jacobian_slice_dim", "miyaoka_max_nodes", "torsion_rank"),
+    "bounds": ("BoundReport", "DefectReport", "beauville_bound", "beauville_bound_printed", "bound_report",
+               "defect", "improved_bound", "jacobian_slice_dim", "miyaoka_max_nodes", "torsion_rank"),
     "classify": ("ClassificationTable", "TableEntry", "classify_quartic_codes"),
     "codes": ("EvenSetCode", "EvenSetWord", "canonical_form", "is_isomorphic", "weight_enumerator"),
     "errors": ("DataError", "DomainError", "HomogeneityError", "InconsistencyError", "InputError",
@@ -30,8 +30,8 @@ _PUBLIC = {
     "fields": ("PrimeField", "QQ", "RationalField"),
     "forms": ("HomogeneousForm", "evaluate_at", "gradient", "hessian_rank_at", "parse_form"),
     "linalg": ("ExactMatrix", "nullspace_basis"),
-    "nodes": ("DefectReport", "NodeConfiguration", "defect", "defect_from_nodes", "monomial_basis",
-              "vanishing_dimension", "verify_node"),
+    "nodes": ("NodeConfiguration", "defect_from_nodes", "monomial_basis", "vanishing_dimension",
+              "verify_node"),
     "seeded": ("random_symmetric_matrix", "random_symmetroid_matrix"),
     "symmetroid": ("ScanResult", "SymmetricLinearMatrix", "no_quadric_certificate", "scan_nodes_fp"),
 }

@@ -1,4 +1,5 @@
-"""Closed-form dimension bounds and 2-torsion ranks for nodal branch surfaces.
+"""Closed-form dimension bounds, 2-torsion ranks and defect counts for
+nodal branch surfaces.
 
 All bounds are signed integers; a negative value means the bound is
 vacuous and is reported as-is, never clamped.
@@ -122,3 +123,48 @@ def bound_report(b: int, mu: int) -> BoundReport:
         jacobian_slice_dim=jacobian_slice_dim(b),
         beauville_printed=beauville_bound_printed(b, mu),
     )
+
+
+class DefectReport(Record):
+    """Defect computation breakdown.
+
+    ``defect = dim_m - estimate`` with ``estimate = C(3b/2-1, 3) - mu``;
+    the value is signed and never clamped, so a negative defect flags
+    inconsistent input rather than being hidden.
+    """
+
+    b: int
+    mu: int
+    m_degree: int
+    dim_m: int
+    estimate: int
+    defect: int
+
+    def to_dict(self) -> dict:
+        return {
+            "degree": self.b,
+            "mu": self.mu,
+            "form_degree": self.m_degree,
+            "dim_vanishing_space": self.dim_m,
+            "estimate": self.estimate,
+            "defect": self.defect,
+        }
+
+
+def form_degree(b: int) -> int:
+    """3b/2 - 4, the degree of the forms through the nodes (3b/2 rounded down)."""
+    return 3 * b // 2 - 4
+
+
+def defect(b: int, mu: int, dim_m: int) -> DefectReport:
+    """Defect of the double solid branched over a degree-b surface with mu
+    nodes, given the dimension of the forms of ``form_degree(b)`` through them."""
+    if b % 2 != 0:
+        raise DomainError(f"branch degree must be even, got {b}")
+    if b < 2:
+        raise DomainError(f"branch degree must be at least 2, got {b}")
+    if mu < 0 or dim_m < 0:
+        raise DomainError("mu and dim_m must be non-negative")
+    m_degree = form_degree(b)
+    estimate = comb(m_degree + 3, 3) - mu
+    return DefectReport(b, mu, m_degree, dim_m, estimate, dim_m - estimate)

@@ -12,7 +12,8 @@ before exiting, so the collections at interpreter shutdown skip the objects
 of the finished call.  ``main()`` is the in-process API and never freezes.
 
 A handler imports the node, field, form, scan and generator modules it
-uses itself, so a ``bounds`` or ``code`` call compiles none of them.
+uses itself, so a ``bounds`` or ``code`` call, or a ``defect`` from counts,
+compiles none of them.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_defect(args) -> tuple[dict, str, bool]:
-    from . import nodes as nodes_mod
-    from .fields import QQ
-
     if args.nodes is not None:
+        from . import nodes as nodes_mod
+        from .fields import QQ
+
         cfg = nodes_mod.load_node_file(args.nodes)
         if args.degree is not None and args.degree != cfg.degree:
             raise InputError(
@@ -57,7 +58,7 @@ def _cmd_defect(args) -> tuple[dict, str, bool]:
     else:
         if args.degree is None or args.mu is None or args.dim_m is None:
             raise InputError("need either --nodes FILE or all of --degree, --mu, --dim-m")
-        report = nodes_mod.defect(args.degree, args.mu, args.dim_m)
+        report = bounds_mod.defect(args.degree, args.mu, args.dim_m)
         note = ""
     human = (
         f"degree {report.b}, mu = {report.mu}: forms of degree {report.m_degree} "
@@ -71,7 +72,7 @@ def _cmd_vanishing_dim(args) -> tuple[dict, str, bool]:
     from . import nodes as nodes_mod
 
     cfg = nodes_mod.load_node_file(args.nodes)
-    d = nodes_mod.form_degree(cfg.degree) if args.degree is None else args.degree
+    d = bounds_mod.form_degree(cfg.degree) if args.degree is None else args.degree
     dim = nodes_mod.vanishing_dimension(cfg, d)
     payload = {"mu": cfg.mu, "form_degree": d, "dimension": dim}
     return payload, f"degree-{d} forms through the {cfg.mu} node(s): dimension {dim}", True

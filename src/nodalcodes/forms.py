@@ -110,10 +110,19 @@ class HomogeneousForm(Record):
 
 def evaluate_at(form: HomogeneousForm, point: Sequence[Scalar]) -> Scalar:
     """Exact value of the form at a point given by 4 coordinates."""
-    f = form.field
+    return _value(form, _coords(form.field, point))
+
+
+def _coords(field: Field, point: Sequence[Scalar]) -> list[Scalar]:
+    """The 4 coordinates of a point as the field's scalars."""
     if len(point) != 4:
         raise DataError(f"expected 4 coordinates, got {len(point)}")
-    coords = [f.validate(c) for c in point]
+    return [field.validate(c) for c in point]
+
+
+def _value(form: HomogeneousForm, coords: Sequence[Scalar]) -> Scalar:
+    """:func:`evaluate_at` at 4 coordinates that are already the field's scalars."""
+    f = form.field
     p = f.characteristic or None
     total = f.zero
     for m, c in form.terms.items():
@@ -147,15 +156,24 @@ def gradient(form: HomogeneousForm) -> tuple[HomogeneousForm, ...]:
     return tuple(partial(form, i) for i in range(4))
 
 
-def rank_at(rows: Sequence[Sequence[HomogeneousForm]], point: Sequence[Scalar]) -> int:
-    """Rank of a matrix of forms over one field, evaluated at a point."""
-    values = [[evaluate_at(g, point) for g in row] for row in rows]
-    return exact_rank(ExactMatrix.from_rows(rows[0][0].field, values))
+def _second_partials(first: Sequence[HomogeneousForm]) -> dict[tuple[int, int], HomogeneousForm]:
+    """The ten distinct second partials, keyed (i, j) with i <= j, from the
+    four first partials; the Hessian is symmetric, so these are all of it."""
+    return {(i, j): partial(first[i], j) for i in range(4) for j in range(i, 4)}
+
+
+def _hessian_rank(second: dict[tuple[int, int], HomogeneousForm], coords: Sequence[Scalar]) -> int:
+    """Rank of the Hessian given by :func:`_second_partials` at 4 coordinates
+    that are already the field's scalars, filled in symmetrically."""
+    hessian = [[None] * 4 for _ in range(4)]
+    for (i, j), g in second.items():
+        hessian[i][j] = hessian[j][i] = _value(g, coords)
+    return exact_rank(ExactMatrix(second[0, 0].field, tuple(map(tuple, hessian))))
 
 
 def hessian_rank_at(form: HomogeneousForm, point: Sequence[Scalar]) -> int:
     """Rank (0..4) of the symmetric matrix of second partials at a point."""
-    return rank_at([gradient(g) for g in gradient(form)], point)
+    return _hessian_rank(_second_partials(gradient(form)), _coords(form.field, point))
 
 
 # --- parsing ---------------------------------------------------------------

@@ -12,10 +12,13 @@ form by :func:`_slot_codec`, in linear time, and back-substitution gives
 the kernel.  Over Q, int rows are taken as they are and rational rows
 have their denominators cleared; the rank is then taken mod the prime
 2^26 - 5, whose slots fit one 64-bit word.  That rank is a lower bound,
-and when it is min(rows, cols) it is the answer.  Otherwise the kernel
+and when it is min(rows, cols) it is the answer; a matrix with fewer rows
+than columns is ranked on its transpose first, and below full row rank
+falls back to the rows that pass's pivots name.  Otherwise the kernel
 vectors found mod the prime are lifted to Q by rational reconstruction
-and checked exactly over Z, which proves the matching upper bound; when
-the lift or the check fails, more primes are combined by CRT.  Over Q
+and checked exactly against every row over Z, column by column, which
+proves the matching upper bound; when the lift or the check fails, more
+primes, on all rows, are combined by CRT.  Over Q
 the library needs ranks only, so :func:`nullspace_basis` is F_p-only.
 Everything is pure: operations never mutate their inputs.
 """
@@ -27,6 +30,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from math import isqrt, lcm, prod
+from operator import add
 
 from .errors import DataError, DomainError
 from .fields import Field, PrimeField, Scalar, is_prime
@@ -225,18 +229,22 @@ def _kernel_certificate(rows: list[list[int]], pivot_cols: list[int], free: list
                         modulus: int) -> list[list[tuple[int, int]]] | None:
     """Lift the kernel basis to Q and check exactly that it annihilates ``rows``.
 
-    Each free column's vector is lifted entry by entry, its denominators are
-    cleared, and every integer row must give a zero dot product with it over
-    Z; only the vector's nonzeros enter.  The vectors have the identity
-    pattern on the free columns, so passing proves rank <= len(pivot_cols).
-    Returns the integer vectors, one list of (column, value) pairs per free
-    column with that column first, or None when a lift or the check fails.
+    Each free column's vector is lifted entry by entry and its denominators
+    are cleared; then the matrix times it must be zero over Z.  That product
+    is summed by columns, the vector's nonzeros times their columns of the
+    rows, transposed once.  The vectors have the identity pattern on the
+    free columns, so passing proves rank <= len(pivot_cols).  Returns the
+    integer vectors, one list of (column, value) pairs per free column with
+    that column first, or None when a lift or the check fails.
     """
     bound = isqrt(modulus // 2)
+    columns = list(zip(*rows))
     vectors = []
     for i, fc in enumerate(free):
         lifted = []
         for c, image in zip(pivot_cols, residues):
+            if not image[i]:  # lifts to 0
+                continue
             ab = _lift(image[i], modulus, bound)
             if ab is None:
                 return None
@@ -244,7 +252,10 @@ def _kernel_certificate(rows: list[list[int]], pivot_cols: list[int], free: list
                 lifted.append((c, *ab))
         scale = lcm(*(b for _, _, b in lifted))
         vec = [(fc, scale)] + [(c, a * (scale // b)) for c, a, b in lifted]
-        if any(sum(row[c] * v for c, v in vec) for row in rows):
+        product = [0] * len(rows)
+        for c, v in vec:
+            product = list(map(add, product, map(v.__mul__, columns[c])))
+        if any(product):
             return None
         vectors.append(vec)
     return vectors
@@ -259,8 +270,8 @@ def _q_primes() -> Iterator[int]:
         n -= 2
 
 
-def _rational_kernel(rows: list[list[int]],
-                     ncols: int) -> tuple[int, list[list[tuple[int, int]]] | None, int]:
+def _rational_kernel(rows: list[list[int]], ncols: int, spanning: list[list[int]] | None = None
+                     ) -> tuple[int, list[list[tuple[int, int]]] | None, int]:
     """Rank over Q of integer rows, its certified kernel, and the primes it took.
 
     A minor that is nonzero mod a prime is nonzero over Z, so every rank mod
@@ -276,18 +287,22 @@ def _rational_kernel(rows: list[list[int]],
     stays at most H; with the right one and a modulus above 2*H^2 every
     kernel entry (a ratio of minors by Cramer's rule) lifts exactly and the
     check passes.  So a certificate failing past 2*H^2 is a fault and
-    raises ArithmeticError rather than trying primes forever.
+    raises ArithmeticError rather than trying primes forever.  ``spanning``,
+    when given, are rows that span all of ``rows`` mod :data:`_Q_PRIME`:
+    that prime eliminates only them, which gives the same echelon, and the
+    certificate still checks every row.
     """
     full = min(len(rows), ncols)
     best = limit = None
     for used, p in enumerate(_q_primes(), 1):
-        pivots = _echelon_mod_p(rows, p)
+        eliminated = rows if spanning is None or used > 1 else spanning
+        pivots = _echelon_mod_p(eliminated, p)
         if len(pivots) == full:
             return full, None, used
         key = (-len(pivots), [c for c, _ in pivots])
         if best is not None and key > best:
             continue
-        free, images = _kernel_images(pivots, len(rows), ncols, p)
+        free, images = _kernel_images(pivots, len(eliminated), ncols, p)
         if key == best:
             k = pow(modulus, -1, p)
             residues = [[x + modulus * ((y - x) * k % p) for x, y in zip(xs, ys)]
@@ -327,9 +342,12 @@ def exact_rank(m: ExactMatrix) -> int:
     itself, so they may be any ints, on the columns when they outnumber
     the rows, so that it stops early.  Over Q: take int rows as they are
     and clear each rational row's denominators, so none can vanish mod a
-    prime, and take the rank of the integer rows mod :data:`_Q_PRIME`, on
-    one-word slots, as given: the transpose's kernel vectors would be
-    relations among the points, with large entries.
+    prime.  A wide matrix is ranked on its columns mod :data:`_Q_PRIME`
+    first: exact when it reaches the row count, else its pivots name rows
+    that span the rest.  Then take the rank of the rows (only those, when
+    named) mod :data:`_Q_PRIME`, on one-word slots: the certificate needs
+    kernel vectors of the columns, and the transpose's would be relations
+    among the points, with large entries.
     When that lower bound reaches min(rows, cols) it is the rank; otherwise
     lifted kernel vectors, checked exactly over Z, certify it from above,
     with more primes when one is not enough.
@@ -337,7 +355,11 @@ def exact_rank(m: ExactMatrix) -> int:
     if isinstance(m.field, PrimeField):
         rows = m.entries if m.nrows >= m.ncols else list(zip(*m.entries))
         return len(_echelon_mod_p(rows, m.field.p))
-    return _rational_kernel(_integer_rows(m.entries), m.ncols)[0]
+    rows = _integer_rows(m.entries)
+    if not 0 < m.nrows < m.ncols:
+        return _rational_kernel(rows, m.ncols)[0]
+    spanning = [rows[c] for c, _ in _echelon_mod_p(list(zip(*rows)), _Q_PRIME)]
+    return m.nrows if len(spanning) == m.nrows else _rational_kernel(rows, m.ncols, spanning)[0]
 
 
 def nullspace_basis(m: ExactMatrix) -> list[tuple[int, ...]]:

@@ -1,4 +1,5 @@
-"""Node configurations, vanishing dimensions, and the defect of a double solid.
+"""Node configurations, vanishing dimensions, and the defect of a double
+solid from its nodes (the count formula is :func:`bounds.defect`).
 
 A double cover of P^3 branched over an even-degree surface with mu nodes
 has second cohomology of rank 1 + mu + d.  The defect d measures how
@@ -11,16 +12,19 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from math import comb, lcm
+from operator import mul
 
+from .bounds import DefectReport, defect, form_degree
 from .errors import DataError, DomainError, ResourceError, json_fields, read_json
 from .fields import Field, PrimeField, QQ, Scalar
 from .forms import (
     HomogeneousForm,
     Monomial,
-    evaluate_at,
+    _hessian_rank,
+    _second_partials,
+    _value,
     gradient,
     parse_form,
-    rank_at,
 )
 from .linalg import ExactMatrix, exact_rank
 from .record import Record
@@ -80,17 +84,18 @@ class NodeConfiguration(Record):
 
 
 def _node_verdicts(f: HomogeneousForm, points: Sequence[Sequence[Scalar]]) -> list[bool]:
-    """:func:`verify_node` at each point, with the four first and the
-    sixteen second partials of f built once for all of them."""
+    """:func:`verify_node` at each point, with the four first and the ten
+    distinct second partials of f built once for all of them; each point
+    is normalized once."""
     first = gradient(f)
-    second = [gradient(g) for g in first]
+    second = _second_partials(first)
     verdicts = []
     for point in points:
         pt = normalize_point(f.field, point)
         verdicts.append(
-            evaluate_at(f, pt) == 0
-            and all(evaluate_at(g, pt) == 0 for g in first)
-            and rank_at(second, pt) == 3
+            _value(f, pt) == 0
+            and all(_value(g, pt) == 0 for g in first)
+            and _hessian_rank(second, pt) == 3
         )
     return verdicts
 
@@ -132,19 +137,23 @@ def evaluation_matrix(cfg: NodeConfiguration, d: int) -> ExactMatrix:
     Entries are plain ints.  Each point is scaled by the lcm L of its
     denominators (1 over F_p), which scales its row by L^d and leaves the
     rank unchanged, so a row is the monomials at the point's integer
-    coordinates: no ``Fraction`` is built.  Over F_p the powers are taken
-    mod p and their products, below p^4, are left for the elimination to
-    reduce.
+    coordinates: no ``Fraction`` is built.  The matrix is built by
+    columns: one table of powers per coordinate across all nodes, then the
+    products x^i y^j and z^k w^l, and each monomial's column is one product
+    of two of those, the rows being the columns zipped.  Over F_p the
+    powers are taken mod p and their products, below p^4, are left for the
+    elimination to reduce.
     """
     p = cfg.field.characteristic or None
-    basis = monomial_basis(d)
-    rows = []
+    ints = []
     for pt in cfg.points:
         scale = lcm(*(c.denominator for c in pt))
-        ints = [c.numerator * (scale // c.denominator) for c in pt]
-        px, py, pz, pw = ([pow(n, e, p) for e in range(d + 1)] for n in ints)
-        rows.append(tuple(px[i] * py[j] * pz[k] * pw[l] for i, j, k, l in basis))
-    return ExactMatrix(cfg.field, tuple(rows))
+        ints.append([c.numerator * (scale // c.denominator) for c in pt])
+    px, py, pz, pw = ([[pow(n[v], e, p) for n in ints] for e in range(d + 1)] for v in range(4))
+    xy, zw = ({(i, j): list(map(mul, a[i], b[j])) for i in range(d + 1) for j in range(d + 1 - i)}
+              for a, b in ((px, py), (pz, pw)))
+    columns = [list(map(mul, xy[i, j], zw[k, l])) for i, j, k, l in monomial_basis(d)]
+    return ExactMatrix(cfg.field, tuple(zip(*columns)))
 
 
 def vanishing_dimension(cfg: NodeConfiguration, d: int) -> int:
@@ -161,51 +170,6 @@ def vanishing_dimension(cfg: NodeConfiguration, d: int) -> int:
             f"degree-{d} forms have {total} monomials; capped at {MONOMIAL_CAP} (form degree <= 20)"
         )
     return total - exact_rank(evaluation_matrix(cfg, d))
-
-
-class DefectReport(Record):
-    """Defect computation breakdown.
-
-    ``defect = dim_m - estimate`` with ``estimate = C(3b/2-1, 3) - mu``;
-    the value is signed and never clamped, so a negative defect flags
-    inconsistent input rather than being hidden.
-    """
-
-    b: int
-    mu: int
-    m_degree: int
-    dim_m: int
-    estimate: int
-    defect: int
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.b,
-            "mu": self.mu,
-            "form_degree": self.m_degree,
-            "dim_vanishing_space": self.dim_m,
-            "estimate": self.estimate,
-            "defect": self.defect,
-        }
-
-
-def form_degree(b: int) -> int:
-    """3b/2 - 4, the degree of the forms through the nodes (3b/2 rounded down)."""
-    return 3 * b // 2 - 4
-
-
-def defect(b: int, mu: int, dim_m: int) -> DefectReport:
-    """Defect of the double solid branched over a degree-b surface with mu
-    nodes, given the dimension of the forms of ``form_degree(b)`` through them."""
-    if b % 2 != 0:
-        raise DomainError(f"branch degree must be even, got {b}")
-    if b < 2:
-        raise DomainError(f"branch degree must be at least 2, got {b}")
-    if mu < 0 or dim_m < 0:
-        raise DomainError("mu and dim_m must be non-negative")
-    m_degree = form_degree(b)
-    estimate = comb(m_degree + 3, 3) - mu
-    return DefectReport(b, mu, m_degree, dim_m, estimate, dim_m - estimate)
 
 
 def defect_from_nodes(cfg: NodeConfiguration) -> DefectReport:

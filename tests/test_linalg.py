@@ -7,7 +7,7 @@ from array import array
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt
-from operator import xor
+from operator import add, xor
 
 import pytest
 from hypothesis import given, settings
@@ -549,12 +549,18 @@ def test_exact_rank_over_fp_eliminates_the_columns_of_a_wide_matrix(monkeypatch)
 
     echelon = linalg._echelon_mod_p
     monkeypatch.setattr(linalg, "_echelon_mod_p", logged_echelon)
-    # a 3 x 7 Vandermonde matrix: over F_p its columns are eliminated,
-    # over Q its rows, whose kernel vectors the certificate lifts
+    # a 3 x 7 Vandermonde matrix: its columns are eliminated over F_p, and
+    # over Q too, where a rank mod the prime equal to the row count is exact
     wide = tuple(tuple((i + 1) ** j for j in range(7)) for i in range(3))
     fp = ExactMatrix(PrimeField(101), wide)
     assert exact_rank(fp) == exact_rank(_transpose(fp)) == exact_rank(ExactMatrix(QQ, wide)) == 3
-    assert shapes == [(7, 3), (7, 3), (3, 7)]
+    assert shapes == [(7, 3), (7, 3), (7, 3)]
+    # below the row count, a wide Q matrix falls back to the rows that the
+    # transposed pivots name, whose kernel vectors the certificate lifts
+    shapes.clear()
+    deficient = wide[:2] + (tuple(map(add, *wide[:2])),)
+    assert exact_rank(ExactMatrix(QQ, deficient)) == 2
+    assert shapes == [(7, 3), (2, 7)]
 
 
 @pytest.mark.slow
@@ -608,15 +614,21 @@ def test_full_rank_q_matrix_is_decided_by_one_prime():
     [[linalg._Q_PRIME, 0], [0, 1]],
     # integer rows (1, 2) and (1, 2 + 2P): the only 2x2 minor is 2P
     [[Fraction(1, 2), 1], [1, 2 + 2 * linalg._Q_PRIME]],
-], ids=["P-diagonal", "minor-2P"])
+    # wide, with no pivot mod P in either orientation: only unit vectors
+    # reach the exact check
+    [[linalg._Q_PRIME, 2 * linalg._Q_PRIME, 0]],
+    # wide: rows 0 and 2 span all rows mod P, and the kernel found from
+    # them alone fails the exact check on row 1
+    [[1, 0, 0, 0], [0, linalg._Q_PRIME, 0, 0], [0, 0, 1, 0]],
+], ids=["P-diagonal", "minor-2P", "P-row", "P-among-rows"])
 def test_rank_mod_the_q_prime_takes_a_second_prime(rows):
-    # the rank drops mod the first prime, the kernel vector found there fails
+    # the rank drops mod the first prime, the kernel vectors found there fail
     # the exact check, and the next prime sees the full rank
     m = ExactMatrix.from_rows(QQ, rows)
-    int_rows = _integer_rows(m.entries)
-    assert _modular_rank(m, linalg._Q_PRIME) == 1
-    assert _rational_kernel(int_rows, 2) == (2, None, 2)
-    assert exact_rank(m) == rank_and_rref(m)[0] == bareiss(int_rows)[0] == 2
+    int_rows, full = _integer_rows(m.entries), min(m.nrows, m.ncols)
+    assert _modular_rank(m, linalg._Q_PRIME) == full - 1
+    assert _rational_kernel(int_rows, m.ncols) == (full, None, 2)
+    assert exact_rank(m) == rank_and_rref(m)[0] == bareiss(int_rows)[0] == full
 
 
 def test_field_inverse_and_validate_refuse_what_has_no_value():
@@ -681,6 +693,18 @@ def test_failing_certificate_raises_past_the_hadamard_limit(monkeypatch):
     monkeypatch.setattr(linalg, "_q_primes", at_most_fifty_primes)
     with pytest.raises(ArithmeticError):
         exact_rank(ExactMatrix.from_rows(QQ, [[1, 2], [2, 4]]))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_kernel_certificate_rejects_a_vector_off_the_kernel(index):
+    # 1 x 4: pivot column 0 and kernel vectors (-a, unit) for the free
+    # columns; one residue off by one puts one lifted vector off the kernel
+    p, rows, free = linalg._Q_PRIME, [[1, 2, 3, 4]], [1, 2, 3]
+    residues = [[p - 2, p - 3, p - 4]]
+    kernel = linalg._kernel_certificate(rows, [0], free, residues, p)
+    assert kernel == [[(1, 1), (0, -2)], [(2, 1), (0, -3)], [(3, 1), (0, -4)]]
+    residues[0][index] += 1
+    assert linalg._kernel_certificate(rows, [0], free, residues, p) is None
 
 
 def _product(a, b):
